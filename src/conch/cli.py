@@ -15,7 +15,7 @@ import sys
 from importlib import resources
 
 from . import asm
-from .asm import AsmError
+from .asm import AsmError, SegmentOutOfBounds
 from .mem import MODELS
 from .report import DEFAULT_MAX_INSTRET, build_report, emit_report, run_models, simulate
 
@@ -288,9 +288,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except AsmError as exc:
-        print(f"conch: {exc}", file=sys.stderr)
-        return EXIT_ASM
-    except (ValueError, OSError) as exc:
+    except (AsmError, SegmentOutOfBounds, ValueError, OSError) as exc:
         print(f"conch: {exc}", file=sys.stderr)
         return EXIT_ASM

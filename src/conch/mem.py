@@ -21,10 +21,15 @@ The byte_oracle bitmap is the byte-granularity golden taint reference
 (one bit per DRAM byte) used to measure over-tagging; it is maintained on
 the store paths and by the tag-management instructions and has no effect
 on simulated behavior.
+
+DRAM, the tag bitmap and the byte oracle are Planes: anonymous private
+mappings that read as zero and that the OS commits one page at a time on
+first write, so a run pays only for the memory its program touches.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 from .crypt import qarma_encrypt, qarma_decrypt
@@ -68,6 +73,24 @@ class CycleCosts:
     dram_access_latency: int = 60
     cipher_block: int = 4
     tag_cache_hit: int = 1
+
+
+class Plane(mmap.mmap):
+    """A zero-filled byte array of fixed size, committed lazily by the OS.
+    Unlike a bare mmap, == compares contents, not identity."""
+
+    def __new__(cls, size):
+        # private: a page that is only read maps the zero page; the
+        # default MAP_SHARED would commit a page on its first read too
+        return super().__new__(cls, -1, size, flags=mmap.MAP_PRIVATE)
+
+    def __eq__(self, other):
+        if not isinstance(other, (bytes, bytearray, mmap.mmap)):
+            return NotImplemented
+        step = 1 << 20
+        return len(self) == len(other) and all(
+            self[i : i + step] == other[i : i + step] for i in range(0, len(self), step)
+        )
 
 
 class _Line:
@@ -154,9 +177,9 @@ class MemorySystem:
         # checked by full scan
         self.debug_shadow = {} if debug_shadow else None
 
-        self.dram = bytearray(size)
-        self.tag_bits = bytearray(size // 64)  # 1 bit per word = 1/64 of data
-        self.byte_oracle = bytearray(size // 8)  # 1 bit per byte
+        self.dram = Plane(size)
+        self.tag_bits = Plane(size // 64)  # 1 bit per word = 1/64 of data
+        self.byte_oracle = Plane(size // 8)  # 1 bit per byte
 
         self.dcache = CacheModel("dcache", dcache[0], dcache[1])
         self.icache = CacheModel("icache", icache[0], icache[1])
@@ -204,13 +227,19 @@ class MemorySystem:
                 self.byte_oracle[idx >> 3] &= ~(1 << (idx & 7)) & 0xFF
 
     def _oracle_set(self, base, length, on):
-        bi = base - self.base
-        for k in range(length):
-            idx = bi + k
-            if on:
-                self.byte_oracle[idx >> 3] |= 1 << (idx & 7)
-            else:
-                self.byte_oracle[idx >> 3] &= ~(1 << (idx & 7)) & 0xFF
+        """Set (on) or clear the oracle bits of bytes [base, base+length):
+        one slice write for the oracle bytes wholly inside, a mask for the
+        partial byte at either end."""
+        lo = base - self.base
+        hi = lo + length
+        first, last = -(-lo // 8), hi // 8  # oracle bytes [first, last) lie wholly inside
+        if first < last:
+            self.byte_oracle[first:last] = (b"\xff" if on else b"\x00") * (last - first)
+        for a, b in ((lo, min(hi, 8 * first)), (max(8 * first, 8 * last), hi)):
+            if a < b:
+                mask = ((1 << (b - a)) - 1) << (a & 7)
+                old = self.byte_oracle[a >> 3]
+                self.byte_oracle[a >> 3] = old | mask if on else old & ~mask
 
     def oracle_bits_for(self, addr, width):
         bi = addr - self.base

@@ -33,11 +33,13 @@ O_SENSITIVE = 0x0200_0000
 
 ENOENT = 2
 EBADF = 9
+EFAULT = 14
 EINVAL = 22
 ENOSYS = 38
 ENAMETOOLONG = 36
 
 _PATH_MAX = 4096
+_GETRANDOM_MAX = 33_554_431  # Linux returns at most this many bytes per getrandom call
 
 
 @dataclass
@@ -190,7 +192,11 @@ class OsShim:
 
     def sys_getrandom(self, st, mem, buf, count, flags):
         """Randomness is sensitive by definition: the returned bytes land
-        in memory tagged."""
+        in memory tagged. Like Linux, one call returns at most
+        _GETRANDOM_MAX bytes; a buffer outside DRAM is -EFAULT."""
+        count = min(count, _GETRANDOM_MAX)
+        if buf < mem.base or buf + count > mem.base + mem.size:
+            return -EFAULT, 0
         data = self.prng.randbytes(count)
         cycles = self._write_bytes(st, mem, buf, data, 1)
         return count, cycles

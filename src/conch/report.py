@@ -23,8 +23,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import asm
 from .core import MachineState, run
 from .crypt import generate_master_key
@@ -66,8 +64,19 @@ class ByteOracle:
 # ---- statistics --------------------------------------------------------------
 
 
-def _popcount(buf):
-    return int(np.unpackbits(np.frombuffer(buf, dtype=np.uint8)).sum())
+_SCAN = 1 << 16
+_ZERO = bytes(_SCAN)
+# _BIT_BYTES[j] maps a byte to 0xFF if its bit j is set, else to 0x00
+_BIT_BYTES = [bytes(0xFF if b >> j & 1 else 0 for b in range(256)) for j in range(8)]
+
+
+def _nonzero_chunks(plane):
+    """(offset, chunk) for the 64 KiB chunks of plane that hold a set bit.
+    Untouched pages read as zero, so an all-zero chunk costs one compare."""
+    for off in range(0, len(plane), _SCAN):
+        chunk = plane[off : off + _SCAN]
+        if chunk != _ZERO:
+            yield off, chunk
 
 
 def compute_overtagging(mem, overtag_cipher_blocks=None, baseline_cycles=None):
@@ -76,15 +85,18 @@ def compute_overtagging(mem, overtag_cipher_blocks=None, baseline_cycles=None):
     under tag. The extra-cycles figure prices the cipher work spent on
     words that carried no tainted byte at all when they crossed the DRAM
     boundary, as a fraction of the baseline run."""
-    tags = np.unpackbits(np.frombuffer(mem.tag_bits, dtype=np.uint8), bitorder="little")
-    taint_counts = (
-        np.unpackbits(np.frombuffer(mem.byte_oracle, dtype=np.uint8), bitorder="little")
-        .reshape(-1, 8)
-        .sum(axis=1)
-    )
-    words_tagged = int(tags.sum())
-    bytes_tainted = int(taint_counts.sum())
-    overtagged = int(((8 - taint_counts) * tags).sum())
+    words_tagged = tainted_under_tag = 0
+    oracle = mem.byte_oracle  # oracle byte i holds the 8 taint bits of word i
+    for off, tags in _nonzero_chunks(mem.tag_bits):
+        words_tagged += int.from_bytes(tags, "little").bit_count()
+        # per bit j, the words 8*(off+t)+j over all t: a byte that is 0xFF
+        # where tags[t] has bit j, ANDed with those words' oracle bytes
+        for j, spread in enumerate(_BIT_BYTES):
+            under_tag = int.from_bytes(tags.translate(spread), "little")
+            taints = int.from_bytes(oracle[8 * off + j : 8 * (off + len(tags)) : 8], "little")
+            tainted_under_tag += (under_tag & taints).bit_count()
+    bytes_tainted = sum(int.from_bytes(c, "little").bit_count() for _, c in _nonzero_chunks(oracle))
+    overtagged = 8 * words_tagged - tainted_under_tag
     ratio = 100.0 * overtagged / (8 * words_tagged) if words_tagged else 0.0
     stats = {
         "words_tagged_final": words_tagged,

@@ -166,6 +166,14 @@ def test_asm_error_exit_code(tmp_path, capsys):
     assert "conch:" in capsys.readouterr().err
 
 
+def test_segment_outside_dram_exit_code(tmp_path, capsys):
+    src = write(tmp_path, "low.s", ".org 0x10\n    li a7, 93\n    ecall\n")
+    assert main(["run", src]) == EXIT_ASM
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("conch: ") and "outside DRAM" in err
+
+
 # ---- seeds and the filesystem ------------------------------------------------
 
 
@@ -306,6 +314,14 @@ def test_console_script_entry_point(tmp_path, capsys):
     assert proc.returncode == EXIT_ASM
     assert "conch:" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    pkg_root = str(Path(conch.__file__).resolve().parents[1])
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import conch.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe, pkg_root], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(shutil.which("conch") is None, reason="conch console script not installed")

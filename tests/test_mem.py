@@ -4,7 +4,7 @@ differential check of the cached path against the degenerate uncached
 one."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conch.crypt import derive_thread_key, generate_master_key, qarma_decrypt, qarma_encrypt
@@ -14,6 +14,7 @@ from conch.mem import (
     MemorySystem,
     MisalignedAccess,
     OutOfBoundsAccess,
+    Plane,
     SoundnessViolation,
 )
 
@@ -301,6 +302,64 @@ def test_cipher_latency_charged_per_tagged_word():
     flush_cycles = mem.flush_and_sync(KEY)
     expected = costs.dram_access_latency * 2 + costs.cipher_block * 8
     assert flush_cycles == expected
+
+
+# ---- the planes ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("plane", ["dram", "tag_bits", "byte_oracle"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_planes_compare_by_content(plane, where):
+    a, b = make_mem(), make_mem()
+    for name in ("dram", "tag_bits", "byte_oracle"):
+        assert getattr(a, name) is not getattr(b, name)
+        assert getattr(a, name) == getattr(b, name)
+    pa, pb = getattr(a, plane), getattr(b, plane)
+    i = {"first": 0, "middle": len(pa) // 2 + 3, "last": len(pa) - 1}[where]
+    pa[i] = 0x40
+    assert pa != pb and not pa == pb
+    pb[i] = 0x40
+    assert pa == pb
+    assert pa == bytes(pb) and bytes(pa) == pb
+    with pytest.raises(TypeError):
+        hash(pa)
+    assert Plane(1 << 20) != Plane(2 << 20)  # equal prefix, different size
+
+
+def _oracle_set_per_byte(oracle, bi, length, on):
+    """The per-byte rule _oracle_set must reproduce: oracle bit of byte
+    bi+k for each k < length."""
+    for k in range(length):
+        idx = bi + k
+        if on:
+            oracle[idx >> 3] |= 1 << (idx & 7)
+        else:
+            oracle[idx >> 3] &= ~(1 << (idx & 7)) & 0xFF
+
+
+ORACLE_SPAN = 256  # bytes of DRAM under test: 32 oracle bytes
+
+
+@given(
+    initial=st.binary(min_size=ORACLE_SPAN // 8, max_size=ORACLE_SPAN // 8),
+    offset=st.integers(0, ORACLE_SPAN),
+    length=st.integers(0, ORACLE_SPAN),
+    on=st.booleans(),
+)
+@example(initial=bytes(32), offset=3, length=3, on=True)  # inside one oracle byte
+@example(initial=b"\xff" * 32, offset=13, length=1, on=False)  # a single byte
+@example(initial=bytes(32), offset=5, length=6, on=True)  # two partial bytes, none whole
+@example(initial=b"\x5a" * 32, offset=3, length=250, on=False)  # both ends unaligned
+@example(initial=bytes(32), offset=8, length=16, on=True)  # both ends aligned
+@settings(max_examples=300, deadline=None)
+def test_oracle_set_matches_per_byte_rule(initial, offset, length, on):
+    length = min(length, ORACLE_SPAN - offset)
+    mem = make_mem(size=ORACLE_SPAN)
+    mem.byte_oracle[:] = initial
+    expected = bytearray(initial)
+    _oracle_set_per_byte(expected, offset, length, on)
+    mem._oracle_set(mem.base + offset, length, on)
+    assert bytes(mem.byte_oracle) == bytes(expected)
 
 
 # ---- differential: cached vs uncached ---------------------------------------------

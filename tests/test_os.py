@@ -9,6 +9,7 @@ from conch.crypt import generate_master_key, qarma_encrypt
 from conch.mem import MemorySystem
 from conch.os_shim import (
     EBADF,
+    EFAULT,
     EINVAL,
     ENOENT,
     ENOSYS,
@@ -190,6 +191,25 @@ def test_getrandom_is_tagged_and_seeded():
     buf3 = mem3.base + 0x500
     ecall(st3, mem3, shim3, SYS_GETRANDOM, buf3, 16, 0)
     assert (mem3.load(buf3, 8, False, st3.key)[0], mem3.load(buf3 + 8, 8, False, st3.key)[0]) != (v1, v2)
+
+
+def test_getrandom_outside_dram_is_efault():
+    st, mem, shim = machine(seed=42)
+    top = mem.base + mem.size
+    for buf, count in [(0x10, 16), (top - 8, 16), (top, 1), (top - 64, 1 << 62)]:
+        assert ecall(st, mem, shim, SYS_GETRANDOM, buf, count, 0) == -EFAULT
+    assert mem.clean and mem.dcache.misses == 0  # nothing was written
+    # nor was any randomness drawn
+    st2, mem2, shim2 = machine(seed=42)
+    assert shim.prng.getstate() == shim2.prng.getstate()
+
+
+def test_getrandom_count_is_clamped_to_linux_maximum(monkeypatch):
+    st, mem, shim = machine()
+    copied = []
+    monkeypatch.setattr(shim, "_write_bytes", lambda st, mem, addr, data, tag: copied.append(len(data)) or 0)
+    assert ecall(st, mem, shim, SYS_GETRANDOM, mem.base, 1 << 62, 0) == 33_554_431
+    assert copied == [33_554_431]
 
 
 # ---- thread switch -------------------------------------------------------------

@@ -2,6 +2,8 @@
 synthetic memory states, report assembly and rendering, and the cached vs
 uncached functional equivalence of a whole program."""
 
+import random
+
 import pytest
 
 from conch.crypt import derive_thread_key, generate_master_key
@@ -94,6 +96,39 @@ def test_overtag_cycle_attribution():
     stats = compute_overtagging(mem, overtag_cipher_blocks=25, baseline_cycles=10_000)
     # 25 blocks at 4 cycles each against 10k baseline cycles
     assert stats["overtag_extra_cycles_pct"] == 1.0
+
+
+def _overtagging_numpy(mem):
+    """The counts computed independently by unpacking both planes whole."""
+    np = pytest.importorskip("numpy")
+    tags = np.unpackbits(np.frombuffer(mem.tag_bits, dtype=np.uint8), bitorder="little")
+    taint_counts = (
+        np.unpackbits(np.frombuffer(mem.byte_oracle, dtype=np.uint8), bitorder="little")
+        .reshape(-1, 8)
+        .sum(axis=1)
+    )
+    return {
+        "words_tagged_final": int(tags.sum()),
+        "bytes_tainted_oracle_final": int(taint_counts.sum()),
+        "overtagged_bytes": int(((8 - taint_counts) * tags).sum()),
+    }
+
+
+def test_overtagging_matches_numpy_at_chunk_edges():
+    mem = MemorySystem(model="b")
+    n_words = mem.size // 8
+    chunk_words = 8 * (1 << 16)  # one 64 KiB chunk of tag bits covers this many words
+    rng = random.Random(5)
+    words = {chunk_words - 1, chunk_words, n_words - 1, 0, chunk_words // 8 - 1, chunk_words // 8}
+    words |= {rng.randrange(n_words) for _ in range(200)}
+    for i, w in enumerate(sorted(words)):
+        if i % 3:  # tagged, with 0 to 8 tainted bytes
+            mem.tag_bits[w >> 3] |= 1 << (w & 7)
+        mem.byte_oracle[w] = rng.choice([0, 0xFF, 0x0F, 0x81, rng.randrange(256)])
+    stats = compute_overtagging(mem)
+    expected = _overtagging_numpy(mem)
+    assert expected["words_tagged_final"] > 100 and expected["overtagged_bytes"] > 0
+    assert {k: stats[k] for k in expected} == expected
 
 
 # ---- simulate / run_models -----------------------------------------------------------
