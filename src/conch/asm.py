@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 
 from . import isa
 from .isa import sext
+from .mem import DRAM_SIZE
 
 TEXT_BASE = 0x8000_0000
 DATA_BASE = 0x8010_0000
+MAX_ALIGN = DRAM_SIZE.bit_length() - 1  # largest n with 2**n <= DRAM_SIZE
 
 
 class AsmError(Exception):
@@ -237,6 +239,8 @@ def assemble(src: SourceUnit) -> Program:
                 new_chunk()
             elif head == ".align":
                 n = _parse_int(rest.strip(), line_no)
+                if not 0 <= n <= MAX_ALIGN:
+                    raise ImmediateOutOfRange(line_no, f".align {n} out of range 0..{MAX_ALIGN}")
                 width = 1 << n
                 pad = (-lc[section]) % width
                 emit_placeholder(pad)

@@ -3,7 +3,7 @@ words, plus the tag-management instructions (ctag.set / ctag.clr /
 ctag.rdt).
 
 Tag propagation is word-granular and value-based: ALU results inherit the
-OR of their source tags, loads inherit the tag of the word(s) read,
+OR of their source tags, loads inherit the tag of the word read,
 stores write their source register's tag into the word tag (replacing it
 on full-word stores, retaining-OR on narrower ones, handled by the memory
 system). Instructions whose results derive only from the pc or an

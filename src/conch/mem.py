@@ -22,6 +22,11 @@ The byte_oracle bitmap is the byte-granularity golden taint reference
 the store paths and by the tag-management instructions and has no effect
 on simulated behavior.
 
+Every load and store is naturally aligned (a misaligned one raises
+MisalignedAccess, which the interpreter turns into a trap), so a data
+access always lies inside one 8-byte word and one cache line: it reads or
+writes one tag bit and one oracle byte.
+
 DRAM, the tag bitmap and the byte oracle are Planes: anonymous private
 mappings that read as zero and that the OS commits one page at a time on
 first write, so a run pays only for the memory its program touches.
@@ -33,6 +38,7 @@ import mmap
 from dataclasses import dataclass
 
 from .crypt import qarma_encrypt, qarma_decrypt
+from .isa import MASK64
 
 DRAM_BASE = 0x8000_0000
 DRAM_SIZE = 64 * 1024 * 1024
@@ -65,7 +71,6 @@ class CycleCosts:
     mul: int = 3
     div: int = 33
     load_hit: int = 2
-    load_hit_cross: int = 3  # access crossing an 8-byte boundary
     store_hit: int = 1
     branch: int = 1
     mispredict: int = 3
@@ -91,6 +96,18 @@ class Plane(mmap.mmap):
         return len(self) == len(other) and all(
             self[i : i + step] == other[i : i + step] for i in range(0, len(self), step)
         )
+
+
+def _extend(value, width, signed):
+    """The 64-bit register value of a width-byte load of value."""
+    if signed and value & (1 << (8 * width - 1)):
+        value -= 1 << (8 * width)
+    return value & MASK64
+
+
+def _stored_tag(old, width, src_tag):
+    """A full-word store replaces the word tag; a narrower one ORs into it."""
+    return src_tag if width == 8 else old | src_tag
 
 
 class _Line:
@@ -157,7 +174,6 @@ class MemorySystem:
         dcache=(32 * 1024, 8),
         icache=(32 * 1024, 8),
         tag_cache=(4 * 1024, 8),
-        strict_align=True,
         no_cache=False,
         debug_soundness=False,
         debug_shadow=False,
@@ -169,7 +185,6 @@ class MemorySystem:
         self.base = base
         self.size = size
         self.costs = costs or CycleCosts()
-        self.strict_align = strict_align
         self.no_cache = no_cache
         self.debug_soundness = debug_soundness
         # test aid: word address -> (logical value, key) recorded when a
@@ -217,14 +232,12 @@ class MemorySystem:
         return self.byte_oracle[wi]
 
     def _oracle_update(self, addr, width, taints):
-        # taints: int with bit k = taint of the k-th written byte
+        # taints: int with bit k = taint of the k-th written byte; an
+        # aligned access lies inside one oracle byte
         bi = addr - self.base
-        for k in range(width):
-            idx = bi + k
-            if (taints >> k) & 1:
-                self.byte_oracle[idx >> 3] |= 1 << (idx & 7)
-            else:
-                self.byte_oracle[idx >> 3] &= ~(1 << (idx & 7)) & 0xFF
+        mask = ((1 << width) - 1) << (bi & 7)
+        old = self.byte_oracle[bi >> 3]
+        self.byte_oracle[bi >> 3] = old & ~mask | (taints << (bi & 7)) & mask
 
     def _oracle_set(self, base, length, on):
         """Set (on) or clear the oracle bits of bytes [base, base+length):
@@ -242,12 +255,11 @@ class MemorySystem:
                 self.byte_oracle[a >> 3] = old | mask if on else old & ~mask
 
     def oracle_bits_for(self, addr, width):
+        """Oracle taint bits of bytes [addr, addr+width), bit k for byte
+        addr+k; the span need not be aligned."""
         bi = addr - self.base
-        out = 0
-        for k in range(width):
-            idx = bi + k
-            out |= ((self.byte_oracle[idx >> 3] >> (idx & 7)) & 1) << k
-        return out
+        bits = int.from_bytes(self.byte_oracle[bi >> 3 : (bi + width + 7) >> 3], "little")
+        return (bits >> (bi & 7)) & ((1 << width) - 1)
 
     # ---- tag traffic accounting -------------------------------------------
 
@@ -362,49 +374,22 @@ class MemorySystem:
     # ---- architectural accesses --------------------------------------------
 
     def _align_check(self, addr, width):
-        if self.strict_align and width > 1 and addr % width:
+        if addr % width:
             raise MisalignedAccess(f"{width}-byte access at {addr:#x}")
-
-    def _soundness_check(self, word_addr):
-        if self.debug_soundness:
-            if self.word_tag(word_addr) < (1 if self.oracle_word(word_addr) else 0):
-                raise SoundnessViolation(
-                    f"word {word_addr:#x}: tag 0 but oracle bits {self.oracle_word(word_addr):#04x}"
-                )
 
     def load(self, addr, width, signed, key):
         """Returns (value, tag, cycles). The tag is the containing word's
-        tag regardless of which bytes were read; a straddling access ORs
-        the words it touches."""
+        tag regardless of which bytes were read."""
         self._check_range(addr, width)
         self._align_check(addr, width)
         if self.no_cache:
             return self._load_direct(addr, width, signed, key)
-        crosses = (addr & 7) + width > 8
-        cycles = self.costs.load_hit_cross if crosses else self.costs.load_hit
-        lo_line = addr & ~(LINE - 1)
-        hi_line = (addr + width - 1) & ~(LINE - 1)
-        line, c = self._access(self.dcache, lo_line, key)
-        cycles += c
-        raw = bytes(line.data[addr - lo_line : addr - lo_line + width])
-        tag = 0
-        w0 = addr & ~7
-        w1 = (addr + width - 1) & ~7
-        if hi_line != lo_line:
-            take = lo_line + LINE - addr
-            line2, c2 = self._access(self.dcache, hi_line, key)
-            cycles += c2
-            raw = bytes(line.data[addr - lo_line :]) + bytes(line2.data[: width - take])
-            for w in range(w0, w1 + 8, 8):
-                ln = line if w < hi_line else line2
-                tag |= (ln.tags >> ((w - ln.base) >> 3)) & 1
-        else:
-            for w in range(w0, w1 + 8, 8):
-                tag |= (line.tags >> ((w - line.base) >> 3)) & 1
-        value = int.from_bytes(raw, "little")
-        if signed and value & (1 << (8 * width - 1)):
-            value -= 1 << (8 * width)
-        return value & ((1 << 64) - 1), tag, cycles
+        line_base = addr & ~(LINE - 1)
+        line, cycles = self._access(self.dcache, line_base, key)
+        off = addr - line_base
+        value = int.from_bytes(line.data[off : off + width], "little")
+        tag = (line.tags >> (off >> 3)) & 1
+        return _extend(value, width, signed), tag, self.costs.load_hit + cycles
 
     def store(self, addr, width, value, src_tag, key, taints=None):
         """Write-allocate write-back store. Full-word stores replace the
@@ -418,43 +403,19 @@ class MemorySystem:
             taints = ((1 << width) - 1) if src_tag else 0
         if self.no_cache:
             return self._store_direct(addr, width, value, src_tag, taints, key)
-        cycles = self.costs.store_hit
-        data = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
-        lo_line = addr & ~(LINE - 1)
-        hi_line = (addr + width - 1) & ~(LINE - 1)
-        line, c = self._access(self.dcache, lo_line, key)
-        cycles += c
-        if hi_line != lo_line:
-            line2, c2 = self._access(self.dcache, hi_line, key)
-            cycles += c2
-            take = lo_line + LINE - addr
-            line.data[addr - lo_line :] = data[:take]
-            line2.data[: width - take] = data[take:]
-        else:
-            line.data[addr - lo_line : addr - lo_line + width] = data
-            line2 = line
-        for w in range(addr & ~7, ((addr + width - 1) & ~7) + 8, 8):
-            ln = line if w < hi_line or hi_line == lo_line else line2
-            j = (w - ln.base) >> 3
-            covered_lo = max(addr, w)
-            covered_hi = min(addr + width, w + 8)
-            full = covered_lo == w and covered_hi == w + 8
-            old = (ln.tags >> j) & 1
-            new = src_tag if full else (old | src_tag)
-            if new:
-                ln.tags |= 1 << j
-            else:
-                ln.tags &= ~(1 << j) & 0xFF
-            ln.dirty = True
+        line_base = addr & ~(LINE - 1)
+        line, cycles = self._access(self.dcache, line_base, key)
+        off = addr - line_base
+        line.data[off : off + width] = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
+        j = off >> 3
+        tag = _stored_tag((line.tags >> j) & 1, width, src_tag)
+        line.tags = line.tags & ~(1 << j) | tag << j
+        line.dirty = True
         self._oracle_update(addr, width, taints)
         self.clean = False
-        if self.debug_soundness:
-            for w in range(addr & ~7, ((addr + width - 1) & ~7) + 8, 8):
-                ln = line if w < hi_line or hi_line == lo_line else line2
-                j = (w - ln.base) >> 3
-                if self.oracle_word(w) and not ((ln.tags >> j) & 1):
-                    raise SoundnessViolation(f"store left word {w:#x} under-tagged")
-        return cycles
+        if self.debug_soundness and self.oracle_word(addr) and not tag:
+            raise SoundnessViolation(f"store left word {addr & ~7:#x} under-tagged")
+        return self.costs.store_hit + cycles
 
     def fetch(self, addr, key):
         """Instruction fetch: free on icache hit, a miss pays the fill."""
@@ -472,59 +433,41 @@ class MemorySystem:
     def ctag_set_range(self, base, length, key):
         """Tag every word overlapping [base, base+length); the byte oracle
         records exactly the covered bytes. Returns cycles."""
-        if length == 0:
-            return 0
-        self._check_range(base, length)
-        end = base + length
-        if self.no_cache:
-            for w in range(base & ~7, ((end - 1) & ~7) + 8, 8):
-                # read before flipping the tag: it decides the decrypt
-                self._set_word_at_rest(w, self._word_at_rest(w, key), 1, key)
-            self._oracle_set(base, length, True)
-            return self.costs.dram_access_latency
-        cycles = 0
-        first_line = base & ~(LINE - 1)
-        last_line = (end - 1) & ~(LINE - 1)
-        for lb in range(first_line, last_line + LINE, LINE):
-            line, c = self._access(self.dcache, lb, key)
-            cycles += c
-            for j in range(WORDS_PER_LINE):
-                w = lb + 8 * j
-                if w < end and w + 8 > base:
-                    line.tags |= 1 << j
-            line.dirty = True
-        self._oracle_set(base, length, True)
-        self.clean = False
-        return cycles
+        return self._ctag_range(base, length, key, True)
 
     def ctag_clear_range(self, base, length, key):
         """Clear tags of words fully inside [base, base+length); words
         only partially covered stay tagged. Covered oracle bytes clear.
         Lines pass through the cache, so cleared words will rest in DRAM
         as plaintext after the next writeback."""
+        return self._ctag_range(base, length, key, False)
+
+    def _ctag_range(self, base, length, key, on):
+        """Set (on) the tags of the words [base, base+length) overlaps, or
+        clear those of the words wholly inside it; set or clear the oracle
+        bits of the covered bytes. Returns cycles."""
         if length == 0:
             return 0
         self._check_range(base, length)
         end = base + length
+        # the words affected: [lo, hi)
+        lo, hi = (base & ~7, (end + 7) & ~7) if on else ((base + 7) & ~7, end & ~7)
         if self.no_cache:
-            for w in range(base & ~7, ((end - 1) & ~7) + 8, 8):
-                if w >= base and w + 8 <= end:
-                    self._set_word_at_rest(w, self._word_at_rest(w, key), 0, key)
-            self._oracle_set(base, length, False)
-            return self.costs.dram_access_latency
-        cycles = 0
-        first_line = base & ~(LINE - 1)
-        last_line = (end - 1) & ~(LINE - 1)
-        for lb in range(first_line, last_line + LINE, LINE):
-            line, c = self._access(self.dcache, lb, key)
-            cycles += c
-            for j in range(WORDS_PER_LINE):
-                w = lb + 8 * j
-                if w >= base and w + 8 <= end:
-                    line.tags &= ~(1 << j) & 0xFF
-            line.dirty = True
-        self._oracle_set(base, length, False)
-        self.clean = False
+            for w in range(lo, hi, 8):
+                # read before flipping the tag: it decides the decrypt
+                self._set_word_at_rest(w, self._word_at_rest(w, key), on, key)
+            cycles = self.costs.dram_access_latency
+        else:
+            cycles = 0
+            for lb in range(base & ~(LINE - 1), end, LINE):
+                line, c = self._access(self.dcache, lb, key)
+                cycles += c
+                # bit j: word lb + 8j lies in [lo, hi)
+                mask = (0xFF << (max(lo - lb, 0) >> 3)) & (0xFF >> (max(lb + LINE - hi, 0) >> 3))
+                line.tags = line.tags | mask if on else line.tags & ~mask
+                line.dirty = True
+            self.clean = False
+        self._oracle_set(base, length, on)
         return cycles
 
     def ctag_read(self, addr):
@@ -611,37 +554,16 @@ class MemorySystem:
         self.dram[off : off + 8] = raw.to_bytes(8, "little")
 
     def _load_direct(self, addr, width, signed, key):
+        w = addr & ~7
+        value = (self._word_at_rest(w, key) >> (8 * (addr - w))) & ((1 << (8 * width)) - 1)
         cycles = self.costs.load_hit + self.costs.dram_access_latency
-        out = bytearray()
-        tag = 0
-        w0 = addr & ~7
-        w1 = (addr + width - 1) & ~7
-        for w in range(w0, w1 + 8, 8):
-            tag |= self.word_tag(w)
-            out += self._word_at_rest(w, key).to_bytes(8, "little")
-        lo = addr - w0
-        value = int.from_bytes(out[lo : lo + width], "little")
-        if signed and value & (1 << (8 * width - 1)):
-            value -= 1 << (8 * width)
-        return value & ((1 << 64) - 1), tag, cycles
+        return _extend(value, width, signed), self.word_tag(w), cycles
 
     def _store_direct(self, addr, width, value, src_tag, taints, key):
-        cycles = self.costs.store_hit + self.costs.dram_access_latency
-        data = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
-        pos = 0
-        w0 = addr & ~7
-        w1 = (addr + width - 1) & ~7
-        for w in range(w0, w1 + 8, 8):
-            word = self._word_at_rest(w, key)
-            buf = bytearray(word.to_bytes(8, "little"))
-            covered_lo = max(addr, w)
-            covered_hi = min(addr + width, w + 8)
-            n = covered_hi - covered_lo
-            buf[covered_lo - w : covered_hi - w] = data[pos : pos + n]
-            pos += n
-            full = covered_lo == w and covered_hi == w + 8
-            old = self.word_tag(w)
-            new = src_tag if full else (old | src_tag)
-            self._set_word_at_rest(w, int.from_bytes(buf, "little"), new, key)
+        w = addr & ~7
+        shift = 8 * (addr - w)
+        mask = ((1 << (8 * width)) - 1) << shift
+        word = self._word_at_rest(w, key) & ~mask | (value << shift) & mask
+        self._set_word_at_rest(w, word, _stored_tag(self.word_tag(w), width, src_tag), key)
         self._oracle_update(addr, width, taints)
-        return cycles
+        return self.costs.store_hit + self.costs.dram_access_latency

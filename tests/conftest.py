@@ -301,6 +301,24 @@ _HB_REQUEST = b"GET heartbeat 48"
 _HB_SECRET = b"pk.live_9f27c55e31d04a8b77aa0312"
 
 
+def odd_access_program(mnem):
+    """One guest access of the given mnemonic at an odd address, then exit 0."""
+    return f"""
+    .text
+_start:
+    la   t0, buf
+    li   t1, 0x55
+    {mnem}   t1, 1(t0)
+    li   a0, 0
+    li   a7, 93
+    ecall
+    .data
+    .align 3
+buf:
+    .dword 0
+"""
+
+
 def _demo_source(name):
     from importlib import resources
 

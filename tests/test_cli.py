@@ -18,6 +18,8 @@ import pytest
 import conch
 from conch.cli import EXIT_ASM, EXIT_BUDGET, EXIT_DEMO, EXIT_OK, EXIT_TRAP, main
 
+from conftest import odd_access_program
+
 EXIT_PROG = """
     .org 0x80000000
     li a0, 0
@@ -138,6 +140,13 @@ def test_run_trap_exit_code(tmp_path, capsys):
     assert "trap" in err
 
 
+@pytest.mark.parametrize("mnem", ["lh", "lw", "ld", "sh", "sw", "sd"])
+def test_misaligned_access_exit_code(tmp_path, capsys, mnem):
+    src = write(tmp_path, "m.s", odd_access_program(mnem))
+    assert main(["run", src]) == EXIT_TRAP
+    assert "MisalignedAccess" in capsys.readouterr().err
+
+
 def test_run_budget_exit_code(tmp_path, capsys):
     src = write(
         tmp_path,
@@ -164,6 +173,15 @@ def test_asm_error_exit_code(tmp_path, capsys):
     src = write(tmp_path, "bad.s", "frobnicate x1, x2\n")
     assert main(["run", src]) == EXIT_ASM
     assert "conch:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["100", "-1"])
+def test_align_out_of_range_exit_code(tmp_path, capsys, n):
+    src = write(tmp_path, "a.s", f"    .text\n    .align {n}\n")
+    assert main(["run", src]) == EXIT_ASM
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"conch: line 2: .align {n} out of range 0..26\n"
 
 
 def test_segment_outside_dram_exit_code(tmp_path, capsys):

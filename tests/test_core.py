@@ -19,7 +19,10 @@ from conch.core import (
     step,
 )
 from conch.crypt import derive_thread_key, generate_master_key
-from conch.mem import MemorySystem
+from conch.mem import MemorySystem, MisalignedAccess
+from conch.report import simulate
+
+from conftest import odd_access_program
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 KEY = derive_thread_key(generate_master_key(0), 0)
@@ -206,6 +209,23 @@ def test_misaligned_fetch_traps():
     stt.pc = mem.base + 2
     with pytest.raises(MisalignedFetch):
         step(stt, mem)
+
+
+@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
+@pytest.mark.parametrize("mnem", ["lh", "lw", "ld", "sh", "sw", "sd"])
+def test_misaligned_data_access_traps(mnem, no_cache):
+    res = simulate(odd_access_program(mnem), no_cache=no_cache)
+    assert res.stop == "trap"
+    assert isinstance(res.st.trap, MisalignedAccess)
+    assert res.st.instret == 3  # la and li retire; the access does not
+
+
+@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
+@pytest.mark.parametrize("mnem", ["lb", "sb"])
+def test_byte_access_at_odd_address_runs(mnem, no_cache):
+    res = simulate(odd_access_program(mnem), no_cache=no_cache)
+    assert res.stop == "exit"
+    assert res.st.exit_code == 0
 
 
 def test_ebreak_and_run_trap():

@@ -58,7 +58,7 @@ def test_little_endian_byte_order():
         assert b == i + 1
 
 
-def test_strict_alignment_enforced():
+def test_misaligned_access_raises():
     mem = make_mem()
     with pytest.raises(MisalignedAccess):
         mem.load(mem.base + 1, 4, False, KEY)
@@ -74,17 +74,6 @@ def test_bounds_checked():
         mem.load(mem.base + mem.size - 4, 8, False, KEY)
 
 
-def test_misaligned_allowed_when_lenient():
-    mem = make_mem(strict_align=False)
-    addr = mem.base + 63  # crosses a cache line and an 8-byte boundary
-    mem.store(addr, 8, 0x1122334455667788, 0, KEY)
-    got, _, cross_cycles = mem.load(addr, 8, False, KEY)
-    assert got == 0x1122334455667788
-    _, _, plain_cycles = mem.load(mem.base + 8, 8, False, KEY)  # warm, aligned
-    assert cross_cycles == mem.costs.load_hit_cross
-    assert plain_cycles == mem.costs.load_hit
-
-
 # ---- tags at the word level -----------------------------------------------------
 
 
@@ -97,13 +86,15 @@ def test_full_word_store_replaces_tag():
     assert mem.load(addr, 8, False, KEY)[1] == 0
 
 
-def test_partial_store_retains_tag():
-    mem = make_mem()
+@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_partial_store_retains_tag(width, no_cache):
+    mem = make_mem(no_cache=no_cache)
     addr = mem.base + 0x308
     mem.store(addr, 8, 0xFFFFFFFFFFFFFFFF, 1, KEY)
-    mem.store(addr, 2, 0xAAAA, 0, KEY)  # clean halfword into tagged word
+    mem.store(addr + 8 - width, width, 0, 0, KEY)  # clean sub-word store into the tagged word's top
     value, tag, _ = mem.load(addr, 8, False, KEY)
-    assert value == 0xFFFFFFFFFFFFAAAA
+    assert value == (1 << (64 - 8 * width)) - 1
     assert tag == 1  # retain-tag policy
 
 
@@ -136,6 +127,16 @@ def test_ctag_clear_only_full_words():
     assert mem.load(base + 8, 8, False, KEY)[1] == 1
     assert mem.load(base + 16, 8, False, KEY)[1] == 1
     assert mem.oracle_bits_for(base, 12) == 0
+
+
+@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
+def test_ctag_clear_keeps_partial_words_at_both_ends(no_cache):
+    mem = make_mem(no_cache=no_cache)
+    base = mem.base + 0x4C0
+    mem.ctag_set_range(base, 24, KEY)
+    mem.ctag_clear_range(base + 4, 16, KEY)  # word 0 and word 2 partial, word 1 inside
+    assert [mem.load(base + 8 * i, 8, False, KEY)[1] for i in range(3)] == [1, 0, 1]
+    assert mem.oracle_bits_for(base, 24) == 0xF0000F
 
 
 def test_ctag_read_modes():
@@ -362,20 +363,74 @@ def test_oracle_set_matches_per_byte_rule(initial, offset, length, on):
     assert bytes(mem.byte_oracle) == bytes(expected)
 
 
+def _oracle_update_per_byte(oracle, bi, width, taints):
+    """The per-byte rule _oracle_update must reproduce: bit k of taints
+    becomes the oracle bit of byte bi+k."""
+    for k in range(width):
+        idx = bi + k
+        if (taints >> k) & 1:
+            oracle[idx >> 3] |= 1 << (idx & 7)
+        else:
+            oracle[idx >> 3] &= ~(1 << (idx & 7)) & 0xFF
+
+
+def _oracle_bits_per_byte(oracle, bi, width):
+    """The per-byte rule oracle_bits_for must reproduce: bit k is the
+    oracle bit of byte bi+k."""
+    out = 0
+    for k in range(width):
+        idx = bi + k
+        out |= ((oracle[idx >> 3] >> (idx & 7)) & 1) << k
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+@given(
+    initial=st.binary(min_size=ORACLE_SPAN // 8, max_size=ORACLE_SPAN // 8),
+    slot=st.integers(0, ORACLE_SPAN // 8 - 1),
+    taints=st.integers(0, 0xFF),
+)
+@settings(max_examples=50, deadline=None)
+def test_oracle_update_matches_per_byte_rule(width, initial, slot, taints):
+    mem = make_mem(size=ORACLE_SPAN)
+    for offset in range(8 * slot, 8 * slot + 8, width):  # every aligned offset in the word
+        mem.byte_oracle[:] = initial
+        expected = bytearray(initial)
+        _oracle_update_per_byte(expected, offset, width, taints)
+        mem._oracle_update(mem.base + offset, width, taints)
+        assert bytes(mem.byte_oracle) == bytes(expected)
+
+
+@given(
+    initial=st.binary(min_size=ORACLE_SPAN // 8, max_size=ORACLE_SPAN // 8),
+    offset=st.integers(0, ORACLE_SPAN - 1),
+    width=st.integers(1, 8),
+)
+@example(initial=b"\x0f\xf0" * 16, offset=4, width=8)  # the two halves of a straddled pair
+@example(initial=b"\xa5" * 32, offset=ORACLE_SPAN - 1, width=1)  # the last byte
+@settings(max_examples=300, deadline=None)
+def test_oracle_bits_for_matches_per_byte_rule(initial, offset, width):
+    width = min(width, ORACLE_SPAN - offset)
+    mem = make_mem(size=ORACLE_SPAN)
+    mem.byte_oracle[:] = initial
+    assert mem.oracle_bits_for(mem.base + offset, width) == _oracle_bits_per_byte(initial, offset, width)
+
+
 # ---- differential: cached vs uncached ---------------------------------------------
 
 OPS = st.lists(
     st.one_of(
         st.tuples(
             st.just("store"),
-            st.integers(0, 127),  # word slot
+            st.integers(0, 128 * 8 - 1),  # byte offset, aligned down to the width
             st.sampled_from([1, 2, 4, 8]),
             st.integers(0, (1 << 64) - 1),
             st.integers(0, 1),
+            st.integers(0, 0xFF),  # per-byte taints
         ),
-        st.tuples(st.just("load"), st.integers(0, 127), st.sampled_from([1, 2, 4, 8])),
-        st.tuples(st.just("ctag_set"), st.integers(0, 127), st.integers(1, 64)),
-        st.tuples(st.just("ctag_clr"), st.integers(0, 127), st.integers(1, 64)),
+        st.tuples(st.just("load"), st.integers(0, 128 * 8 - 1), st.sampled_from([1, 2, 4, 8])),
+        st.tuples(st.just("ctag_set"), st.integers(0, 128 * 8 - 1), st.integers(1, 64)),
+        st.tuples(st.just("ctag_clr"), st.integers(0, 128 * 8 - 1), st.integers(1, 64)),
         st.tuples(st.just("flush")),
     ),
     min_size=1,
@@ -392,29 +447,31 @@ def test_cached_matches_uncached(ops):
     for op in ops:
         kind = op[0]
         if kind == "store":
-            _, slot, width, value, tag = op
-            addr = cached.base + slot * 8
-            addr -= addr % width
+            _, offset, width, value, tag, taints = op
+            addr = cached.base + offset - offset % width
             value &= (1 << (8 * width)) - 1
-            cached.store(addr, width, value, tag, KEY)
-            flat.store(addr, width, value, tag, KEY)
+            taints &= (1 << width) - 1
+            if not tag:
+                taints = 0  # a register tag over-approximates its byte taints
+            cached.store(addr, width, value, tag, KEY, taints)
+            flat.store(addr, width, value, tag, KEY, taints)
         elif kind == "load":
-            _, slot, width = op
-            addr = cached.base + slot * 8
-            addr -= addr % width
+            _, offset, width = op
+            addr = cached.base + offset - offset % width
             a = cached.load(addr, width, False, KEY)
             b = flat.load(addr, width, False, KEY)
             assert a[:2] == b[:2]
+            assert cached.oracle_bits_for(addr, width) == flat.oracle_bits_for(addr, width)
         elif kind == "ctag_set":
-            _, slot, length = op
-            length = min(length, span - slot * 8)
-            cached.ctag_set_range(cached.base + slot * 8, length, KEY)
-            flat.ctag_set_range(flat.base + slot * 8, length, KEY)
+            _, offset, length = op
+            length = min(length, span - offset)
+            cached.ctag_set_range(cached.base + offset, length, KEY)
+            flat.ctag_set_range(flat.base + offset, length, KEY)
         elif kind == "ctag_clr":
-            _, slot, length = op
-            length = min(length, span - slot * 8)
-            cached.ctag_clear_range(cached.base + slot * 8, length, KEY)
-            flat.ctag_clear_range(flat.base + slot * 8, length, KEY)
+            _, offset, length = op
+            length = min(length, span - offset)
+            cached.ctag_clear_range(cached.base + offset, length, KEY)
+            flat.ctag_clear_range(flat.base + offset, length, KEY)
         else:
             cached.flush_and_sync(KEY)
     cached.flush_and_sync(KEY)
