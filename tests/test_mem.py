@@ -86,9 +86,19 @@ def test_full_word_store_replaces_tag():
     assert mem.load(addr, 8, False, KEY)[1] == 0
 
 
+def test_partial_store_retains_tag():
+    mem = make_mem()
+    addr = mem.base + 0x308
+    mem.store(addr, 8, 0xFFFFFFFFFFFFFFFF, 1, KEY)
+    mem.store(addr, 2, 0xAAAA, 0, KEY)  # clean halfword into tagged word
+    value, tag, _ = mem.load(addr, 8, False, KEY)
+    assert value == 0xFFFFFFFFFFFFAAAA
+    assert tag == 1  # retain-tag policy
+
+
 @pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
 @pytest.mark.parametrize("width", [1, 2, 4])
-def test_partial_store_retains_tag(width, no_cache):
+def test_partial_store_retains_tag_each_width(width, no_cache):
     mem = make_mem(no_cache=no_cache)
     addr = mem.base + 0x308
     mem.store(addr, 8, 0xFFFFFFFFFFFFFFFF, 1, KEY)
