@@ -198,9 +198,12 @@ def assemble(src: SourceUnit) -> Program:
 
     new_chunk()
 
-    def emit_placeholder(n):
-        # Reserve n bytes in the current chunk during pass one.
-        chunks[-1][2].extend(b"\x00" * n)
+    def emit(line, n, kind, **fields):
+        # Record a statement at the location counter, with the chunk that
+        # pass two encodes it into, and reserve its n bytes there.
+        chunk = chunks[-1]
+        stmts.append((_Stmt(line, lc[section], kind, **fields), chunk))
+        chunk[2].extend(bytes(n))
         lc[section] += n
 
     def define_label(name, line):
@@ -241,17 +244,18 @@ def assemble(src: SourceUnit) -> Program:
                 n = _parse_int(rest.strip(), line_no)
                 if not 0 <= n <= MAX_ALIGN:
                     raise ImmediateOutOfRange(line_no, f".align {n} out of range 0..{MAX_ALIGN}")
-                width = 1 << n
-                pad = (-lc[section]) % width
-                emit_placeholder(pad)
+                pad = (-lc[section]) % (1 << n)
+                if pad:
+                    # The gap stays out of the image: DRAM reads as zero.
+                    lc[section] += pad
+                    new_chunk()
             elif head == ".byte":
                 vals = [_parse_int(t, line_no) for t in _split_ops(rest)]
                 for v in vals:
                     if not -128 <= v <= 255:
                         raise ImmediateOutOfRange(line_no, f".byte value {v} out of range")
                 data = bytes(v & 0xFF for v in vals)
-                stmts.append(_Stmt(line_no, lc[section], "bytes", data=data))
-                emit_placeholder(len(data))
+                emit(line_no, len(data), "bytes", data=data)
             elif head == ".half":
                 vals = [_parse_int(t, line_no) for t in _split_ops(rest)]
                 data = bytearray()
@@ -259,19 +263,14 @@ def assemble(src: SourceUnit) -> Program:
                     if not -(1 << 15) <= v < (1 << 16):
                         raise ImmediateOutOfRange(line_no, f".half value {v} out of range")
                     data += (v & 0xFFFF).to_bytes(2, "little")
-                stmts.append(_Stmt(line_no, lc[section], "bytes", data=bytes(data)))
-                emit_placeholder(len(data))
+                emit(line_no, len(data), "bytes", data=bytes(data))
             elif head in (".word", ".dword"):
                 width = 4 if head == ".word" else 8
                 toks = _split_ops(rest)
-                stmts.append(
-                    _Stmt(line_no, lc[section], "datavals", mnemonic=head, ops=toks)
-                )
-                emit_placeholder(width * len(toks))
+                emit(line_no, width * len(toks), "datavals", mnemonic=head, ops=toks)
             elif head == ".asciz":
                 data = _parse_string(rest, line_no) + b"\x00"
-                stmts.append(_Stmt(line_no, lc[section], "bytes", data=data))
-                emit_placeholder(len(data))
+                emit(line_no, len(data), "bytes", data=data)
             elif head == ".globl":
                 pass  # accepted for source compatibility; no linker here
             else:
@@ -285,22 +284,9 @@ def assemble(src: SourceUnit) -> Program:
             size = 1
         else:
             raise UnknownMnemonic(line_no, f"unknown mnemonic {head!r}")
-        stmts.append(_Stmt(line_no, lc[section], "insn", mnemonic=head, ops=ops))
-        emit_placeholder(4 * size)
+        emit(line_no, 4 * size, "insn", mnemonic=head, ops=ops)
 
-    # Pass two: encode into the reserved chunk space.
-    chunk_index = {}
-    for sec, base, buf in chunks:
-        chunk_index[(base, base + len(buf))] = (buf, base)
-
-    def patch(addr, data):
-        for (lo, hi), (buf, base) in chunk_index.items():
-            if lo <= addr and addr + len(data) <= hi:
-                off = addr - base
-                buf[off : off + len(data)] = data
-                return
-        raise AssertionError(f"internal: address {addr:#x} not in any chunk")
-
+    # Pass two: encode each statement into the space it reserved.
     def resolve(tok, line):
         if tok in symbols:
             return symbols[tok]
@@ -313,9 +299,9 @@ def assemble(src: SourceUnit) -> Program:
             raise UndefinedLabel(line, f"undefined label {tok!r}")
         return v
 
-    for st in stmts:
+    for st, (_, base, buf) in stmts:
         if st.kind == "bytes":
-            patch(st.addr, st.data)
+            data = st.data
         elif st.kind == "datavals":
             width = 4 if st.mnemonic == ".word" else 8
             out = bytearray()
@@ -329,13 +315,11 @@ def assemble(src: SourceUnit) -> Program:
                 if not 0 <= v < (1 << (8 * width)):
                     raise ImmediateOutOfRange(st.line, f"{st.mnemonic} value out of range")
                 out += v.to_bytes(width, "little")
-            patch(st.addr, bytes(out))
+            data = out
         else:
-            words = _encode_stmt(st, symbols, resolve)
-            out = bytearray()
-            for w in words:
-                out += w.to_bytes(4, "little")
-            patch(st.addr, bytes(out))
+            data = b"".join(w.to_bytes(4, "little") for w in _encode_stmt(st, symbols, resolve))
+        off = st.addr - base
+        buf[off : off + len(data)] = data
 
     segments = [
         (base, bytes(buf), sec) for sec, base, buf in chunks if len(buf) > 0

@@ -49,6 +49,11 @@ class StrictWriteViolation(Trap):
     """write() of tagged data while --strict-write is in force."""
 
 
+class BudgetExhausted(Exception):
+    """A kernel-side copy would overrun the instruction budget; the run
+    stops with "budget", not with a trap."""
+
+
 class Instr(NamedTuple):
     mnem: str
     rd: int
@@ -326,6 +331,8 @@ class MachineState:
         "trap",
         "tid",
         "key",
+        "max_instret",
+        "copy_words",
     )
 
     def __init__(self, pc=0, key=None):
@@ -340,11 +347,22 @@ class MachineState:
         self.trap: Optional[BaseException] = None
         self.tid = 0
         self.key = key
+        self.max_instret = None
+        self.copy_words = 0
 
     def write_reg(self, rd, value, tag):
         if rd:
             self.regs[rd] = value & MASK64
             self.reg_tags[rd] = tag
+
+    def charge_copy(self, words):
+        """Count a kernel-side copy of `words` word accesses against the
+        instruction budget, which retired instructions and copied words
+        share. A copy that, with the ecall making it, would overrun the
+        budget raises BudgetExhausted before it starts."""
+        if self.max_instret is not None and self.instret + 1 + self.copy_words + words > self.max_instret:
+            raise BudgetExhausted(f"kernel copy of {words} words at pc {self.pc:#x} overruns the budget")
+        self.copy_words += words
 
 
 # ---- tag management instructions --------------------------------------------
@@ -460,13 +478,17 @@ def step(st, mem, shim=None, oracle=None):
 
 def run(st, mem, shim=None, oracle=None, max_instret=None):
     """Run to completion. Returns a stop reason: "exit" (the program
-    called exit), "budget" (instruction limit hit), or "trap" with the
-    exception recorded on st.trap."""
+    called exit), "budget" (max_instret spent on retired instructions and
+    kernel-copied words), or "trap" with the exception recorded on
+    st.trap."""
+    st.max_instret = max_instret
     try:
         while not st.halted:
-            if max_instret is not None and st.instret >= max_instret:
+            if max_instret is not None and st.instret + st.copy_words >= max_instret:
                 return "budget"
             step(st, mem, shim, oracle)
+    except BudgetExhausted:
+        return "budget"
     except (Trap, MemAccessError) as exc:
         st.halted = True
         st.trap = exc

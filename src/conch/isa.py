@@ -187,10 +187,6 @@ def dec_b_imm(word):
     return sext(imm, 13)
 
 
-def dec_u_imm(word):
-    return sext(word >> 12, 20) << 12
-
-
 def dec_j_imm(word):
     imm = (
         (((word >> 31) & 1) << 20)

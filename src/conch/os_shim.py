@@ -7,6 +7,10 @@ relying on the program to remember. write() of tagged data emits the
 at-rest representation (the ciphertext bytes as DRAM would hold them)
 instead of plaintext; --strict-write turns that into a trap.
 
+Each word a syscall copies between guest memory and the kernel counts
+against the run's instruction budget like one instruction (see
+MachineState.charge_copy), so no single ecall can do unbounded host work.
+
 The filesystem is a dict of virtual paths to bytes. Thread keys are
 derived lazily from the master key and cached; switching threads flushes
 all dirty state under the outgoing key first, so nothing of thread A
@@ -87,6 +91,14 @@ class OsShim:
             out.append(b)
         return None, cycles
 
+    @staticmethod
+    def _stores_for(addr, n):
+        # The stores _write_bytes makes for n bytes at addr: single bytes up
+        # to the first word boundary, whole words, then single bytes.
+        head = min(n, -addr % 8)
+        words, tail = divmod(n - head, 8)
+        return head + words + tail
+
     def _write_bytes(self, st, mem, addr, data, tag):
         """Copy data into guest memory, tagged or not, charging cycles.
         Uses doubleword stores on aligned runs."""
@@ -159,6 +171,7 @@ class OsShim:
         n = min(count, len(f.data) - f.pos)
         if n <= 0:
             return 0, 0
+        st.charge_copy(self._stores_for(buf, n))
         chunk = f.data[f.pos : f.pos + n]
         f.pos += n
         cycles = self._write_bytes(st, mem, buf, chunk, 1 if f.sensitive else 0)
@@ -171,6 +184,8 @@ class OsShim:
         if fd not in (1, 2):
             return -EBADF, 0
         sink = self.stdout if fd == 1 else self.stderr
+        if count:
+            st.charge_copy(((buf & 7) + count + 7) >> 3)  # one load per word touched
         cycles = 0
         i = 0
         while i < count:
@@ -197,6 +212,7 @@ class OsShim:
         count = min(count, _GETRANDOM_MAX)
         if buf < mem.base or buf + count > mem.base + mem.size:
             return -EFAULT, 0
+        st.charge_copy(self._stores_for(buf, count))
         data = self.prng.randbytes(count)
         cycles = self._write_bytes(st, mem, buf, data, 1)
         return count, cycles

@@ -3,6 +3,7 @@ layout and directive behavior, pseudo expansion, and error reporting."""
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -159,8 +160,8 @@ c:
     .asciz "hi\\n"
 """
     program = assemble(SourceUnit.from_text(src))
-    base, data, kind = program.segments[0]
-    assert kind == "data"
+    assert {kind for _, _, kind in program.segments} == {"data"}
+    base, data = _flat_image(program)
     assert data[0:3] == bytes([1, 2, 3])
     # .half after 3 bytes packs immediately (no implicit alignment)
     assert data[3:5] == (0x1234).to_bytes(2, "little")
@@ -168,6 +169,36 @@ c:
     assert data[8:12] == (0xDEADBEEF).to_bytes(4, "little")
     assert data[12:20] == (base + 8).to_bytes(8, "little")
     assert data[20:24] == b"hi\n\x00"
+    assert data[5:8] == bytes(3)  # the .align gap reads as zero
+
+
+def _flat_image(program):
+    """(lowest address, bytes up to the highest address), gaps zero."""
+    lo = min(base for base, _, _ in program.segments)
+    hi = max(base + len(data) for base, data, _ in program.segments)
+    flat = bytearray(hi - lo)
+    for base, data, _ in program.segments:
+        flat[base - lo : base - lo + len(data)] = data
+    return lo, bytes(flat)
+
+
+def test_align_gap_is_not_materialised():
+    program = assemble(SourceUnit.from_text("nop\n.align 26\nnop\n"))
+    assert sum(len(data) for _, data, _ in program.segments) == 8
+    assert [base for base, _, _ in program.segments] == [asm.TEXT_BASE, asm.TEXT_BASE + (1 << 26)]
+    # a .align that is already satisfied starts no new segment
+    assert len(assemble(SourceUnit.from_text("nop\n.align 2\nnop\n")).segments) == 1
+
+
+def test_many_align_gaps_assemble_in_linear_time():
+    # Each gap starts a segment; every statement is encoded straight into
+    # the segment it was laid out in, not found by a scan over segments.
+    n = 8000
+    src = ".data\n" + "".join(f".byte {i & 0xFF}\n.align 3\n" for i in range(n))
+    t0 = time.perf_counter()
+    program = assemble(SourceUnit.from_text(src))
+    assert time.perf_counter() - t0 < 2.0
+    assert program.segments == [(asm.DATA_BASE + 8 * i, bytes([i & 0xFF]), "data") for i in range(n)]
 
 
 def test_entry_rules():

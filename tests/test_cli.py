@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,27 @@ def test_run_budget_exit_code(tmp_path, capsys):
     assert code == EXIT_BUDGET
     assert report["stop_reason"] == "budget"
     assert report["instret"] == 100
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param("la a0, base; li a1, 1; slli a1, a1, 62; li a2, 0; li a7, 278", id="getrandom"),
+        pytest.param("li a0, 1; la a1, base; li a2, -1; li a7, 64", id="write"),
+    ],
+)
+def test_huge_kernel_copy_stops_on_budget(tmp_path, capsys, args):
+    # getrandom of 1<<62 bytes and write of 2**64 - 1 bytes, both at the base
+    # of DRAM: each copied word counts against --max-instret like an
+    # instruction, so the ecall stops the run instead of copying for minutes.
+    lines = "".join(f"    {a.strip()}\n" for a in args.split(";"))
+    src = write(tmp_path, "copy.s", f".org 0x80000000\nbase:\n{lines}    ecall\n    li a7, 93\n    ecall\n")
+    t0 = time.perf_counter()
+    code, report = run_json(capsys, ["run", src, "--max-instret", "1000"])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == EXIT_BUDGET
+    assert report["stop_reason"] == "budget"
+    assert report["instret"] < 1000
 
 
 def test_strict_write_traps(tmp_path, capsys):

@@ -1,10 +1,16 @@
-"""Cipher layer: frozen test vectors, structural properties, and the key
-hierarchy."""
+"""Cipher layer: frozen test vectors, structural properties, the key
+hierarchy, and the fused-table circuit against the layer-by-layer one."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conch
+from conch import crypt
 from conch.crypt import (
     SIGMA,
     Key128,
@@ -99,3 +105,288 @@ def test_thread_keys_distinct_and_stable():
 def test_thread_key_rejects_negative_tid():
     with pytest.raises(ValueError):
         derive_thread_key(generate_master_key(0), -1)
+
+
+# ---- reference: the layer-by-layer circuit ------------------------------------
+#
+# The structural QARMA-64 that conch.crypt used before its layers were fused
+# into 13 tables per block: one table per S-box, shuffle or mix layer and
+# five for the tweak schedule, 29 per block. Everything it needs is copied
+# here, so a fault in conch.crypt's tables, constants or memo cannot reach
+# the reference.
+
+_REF_SIGMA = (
+    (0x0, 0xE, 0x2, 0xA, 0x9, 0xF, 0x8, 0xB, 0x6, 0x4, 0x3, 0x7, 0xD, 0xC, 0x1, 0x5),
+    (0xA, 0xD, 0xE, 0x6, 0xF, 0x7, 0x3, 0x5, 0x9, 0x8, 0x0, 0xC, 0xB, 0x1, 0x2, 0x4),
+    (0xB, 0x6, 0x8, 0xF, 0xC, 0x0, 0x9, 0xE, 0x3, 0x7, 0x4, 0x5, 0xD, 0x2, 0x1, 0xA),
+)
+_TAU = (0, 11, 6, 13, 10, 1, 12, 7, 5, 14, 3, 8, 15, 4, 9, 2)
+_H = (6, 5, 14, 15, 0, 1, 2, 3, 7, 12, 13, 4, 8, 9, 10, 11)
+_OMEGA_CELLS = (0, 1, 3, 4, 8, 11, 13)
+_RC = (
+    0x0000000000000000,
+    0x13198A2E03707344,
+    0xA4093822299F31D0,
+    0x082EFA98EC4E6C89,
+    0x452821E638D01377,
+)
+_ALPHA = 0xC0AC29B7C97C50DD
+MASK64 = (1 << 64) - 1
+
+
+def _to_cells(x):
+    return [(x >> (60 - 4 * i)) & 0xF for i in range(16)]
+
+
+def _from_cells(c):
+    x = 0
+    for i in range(16):
+        x |= c[i] << (60 - 4 * i)
+    return x
+
+
+def _inv(p):
+    q = [0] * 16
+    for i, v in enumerate(p):
+        q[v] = i
+    return tuple(q)
+
+
+def _rotl4(x, n):
+    return ((x << n) | (x >> (4 - n))) & 0xF
+
+
+def _mix_cells(c):
+    o = [0] * 16
+    for col in range(4):
+        a, b, d, e = c[col], c[col + 4], c[col + 8], c[col + 12]
+        o[col] = _rotl4(b, 1) ^ _rotl4(d, 2) ^ _rotl4(e, 1)
+        o[col + 4] = _rotl4(a, 1) ^ _rotl4(d, 1) ^ _rotl4(e, 2)
+        o[col + 8] = _rotl4(a, 2) ^ _rotl4(b, 1) ^ _rotl4(e, 1)
+        o[col + 12] = _rotl4(a, 1) ^ _rotl4(b, 2) ^ _rotl4(d, 1)
+    return o
+
+
+def _lfsr(x):
+    return ((x >> 1) | (((x ^ (x >> 1)) & 1) << 3)) & 0xF
+
+
+def _cells_fn_to_tables(fn):
+    tabs = []
+    for j in range(8):
+        row = []
+        for b in range(256):
+            row.append(fn(b << (8 * j)))
+        tabs.append(row)
+    return tabs
+
+
+def _linearized(cell_op):
+    def fn(x):
+        return _from_cells(cell_op(_to_cells(x)))
+
+    return fn
+
+
+_TAU_INV = _inv(_TAU)
+
+
+def _tweak_fwd_cells(c):
+    o = [c[_H[i]] for i in range(16)]
+    for i in _OMEGA_CELLS:
+        o[i] = _lfsr(o[i])
+    return o
+
+
+def _mix_then_tau_inv(c):
+    m = _mix_cells(c)
+    return [m[_TAU_INV[i]] for i in range(16)]
+
+
+_T_L = _cells_fn_to_tables(_linearized(lambda c: _mix_cells([c[_TAU[i]] for i in range(16)])))
+_T_LI = _cells_fn_to_tables(_linearized(_mix_then_tau_inv))
+_T_TAU = _cells_fn_to_tables(_linearized(lambda c: [c[_TAU[i]] for i in range(16)]))
+_T_TAUI = _cells_fn_to_tables(_linearized(lambda c: [c[_TAU_INV[i]] for i in range(16)]))
+_T_TWF = _cells_fn_to_tables(_linearized(_tweak_fwd_cells))
+
+
+def _sbox_tables(sig):
+    fwd = []
+    bwd = []
+    inv = _inv(sig)
+    for j in range(8):
+        frow = []
+        brow = []
+        for b in range(256):
+            fb = (sig[b >> 4] << 4) | sig[b & 0xF]
+            ib = (inv[b >> 4] << 4) | inv[b & 0xF]
+            frow.append(fb << (8 * j))
+            brow.append(ib << (8 * j))
+        fwd.append(frow)
+        bwd.append(brow)
+    return fwd, bwd
+
+
+_T_S = tuple(_sbox_tables(s) for s in _REF_SIGMA)
+
+
+def _ap(t, x):
+    return (
+        t[0][x & 0xFF]
+        ^ t[1][(x >> 8) & 0xFF]
+        ^ t[2][(x >> 16) & 0xFF]
+        ^ t[3][(x >> 24) & 0xFF]
+        ^ t[4][(x >> 32) & 0xFF]
+        ^ t[5][(x >> 40) & 0xFF]
+        ^ t[6][(x >> 48) & 0xFF]
+        ^ t[7][x >> 56]
+    )
+
+
+def _w1_of(w0):
+    return (((w0 >> 1) | (w0 << 63)) ^ (w0 >> 63)) & MASK64
+
+
+def _schedule(tweak):
+    ts = [tweak & MASK64]
+    t = ts[0]
+    for _ in range(5):
+        t = _ap(_T_TWF, t)
+        ts.append(t)
+    return ts
+
+
+def ref_encrypt(key, tweak, plaintext, sigma=1):
+    w0, k0 = key
+    w0 &= MASK64
+    k0 &= MASK64
+    w1 = _w1_of(w0)
+    sb, sbi = _T_S[sigma]
+    ts = _schedule(tweak)
+
+    s = (plaintext & MASK64) ^ w0
+    s ^= k0 ^ ts[0]  # RC[0] is zero
+    s = _ap(sb, s)
+    for i in (1, 2, 3, 4):
+        s ^= k0 ^ ts[i] ^ _RC[i]
+        s = _ap(sb, _ap(_T_L, s))
+
+    # Central rounds and reflector. k1 equals k0.
+    s ^= w1 ^ ts[5]
+    s = _ap(sb, _ap(_T_L, s))
+    s = _ap(_T_L, s) ^ k0
+    s = _ap(_T_TAUI, s)
+    s = _ap(sbi, s)
+    s = _ap(_T_LI, s)
+    s ^= w0 ^ ts[5]
+
+    for i in (4, 3, 2, 1):
+        s = _ap(_T_LI, _ap(sbi, s))
+        s ^= _RC[i] ^ k0 ^ ts[i] ^ _ALPHA
+    s = _ap(sbi, s)
+    s ^= k0 ^ ts[0] ^ _ALPHA
+    return s ^ w1
+
+
+def ref_decrypt(key, tweak, ciphertext, sigma=1):
+    w0, k0 = key
+    w0 &= MASK64
+    k0 &= MASK64
+    w1 = _w1_of(w0)
+    sb, sbi = _T_S[sigma]
+    ts = _schedule(tweak)
+
+    s = (ciphertext & MASK64) ^ w1
+    s ^= k0 ^ ts[0] ^ _ALPHA
+    s = _ap(sb, s)
+    for i in (1, 2, 3, 4):
+        s ^= _RC[i] ^ k0 ^ ts[i] ^ _ALPHA
+        s = _ap(sb, _ap(_T_L, s))
+
+    s ^= w0 ^ ts[5]
+    s = _ap(_T_L, s)
+    s = _ap(sb, s)
+    s = _ap(_T_TAU, s)
+    s = _ap(_T_LI, s ^ k0)
+    s = _ap(_T_LI, _ap(sbi, s))
+    s ^= w1 ^ ts[5]
+
+    for i in (4, 3, 2, 1):
+        s = _ap(_T_LI, _ap(sbi, s))
+        s ^= k0 ^ ts[i] ^ _RC[i]
+    s = _ap(sbi, s)
+    s ^= k0 ^ ts[0]
+    return s ^ w0
+
+
+# ---- fused circuit == reference ------------------------------------------------
+
+SIGMAS = st.sampled_from([0, 1, 2])
+
+
+def check_both_directions(key, tweak, value, sigma):
+    ct = ref_encrypt(key, tweak, value, sigma)
+    assert qarma_encrypt(key, tweak, value, sigma=sigma) == ct
+    assert qarma_decrypt(key, tweak, ct, sigma=sigma) == value
+    # value read as a ciphertext: a path the encrypt side never produced
+    assert qarma_decrypt(key, tweak, value, sigma=sigma) == ref_decrypt(key, tweak, value, sigma)
+
+
+def test_reference_matches_published_vectors():
+    key = Key128(VEC_W0, VEC_K0)
+    for sigma, ct in VEC_C.items():
+        assert ref_encrypt(key, VEC_T, VEC_P, sigma) == ct
+        assert ref_decrypt(key, VEC_T, ct, sigma) == VEC_P
+
+
+@given(w0=U64, k0=U64, tweak=U64, value=U64, sigma=SIGMAS)
+@settings(max_examples=400, deadline=None)
+def test_matches_reference_random_keys(w0, k0, tweak, value, sigma):
+    check_both_directions(Key128(w0, k0), tweak, value, sigma)
+
+
+@given(
+    calls=st.lists(
+        st.tuples(st.sampled_from([0, 8, 0x8000_0000, 0x8000_0008, MASK64]), U64, SIGMAS),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_matches_reference_fixed_key_repeated_tweaks(calls):
+    key = Key128(VEC_W0, VEC_K0)
+    for tweak, value, sigma in calls:
+        check_both_directions(key, tweak, value, sigma)
+
+
+@given(seed=U64, sigma=SIGMAS)
+@settings(max_examples=20, deadline=None)
+def test_matches_reference_many_keys(seed, sigma):
+    # Keys that share one half with the previous key, more of them than the
+    # memo keeps, visited twice so the second pass recomputes evicted ones.
+    w0, k0 = seed, seed ^ VEC_K0
+    keys = []
+    for i in range(crypt._KEY_MEMO_MAX + 8):
+        if i % 2:
+            w0 = (w0 * 0x9E3779B97F4A7C15 + 1) & MASK64
+        else:
+            k0 = (k0 * 0x9E3779B97F4A7C15 + 1) & MASK64
+        keys.append(Key128(w0, k0))
+    for _ in range(2):
+        for i, key in enumerate(keys):
+            check_both_directions(key, i, seed ^ i, sigma)
+
+
+def test_key_memo_is_bounded():
+    for i in range(10_000):
+        qarma_encrypt(Key128(i, ~i & MASK64), i, i)
+    assert len(crypt._KEYS) <= crypt._KEY_MEMO_MAX
+    assert len(crypt._KEYS) == crypt._KEY_MEMO_MAX
+
+
+def test_import_builds_only_the_default_sbox_tables():
+    pkg_root = str(Path(conch.__file__).resolve().parents[1])
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import conch.crypt as c; print(sorted(c._TABLES))"
+    proc = subprocess.run([sys.executable, "-c", probe, pkg_root], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[1]"

@@ -38,11 +38,13 @@ def report_text(source, fs):
 
 
 def dump_text(name):
-    """`conch dump` over the demo's data segment, with the demo's inputs
-    mounted as streams."""
+    """`conch dump` over the demo's data, from its lowest to its highest
+    data address (an .align gap splits it into segments), with the demo's
+    inputs mounted as streams."""
     program = asm.assemble(asm.SourceUnit.from_file(_demo_path(name)))
-    ((base, data),) = [(b, d) for b, d, kind in program.segments if kind == "data"]
-    argv = ["dump", _demo_path(name), "--seed", str(SEED), "--range", f"{base:#x}:{len(data)}"]
+    spans = [(b, b + len(d)) for b, d, kind in program.segments if kind == "data"]
+    base, end = min(lo for lo, _ in spans), max(hi for _, hi in spans)
+    argv = ["dump", _demo_path(name), "--seed", str(SEED), "--range", f"{base:#x}:{end - base}"]
     for virt, content in DEMOS[name]["fs"].items():
         argv += ["--stream", f"{virt}={content.hex()}"]
     out = io.StringIO()

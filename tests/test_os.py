@@ -4,7 +4,7 @@ errno surface."""
 
 import pytest
 
-from conch.core import MachineState, StrictWriteViolation
+from conch.core import BudgetExhausted, MachineState, StrictWriteViolation
 from conch.crypt import generate_master_key, qarma_encrypt
 from conch.mem import MemorySystem
 from conch.os_shim import (
@@ -22,6 +22,7 @@ from conch.os_shim import (
     SYS_WRITE,
     OsShim,
 )
+from conch.report import simulate
 
 MASTER = generate_master_key(7)
 
@@ -210,6 +211,67 @@ def test_getrandom_count_is_clamped_to_linux_maximum(monkeypatch):
     monkeypatch.setattr(shim, "_write_bytes", lambda st, mem, addr, data, tag: copied.append(len(data)) or 0)
     assert ecall(st, mem, shim, SYS_GETRANDOM, mem.base, 1 << 62, 0) == 33_554_431
     assert copied == [33_554_431]
+
+
+# ---- copies count against the instruction budget --------------------------------
+
+
+@pytest.mark.parametrize("offset", range(8))
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 16, 17, 70])
+def test_copy_charge_is_the_word_accesses_made(monkeypatch, offset, count):
+    st, mem, shim = machine(fs={"f": bytes(range(100))})
+    fd = ecall(st, mem, shim, SYS_OPENAT, 0, put_path(st, mem), 0)
+    buf = mem.base + 0x800 + offset
+    accesses = []
+    for name in ("load", "store"):
+        real = getattr(mem, name)
+        monkeypatch.setattr(mem, name, lambda *a, real=real: accesses.append(a) or real(*a))
+    for num, args in [(SYS_READ, (fd, buf, count)), (SYS_GETRANDOM, (buf, count, 0)), (SYS_WRITE, (1, buf, count))]:
+        before, accesses[:] = st.copy_words, []
+        ecall(st, mem, shim, num, *args)
+        assert st.copy_words - before == len(accesses)
+
+
+def put_path(st, mem):
+    put_cstr(st, mem, mem.base + 0x100, "f")
+    return mem.base + 0x100
+
+
+def test_copy_that_overruns_budget_does_not_start():
+    st, mem, shim = machine(seed=42)
+    buf = mem.base + 0x500
+    st.max_instret = 10
+    # nine words, plus the ecall itself: exactly the budget
+    assert ecall(st, mem, shim, SYS_GETRANDOM, buf, 72, 0) == 72
+    assert st.copy_words == 9
+    state = shim.prng.getstate()
+    with pytest.raises(BudgetExhausted):
+        ecall(st, mem, shim, SYS_GETRANDOM, buf + 72, 1, 0)
+    with pytest.raises(BudgetExhausted):
+        ecall(st, mem, shim, SYS_WRITE, 1, buf, 1)
+    assert st.copy_words == 9
+    assert shim.prng.getstate() == state
+    assert mem.word_tag(buf + 72) == 0
+    assert shim.stdout == b""
+
+
+def test_copied_words_and_instructions_share_the_budget():
+    source = """
+    la   a0, buf
+    li   a1, 72
+    li   a2, 0
+    li   a7, 278
+    ecall
+spin:
+    j    spin
+    .data
+buf:
+    .dword 0
+"""
+    res = simulate(source, model="baseline", max_instret=100)
+    assert res.stop == "budget"
+    assert res.st.copy_words == 9
+    assert res.st.instret == 100 - 9
 
 
 # ---- thread switch -------------------------------------------------------------
