@@ -30,6 +30,17 @@ writes one tag bit and one oracle byte.
 DRAM, the tag bitmap and the byte oracle are Planes: anonymous private
 mappings that read as zero and that the OS commits one page at a time on
 first write, so a run pays only for the memory its program touches.
+
+Bookkeeping scales with that footprint too, not with DRAM size or cache
+geometry. MemorySystem.regions holds the indices (offset >> REGION_SHIFT)
+of the 512 KiB DRAM regions the run has reached; one region is 8 KiB of
+the tag plane and 64 KiB of the oracle plane. A region is recorded in
+_fill, which every cached access goes through to reach a line, and in
+_word_at_rest, which every uncached access goes through. So every nonzero
+byte of tag_bits and byte_oracle lies in a recorded region, and the
+over-tagging statistics scan only those. Likewise CacheModel.live holds
+the indices of its non-empty sets (a set fills only through
+CacheModel.insert), so a flush walks only resident lines.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ DRAM_BASE = 0x8000_0000
 DRAM_SIZE = 64 * 1024 * 1024
 LINE = 64
 WORDS_PER_LINE = LINE // 8
+REGION_SHIFT = 19  # a 512 KiB DRAM region: 8 KiB of tag plane, 64 KiB of oracle plane
 
 MODELS = ("baseline", "a", "b")
 
@@ -122,7 +134,8 @@ class _Line:
 
 class CacheModel:
     """Set-associative, write-back, LRU. Each set is a list with the most
-    recently used line first."""
+    recently used line first; live holds the indices of the non-empty
+    sets."""
 
     def __init__(self, name, size, ways, line_size=LINE):
         assert size % (ways * line_size) == 0
@@ -131,6 +144,7 @@ class CacheModel:
         self.line_size = line_size
         self.n_sets = size // (ways * line_size)
         self.sets = [[] for _ in range(self.n_sets)]
+        self.live = set()
         self.hits = 0
         self.misses = 0
 
@@ -147,13 +161,25 @@ class CacheModel:
                 return ln
         return None
 
+    def insert(self, line):
+        """Make line the most recently used of its set; returns the least
+        recently used line it evicts from a full set, else None."""
+        i = (line.base // self.line_size) % self.n_sets
+        self.live.add(i)
+        s = self.sets[i]
+        victim = s.pop() if len(s) == self.ways else None
+        s.insert(0, line)
+        return victim
+
     def all_lines(self):
-        for s in self.sets:
-            yield from s
+        # ascending set order: writeback order drives model B's tag cache
+        for i in sorted(self.live):
+            yield from self.sets[i]
 
     def invalidate(self):
-        for s in self.sets:
-            s.clear()
+        for i in self.live:
+            self.sets[i].clear()
+        self.live.clear()
 
 
 class _TagLine:
@@ -195,6 +221,7 @@ class MemorySystem:
         self.dram = Plane(size)
         self.tag_bits = Plane(size // 64)  # 1 bit per word = 1/64 of data
         self.byte_oracle = Plane(size // 8)  # 1 bit per byte
+        self.regions = set()  # DRAM regions reached: off >> REGION_SHIFT
 
         self.dcache = CacheModel("dcache", dcache[0], dcache[1])
         self.icache = CacheModel("icache", icache[0], icache[1])
@@ -341,6 +368,7 @@ class MemorySystem:
 
     def _fill(self, cache, line_base, key):
         off = line_base - self.base
+        self.regions.add(off >> REGION_SHIFT)
         cycles = self.costs.dram_access_latency
         self.dram_data_accesses += 1
         cycles += self._tag_access(line_base, write=False)
@@ -355,12 +383,9 @@ class MemorySystem:
                     data[8 * j : 8 * j + 8] = plain.to_bytes(8, "little")
                     cycles += self._charge_cipher(addr)
         line = _Line(line_base, data, tags)
-        s = cache.set_for(line_base)
-        if len(s) == cache.ways:
-            victim = s.pop()
-            if victim.dirty:
-                cycles += self._writeback_line(victim, key)
-        s.insert(0, line)
+        victim = cache.insert(line)
+        if victim is not None and victim.dirty:
+            cycles += self._writeback_line(victim, key)
         return line, cycles
 
     def _access(self, cache, line_base, key):
@@ -533,6 +558,7 @@ class MemorySystem:
 
     def _word_at_rest(self, word_addr, key):
         off = word_addr - self.base
+        self.regions.add(off >> REGION_SHIFT)
         raw = int.from_bytes(self.dram[off : off + 8], "little")
         if self.word_tag(word_addr):
             return qarma_decrypt(key, word_addr, raw)

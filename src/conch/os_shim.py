@@ -7,9 +7,10 @@ relying on the program to remember. write() of tagged data emits the
 at-rest representation (the ciphertext bytes as DRAM would hold them)
 instead of plaintext; --strict-write turns that into a trap.
 
-Each word a syscall copies between guest memory and the kernel counts
-against the run's instruction budget like one instruction (see
-MachineState.charge_copy), so no single ecall can do unbounded host work.
+Each guest-memory access a syscall makes (one per word copied, one per
+byte of an openat path) counts against the run's instruction budget like
+one instruction (see MachineState.charge_copy), so no single ecall can do
+unbounded host work.
 
 The filesystem is a dict of virtual paths to bytes. Thread keys are
 derived lazily from the master key and cached; switching threads flushes
@@ -84,6 +85,7 @@ class OsShim:
         out = bytearray()
         cycles = 0
         for i in range(_PATH_MAX):
+            st.charge_copy(1)  # one word access per byte load
             b, _, c = mem.load((addr + i) & MASK64, 1, False, st.key)
             cycles += c
             if b == 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import asm
 from .core import MachineState, run
 from .crypt import generate_master_key
-from .mem import MODELS, CycleCosts, MemorySystem
+from .mem import MODELS, REGION_SHIFT, CycleCosts, MemorySystem
 from .os_shim import OsShim
 
 DEFAULT_MAX_INSTRET = 100_000_000
@@ -64,19 +64,8 @@ class ByteOracle:
 # ---- statistics --------------------------------------------------------------
 
 
-_SCAN = 1 << 16
-_ZERO = bytes(_SCAN)
 # _BIT_BYTES[j] maps a byte to 0xFF if its bit j is set, else to 0x00
 _BIT_BYTES = [bytes(0xFF if b >> j & 1 else 0 for b in range(256)) for j in range(8)]
-
-
-def _nonzero_chunks(plane):
-    """(offset, chunk) for the 64 KiB chunks of plane that hold a set bit.
-    Untouched pages read as zero, so an all-zero chunk costs one compare."""
-    for off in range(0, len(plane), _SCAN):
-        chunk = plane[off : off + _SCAN]
-        if chunk != _ZERO:
-            yield off, chunk
 
 
 def compute_overtagging(mem, overtag_cipher_blocks=None, baseline_cycles=None):
@@ -84,18 +73,25 @@ def compute_overtagging(mem, overtag_cipher_blocks=None, baseline_cycles=None):
     contributes 8-k over-tagged bytes; the ratio normalizes by all bytes
     under tag. The extra-cycles figure prices the cipher work spent on
     words that carried no tainted byte at all when they crossed the DRAM
-    boundary, as a fraction of the baseline run."""
-    words_tagged = tainted_under_tag = 0
-    oracle = mem.byte_oracle  # oracle byte i holds the 8 taint bits of word i
-    for off, tags in _nonzero_chunks(mem.tag_bits):
+    boundary, as a fraction of the baseline run.
+
+    Only the DRAM regions in mem.regions are scanned: outside them both
+    planes are zero (see the mem module docstring), so the cost follows
+    the run's footprint, not the size of DRAM."""
+    words_tagged = tainted_under_tag = bytes_tainted = 0
+    tag_span = 1 << (REGION_SHIFT - 6)  # one tag bit per 8-byte word
+    oracle_span = 1 << (REGION_SHIFT - 3)  # one oracle byte per word
+    for r in sorted(mem.regions):
+        tags = mem.tag_bits[r * tag_span : (r + 1) * tag_span]
+        oracle = mem.byte_oracle[r * oracle_span : (r + 1) * oracle_span]
+        bytes_tainted += int.from_bytes(oracle, "little").bit_count()
         words_tagged += int.from_bytes(tags, "little").bit_count()
-        # per bit j, the words 8*(off+t)+j over all t: a byte that is 0xFF
+        # per bit j, the words 8*t+j of the region: a byte that is 0xFF
         # where tags[t] has bit j, ANDed with those words' oracle bytes
         for j, spread in enumerate(_BIT_BYTES):
             under_tag = int.from_bytes(tags.translate(spread), "little")
-            taints = int.from_bytes(oracle[8 * off + j : 8 * (off + len(tags)) : 8], "little")
+            taints = int.from_bytes(oracle[j::8], "little")
             tainted_under_tag += (under_tag & taints).bit_count()
-    bytes_tainted = sum(int.from_bytes(c, "little").bit_count() for _, c in _nonzero_chunks(oracle))
     overtagged = 8 * words_tagged - tainted_under_tag
     ratio = 100.0 * overtagged / (8 * words_tagged) if words_tagged else 0.0
     stats = {

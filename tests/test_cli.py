@@ -184,6 +184,34 @@ def test_huge_kernel_copy_stops_on_budget(tmp_path, capsys, args):
     assert report["instret"] < 1000
 
 
+def test_openat_path_read_stops_on_budget(tmp_path, capsys):
+    # openat of a 4,000-byte path in a loop: each byte of the path read
+    # counts against --max-instret, so the first openat overruns the budget
+    # instead of the loop making hundreds of uncharged 4,000-byte reads.
+    src = write(
+        tmp_path,
+        "openat.s",
+        f"""
+        .org 0x80000000
+        loop:
+            li   a0, -100
+            la   a1, path
+            li   a2, 0
+            li   a7, 56
+            ecall
+            j    loop
+        path:
+            .asciz "{'A' * 4000}"
+        """,
+    )
+    t0 = time.perf_counter()
+    code, report = run_json(capsys, ["run", src, "--max-instret", "1000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_BUDGET
+    assert report["stop_reason"] == "budget"
+    assert report["instret"] < 10  # stopped at the first openat
+
+
 def test_strict_write_traps(tmp_path, capsys):
     src = write(tmp_path, "w.s", TAGGED_PROG)
     assert main(["run", src]) == EXIT_OK

@@ -1,6 +1,8 @@
 """Interpreter core: decoding, ALU semantics against an independent
 reference, traps, tag propagation, and cycle accounting hooks."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from conch import core, isa
 from conch.core import (
     Breakpoint,
+    BudgetExhausted,
     IllegalInstruction,
     Instr,
     MachineState,
@@ -19,8 +22,9 @@ from conch.core import (
     step,
 )
 from conch.crypt import derive_thread_key, generate_master_key
-from conch.mem import MemorySystem, MisalignedAccess
-from conch.report import simulate
+from conch.mem import DRAM_BASE, DRAM_SIZE, MemAccessError, MemorySystem, MisalignedAccess
+from conch.os_shim import SYS_GETRANDOM, SYS_OPENAT, SYS_READ, SYS_THREAD_SWITCH, SYS_WRITE, FileDesc, OsShim
+from conch.report import ByteOracle, simulate
 
 from conftest import odd_access_program
 
@@ -318,3 +322,44 @@ def test_mul_div_cycle_costs():
     # first step pays the icache fill; strip it for the comparison
     assert c_mul - mem.costs.dram_access_latency == mem.costs.mul
     assert c_div == mem.costs.div
+
+
+# ---- robustness: any word at the pc ------------------------------------------------
+
+_OPCODES = [getattr(isa, n) for n in dir(isa) if n.startswith("OP_")]
+
+
+def _random_regs(seed):
+    """31 register values, each a random 64-bit word, a DRAM address or a
+    small count, so that operands reach DRAM and syscalls succeed too."""
+    rng = random.Random(seed)
+    ranges = [(0, (1 << 64) - 1), (DRAM_BASE, DRAM_BASE + DRAM_SIZE - 1), (0, 4096)]
+    return [rng.randint(*rng.choice(ranges)) for _ in range(31)]
+
+
+@given(
+    word=st.one_of(
+        st.just(0x73),  # ecall
+        st.integers(0, (1 << 32) - 1),
+        st.builds(lambda hi, op: hi << 7 | op, st.integers(0, (1 << 25) - 1), st.sampled_from(_OPCODES)),
+    ),
+    seed=st.integers(0, (1 << 32) - 1),
+    a7=st.one_of(st.sampled_from([SYS_OPENAT, SYS_READ, SYS_WRITE, SYS_GETRANDOM, SYS_THREAD_SWITCH]), U64),
+    budget=st.integers(1, 1000),
+)
+@settings(max_examples=400, deadline=None)
+def test_any_word_raises_only_documented_errors(word, seed, a7, budget):
+    """One step of an arbitrary word, with arbitrary registers, fails only
+    with the exceptions run() turns into a trap or a budget stop."""
+    mem = MemorySystem(model="b")
+    mem.write_raw_init(mem.base, word.to_bytes(4, "little"))
+    shim = OsShim(generate_master_key(0), fs={"f": b"x"})
+    shim.fds[3] = FileDesc(path="f", flags=0, data=bytes(range(256)))
+    stt = MachineState(pc=mem.base, key=KEY)
+    stt.regs[1:] = _random_regs(seed)
+    stt.regs[17] = a7
+    stt.max_instret = budget
+    try:
+        step(stt, mem, shim, ByteOracle())
+    except (Trap, MemAccessError, BudgetExhausted):
+        pass

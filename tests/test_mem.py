@@ -448,43 +448,57 @@ OPS = st.lists(
 )
 
 
+SPAN = 128 * 8  # the bytes OPS reaches
+
+
+def _apply(mem, op):
+    """Apply one OPS step to mem; a load returns (value, tag, oracle bits)."""
+    kind = op[0]
+    if kind == "store":
+        _, offset, width, value, tag, taints = op
+        taints &= (1 << width) - 1
+        if not tag:
+            taints = 0  # a register tag over-approximates its byte taints
+        mem.store(mem.base + offset - offset % width, width, value & ((1 << (8 * width)) - 1), tag, KEY, taints)
+    elif kind == "load":
+        _, offset, width = op
+        addr = mem.base + offset - offset % width
+        value, tag, _ = mem.load(addr, width, False, KEY)
+        return value, tag, mem.oracle_bits_for(addr, width)
+    elif kind in ("ctag_set", "ctag_clr"):
+        _, offset, length = op
+        ctag = mem.ctag_set_range if kind == "ctag_set" else mem.ctag_clear_range
+        ctag(mem.base + offset, min(length, SPAN - offset), KEY)
+    else:
+        mem.flush_and_sync(KEY)
+    return None
+
+
 @given(ops=OPS)
 @settings(max_examples=120, deadline=None)
 def test_cached_matches_uncached(ops):
     cached = MemorySystem(model="b", debug_soundness=True)
     flat = MemorySystem(model="b", no_cache=True, debug_soundness=True)
-    span = 128 * 8
     for op in ops:
-        kind = op[0]
-        if kind == "store":
-            _, offset, width, value, tag, taints = op
-            addr = cached.base + offset - offset % width
-            value &= (1 << (8 * width)) - 1
-            taints &= (1 << width) - 1
-            if not tag:
-                taints = 0  # a register tag over-approximates its byte taints
-            cached.store(addr, width, value, tag, KEY, taints)
-            flat.store(addr, width, value, tag, KEY, taints)
-        elif kind == "load":
-            _, offset, width = op
-            addr = cached.base + offset - offset % width
-            a = cached.load(addr, width, False, KEY)
-            b = flat.load(addr, width, False, KEY)
-            assert a[:2] == b[:2]
-            assert cached.oracle_bits_for(addr, width) == flat.oracle_bits_for(addr, width)
-        elif kind == "ctag_set":
-            _, offset, length = op
-            length = min(length, span - offset)
-            cached.ctag_set_range(cached.base + offset, length, KEY)
-            flat.ctag_set_range(flat.base + offset, length, KEY)
-        elif kind == "ctag_clr":
-            _, offset, length = op
-            length = min(length, span - offset)
-            cached.ctag_clear_range(cached.base + offset, length, KEY)
-            flat.ctag_clear_range(flat.base + offset, length, KEY)
-        else:
-            cached.flush_and_sync(KEY)
+        assert _apply(cached, op) == _apply(flat, op)
     cached.flush_and_sync(KEY)
-    assert cached.dram[:span] == flat.dram[:span]
-    assert cached.tag_bits[: span // 64] == flat.tag_bits[: span // 64]
-    assert cached.byte_oracle[: span // 8] == flat.byte_oracle[: span // 8]
+    assert cached.dram[:SPAN] == flat.dram[:SPAN]
+    assert cached.tag_bits[: SPAN // 64] == flat.tag_bits[: SPAN // 64]
+    assert cached.byte_oracle[: SPAN // 8] == flat.byte_oracle[: SPAN // 8]
+
+
+# The 16 lines OPS reaches share 8 sets of 2 ways and evict; over 16 sets of
+# one way, a set of indices iterates out of ascending order.
+@pytest.mark.parametrize("dcache", [(1024, 2), (1024, 1)], ids=["8x2", "16x1"])
+@given(ops=OPS)
+@settings(max_examples=60, deadline=None)
+def test_live_sets_track_resident_lines(dcache, ops):
+    mem = MemorySystem(model="b", dcache=dcache)
+    for op in ops:
+        _apply(mem, op)
+        cache = mem.dcache
+        assert list(cache.all_lines()) == [ln for s in cache.sets for ln in s]
+        assert cache.live == {i for i, s in enumerate(cache.sets) if s}
+    mem.flush_and_sync(KEY)
+    for cache in (mem.dcache, mem.icache):
+        assert not cache.live and not any(cache.sets)

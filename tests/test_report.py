@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conch.crypt import derive_thread_key, generate_master_key
-from conch.mem import MemorySystem
+from conch.mem import REGION_SHIFT, MemorySystem
 from conch.report import (
     ByteOracle,
     build_report,
@@ -16,6 +16,8 @@ from conch.report import (
     run_models,
     simulate,
 )
+
+from conftest import build_corpus
 
 KEY = derive_thread_key(generate_master_key(0), 0)
 
@@ -99,35 +101,60 @@ def test_overtag_cycle_attribution():
 
 
 def _overtagging_numpy(mem):
-    """The counts computed independently by unpacking both planes whole."""
+    """The counts computed independently over both planes whole."""
     np = pytest.importorskip("numpy")
-    tags = np.unpackbits(np.frombuffer(mem.tag_bits, dtype=np.uint8), bitorder="little")
-    taint_counts = (
-        np.unpackbits(np.frombuffer(mem.byte_oracle, dtype=np.uint8), bitorder="little")
-        .reshape(-1, 8)
-        .sum(axis=1)
-    )
+    tags = np.unpackbits(np.frombuffer(mem.tag_bits, dtype=np.uint8), bitorder="little").astype(bool)
+    popcount = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+    taint_counts = popcount[np.frombuffer(mem.byte_oracle, dtype=np.uint8)]  # per word
     return {
         "words_tagged_final": int(tags.sum()),
-        "bytes_tainted_oracle_final": int(taint_counts.sum()),
-        "overtagged_bytes": int(((8 - taint_counts) * tags).sum()),
+        "bytes_tainted_oracle_final": int(taint_counts.sum(dtype=np.int64)),
+        "overtagged_bytes": int((8 - taint_counts[tags]).sum(dtype=np.int64)),
     }
 
 
 def test_overtagging_matches_numpy_at_chunk_edges():
+    # The planes are written directly, so the test records the region of
+    # each word it writes, as the memory system's access paths do; the
+    # edge words are the first and last words of the first two and the
+    # last two regions of DRAM.
     mem = MemorySystem(model="b")
     n_words = mem.size // 8
-    chunk_words = 8 * (1 << 16)  # one 64 KiB chunk of tag bits covers this many words
+    region_words = 1 << (REGION_SHIFT - 3)
     rng = random.Random(5)
-    words = {chunk_words - 1, chunk_words, n_words - 1, 0, chunk_words // 8 - 1, chunk_words // 8}
+    words = {0, region_words - 1, region_words, 2 * region_words - 1}
+    words |= {n_words - 2 * region_words, n_words - region_words - 1, n_words - region_words, n_words - 1}
     words |= {rng.randrange(n_words) for _ in range(200)}
     for i, w in enumerate(sorted(words)):
         if i % 3:  # tagged, with 0 to 8 tainted bytes
             mem.tag_bits[w >> 3] |= 1 << (w & 7)
         mem.byte_oracle[w] = rng.choice([0, 0xFF, 0x0F, 0x81, rng.randrange(256)])
+        mem.regions.add(8 * w >> REGION_SHIFT)
     stats = compute_overtagging(mem)
     expected = _overtagging_numpy(mem)
     assert expected["words_tagged_final"] > 100 and expected["overtagged_bytes"] > 0
+    assert {k: stats[k] for k in expected} == expected
+
+
+def _regions_holding_set_bits(mem):
+    """The DRAM regions in which tag_bits or byte_oracle has a nonzero byte."""
+    np = pytest.importorskip("numpy")
+    found = set()
+    for plane, shift in ((mem.tag_bits, REGION_SHIFT - 6), (mem.byte_oracle, REGION_SHIFT - 3)):
+        found |= set((np.flatnonzero(np.frombuffer(plane, dtype=np.uint8)) >> shift).tolist())
+    return found
+
+
+@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
+@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f, _ in build_corpus()])
+def test_set_bits_lie_in_recorded_regions(name, source, fs, no_cache):
+    """Every nonzero byte of both planes lies in a region the access paths
+    recorded, so the region-only statistics equal a scan of whole planes.
+    The corpus holds the three demos with the inputs `conch demo` uses."""
+    mem = simulate(source, model="b", seed=0, fs=fs, no_cache=no_cache).mem
+    assert _regions_holding_set_bits(mem) <= mem.regions
+    stats = compute_overtagging(mem)
+    expected = _overtagging_numpy(mem)
     assert {k: stats[k] for k in expected} == expected
 
 
