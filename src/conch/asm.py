@@ -81,19 +81,20 @@ _MEMOP_RE = re.compile(r"^(-?[\w]*)\s*\(\s*(\w+)\s*\)$")
 
 
 def _strip_comment(text):
-    # '#' starts a comment unless inside a double-quoted string.
-    out = []
+    # '#' starts a comment unless inside a double-quoted string, where a
+    # backslash escapes the character after it.
     in_str = False
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch == '"' and (i == 0 or text[i - 1] != "\\"):
+        if in_str and ch == "\\":
+            i += 1
+        elif ch == '"':
             in_str = not in_str
         elif ch == "#" and not in_str:
-            break
-        out.append(ch)
+            return text[:i].strip()
         i += 1
-    return "".join(out).strip()
+    return text.strip()
 
 
 def _parse_int(tok, line):
@@ -132,6 +133,8 @@ def _parse_string(tok, line):
             if mapped is None:
                 raise AsmError(line, f"unsupported escape \\{esc}")
             out.append(mapped)
+        elif ord(ch) > 0xFF:
+            raise AsmError(line, f"character {ch!r} does not fit in a byte")
         else:
             out.append(ord(ch))
         i += 1
@@ -484,12 +487,12 @@ def _encode_stmt(st, symbols, resolve):
         return [isa.enc_i(opcode, f3, 0, 0, f7)]
 
     if fmt == "CTAG":
-        kind = mn.split(".")[1]
-        if kind in ("set", "clr"):
-            need(2)
-            return [encode_ctag(kind, 0, _reg(ops[0], line), _reg(ops[1], line))]
         need(2)
-        return [encode_ctag(kind, _reg(ops[0], line), _reg(ops[1], line), 0)]
+        return [isa.enc_r(opcode, f3, f7, 0, _reg(ops[0], line), _reg(ops[1], line))]
+
+    if fmt == "CTAGRD":
+        need(2)
+        return [isa.enc_r(opcode, f3, f7, _reg(ops[0], line), _reg(ops[1], line), 0)]
 
     raise AssertionError(f"unhandled format {fmt}")
 
@@ -497,7 +500,7 @@ def _encode_stmt(st, symbols, resolve):
 def encode_ctag(kind, rd, rs1, rs2):
     """Pack one tag-management instruction: custom-0 opcode, funct7=0,
     funct3 selects set/clr/rdt."""
-    f3 = isa.CTAG_FUNCT3[kind.lower()]
+    f3 = isa.SPECS["ctag." + kind.lower()][2]
     for r in (rd, rs1, rs2):
         if not 0 <= r <= 31:
             raise ValueError(f"register index {r} out of range")
@@ -530,69 +533,33 @@ def load_image(program: Program, mem, st):
     st.reg_tags[2] = 0
 
 
+# Operand syntax of each format, as the assembler reads it back.
+_SYNTAX = {
+    "R": "{rd}, {rs1}, {rs2}",
+    "I": "{rd}, {rs1}, {imm}",
+    "S": "{rs2}, {imm}({rs1})",
+    "B": "{rs1}, {rs2}, {imm}",
+    "U": "{rd}, {hi:#x}",
+    "J": "{rd}, {imm}",
+    "SHIFT64": "{rd}, {rs1}, {imm}",
+    "SHIFT32": "{rd}, {rs1}, {imm}",
+    "SYS": "",
+    "CTAG": "{rs1}, {rs2}",
+    "CTAGRD": "{rd}, {rs1}",
+}
+_MEM_SYNTAX = "{rd}, {imm}({rs1})"  # I-format loads and jalr
+
+
 def disassemble(word):
     """Debug helper: render one instruction word in re-assemblable syntax.
-    Raises ValueError for words outside the supported subset."""
-    opcode = word & 0x7F
-    rd = (word >> 7) & 0x1F
-    f3 = (word >> 12) & 0x7
-    rs1 = (word >> 15) & 0x1F
-    rs2 = (word >> 20) & 0x1F
-    f7 = word >> 25
+    Raises ValueError exactly for the words the decoder rejects."""
+    dec = isa.decode(word)
+    if dec is None:
+        raise ValueError(f"cannot disassemble {word:#010x}")
+    mn, fmt, (rd, rs1, rs2, imm) = dec
+    syntax = _SYNTAX[fmt]
+    if fmt == "I" and isa.SPECS[mn][1] in (isa.OP_LOAD, isa.OP_JALR):
+        syntax = _MEM_SYNTAX
     r = isa.REG_NAME
-
-    if opcode == isa.OP_LUI:
-        return f"lui {r[rd]}, {(word >> 12) & 0xFFFFF:#x}"
-    if opcode == isa.OP_AUIPC:
-        return f"auipc {r[rd]}, {(word >> 12) & 0xFFFFF:#x}"
-    if opcode == isa.OP_JAL:
-        return f"jal {r[rd]}, {isa.dec_j_imm(word)}"
-    if opcode == isa.OP_JALR and f3 == 0:
-        return f"jalr {r[rd]}, {isa.dec_i_imm(word)}({r[rs1]})"
-    if opcode == isa.OP_BRANCH:
-        names = {0: "beq", 1: "bne", 4: "blt", 5: "bge", 6: "bltu", 7: "bgeu"}
-        if f3 in names:
-            return f"{names[f3]} {r[rs1]}, {r[rs2]}, {isa.dec_b_imm(word)}"
-    if opcode == isa.OP_LOAD:
-        names = {0: "lb", 1: "lh", 2: "lw", 3: "ld", 4: "lbu", 5: "lhu", 6: "lwu"}
-        if f3 in names:
-            return f"{names[f3]} {r[rd]}, {isa.dec_i_imm(word)}({r[rs1]})"
-    if opcode == isa.OP_STORE:
-        names = {0: "sb", 1: "sh", 2: "sw", 3: "sd"}
-        if f3 in names:
-            return f"{names[f3]} {r[rs2]}, {isa.dec_s_imm(word)}({r[rs1]})"
-    if opcode == isa.OP_IMM:
-        if f3 == 0b001 and (word >> 26) == 0:
-            return f"slli {r[rd]}, {r[rs1]}, {(word >> 20) & 0x3F}"
-        if f3 == 0b101 and (word >> 26) in (0b000000, 0b010000):
-            mn = "srli" if (word >> 26) == 0 else "srai"
-            return f"{mn} {r[rd]}, {r[rs1]}, {(word >> 20) & 0x3F}"
-        names = {0: "addi", 2: "slti", 3: "sltiu", 4: "xori", 6: "ori", 7: "andi"}
-        if f3 in names:
-            return f"{names[f3]} {r[rd]}, {r[rs1]}, {isa.dec_i_imm(word)}"
-    if opcode == isa.OP_IMM32:
-        if f3 == 0b000:
-            return f"addiw {r[rd]}, {r[rs1]}, {isa.dec_i_imm(word)}"
-        if f3 == 0b001 and f7 == 0:
-            return f"slliw {r[rd]}, {r[rs1]}, {rs2}"
-        if f3 == 0b101 and f7 in (0b0000000, 0b0100000):
-            mn = "srliw" if f7 == 0 else "sraiw"
-            return f"{mn} {r[rd]}, {r[rs1]}, {rs2}"
-    if opcode in (isa.OP_OP, isa.OP_OP32):
-        for mn, (fmt, opc, mf3, mf7) in isa.SPECS.items():
-            if fmt == "R" and opc == opcode and mf3 == f3 and mf7 == f7:
-                return f"{mn} {r[rd]}, {r[rs1]}, {r[rs2]}"
-    if opcode == isa.OP_SYSTEM and f3 == 0:
-        imm = word >> 20
-        if imm == 0 and rd == 0 and rs1 == 0:
-            return "ecall"
-        if imm == 1 and rd == 0 and rs1 == 0:
-            return "ebreak"
-    if opcode == isa.OP_CUSTOM0 and f7 == 0:
-        if f3 == 0b000:
-            return f"ctag.set {r[rs1]}, {r[rs2]}"
-        if f3 == 0b001:
-            return f"ctag.clr {r[rs1]}, {r[rs2]}"
-        if f3 == 0b010:
-            return f"ctag.rdt {r[rd]}, {r[rs1]}"
-    raise ValueError(f"cannot disassemble {word:#010x}")
+    ops = syntax.format(rd=r[rd], rs1=r[rs1], rs2=r[rs2], imm=imm, hi=(imm >> 12) & 0xFFFFF)
+    return f"{mn} {ops}" if ops else mn

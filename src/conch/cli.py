@@ -16,7 +16,7 @@ from importlib import resources
 
 from . import asm
 from .asm import AsmError, SegmentOutOfBounds
-from .mem import MODELS
+from .mem import DRAM_BASE, DRAM_SIZE, MODELS
 from .report import DEFAULT_MAX_INSTRET, build_report, emit_report, run_models, simulate
 
 EXIT_OK = 0
@@ -49,13 +49,19 @@ def program_to_image(program):
 
 
 def image_to_program(doc):
+    """Build a Program from a parsed image file; a document that is not a
+    well-formed image raises ValueError."""
     if not isinstance(doc, dict) or doc.get("format") != IMAGE_FORMAT:
         raise ValueError("not a conch image file")
-    segments = [
-        (seg["base"], base64.b64decode(seg["data"]), seg.get("kind", "data"))
-        for seg in doc["segments"]
-    ]
-    return asm.Program(segments=segments, entry=doc["entry"], symbols=doc.get("symbols", {}))
+    entry, segs = doc.get("entry"), doc.get("segments")
+    if not isinstance(entry, int) or not isinstance(segs, list):
+        raise ValueError("image needs an integer entry and a list of segments")
+    segments = []
+    for i, seg in enumerate(segs):
+        if not (isinstance(seg, dict) and isinstance(seg.get("base"), int) and isinstance(seg.get("data"), str)):
+            raise ValueError(f"image segment {i} needs an integer base and base64 data")
+        segments.append((seg["base"], base64.b64decode(seg["data"]), seg.get("kind", "data")))
+    return asm.Program(segments=segments, entry=entry, symbols=doc.get("symbols", {}))
 
 
 def load_program(path):
@@ -158,6 +164,10 @@ def cmd_dump(args):
         addr, length = int(addr_s, 0), int(len_s, 0)
     except ValueError:
         raise ValueError(f"--range wants ADDR:LEN, got {args.range!r}")
+    if length <= 0 or addr < DRAM_BASE or addr + length > DRAM_BASE + DRAM_SIZE:
+        raise ValueError(
+            f"--range {args.range!r} is not a non-empty span of DRAM [{DRAM_BASE:#x}, {DRAM_BASE + DRAM_SIZE:#x})"
+        )
     res = simulate(program=program, model="baseline", **_sim_kwargs(args))
     sys.stdout.write(res.mem.format_dump(addr, length))
     return _stop_exit(res.stop)

@@ -64,113 +64,18 @@ class Instr(NamedTuple):
 
 # ---- decoder ---------------------------------------------------------------
 
-_R_MNEM = {}
-_CTAG_MNEM = {}
-_B_MNEM = {}
-for _m, (_fmt, _op, _f3, _f7) in isa.SPECS.items():
-    if _fmt == "R":
-        _R_MNEM[(_op, _f3, _f7)] = _m
-    elif _fmt == "CTAG":
-        _CTAG_MNEM[_f3] = _m
-    elif _fmt == "B":
-        _B_MNEM[_f3] = _m
-
-_LOADS = {
-    0b000: ("lb", 1, True),
-    0b001: ("lh", 2, True),
-    0b010: ("lw", 4, True),
-    0b011: ("ld", 8, True),
-    0b100: ("lbu", 1, False),
-    0b101: ("lhu", 2, False),
-    0b110: ("lwu", 4, False),
-}
-_STORES = {0b000: ("sb", 1), 0b001: ("sh", 2), 0b010: ("sw", 4), 0b011: ("sd", 8)}
-_OPIMM = {0b000: "addi", 0b010: "slti", 0b011: "sltiu", 0b100: "xori", 0b110: "ori", 0b111: "andi"}
+# isa.SPECS holds the encodings; this layer turns a decoded word into an
+# Instr, or a trap when no encoding matches.
 
 _DEC_CACHE = {}
 
 
 def _decode(word):
-    op = word & 0x7F
-    rd = (word >> 7) & 31
-    f3 = (word >> 12) & 7
-    rs1 = (word >> 15) & 31
-    rs2 = (word >> 20) & 31
-    f7 = word >> 25
-
-    if op == isa.OP_OP or op == isa.OP_OP32:
-        m = _R_MNEM.get((op, f3, f7))
-        if m is None:
-            raise IllegalInstruction(f"bad R-type {word:#010x}")
-        return Instr(m, rd, rs1, rs2, 0)
-    if op == isa.OP_IMM:
-        if f3 == 0b001:
-            if f7 >> 1:  # funct6 must be zero for slli
-                raise IllegalInstruction(f"bad shift {word:#010x}")
-            return Instr("slli", rd, rs1, 0, (word >> 20) & 63)
-        if f3 == 0b101:
-            funct6 = f7 >> 1
-            if funct6 == 0:
-                return Instr("srli", rd, rs1, 0, (word >> 20) & 63)
-            if funct6 == 0b010000:
-                return Instr("srai", rd, rs1, 0, (word >> 20) & 63)
-            raise IllegalInstruction(f"bad shift {word:#010x}")
-        return Instr(_OPIMM[f3], rd, rs1, 0, isa.dec_i_imm(word))
-    if op == isa.OP_LOAD:
-        ent = _LOADS.get(f3)
-        if ent is None:
-            raise IllegalInstruction(f"bad load {word:#010x}")
-        return Instr(ent[0], rd, rs1, 0, isa.dec_i_imm(word))
-    if op == isa.OP_STORE:
-        ent = _STORES.get(f3)
-        if ent is None:
-            raise IllegalInstruction(f"bad store {word:#010x}")
-        return Instr(ent[0], 0, rs1, rs2, isa.dec_s_imm(word))
-    if op == isa.OP_BRANCH:
-        m = _B_MNEM.get(f3)
-        if m is None:
-            raise IllegalInstruction(f"bad branch {word:#010x}")
-        return Instr(m, 0, rs1, rs2, isa.dec_b_imm(word))
-    if op == isa.OP_IMM32:
-        if f3 == 0b000:
-            return Instr("addiw", rd, rs1, 0, isa.dec_i_imm(word))
-        shamt = (word >> 20) & 31
-        if f3 == 0b001 and f7 == 0:
-            return Instr("slliw", rd, rs1, 0, shamt)
-        if f3 == 0b101 and f7 == 0:
-            return Instr("srliw", rd, rs1, 0, shamt)
-        if f3 == 0b101 and f7 == 0b0100000:
-            return Instr("sraiw", rd, rs1, 0, shamt)
-        raise IllegalInstruction(f"bad op-imm-32 {word:#010x}")
-    if op == isa.OP_JAL:
-        return Instr("jal", rd, 0, 0, isa.dec_j_imm(word))
-    if op == isa.OP_JALR:
-        if f3 != 0:
-            raise IllegalInstruction(f"bad jalr {word:#010x}")
-        return Instr("jalr", rd, rs1, 0, isa.dec_i_imm(word))
-    if op == isa.OP_LUI:
-        return Instr("lui", rd, 0, 0, sext(word & 0xFFFFF000, 32))
-    if op == isa.OP_AUIPC:
-        return Instr("auipc", rd, 0, 0, sext(word & 0xFFFFF000, 32))
-    if op == isa.OP_SYSTEM:
-        if f3 == 0 and rd == 0 and rs1 == 0:
-            imm = word >> 20
-            if imm == 0:
-                return Instr("ecall", 0, 0, 0, 0)
-            if imm == 1:
-                return Instr("ebreak", 0, 0, 0, 0)
-        raise IllegalInstruction(f"bad system {word:#010x}")
-    if op == isa.OP_CUSTOM0:
-        m = _CTAG_MNEM.get(f3)
-        if m is None or f7 != 0:
-            raise IllegalInstruction(f"bad ctag {word:#010x}")
-        if m == "ctag.rdt":
-            if rs2 != 0:
-                raise IllegalInstruction(f"bad ctag.rdt {word:#010x}")
-        elif rd != 0:
-            raise IllegalInstruction(f"bad {m} {word:#010x}")
-        return Instr(m, rd, rs1, rs2, 0)
-    raise IllegalInstruction(f"unknown opcode {word:#010x}")
+    dec = isa.decode(word)
+    if dec is None:
+        raise IllegalInstruction(f"illegal instruction {word:#010x}")
+    mnem, _fmt, operands = dec
+    return Instr(mnem, *operands)
 
 
 def decode(word) -> Instr:
@@ -298,8 +203,17 @@ _BRANCH = {
 
 _MUL_OPS = frozenset({"mul", "mulh", "mulhsu", "mulhu", "mulw"})
 _DIV_OPS = frozenset({"div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw"})
-_LOAD_INFO = {m: (w, s) for m, w, s in _LOADS.values()}
-_STORE_INFO = dict(_STORES.values())
+# mnemonic -> (width, signed) and mnemonic -> width
+_LOAD_INFO = {
+    "lb": (1, True),
+    "lh": (2, True),
+    "lw": (4, True),
+    "ld": (8, True),
+    "lbu": (1, False),
+    "lhu": (2, False),
+    "lwu": (4, False),
+}
+_STORE_INFO = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 
 _CLEARS_TAG = frozenset({"lui", "auipc", "jal", "jalr", "ctag.rdt"})
 

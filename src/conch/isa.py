@@ -1,8 +1,13 @@
-"""Instruction set tables shared by the assembler and the decoder.
+"""The instruction set: one table of encodings, and the decoder built on it.
 
 Covers RV64I base, the M extension, ecall/ebreak, and the custom tag
 management group on the custom-0 opcode. Encodings follow the standard
 R/I/S/B/U/J formats; the tag group is R-format with funct7=0.
+
+SPECS is the only table of encodings. The assembler encodes from it, and
+decode() matches words against the (mask, match) pair each entry yields,
+as riscv-opcodes derives Spike's decoder; the interpreter and the
+disassembler both read instructions through decode().
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ OP_SYSTEM = 0b1110011
 OP_CUSTOM0 = 0b0001011  # tag management group
 
 # mnemonic -> (format, opcode, funct3, funct7)
-# format is one of R, I, S, B, U, J, SHIFT64, SHIFT32, SYS, CTAG
+# format is one of R, I, S, B, U, J, SHIFT64, SHIFT32, SYS, CTAG, CTAGRD.
+# SHIFT64 keeps funct6 in funct7's place and SYS its 12-bit immediate.
 SPECS = {
     "lui": ("U", OP_LUI, None, None),
     "auipc": ("U", OP_AUIPC, None, None),
@@ -92,10 +98,8 @@ SPECS = {
     "ebreak": ("SYS", OP_SYSTEM, 0b000, 1),
     "ctag.set": ("CTAG", OP_CUSTOM0, 0b000, 0b0000000),
     "ctag.clr": ("CTAG", OP_CUSTOM0, 0b001, 0b0000000),
-    "ctag.rdt": ("CTAG", OP_CUSTOM0, 0b010, 0b0000000),
+    "ctag.rdt": ("CTAGRD", OP_CUSTOM0, 0b010, 0b0000000),
 }
-
-CTAG_FUNCT3 = {"set": 0b000, "clr": 0b001, "rdt": 0b010}
 
 _ABI = [
     "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2",
@@ -169,29 +173,60 @@ def enc_j(opcode, rd, imm):
     )
 
 
-def dec_i_imm(word):
-    return sext(word >> 20, 12)
+# Operand fields of each format, described as riscv-opcodes' arg_lut
+# describes them: the register fields it uses, then its immediate as
+# (word bit, width, immediate bit) slices and the width the immediate is
+# sign-extended from (0: unsigned). Every bit outside these fields is fixed
+# by the mnemonic. CTAG is ctag.set/ctag.clr rs1, rs2; CTAGRD is ctag.rdt
+# rd, rs1.
+_FORMATS = {
+    "R": (("rd", "rs1", "rs2"), (), 0),
+    "I": (("rd", "rs1"), ((20, 12, 0),), 12),
+    "S": (("rs1", "rs2"), ((7, 5, 0), (25, 7, 5)), 12),
+    "B": (("rs1", "rs2"), ((8, 4, 1), (25, 6, 5), (7, 1, 11), (31, 1, 12)), 13),
+    "U": (("rd",), ((12, 20, 12),), 32),
+    "J": (("rd",), ((21, 10, 1), (20, 1, 11), (12, 8, 12), (31, 1, 20)), 21),
+    "SHIFT64": (("rd", "rs1"), ((20, 6, 0),), 0),
+    "SHIFT32": (("rd", "rs1"), ((20, 5, 0),), 0),
+    "SYS": ((), (), 0),
+    "CTAG": (("rs1", "rs2"), (), 0),
+    "CTAGRD": (("rd", "rs1"), (), 0),
+}
+_REG_SHIFT = {"rd": 7, "rs1": 15, "rs2": 20}
 
 
-def dec_s_imm(word):
-    return sext(((word >> 25) << 5) | ((word >> 7) & 0x1F), 12)
+def _operand_bits(fmt):
+    regs, slices, _ = _FORMATS[fmt]
+    bits = sum(0x1F << _REG_SHIFT[r] for r in regs)
+    for at, width, _ in slices:
+        bits |= ((1 << width) - 1) << at
+    return bits
 
 
-def dec_b_imm(word):
-    imm = (
-        (((word >> 31) & 1) << 12)
-        | (((word >> 7) & 1) << 11)
-        | (((word >> 25) & 0x3F) << 5)
-        | (((word >> 8) & 0xF) << 1)
-    )
-    return sext(imm, 13)
+def _operands(fmt, word):
+    """(rd, rs1, rs2, imm) of a word in the given format; a field the
+    format does not use reads 0, and imm is the shift amount for shifts."""
+    regs, slices, sign = _FORMATS[fmt]
+    rd, rs1, rs2 = ((word >> shift) & 0x1F if r in regs else 0 for r, shift in _REG_SHIFT.items())
+    imm = 0
+    for at, width, to in slices:
+        imm |= ((word >> at) & ((1 << width) - 1)) << to
+    return rd, rs1, rs2, sext(imm, sign) if sign else imm
 
 
-def dec_j_imm(word):
-    imm = (
-        (((word >> 31) & 1) << 20)
-        | (((word >> 12) & 0xFF) << 12)
-        | (((word >> 20) & 1) << 11)
-        | (((word >> 21) & 0x3FF) << 1)
-    )
-    return sext(imm, 21)
+# opcode -> [(mask, match, mnemonic, format)]: mask covers every bit outside
+# the format's operands and match is the encoding with all operands zero,
+# so at most one entry matches a word.
+_BY_OPCODE = {}
+for _mnem, (_fmt, _opcode, _f3, _f7) in SPECS.items():
+    _match = _opcode | (_f3 or 0) << 12 | (_f7 or 0) << {"SHIFT64": 26, "SYS": 20}.get(_fmt, 25)
+    _BY_OPCODE.setdefault(_opcode, []).append((~_operand_bits(_fmt) & 0xFFFFFFFF, _match, _mnem, _fmt))
+
+
+def decode(word):
+    """Decode one 32-bit word to (mnemonic, format, (rd, rs1, rs2, imm)),
+    or None if no SPECS entry matches it."""
+    for mask, match, mnem, fmt in _BY_OPCODE.get(word & 0x7F, ()):
+        if word & mask == match:
+            return mnem, fmt, _operands(fmt, word)
+    return None

@@ -3,6 +3,8 @@ by the semantics-preservation and soundness suites. Each entry is
 (name, source, fs, expected_exit); expected_exit None means "don't care,
 but it must exit cleanly"."""
 
+import random
+
 import pytest
 
 # Arithmetic mix including the division edge cases, results stored so the
@@ -317,6 +319,23 @@ _start:
 buf:
     .dword 0
 """
+
+
+def grid_words(per_triple):
+    """Instruction words covering every (opcode, funct3, funct7) triple,
+    `per_triple` words each. Register fields come from a seeded pool in
+    which each field is zero half the time, so the forms that require rd
+    or rs2 to be zero (ctag, ecall, ebreak) are reached too."""
+    rng = random.Random(0)
+    pool = [[rng.choice((0, rng.randrange(32))) for _ in range(3)] for _ in range(997)]
+    n = 0
+    for op in range(128):
+        for f3 in range(8):
+            for f7 in range(128):
+                for _ in range(per_triple):
+                    rd, rs1, rs2 = pool[n % len(pool)]
+                    n += 1
+                    yield (f7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | op
 
 
 def _demo_source(name):

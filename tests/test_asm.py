@@ -3,11 +3,14 @@ layout and directive behavior, pseudo expansion, and error reporting."""
 
 import json
 import pathlib
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conch import asm
+from conch import asm, isa
 from conch.asm import (
     AsmError,
     DuplicateLabel,
@@ -22,8 +25,10 @@ from conch.asm import (
     encode_ctag,
     load_image,
 )
-from conch.core import MachineState
+from conch.core import IllegalInstruction, Instr, MachineState, _decode
 from conch.mem import MemorySystem
+
+from conftest import grid_words
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "golden_encodings.json").read_text())
 
@@ -60,6 +65,96 @@ def test_disassemble_rejects_junk():
         disassemble(0)
     with pytest.raises(ValueError):
         disassemble(0xFFFFFFFF)
+
+
+# ---- disassembler agrees with the decoder --------------------------------------
+
+# ctag words with a field their form does not use set (rd for ctag.set
+# and ctag.clr, rs2 for ctag.rdt): the decoder rejects them, so the
+# disassembler must too. Rendering 0x52018b (ctag.set with rd=3) as
+# "ctag.set x4, x5" would reassemble to a different word, 0x52000b.
+_CTAG_REJECTS = [
+    0x52018B, 0x1FF8F8B, 0x31008B, 0x70028B, 0x2018B, 0x1FF9F8B, 0x31108B,
+    0x70128B, 0x2118B, 0x1FFAF8B, 0x31208B, 0x70228B, 0xB4A00B,
+]
+
+
+def _decodes(word):
+    try:
+        _decode(word)
+    except IllegalInstruction:
+        return False
+    return True
+
+
+def _disassembles(word):
+    try:
+        disassemble(word)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("word", _CTAG_REJECTS, ids=hex)
+def test_disassemble_rejects_what_decode_rejects(word):
+    assert not _decodes(word)
+    with pytest.raises(ValueError):
+        disassemble(word)
+
+
+def test_disassemble_agrees_with_decode_on_every_opcode_funct3_funct7():
+    assert [hex(w) for w in grid_words(1) if _disassembles(w) != _decodes(w)] == []
+
+
+@given(st.integers(0, (1 << 32) - 1))
+@settings(max_examples=300, deadline=None)
+def test_disassemble_agrees_with_decode_on_any_word(word):
+    assert _disassembles(word) == _decodes(word)
+
+
+def _random_operands(mnem, rng):
+    """Assembly operand text for `mnem` with random legal operands, and
+    the Instr the decoder must return for it."""
+    fmt, opcode = isa.SPECS[mnem][:2]
+    rd, rs1, rs2 = (rng.randrange(32) for _ in range(3))
+    if fmt == "R":
+        return f"x{rd}, x{rs1}, x{rs2}", Instr(mnem, rd, rs1, rs2, 0)
+    if fmt == "I":
+        imm = rng.randint(-2048, 2047)
+        text = f"x{rd}, {imm}(x{rs1})" if opcode in (isa.OP_LOAD, isa.OP_JALR) else f"x{rd}, x{rs1}, {imm}"
+        return text, Instr(mnem, rd, rs1, 0, imm)
+    if fmt == "S":
+        imm = rng.randint(-2048, 2047)
+        return f"x{rs2}, {imm}(x{rs1})", Instr(mnem, 0, rs1, rs2, imm)
+    if fmt == "B":
+        off = 4 * rng.randint(-1024, 1023)
+        return f"x{rs1}, x{rs2}, {off}", Instr(mnem, 0, rs1, rs2, off)
+    if fmt == "U":
+        hi = rng.randrange(1 << 20)
+        return f"x{rd}, {hi:#x}", Instr(mnem, rd, 0, 0, (hi << 12) - ((hi >> 19) << 32))
+    if fmt == "J":
+        off = 4 * rng.randint(-(1 << 18), (1 << 18) - 1)
+        return f"x{rd}, {off}", Instr(mnem, rd, 0, 0, off)
+    if fmt in ("SHIFT64", "SHIFT32"):
+        sh = rng.randrange(64 if fmt == "SHIFT64" else 32)
+        return f"x{rd}, x{rs1}, {sh}", Instr(mnem, rd, rs1, 0, sh)
+    if fmt == "SYS":
+        return "", Instr(mnem, 0, 0, 0, 0)
+    if fmt == "CTAG":
+        return f"x{rs1}, x{rs2}", Instr(mnem, 0, rs1, rs2, 0)
+    assert fmt == "CTAGRD", fmt
+    return f"x{rd}, x{rs1}", Instr(mnem, rd, rs1, 0, 0)
+
+
+@pytest.mark.parametrize("mnem", sorted(isa.SPECS))
+def test_every_mnemonic_assembles_decodes_and_disassembles_back(mnem):
+    rng = random.Random(mnem)
+    for _ in range(20):
+        ops, expect = _random_operands(mnem, rng)
+        (word,) = _words_of(assemble(SourceUnit.from_text(f"{mnem} {ops}")))
+        assert _decode(word) == expect, (mnem, ops)
+        text = disassemble(word)
+        assert _words_of(assemble(SourceUnit.from_text(text))) == [word], text
 
 
 def test_ctag_encodings():
@@ -233,6 +328,50 @@ def test_load_image_sets_cpu_state():
     assert st.pc == program.entry
     assert st.regs[2] % 16 == 0
     assert mem.base < st.regs[2] < mem.base + mem.size
+
+
+@pytest.mark.parametrize(
+    "line,data",
+    [
+        ('.asciz "a\\\\" # c', b"a\\\0"),  # escaped backslash, then a comment
+        ('.asciz "#" # c', b"#\0"),
+        ('.asciz "\\"" # c', b'"\0'),
+    ],
+)
+def test_comment_stripping_respects_strings(line, data):
+    program = assemble(SourceUnit.from_text(line))
+    assert program.segments[0][1] == data
+
+
+def test_string_rejects_characters_wider_than_a_byte():
+    with pytest.raises(AsmError):
+        assemble(SourceUnit.from_text('.asciz "€"'))
+
+
+_HEADS = sorted(isa.SPECS) + [
+    "nop", "mv", "j", "ret", "li", "la",
+    ".text", ".data", ".org", ".align", ".byte", ".half", ".word", ".dword", ".asciz", ".globl",
+]
+_OPERANDS = [
+    "x1", "a0", "sp", "zero", "x32", "0", "-1", "4096", "0x80000000", "0x7fffffff", "1_0",
+    "99999999999999999999", "lbl", "8(sp)", "-(x1)", "(", ":", "#", '"', "\\",
+    '"a\\n"', '"a#b"', '"\\\\"', '"\\q"', '"é"', '"€"',
+]
+_LINE = st.builds(
+    lambda label, head, ops: label + head + " " + ", ".join(ops),
+    st.sampled_from(["", "lbl: ", "_start: ", "1x: "]),
+    st.sampled_from(_HEADS) | st.text(max_size=6),
+    st.lists(st.sampled_from(_OPERANDS) | st.text(max_size=6), max_size=4),
+)
+
+
+@given(st.lists(_LINE, max_size=8).map("\n".join))
+@settings(max_examples=200, deadline=None)
+def test_any_source_raises_only_asm_error(text):
+    try:
+        assemble(SourceUnit.from_text(text))
+    except AsmError:
+        pass
 
 
 def test_asm_error_is_common_base():

@@ -5,16 +5,22 @@ end: `python -m conch`, checked against the `conch` entry declared in
 pyproject.toml, always runs; the installed `conch` script is checked
 only where it is on PATH."""
 
+import base64
+import contextlib
 import importlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conch
 from conch.cli import EXIT_ASM, EXIT_BUDGET, EXIT_DEMO, EXIT_OK, EXIT_TRAP, main
@@ -298,6 +304,75 @@ def test_image_round_trip_is_equivalent(tmp_path, capsys):
     assert from_source == from_image
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"format": "conch-image"},
+        {"format": "conch-image", "entry": "x", "segments": []},
+        {"format": "conch-image", "entry": 0x80000000, "segments": [{"base": "a", "data": ""}]},
+    ],
+)
+def test_malformed_image_exit_code(tmp_path, capsys, doc):
+    img = write(tmp_path, "bad.json", json.dumps(doc))
+    assert main(["run", img]) == EXIT_ASM
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("conch: ")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+_CODE = st.one_of(
+    st.binary(max_size=64),
+    # li a7, 93; ecall (exit) and a jump to itself (budget)
+    st.just(bytes.fromhex("9308d00573000000")),
+    st.just(bytes.fromhex("6f000000")),
+).map(lambda b: base64.b64encode(b).decode())
+_ADDR = st.one_of(st.integers(0x8000_0000 - 8, 0x8000_0040), st.integers(), _JSON)
+_IMAGE = st.one_of(
+    # well formed, running arbitrary code
+    st.fixed_dictionaries(
+        {
+            "format": st.just("conch-image"),
+            "entry": st.just(0x8000_0000),
+            "segments": st.tuples(st.fixed_dictionaries({"base": st.just(0x8000_0000), "data": _CODE})),
+        }
+    ),
+    # every field of any type
+    st.fixed_dictionaries(
+        {"format": st.just("conch-image")},
+        optional={
+            "entry": _ADDR,
+            "segments": st.lists(
+                st.fixed_dictionaries(
+                    {"base": _ADDR, "data": _CODE | _JSON},
+                    optional={"kind": st.sampled_from(["text", "data"]) | _JSON},
+                )
+                | _JSON,
+                max_size=3,
+            )
+            | _JSON,
+            "symbols": _JSON,
+        },
+    ),
+)
+
+
+@given(_IMAGE)
+@settings(max_examples=100, deadline=None)
+def test_any_image_document_exits_with_a_documented_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        img = os.path.join(tmp, "img.json")
+        with open(img, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", img, "--max-instret", "1000"])
+    assert code in (EXIT_OK, EXIT_ASM, EXIT_TRAP, EXIT_BUDGET)
+
+
 def test_asm_rejects_bad_source(tmp_path, capsys):
     src = write(tmp_path, "bad.s", ".org 0x80000000\nbeq x1\n")
     assert main(["asm", src, "-o", str(tmp_path / "x.json")]) == EXIT_ASM
@@ -321,6 +396,15 @@ def test_dump_shows_at_rest_words(tmp_path, capsys):
 def test_dump_bad_range(tmp_path, capsys):
     src = write(tmp_path, "p.s", EXIT_PROG)
     assert main(["dump", src, "--range", "123"]) == EXIT_ASM
+
+
+@pytest.mark.parametrize("span", ["0:16", "0x80000000:-8"])
+def test_dump_range_outside_dram(tmp_path, capsys, span):
+    src = write(tmp_path, "p.s", EXIT_PROG)
+    assert main(["dump", src, "--range", span]) == EXIT_ASM
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("conch: ")
 
 
 # ---- demos ---------------------------------------------------------------------

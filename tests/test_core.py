@@ -26,7 +26,7 @@ from conch.mem import DRAM_BASE, DRAM_SIZE, MemAccessError, MemorySystem, Misali
 from conch.os_shim import SYS_GETRANDOM, SYS_OPENAT, SYS_READ, SYS_THREAD_SWITCH, SYS_WRITE, FileDesc, OsShim
 from conch.report import ByteOracle, simulate
 
-from conftest import odd_access_program
+from conftest import grid_words, odd_access_program
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 KEY = derive_thread_key(generate_master_key(0), 0)
@@ -77,6 +77,132 @@ def test_decode_is_memoized():
 def test_decode_rejects(word):
     with pytest.raises(IllegalInstruction):
         core._decode(word)
+
+
+# ---- reference: the opcode-chain decoder ------------------------------------------
+# A frozen copy of the hand-written decoder that the table-driven one
+# replaced, with its own tables, so that a change to isa.SPECS or to the
+# operand extractors cannot move both sides at once.
+
+
+def _ref_sext(value, bits):
+    value &= (1 << bits) - 1
+    return value - (1 << bits) if value >> (bits - 1) else value
+
+
+def _ref_i_imm(w):
+    return _ref_sext(w >> 20, 12)
+
+
+def _ref_s_imm(w):
+    return _ref_sext(((w >> 25) << 5) | ((w >> 7) & 0x1F), 12)
+
+
+def _ref_b_imm(w):
+    imm = ((w >> 31) & 1) << 12 | ((w >> 7) & 1) << 11 | ((w >> 25) & 0x3F) << 5 | ((w >> 8) & 0xF) << 1
+    return _ref_sext(imm, 13)
+
+
+def _ref_j_imm(w):
+    imm = ((w >> 31) & 1) << 20 | ((w >> 12) & 0xFF) << 12 | ((w >> 20) & 1) << 11 | ((w >> 21) & 0x3FF) << 1
+    return _ref_sext(imm, 21)
+
+
+_REF_R = {}
+for _f7, _names in (
+    (0b0000000, ["add", "sll", "slt", "sltu", "xor", "srl", "or", "and"]),
+    (0b0000001, ["mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu"]),
+):
+    for _f3, _name in enumerate(_names):
+        _REF_R[(0b0110011, _f3, _f7)] = _name
+_REF_R.update({(0b0110011, 0, 0b0100000): "sub", (0b0110011, 5, 0b0100000): "sra"})
+for (_f3, _f7), _name in {
+    (0, 0): "addw", (0, 0b0100000): "subw", (1, 0): "sllw", (5, 0): "srlw", (5, 0b0100000): "sraw",
+    (0, 1): "mulw", (4, 1): "divw", (5, 1): "divuw", (6, 1): "remw", (7, 1): "remuw",
+}.items():
+    _REF_R[(0b0111011, _f3, _f7)] = _name
+_REF_LOADS = {0: "lb", 1: "lh", 2: "lw", 3: "ld", 4: "lbu", 5: "lhu", 6: "lwu"}
+_REF_STORES = {0: "sb", 1: "sh", 2: "sw", 3: "sd"}
+_REF_BRANCHES = {0: "beq", 1: "bne", 4: "blt", 5: "bge", 6: "bltu", 7: "bgeu"}
+_REF_OPIMM = {0: "addi", 2: "slti", 3: "sltiu", 4: "xori", 6: "ori", 7: "andi"}
+_REF_CTAG = {0: "ctag.set", 1: "ctag.clr", 2: "ctag.rdt"}
+
+
+def _ref_decode(word):
+    """Instr for a legal word, None for an illegal one."""
+    op = word & 0x7F
+    rd = (word >> 7) & 31
+    f3 = (word >> 12) & 7
+    rs1 = (word >> 15) & 31
+    rs2 = (word >> 20) & 31
+    f7 = word >> 25
+    if op in (0b0110011, 0b0111011):
+        m = _REF_R.get((op, f3, f7))
+        return Instr(m, rd, rs1, rs2, 0) if m else None
+    if op == 0b0010011:
+        if f3 == 0b001:
+            return None if f7 >> 1 else Instr("slli", rd, rs1, 0, (word >> 20) & 63)
+        if f3 == 0b101:
+            m = {0: "srli", 0b010000: "srai"}.get(f7 >> 1)
+            return Instr(m, rd, rs1, 0, (word >> 20) & 63) if m else None
+        return Instr(_REF_OPIMM[f3], rd, rs1, 0, _ref_i_imm(word))
+    if op == 0b0000011:
+        return Instr(_REF_LOADS[f3], rd, rs1, 0, _ref_i_imm(word)) if f3 in _REF_LOADS else None
+    if op == 0b0100011:
+        return Instr(_REF_STORES[f3], 0, rs1, rs2, _ref_s_imm(word)) if f3 in _REF_STORES else None
+    if op == 0b1100011:
+        return Instr(_REF_BRANCHES[f3], 0, rs1, rs2, _ref_b_imm(word)) if f3 in _REF_BRANCHES else None
+    if op == 0b0011011:
+        if f3 == 0:
+            return Instr("addiw", rd, rs1, 0, _ref_i_imm(word))
+        m = {(1, 0): "slliw", (5, 0): "srliw", (5, 0b0100000): "sraiw"}.get((f3, f7))
+        return Instr(m, rd, rs1, 0, (word >> 20) & 31) if m else None
+    if op == 0b1101111:
+        return Instr("jal", rd, 0, 0, _ref_j_imm(word))
+    if op == 0b1100111:
+        return Instr("jalr", rd, rs1, 0, _ref_i_imm(word)) if f3 == 0 else None
+    if op in (0b0110111, 0b0010111):
+        return Instr("lui" if op == 0b0110111 else "auipc", rd, 0, 0, _ref_sext(word & 0xFFFFF000, 32))
+    if op == 0b1110011:
+        m = {0x00000073: "ecall", 0x00100073: "ebreak"}.get(word)
+        return Instr(m, 0, 0, 0, 0) if m else None
+    if op == 0b0001011:
+        m = _REF_CTAG.get(f3)
+        if m is None or f7 != 0 or (rs2 if m == "ctag.rdt" else rd) != 0:
+            return None
+        return Instr(m, rd, rs1, rs2, 0)
+    return None
+
+
+def _decode_or_none(word):
+    try:
+        return core._decode(word)
+    except IllegalInstruction:
+        return None
+
+
+def test_spec_entries_match_disjoint_words():
+    # Two entries overlap when their match values agree on the bits both
+    # masks fix; then which one decodes a word would depend on order.
+    entries = [e for group in isa._BY_OPCODE.values() for e in group]
+    overlaps = [
+        (a[2], b[2])
+        for i, a in enumerate(entries)
+        for b in entries[i + 1 :]
+        if (a[1] ^ b[1]) & a[0] & b[0] == 0
+    ]
+    assert overlaps == []
+
+
+def test_decode_matches_reference_on_every_opcode_funct3_funct7():
+    diffs = [hex(w) for w in grid_words(2) if _decode_or_none(w) != _ref_decode(w)]
+    assert diffs == []
+
+
+@given(st.integers(0, (1 << 32) - 1))
+@settings(max_examples=500, deadline=None)
+def test_decode_matches_reference_on_any_word(word):
+    assert _decode_or_none(word) == _ref_decode(word)
 
 
 # ---- ALU semantics ------------------------------------------------------------
