@@ -4,10 +4,11 @@ Covers RV64I base, the M extension, ecall/ebreak, and the custom tag
 management group on the custom-0 opcode. Encodings follow the standard
 R/I/S/B/U/J formats; the tag group is R-format with funct7=0.
 
-SPECS is the only table of encodings. The assembler encodes from it, and
-decode() matches words against the (mask, match) pair each entry yields,
-as riscv-opcodes derives Spike's decoder; the interpreter and the
-disassembler both read instructions through decode().
+SPECS is the only table of encodings, and _FORMATS the only description
+of each format's operand fields. The enc_* packers and decode() are built
+on both: decode() matches words against the (mask, match) pair each SPECS
+entry yields, as riscv-opcodes derives Spike's decoder, and the
+interpreter and the disassembler both read instructions through it.
 """
 
 from __future__ import annotations
@@ -123,62 +124,12 @@ def sext(value, bits):
     return value
 
 
-def enc_r(opcode, f3, f7, rd, rs1, rs2):
-    return (f7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | opcode
-
-
-def enc_i(opcode, f3, rd, rs1, imm):
-    return ((imm & 0xFFF) << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | opcode
-
-
-def enc_s(opcode, f3, rs1, rs2, imm):
-    imm &= 0xFFF
-    return (
-        ((imm >> 5) << 25)
-        | (rs2 << 20)
-        | (rs1 << 15)
-        | (f3 << 12)
-        | ((imm & 0x1F) << 7)
-        | opcode
-    )
-
-
-def enc_b(opcode, f3, rs1, rs2, imm):
-    imm &= 0x1FFF
-    return (
-        ((imm >> 12) << 31)
-        | (((imm >> 5) & 0x3F) << 25)
-        | (rs2 << 20)
-        | (rs1 << 15)
-        | (f3 << 12)
-        | (((imm >> 1) & 0xF) << 8)
-        | (((imm >> 11) & 1) << 7)
-        | opcode
-    )
-
-
-def enc_u(opcode, rd, imm20):
-    return ((imm20 & 0xFFFFF) << 12) | (rd << 7) | opcode
-
-
-def enc_j(opcode, rd, imm):
-    imm &= 0x1FFFFF
-    return (
-        ((imm >> 20) << 31)
-        | (((imm >> 1) & 0x3FF) << 21)
-        | (((imm >> 11) & 1) << 20)
-        | (((imm >> 12) & 0xFF) << 12)
-        | (rd << 7)
-        | opcode
-    )
-
-
 # Operand fields of each format, described as riscv-opcodes' arg_lut
 # describes them: the register fields it uses, then its immediate as
 # (word bit, width, immediate bit) slices and the width the immediate is
 # sign-extended from (0: unsigned). Every bit outside these fields is fixed
 # by the mnemonic. CTAG is ctag.set/ctag.clr rs1, rs2; CTAGRD is ctag.rdt
-# rd, rs1.
+# rd, rs1. The enc_* packers and decode() both read this table.
 _FORMATS = {
     "R": (("rd", "rs1", "rs2"), (), 0),
     "I": (("rd", "rs1"), ((20, 12, 0),), 12),
@@ -193,6 +144,43 @@ _FORMATS = {
     "CTAGRD": (("rd", "rs1"), (), 0),
 }
 _REG_SHIFT = {"rd": 7, "rs1": 15, "rs2": 20}
+
+
+def _pack(fmt, fixed, rd=0, rs1=0, rs2=0, imm=0):
+    """Place operands into the fields of `fmt` over the fixed bits; the
+    inverse of _operands for in-range operands."""
+    regs, slices, _ = _FORMATS[fmt]
+    word = fixed
+    for r, value in zip(_REG_SHIFT, (rd, rs1, rs2)):
+        if r in regs:
+            word |= value << _REG_SHIFT[r]
+    for at, width, to in slices:
+        word |= ((imm >> to) & ((1 << width) - 1)) << at
+    return word
+
+
+def enc_r(opcode, f3, f7, rd, rs1, rs2):
+    return _pack("R", opcode | f3 << 12 | f7 << 25, rd, rs1, rs2)
+
+
+def enc_i(opcode, f3, rd, rs1, imm):
+    return _pack("I", opcode | f3 << 12, rd, rs1, imm=imm)
+
+
+def enc_s(opcode, f3, rs1, rs2, imm):
+    return _pack("S", opcode | f3 << 12, rs1=rs1, rs2=rs2, imm=imm)
+
+
+def enc_b(opcode, f3, rs1, rs2, imm):
+    return _pack("B", opcode | f3 << 12, rs1=rs1, rs2=rs2, imm=imm)
+
+
+def enc_u(opcode, rd, imm20):
+    return _pack("U", opcode, rd, imm=imm20 << 12)
+
+
+def enc_j(opcode, rd, imm):
+    return _pack("J", opcode, rd, imm=imm)
 
 
 def _operand_bits(fmt):
