@@ -19,9 +19,19 @@ applies the initial S layer); decryption mirrors it. The tweak schedule
 is linear too, so one packed table turns the tweak t0 into t1..t5 and
 L(t1)..L(t5) at once: 13 table applications per block, against 29 for
 one table per layer. The key-dependent terms come from a small bounded
-memo keyed by the key; nothing is cached per tweak or per block. CPython
-3.11 on a 2 vCPU x86-64 box does one encrypt or decrypt in 10-12
-microseconds, against about 30-36 for the one-table-per-layer form.
+memo keyed by the key. CPython 3.11 on a 2 vCPU x86-64 box does one
+encrypt or decrypt in 10-12 microseconds, against about 30-36 for the
+one-table-per-layer form.
+
+A BlockMemo holds the (key, tweak, plaintext) <-> ciphertext pairs the
+circuits computed, both ways, so a block requested again, or the
+decrypt of a ciphertext an earlier encrypt produced, is a dict lookup. The
+memory engine makes one per simulated run (run_models shares one across
+its cycle models, which replay the same functional run). A hit is exact:
+QARMA is a permutation for each (key, tweak), and a pair exists only if
+a circuit computed it, so a ciphertext read under another key than it
+was written with finds no pair and runs the real circuit. The memo stops
+taking pairs at MEMO_MAX_PAIRS; it never evicts.
 
 Keys are 128 bits, split into a whitening half w0 and a core half k0. The
 second whitening key w1 is derived as ror64(w0, 1) xor (w0 >> 63) and the
@@ -64,6 +74,9 @@ _ALPHA = 0xC0AC29B7C97C50DD
 
 # Distinct keys whose round constants are kept; a run uses a few.
 _KEY_MEMO_MAX = 64
+# Pairs a BlockMemo holds at most: about 225 bytes each on CPython 3.11,
+# so a full memo takes about 28 MiB.
+MEMO_MAX_PAIRS = 1 << 17
 
 
 class Key128(NamedTuple):
@@ -269,9 +282,61 @@ def _key_consts(key):
 # ---- block operations --------------------------------------------------------
 
 
-def qarma_encrypt(key, tweak, plaintext, sigma=1):
+class BlockMemo:
+    """The blocks one run has enciphered under sigma1. keys maps a key to
+    a pair of dicts: enc maps tweak << 64 | plaintext to the ciphertext,
+    dec maps tweak << 64 | ciphertext to the plaintext. size counts the
+    pairs; each is in both dicts."""
+
+    __slots__ = ("keys", "size")
+
+    def __init__(self):
+        self.keys = {}
+        self.size = 0
+
+    def add(self, key, tweak, plaintext, ciphertext):
+        if self.size < MEMO_MAX_PAIRS:
+            enc, dec = self.keys.setdefault(key, ({}, {}))
+            enc[tweak << 64 | plaintext] = ciphertext
+            dec[tweak << 64 | ciphertext] = plaintext
+            self.size += 1
+
+
+def qarma_encrypt(key, tweak, plaintext, sigma=1, memo=None):
     """Encrypt one 64-bit block under (key, tweak). Total function; inputs
-    are masked to 64 bits."""
+    are masked to 64 bits. With a BlockMemo, a pair it holds is looked
+    up and a computed one is added."""
+    if memo is None or sigma != 1:
+        return _encrypt(key, tweak, plaintext, sigma)
+    tweak &= MASK64
+    plaintext &= MASK64
+    pairs = memo.keys.get(key)
+    if pairs is not None:
+        ciphertext = pairs[0].get(tweak << 64 | plaintext)
+        if ciphertext is not None:
+            return ciphertext
+    ciphertext = _encrypt(key, tweak, plaintext, 1)
+    memo.add(key, tweak, plaintext, ciphertext)
+    return ciphertext
+
+
+def qarma_decrypt(key, tweak, ciphertext, sigma=1, memo=None):
+    """Exact inverse of qarma_encrypt, memo included."""
+    if memo is None or sigma != 1:
+        return _decrypt(key, tweak, ciphertext, sigma)
+    tweak &= MASK64
+    ciphertext &= MASK64
+    pairs = memo.keys.get(key)
+    if pairs is not None:
+        plaintext = pairs[1].get(tweak << 64 | ciphertext)
+        if plaintext is not None:
+            return plaintext
+    plaintext = _decrypt(key, tweak, ciphertext, 1)
+    memo.add(key, tweak, plaintext, ciphertext)
+    return plaintext
+
+
+def _encrypt(key, tweak, plaintext, sigma):
     ls, lis, centre, _, si = _TABLES.get(sigma) or _sigma_tables(sigma)
     kin, kl1, kl2, kl3, kl4, kl5, k0, w0, kb4, kb3, kb2, kb1, kout = (_KEYS.get(key) or _key_consts(key))[0]
     t0 = tweak & MASK64
@@ -291,9 +356,8 @@ def qarma_encrypt(key, tweak, plaintext, sigma=1):
     return _ap(si, s) ^ kout ^ t0
 
 
-def qarma_decrypt(key, tweak, ciphertext, sigma=1):
-    """Exact inverse of qarma_encrypt; implemented as the structural
-    inverse rather than the key-swapped forward circuit."""
+def _decrypt(key, tweak, ciphertext, sigma):
+    # the structural inverse of _encrypt, not the key-swapped forward circuit
     ls, lis, _, centre, si = _TABLES.get(sigma) or _sigma_tables(sigma)
     kin, kl1, kl2, kl3, kl4, kl5, lik0, w1, kb4, kb3, kb2, kb1, kout = (_KEYS.get(key) or _key_consts(key))[1]
     t0 = tweak & MASK64

@@ -15,7 +15,11 @@ functional simulation and differ only in what they charge and count:
 
 Encryption itself always happens (the DRAM image is identical across
 models); baseline simply does not charge or count it. Cipher latency is
-charged per tagged word in both directions, fill and writeback.
+charged per tagged word in both directions, fill and writeback. The
+blocks go through MemorySystem.memo, a crypt.BlockMemo that the models of
+one run_models call share: a block one model enciphered, or a ciphertext
+the engine wrote earlier, is looked up rather than recomputed. The memo
+changes host time only, never a charge, a counter or a DRAM byte.
 
 The byte_oracle bitmap is the byte-granularity golden taint reference
 (one bit per DRAM byte) used to measure over-tagging; it is maintained on
@@ -48,7 +52,7 @@ from __future__ import annotations
 import mmap
 from dataclasses import dataclass
 
-from .crypt import qarma_encrypt, qarma_decrypt
+from .crypt import BlockMemo, qarma_decrypt, qarma_encrypt
 from .isa import MASK64
 
 DRAM_BASE = 0x8000_0000
@@ -203,6 +207,7 @@ class MemorySystem:
         no_cache=False,
         debug_soundness=False,
         debug_shadow=False,
+        memo=None,
     ):
         if model not in MODELS:
             raise ValueError(f"unknown model {model!r}")
@@ -217,6 +222,9 @@ class MemorySystem:
         # tagged word is written to DRAM, so the at-rest invariant can be
         # checked by full scan
         self.debug_shadow = {} if debug_shadow else None
+        # the blocks enciphered so far; MemorySystems replaying one run
+        # may share it
+        self.memo = BlockMemo() if memo is None else memo
 
         self.dram = Plane(size)
         self.tag_bits = Plane(size // 64)  # 1 bit per word = 1/64 of data
@@ -349,7 +357,7 @@ class MemorySystem:
                 if (line.tags >> j) & 1:
                     addr = line.base + 8 * j
                     word = int.from_bytes(data[8 * j : 8 * j + 8], "little")
-                    enc = qarma_encrypt(key, addr, word)
+                    enc = qarma_encrypt(key, addr, word, memo=self.memo)
                     out[8 * j : 8 * j + 8] = enc.to_bytes(8, "little")
                     cycles += self._charge_cipher(addr)
                     if self.debug_shadow is not None:
@@ -379,7 +387,7 @@ class MemorySystem:
                 if (tags >> j) & 1:
                     addr = line_base + 8 * j
                     raw = int.from_bytes(data[8 * j : 8 * j + 8], "little")
-                    plain = qarma_decrypt(key, addr, raw)
+                    plain = qarma_decrypt(key, addr, raw, memo=self.memo)
                     data[8 * j : 8 * j + 8] = plain.to_bytes(8, "little")
                     cycles += self._charge_cipher(addr)
         line = _Line(line_base, data, tags)
@@ -561,14 +569,14 @@ class MemorySystem:
         self.regions.add(off >> REGION_SHIFT)
         raw = int.from_bytes(self.dram[off : off + 8], "little")
         if self.word_tag(word_addr):
-            return qarma_decrypt(key, word_addr, raw)
+            return qarma_decrypt(key, word_addr, raw, memo=self.memo)
         return raw
 
     def _set_word_at_rest(self, word_addr, value, tag, key):
         off = word_addr - self.base
         wi = off >> 3
         if tag:
-            raw = qarma_encrypt(key, word_addr, value)
+            raw = qarma_encrypt(key, word_addr, value, memo=self.memo)
             self.tag_bits[wi >> 3] |= 1 << (wi & 7)
             if self.debug_shadow is not None:
                 self.debug_shadow[word_addr] = (value, key)

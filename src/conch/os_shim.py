@@ -199,7 +199,7 @@ class OsShim:
             if tag:
                 if self.strict_write:
                     raise StrictWriteViolation(f"write of tagged word {w:#x}", st.pc)
-                rest = qarma_encrypt(st.key, w, value).to_bytes(8, "little")
+                rest = qarma_encrypt(st.key, w, value, memo=mem.memo).to_bytes(8, "little")
                 sink += rest[a - w : a - w + take]
                 self.leak_averted_bytes += take
             else:

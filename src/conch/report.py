@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import asm
 from .core import MachineState, run
-from .crypt import generate_master_key
+from .crypt import BlockMemo, generate_master_key
 from .mem import MODELS, REGION_SHIFT, CycleCosts, MemorySystem
 from .os_shim import OsShim
 
@@ -135,10 +135,12 @@ def simulate(
     debug_soundness=False,
     debug_shadow=False,
     with_oracle=True,
+    memo=None,
 ):
     """Assemble (if needed), load, and run one program under one cycle
     model. The final flush under the active key is part of the run, so
-    DRAM ends at rest."""
+    DRAM ends at rest. memo is the crypt.BlockMemo the run enciphers
+    through; by default a fresh one."""
     if program is None:
         program = asm.assemble(asm.SourceUnit.from_text(source))
     mem = MemorySystem(
@@ -147,6 +149,7 @@ def simulate(
         no_cache=no_cache,
         debug_soundness=debug_soundness,
         debug_shadow=debug_shadow,
+        memo=memo,
     )
     st = MachineState()
     asm.load_image(program, mem, st)
@@ -163,13 +166,16 @@ def simulate(
 def run_models(source=None, *, program=None, models=MODELS, **kw):
     """Run the same program once per requested model and cross-check that
     the models agree on everything architectural. Returns {model: SimResult}
-    in the canonical baseline/a/b order."""
+    in the canonical baseline/a/b order. The models replay one functional
+    run, so they share one fresh crypt.BlockMemo: each block is enciphered
+    once per call, not once per model."""
     if program is None:
         program = asm.assemble(asm.SourceUnit.from_text(source))
+    memo = BlockMemo()
     results = {}
     for model in MODELS:
         if model in models:
-            results[model] = simulate(program=program, model=model, **kw)
+            results[model] = simulate(program=program, model=model, memo=memo, **kw)
     vals = list(results.values())
     first = vals[0]
     for other in vals[1:]:

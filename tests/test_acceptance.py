@@ -8,6 +8,7 @@ import json
 import random
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from conch.core import MachineState, run
 from conch.crypt import Key128, generate_master_key, qarma_decrypt, qarma_encrypt
 from conch.mem import MemorySystem
 from conch.os_shim import OsShim
-from conch.report import ByteOracle, compute_overtagging, run_models, simulate
+from conch.report import ByteOracle, build_report, compute_overtagging, emit_report, run_models, simulate
 
 MIB = 1024 * 1024
+GOLDENS = Path(__file__).parent / "data" / "goldens"
 
 _HB_REQUEST = b"GET heartbeat 48"
 _HB_SECRET = b"pk.live_9f27c55e31d04a8b77aa0312"
@@ -273,6 +275,11 @@ def test_criterion_06_overhead_ordering():
     overhead_b = (b - base) / base
     assert overhead_b < overhead_a / 2
     assert elapsed < 60.0
+    # the one workload that sweeps the cipher and the tag cache at scale:
+    # its seed-0 report is pinned byte for byte (regenerate with
+    # tests/test_goldens.py)
+    golden = (GOLDENS / "report_stream512k.json").read_bytes().decode("utf-8")
+    assert emit_report(build_report(results, seed=0), fmt="json") == golden
 
 
 PURITY_PROG = """

@@ -26,6 +26,7 @@ from conch.asm import (
     load_image,
 )
 from conch.core import IllegalInstruction, Instr, MachineState, _decode
+from conch.isa import MASK64
 from conch.mem import MemorySystem
 
 from conftest import grid_words
@@ -210,6 +211,31 @@ _start:
 """
         res = simulate(src)
         assert res.st.exit_code == value & 0xFF, value
+
+
+def _li_a0(value):
+    from conch.report import simulate
+
+    res = simulate(f"li a0, {value}\nli a7, 93\necall\n")
+    assert res.stop == "exit"
+    return res.st.regs[10]
+
+
+@pytest.mark.parametrize("value", [42, -2048, 2047, 0x12345000, 0x12345678, -1, -2147483648], ids=hex)
+def test_li_runtime_full_register(value):
+    # the whole 64-bit register, not only the exit code's low byte
+    assert _li_a0(value) == value & MASK64
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="li packs lui's partner as addi, not addiw: a low part that carries "
+    "into bit 31 leaves the value sign-extended (0xffffffff7ffff800)",
+)
+@pytest.mark.parametrize("value", [0x7FFFF800, 0x7FFFFFFF], ids=hex)
+def test_li_carry_into_bit_31(value):
+    assert _li_a0(value) == value
 
 
 def test_duplicate_label():

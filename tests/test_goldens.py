@@ -1,7 +1,9 @@
 """Behaviour goldens: the JSON report of every corpus program (the three
 demos among them, with the inputs `conch demo` gives them) and the
 `conch dump` text of each demo's data segment, all at seed 0, compared
-byte for byte with the files under tests/data/goldens/. The reports hold
+byte for byte with the files under tests/data/goldens/. The 512 KiB
+STREAM report, report_stream512k.json, is compared by acceptance
+criterion 6 from the run it already makes. The reports hold
 every model's cycles and counters, so a refactor that claims the same
 behaviour is checked against them, not trusted.
 
@@ -55,7 +57,10 @@ def dump_text(name):
 
 def all_goldens():
     """{file name: text} for every golden."""
+    from test_acceptance import STREAM_PROG
+
     texts = {f"report_{name}.json": report_text(source, fs) for name, source, fs, _ in build_corpus()}
+    texts["report_stream512k.json"] = report_text(STREAM_PROG, {})
     texts.update({f"dump_{name}.txt": dump_text(name) for name in DEMOS})
     return texts
 

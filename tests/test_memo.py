@@ -1,0 +1,152 @@
+"""The per-run block memo (crypt.BlockMemo): the cycle models of one
+run_models call share it, so each (key, tweak, block) is enciphered
+once per call. It must change nothing a run reports or leaves behind:
+every check here compares against runs without it or against the bare
+circuit."""
+
+import pytest
+
+from conch import asm, crypt
+from conch.crypt import BlockMemo, qarma_decrypt, qarma_encrypt
+from conch.isa import MASK64
+from conch.mem import DRAM_BASE
+from conch.report import build_report, emit_report, run_models, simulate
+
+from conftest import build_corpus
+from test_acceptance import SWITCHBACK_PROG
+from test_goldens import GOLDENS
+
+CORPUS = [pytest.param(name, source, fs, id=name) for name, source, fs, _ in build_corpus()]
+
+
+def _pairs(memo):
+    """(key, tweak, plaintext, ciphertext) of every pair the memo holds,
+    read once from its encrypt side and once from its decrypt side."""
+    enc = [(k, tx >> 64, tx & MASK64, c) for k, (e, _) in memo.keys.items() for tx, c in e.items()]
+    dec = [(k, tx >> 64, p, tx & MASK64) for k, (_, d) in memo.keys.items() for tx, p in d.items()]
+    return enc, dec
+
+
+def _outcome(r):
+    """What one model's run charged, printed and left in memory."""
+    return r.st.cycles, r.mem.cipher_blocks, bytes(r.shim.stdout), r.mem.dram, r.mem.tag_bits, r.mem.byte_oracle
+
+
+@pytest.fixture
+def circuit_calls(monkeypatch):
+    """(key, tweak, block) of every memory-engine call that reaches the
+    encrypt or decrypt circuit; thread-key derivation (tweak = tid) is
+    left out."""
+    calls = {"enc": [], "dec": []}
+
+    def counting(kind, circuit):
+        def wrapped(key, tweak, block, sigma):
+            if tweak >= DRAM_BASE:
+                calls[kind].append((key, tweak, block))
+            return circuit(key, tweak, block, sigma)
+
+        return wrapped
+
+    monkeypatch.setattr(crypt, "_encrypt", counting("enc", crypt._encrypt))
+    monkeypatch.setattr(crypt, "_decrypt", counting("dec", crypt._decrypt))
+    return calls
+
+
+@pytest.mark.parametrize("name,source,fs", CORPUS)
+def test_memo_changes_nothing(name, source, fs, monkeypatch):
+    # At cap 0 every block runs the circuit, as if there were no memo.
+    # Criterion 9 compares the models of one run, which now share cipher
+    # results; equality with a run whose models share none keeps that
+    # comparison meaningful.
+    program = asm.assemble(asm.SourceUnit.from_text(source))
+    with_memo = run_models(program=program, seed=0, fs=fs)
+    monkeypatch.setattr(crypt, "MEMO_MAX_PAIRS", 0)
+    without = run_models(program=program, seed=0, fs=fs)
+    assert emit_report(build_report(with_memo, seed=0)) == emit_report(build_report(without, seed=0))
+    labels = ("cycles", "cipher_blocks", "stdout", "dram", "tag_bits", "byte_oracle")
+    for model in without:
+        for label, a, b in zip(labels, _outcome(with_memo[model]), _outcome(without[model])):
+            assert a == b, (model, label)
+
+
+@pytest.mark.parametrize("name", ["stream64k", "sort", "demo_threads", "demo_heartbleed"])
+def test_memo_entries_match_the_circuit(name):
+    # every entry, not a sample: a wrong pair may never be looked up
+    (source, fs), = [(s, f) for n, s, f, _ in build_corpus() if n == name]
+    memo = run_models(source, seed=0, fs=fs)["b"].mem.memo
+    enc, dec = _pairs(memo)
+    assert enc and sorted(enc) == sorted(dec) and len(enc) == memo.size
+    for key, tweak, plain, cipher in enc:
+        assert cipher == qarma_encrypt(key, tweak, plain)
+    for key, tweak, plain, cipher in dec:
+        assert plain == qarma_decrypt(key, tweak, cipher)
+
+
+@pytest.mark.parametrize("name,cap", [("stream64k", 2), ("demo_threads", 1), ("demo_granularity", 1), ("clear_flow", 2)])
+def test_small_cap_is_never_exceeded(name, cap, monkeypatch):
+    # each of these programs enciphers more than two distinct blocks
+    monkeypatch.setattr(crypt, "MEMO_MAX_PAIRS", cap)
+    (source, fs), = [(s, f) for n, s, f, _ in build_corpus() if n == name]
+    results = run_models(source, seed=0, fs=fs)
+    enc, dec = _pairs(results["b"].mem.memo)
+    assert len(enc) == len(dec) == cap
+    text = emit_report(build_report(results, seed=0), fmt="json")
+    assert text == (GOLDENS / f"report_{name}.json").read_bytes().decode("utf-8")
+
+
+def test_models_of_one_call_share_one_memo(circuit_calls):
+    (source,) = [s for n, s, _, _ in build_corpus() if n == "sort"]
+    program = asm.assemble(asm.SourceUnit.from_text(source))
+    results = run_models(program=program, seed=0)
+    memos = {id(r.mem.memo) for r in results.values()}
+    assert len(memos) == 1
+    fused = len(circuit_calls["enc"]) + len(circuit_calls["dec"])
+    circuit_calls["enc"].clear()
+    circuit_calls["dec"].clear()
+    simulate(program=program, model="b", seed=0)
+    # three models cost the circuit work of one
+    assert fused == len(circuit_calls["enc"]) + len(circuit_calls["dec"]) > 0
+
+
+@pytest.mark.parametrize("run", [run_models, simulate], ids=["run_models", "simulate"])
+def test_each_call_starts_with_an_empty_memo(run, circuit_calls):
+    (source,) = [s for n, s, _, _ in build_corpus() if n == "sort"]
+    program = asm.assemble(asm.SourceUnit.from_text(source))
+    counts = []
+    for _ in range(2):
+        circuit_calls["enc"].clear()
+        circuit_calls["dec"].clear()
+        res = run(program=program, seed=0)
+        counts.append((len(circuit_calls["enc"]), len(circuit_calls["dec"])))
+    assert counts[0] == counts[1] and sum(counts[0]) > 0
+    memos = res.values() if isinstance(res, dict) else [res]
+    assert all(len(_pairs(r.mem.memo)[0]) == sum(counts[1]) for r in memos)
+
+
+def test_wrong_key_fill_reaches_the_circuit(circuit_calls):
+    # criterion 8's program: thread 1 loads a word thread 0 wrote, so
+    # the fill decrypts thread 0's ciphertext under thread 1's key
+    program = asm.assemble(asm.SourceUnit.from_text(SWITCHBACK_PROG))
+    res = simulate(program=program, model="b", seed=0)
+    slot = program.symbols["slot"]
+    key0, key1 = res.shim.key_for(0), res.shim.key_for(1)
+    s1, s2 = res.st.regs[9], res.st.regs[18]
+    cipher = qarma_encrypt(key0, slot, s1)
+    assert (key0, slot, s1) in circuit_calls["enc"]
+    assert (key1, slot, cipher) in circuit_calls["dec"]
+    assert s2 == qarma_decrypt(key1, slot, cipher) != s1
+    assert res.mem.memo.keys[key1][1][slot << 64 | cipher] == s2
+
+
+def test_memo_is_exact_per_key_and_tweak():
+    memo = BlockMemo()
+    key_a, key_b = crypt.generate_master_key(1), crypt.generate_master_key(2)
+    c = qarma_encrypt(key_a, 0x8000_0008, 1234, memo=memo)
+    assert qarma_decrypt(key_a, 0x8000_0008, c, memo=memo) == 1234
+    # same ciphertext under another key or tweak is a different block
+    assert qarma_decrypt(key_b, 0x8000_0008, c, memo=memo) == qarma_decrypt(key_b, 0x8000_0008, c)
+    assert qarma_decrypt(key_a, 0x8000_0010, c, memo=memo) == qarma_decrypt(key_a, 0x8000_0010, c)
+    # other S-boxes bypass the memo
+    assert qarma_encrypt(key_a, 0x8000_0008, 1, sigma=2, memo=memo) == qarma_encrypt(key_a, 0x8000_0008, 1, sigma=2)
+    enc, dec = _pairs(memo)
+    assert len(enc) == len(dec) == memo.size == 3

@@ -3,14 +3,17 @@ channels, ciphertext-only write, the private thread-switch call, and the
 errno surface."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
-from conch.core import BudgetExhausted, MachineState, StrictWriteViolation
+from conch.core import BudgetExhausted, MachineState, StrictWriteViolation, Trap
 from conch.crypt import generate_master_key, qarma_encrypt
-from conch.mem import MemorySystem
+from conch.mem import DRAM_BASE, DRAM_SIZE, MemAccessError, MemorySystem
 from conch.os_shim import (
     EBADF,
     EFAULT,
     EINVAL,
+    ENAMETOOLONG,
     ENOENT,
     ENOSYS,
     O_SENSITIVE,
@@ -20,6 +23,7 @@ from conch.os_shim import (
     SYS_READ,
     SYS_THREAD_SWITCH,
     SYS_WRITE,
+    FileDesc,
     OsShim,
 )
 from conch.report import simulate
@@ -341,3 +345,70 @@ def test_path_without_terminator_is_nametoolong():
         mem.store(base + i, 8, 0x4141414141414141, 0, st.key)
     ret = ecall(st, mem, shim, SYS_OPENAT, 0, base, 0)
     assert ret == -36  # ENAMETOOLONG
+
+
+# ---- any syscall, any arguments ------------------------------------------------
+
+_SYSCALLS = [SYS_OPENAT, SYS_READ, SYS_WRITE, SYS_EXIT, SYS_GETRANDOM, SYS_THREAD_SWITCH]
+_PATH = DRAM_BASE + 0x100
+_ARG = hs.one_of(
+    hs.integers(0, (1 << 64) - 1),
+    hs.integers(DRAM_BASE - 64, DRAM_BASE + DRAM_SIZE + 64),
+    hs.integers(0, 8),  # fds, short counts and small tids
+    hs.integers(0, 1 << 17),
+    hs.just(_PATH),
+)
+
+
+@given(
+    a7=hs.one_of(hs.sampled_from(_SYSCALLS), hs.integers(0, (1 << 64) - 1)),
+    args=hs.tuples(_ARG, _ARG, _ARG),
+    budget=hs.integers(1, 2000),
+    strict_write=hs.booleans(),
+)
+# each call's success path, which random arguments seldom reach
+@example(SYS_OPENAT, (0, _PATH, O_SENSITIVE), 2000, False)
+@example(SYS_OPENAT, (0, _PATH + 1, 0), 2000, False)
+@example(SYS_READ, (3, DRAM_BASE + 0x800, 16), 2000, False)
+@example(SYS_READ, (4, DRAM_BASE + 0x803, 300), 2000, False)
+@example(SYS_WRITE, (1, DRAM_BASE + 0x1FC, 12), 2000, False)
+@example(SYS_WRITE, (2, DRAM_BASE + 0x200, 8), 2000, True)
+@example(SYS_GETRANDOM, (DRAM_BASE + 0x901, 24, 0), 2000, False)
+@example(SYS_THREAD_SWITCH, (3, 0, 0), 2000, False)
+@example(SYS_EXIT, (0x105, 0, 0), 2000, False)
+@example(9999, (0, 0, 0), 2000, False)
+@settings(max_examples=400, deadline=None)
+def test_any_syscall_returns_a_value_or_errno_or_stops(a7, args, budget, strict_write):
+    """A syscall with arbitrary arguments either leaves an errno or a
+    result in a0, or raises one of the exceptions run() turns into a
+    trap or a budget stop."""
+    st, mem, shim = machine(fs={"f": bytes(range(200))}, strict_write=strict_write)
+    put_cstr(st, mem, _PATH, "f")
+    shim.fds[3] = FileDesc(path="f", flags=0, data=bytes(range(200)))
+    shim.fds[4] = FileDesc(path="f", flags=O_SENSITIVE, data=bytes(200), sensitive=True)
+    shim.next_fd = 5
+    mem.store(mem.base + 0x200, 8, 0x1234, 1, st.key)  # a tagged word for write to meet
+    st.max_instret = budget
+    st.regs[10:13] = args
+    st.regs[17] = a7
+    try:
+        cycles = shim.handle_ecall(st, mem)
+    except (Trap, MemAccessError, BudgetExhausted):
+        return
+    assert isinstance(cycles, int) and cycles >= 0
+    if a7 == SYS_EXIT:
+        assert st.halted and st.exit_code == args[0] & 0xFF
+        return
+    assert not st.halted and st.reg_tags[10] == 0
+    ret = st.regs[10] - (1 << 64) if st.regs[10] >= 1 << 63 else st.regs[10]
+    if ret < 0:
+        assert -ret in (ENOENT, EBADF, EFAULT, EINVAL, ENOSYS, ENAMETOOLONG), ret
+        assert a7 in _SYSCALLS or ret == -ENOSYS
+    elif a7 in (SYS_READ, SYS_WRITE):
+        assert ret <= args[2]
+    elif a7 == SYS_GETRANDOM:
+        assert ret <= args[1]
+    elif a7 == SYS_OPENAT:
+        assert ret >= 5 and shim.fds[ret].path == "f"
+    else:
+        assert a7 == SYS_THREAD_SWITCH and ret == 0 and st.tid == args[0]
