@@ -109,6 +109,8 @@ def _fs_of(args):
 
 
 def _sim_kwargs(args):
+    if args.dram_latency < 0:
+        raise ValueError(f"--dram-latency must not be negative, got {args.dram_latency}")
     return dict(
         seed=_seed_of(args),
         fs=_fs_of(args),

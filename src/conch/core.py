@@ -14,6 +14,15 @@ rule, pointer taint is out of scope.
 The byte-granular oracle shadow (see report.ByteOracle) is driven from
 here through a small duck-typed interface so the measured over-tagging is
 computed against the same instruction stream.
+
+step dispatches through one memo keyed by the fetched instruction word.
+The first fetch (or decode) of a word decodes it and builds a handler
+closure with its operands, semantics and immediate bound in; every later
+fetch of that word calls the handler directly (threaded code, after Ertl
+and Gregg, "The Structure and Performance of Efficient Interpreters",
+JILP 2003). The word is the key, not the pc, so the memo never needs
+invalidating: a store into text changes the word that the next fetch
+returns.
 """
 
 from __future__ import annotations
@@ -67,8 +76,6 @@ class Instr(NamedTuple):
 # isa.SPECS holds the encodings; this layer turns a decoded word into an
 # Instr, or a trap when no encoding matches.
 
-_DEC_CACHE = {}
-
 
 def _decode(word):
     dec = isa.decode(word)
@@ -79,13 +86,9 @@ def _decode(word):
 
 
 def decode(word) -> Instr:
-    """Decode one 32-bit instruction word. Results are memoized; code is
-    static (no self-modifying programs), so the cache only grows."""
-    ins = _DEC_CACHE.get(word)
-    if ins is None:
-        ins = _decode(word)
-        _DEC_CACHE[word] = ins
-    return ins
+    """Decode one 32-bit instruction word. Results are memoized in the
+    dispatch memo (see step), so decode(w) is decode(w)."""
+    return _entry(word)[2]
 
 
 # ---- ALU semantics ----------------------------------------------------------
@@ -215,20 +218,6 @@ _LOAD_INFO = {
 }
 _STORE_INFO = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 
-_CLEARS_TAG = frozenset({"lui", "auipc", "jal", "jalr", "ctag.rdt"})
-
-
-def propagate_tag(mnem, *src_tags):
-    """Word-level DIFT rule for register-writing instructions: OR of the
-    source tags, except for results derived only from pc or immediates."""
-    if mnem in _CLEARS_TAG:
-        return 0
-    t = 0
-    for s in src_tags:
-        t |= s
-    return t
-
-
 # ---- machine state ----------------------------------------------------------
 
 
@@ -297,97 +286,230 @@ def exec_ctag_clear(st, mem, ins):
 
 # ---- execution ---------------------------------------------------------------
 
+# One handler per instruction word, built on its first fetch or decode by
+# the builder of its class with the operands, the semantics function and
+# the immediate bound in. A handler executes the instruction on
+# (st, mem, shim, oracle, pc), sets st.pc and returns the cycles beyond
+# the fetch. It changes st.pc only after every call that can raise, so a
+# trapping instruction leaves the pc at itself. Costs are read from
+# mem.costs when the handler runs, and the oracle and the memory system
+# are called through their attributes, because handlers are shared by
+# every MemorySystem in the process and the bench tracer wraps those
+# attributes.
+
+
+def _alu_reg(ins):
+    m, rd, rs1, rs2, _ = ins
+    fn = _ALU[m]
+    cost = "mul" if m in _MUL_OPS else "div" if m in _DIV_OPS else "alu"
+    src = (rs1, rs2)
+
+    def alu_reg(st, mem, shim, oracle, pc):
+        if rd:
+            regs, tags = st.regs, st.reg_tags
+            regs[rd] = fn(regs[rs1], regs[rs2])
+            tags[rd] = tags[rs1] | tags[rs2]
+        if oracle:
+            oracle.oracle_step("alu", rd, src)
+        st.pc = pc + 4
+        return getattr(mem.costs, cost)
+
+    return alu_reg
+
+
+def _alu_imm(ins):
+    m, rd, rs1, _, imm = ins
+    fn = _ALU[_ALU_IMM[m]]
+    imm &= MASK64
+    src = (rs1,)
+
+    def alu_imm(st, mem, shim, oracle, pc):
+        if rd:
+            st.regs[rd] = fn(st.regs[rs1], imm)
+            st.reg_tags[rd] = st.reg_tags[rs1]
+        if oracle:
+            oracle.oracle_step("alu", rd, src)
+        st.pc = pc + 4
+        return mem.costs.alu
+
+    return alu_imm
+
+
+def _load(ins):
+    m, rd, rs1, _, imm = ins
+    width, signed = _LOAD_INFO[m]
+
+    def load(st, mem, shim, oracle, pc):
+        ea = (st.regs[rs1] + imm) & MASK64
+        value, tag, cycles = mem.load(ea, width, signed, st.key)
+        if rd:
+            st.regs[rd] = value
+            st.reg_tags[rd] = tag
+        if oracle:
+            oracle.oracle_step("load", rd, (mem.oracle_bits_for(ea, width), width, signed))
+        st.pc = pc + 4
+        return cycles
+
+    return load
+
+
+def _store(ins):
+    m, _, rs1, rs2, imm = ins
+    width = _STORE_INFO[m]
+
+    def store(st, mem, shim, oracle, pc):
+        ea = (st.regs[rs1] + imm) & MASK64
+        taints = oracle.store_taints(rs2, width) if oracle else None
+        cycles = mem.store(ea, width, st.regs[rs2], st.reg_tags[rs2], st.key, taints)
+        st.pc = pc + 4
+        return cycles
+
+    return store
+
+
+def _branch(ins):
+    m, _, rs1, rs2, imm = ins
+    cond = _BRANCH[m]
+    backward = imm < 0  # the static predictor takes backward branches
+
+    def branch(st, mem, shim, oracle, pc):
+        costs = mem.costs
+        if cond(st.regs[rs1], st.regs[rs2]):
+            st.pc = (pc + imm) & MASK64
+            return costs.branch if backward else costs.branch + costs.mispredict
+        st.pc = pc + 4
+        return costs.branch + costs.mispredict if backward else costs.branch
+
+    return branch
+
+
+def _generic(ins):
+    """jal, jalr, lui, auipc, ecall, ebreak and the tag group. Results
+    derived only from the pc or an immediate, and ctag.rdt's, carry no
+    tag."""
+    m, rd, rs1, rs2, imm = ins
+
+    if m == "ecall":
+
+        def ecall(st, mem, shim, oracle, pc):
+            if shim is None:
+                raise Trap("ecall with no OS attached", pc)
+            cycles = mem.costs.alu + shim.handle_ecall(st, mem, oracle)
+            st.pc = pc + 4
+            return cycles
+
+        return ecall
+
+    if m == "ebreak":
+
+        def ebreak(st, mem, shim, oracle, pc):
+            raise Breakpoint(f"ebreak at {pc:#x}", pc)
+
+        return ebreak
+
+    if m in ("ctag.set", "ctag.clr"):
+        exec_ctag = exec_ctag_set if m == "ctag.set" else exec_ctag_clear
+
+        def ctag(st, mem, shim, oracle, pc):
+            cycles = exec_ctag(st, mem, ins)
+            st.pc = pc + 4
+            return cycles
+
+        return ctag
+
+    if m == "ctag.rdt":
+
+        def ctag_rdt(st, mem, shim, oracle, pc):
+            tag, cycles = mem.ctag_read(st.regs[rs1])
+            st.write_reg(rd, tag, 0)
+            if oracle:
+                oracle.oracle_step("clear", rd, None)
+            st.pc = pc + 4
+            return mem.costs.alu + cycles
+
+        return ctag_rdt
+
+    if m == "jal":
+
+        def jal(st, mem, shim, oracle, pc):
+            st.write_reg(rd, pc + 4, 0)
+            if oracle:
+                oracle.oracle_step("clear", rd, None)
+            st.pc = (pc + imm) & MASK64
+            return mem.costs.jump
+
+        return jal
+
+    if m == "jalr":
+
+        def jalr(st, mem, shim, oracle, pc):
+            target = (st.regs[rs1] + imm) & MASK64 & ~1
+            st.write_reg(rd, pc + 4, 0)
+            if oracle:
+                oracle.oracle_step("clear", rd, None)
+            st.pc = target
+            return mem.costs.jump
+
+        return jalr
+
+    # lui, auipc
+    pc_relative = m == "auipc"
+
+    def upper(st, mem, shim, oracle, pc):
+        st.write_reg(rd, pc + imm if pc_relative else imm, 0)
+        if oracle:
+            oracle.oracle_step("clear", rd, None)
+        st.pc = pc + 4
+        return mem.costs.alu
+
+    return upper
+
+
+def _build(ins):
+    m = ins.mnem
+    if m in _ALU:
+        return _alu_reg(ins)
+    if m in _ALU_IMM:
+        return _alu_imm(ins)
+    if m in _LOAD_INFO:
+        return _load(ins)
+    if m in _STORE_INFO:
+        return _store(ins)
+    if m in _BRANCH:
+        return _branch(ins)
+    return _generic(ins)
+
+
+# word -> (handler, mnemonic, Instr) for every legal word fetched or decoded
+# so far; exact without invalidation, as the module docstring explains
+_MEMO = {}
+
+
+def _entry(word):
+    entry = _MEMO.get(word)
+    if entry is None:
+        ins = _decode(word)
+        entry = _MEMO[word] = (_build(ins), ins.mnem, ins)
+    return entry
+
 
 def step(st, mem, shim=None, oracle=None):
-    """Fetch, decode, execute one instruction; updates st in place and
-    charges cycles through mem's cost table."""
+    """Fetch one instruction, run its handler from the dispatch memo and
+    retire it; updates st in place and charges cycles through mem's cost
+    table."""
     pc = st.pc
     if pc & 3:
         raise MisalignedFetch(f"pc {pc:#x}", pc)
     word, cycles = mem.fetch(pc, st.key)
-    ins = decode(word)
-    m = ins.mnem
-    regs = st.regs
-    tags = st.reg_tags
-    costs = mem.costs
-    next_pc = pc + 4
-
-    fn = _ALU.get(m)
-    if fn is not None:
-        st.write_reg(ins.rd, fn(regs[ins.rs1], regs[ins.rs2]), propagate_tag(m, tags[ins.rs1], tags[ins.rs2]))
-        cycles += costs.mul if m in _MUL_OPS else costs.div if m in _DIV_OPS else costs.alu
-        if oracle:
-            oracle.oracle_step("alu", ins.rd, (ins.rs1, ins.rs2))
-    elif m in _ALU_IMM:
-        fn = _ALU[_ALU_IMM[m]]
-        st.write_reg(ins.rd, fn(regs[ins.rs1], ins.imm & MASK64), propagate_tag(m, tags[ins.rs1]))
-        cycles += costs.alu
-        if oracle:
-            oracle.oracle_step("alu", ins.rd, (ins.rs1,))
-    elif m in _LOAD_INFO:
-        width, signed = _LOAD_INFO[m]
-        ea = (regs[ins.rs1] + ins.imm) & MASK64
-        value, tag, c = mem.load(ea, width, signed, st.key)
-        st.write_reg(ins.rd, value, tag)
-        cycles += c
-        if oracle:
-            oracle.oracle_step("load", ins.rd, (mem.oracle_bits_for(ea, width), width, signed))
-    elif m in _STORE_INFO:
-        width = _STORE_INFO[m]
-        ea = (regs[ins.rs1] + ins.imm) & MASK64
-        taints = oracle.store_taints(ins.rs2, width) if oracle else None
-        cycles += mem.store(ea, width, regs[ins.rs2], tags[ins.rs2], st.key, taints)
-    elif m in _BRANCH:
-        taken = _BRANCH[m](regs[ins.rs1], regs[ins.rs2])
-        cycles += costs.branch
-        if taken != (ins.imm < 0):  # static predictor: backward taken
-            cycles += costs.mispredict
-        if taken:
-            next_pc = (pc + ins.imm) & MASK64
-    elif m == "jal":
-        st.write_reg(ins.rd, next_pc, 0)
-        next_pc = (pc + ins.imm) & MASK64
-        cycles += costs.jump
-        if oracle:
-            oracle.oracle_step("clear", ins.rd, None)
-    elif m == "jalr":
-        target = (regs[ins.rs1] + ins.imm) & MASK64 & ~1
-        st.write_reg(ins.rd, next_pc, 0)
-        next_pc = target
-        cycles += costs.jump
-        if oracle:
-            oracle.oracle_step("clear", ins.rd, None)
-    elif m == "lui":
-        st.write_reg(ins.rd, ins.imm & MASK64, 0)
-        cycles += costs.alu
-        if oracle:
-            oracle.oracle_step("clear", ins.rd, None)
-    elif m == "auipc":
-        st.write_reg(ins.rd, (pc + ins.imm) & MASK64, 0)
-        cycles += costs.alu
-        if oracle:
-            oracle.oracle_step("clear", ins.rd, None)
-    elif m == "ecall":
-        if shim is None:
-            raise Trap("ecall with no OS attached", pc)
-        cycles += costs.alu + shim.handle_ecall(st, mem, oracle)
-    elif m == "ebreak":
-        raise Breakpoint(f"ebreak at {pc:#x}", pc)
-    elif m == "ctag.set":
-        cycles += exec_ctag_set(st, mem, ins)
-    elif m == "ctag.clr":
-        cycles += exec_ctag_clear(st, mem, ins)
-    else:  # ctag.rdt
-        tag, c = mem.ctag_read(regs[ins.rs1])
-        st.write_reg(ins.rd, tag, 0)
-        cycles += costs.alu + c
-        if oracle:
-            oracle.oracle_step("clear", ins.rd, None)
-
-    st.pc = next_pc
+    entry = _MEMO.get(word)
+    if entry is None:
+        entry = _entry(word)
+    handler, m, _ = entry
+    cycles += handler(st, mem, shim, oracle, pc)
     st.instret += 1
     st.cycles += cycles
-    st.histogram[m] = st.histogram.get(m, 0) + 1
+    hist = st.histogram
+    hist[m] = hist.get(m, 0) + 1
 
 
 def run(st, mem, shim=None, oracle=None, max_instret=None):

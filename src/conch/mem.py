@@ -45,11 +45,17 @@ byte of tag_bits and byte_oracle lies in a recorded region, and the
 over-tagging statistics scan only those. Likewise CacheModel.live holds
 the indices of its non-empty sets (a set fills only through
 CacheModel.insert), so a flush walks only resident lines.
+
+Each CacheModel also keeps mru, its most recently used line (see
+CacheModel). fetch answers an instruction in the icache's mru line before
+any other check, because consecutive instructions mostly share a line.
+Neither changes the LRU order or a hit or miss count.
 """
 
 from __future__ import annotations
 
 import mmap
+import struct
 from dataclasses import dataclass
 
 from .crypt import BlockMemo, qarma_decrypt, qarma_encrypt
@@ -62,6 +68,8 @@ WORDS_PER_LINE = LINE // 8
 REGION_SHIFT = 19  # a 512 KiB DRAM region: 8 KiB of tag plane, 64 KiB of oracle plane
 
 MODELS = ("baseline", "a", "b")
+
+_WORD32 = struct.Struct("<I")
 
 
 class MemAccessError(Exception):
@@ -139,7 +147,9 @@ class _Line:
 class CacheModel:
     """Set-associative, write-back, LRU. Each set is a list with the most
     recently used line first; live holds the indices of the non-empty
-    sets."""
+    sets. mru is the line last found or inserted, or None: it is resident
+    and first in its set, so find can answer it without walking or
+    reordering the set."""
 
     def __init__(self, name, size, ways, line_size=LINE):
         assert size % (ways * line_size) == 0
@@ -149,6 +159,7 @@ class CacheModel:
         self.n_sets = size // (ways * line_size)
         self.sets = [[] for _ in range(self.n_sets)]
         self.live = set()
+        self.mru = None
         self.hits = 0
         self.misses = 0
 
@@ -156,12 +167,16 @@ class CacheModel:
         return self.sets[(line_base // self.line_size) % self.n_sets]
 
     def find(self, line_base):
+        mru = self.mru
+        if mru is not None and mru.base == line_base:
+            return mru
         s = self.set_for(line_base)
         for ln in s:
             if ln.base == line_base:
                 if s[0] is not ln:
                     s.remove(ln)
                     s.insert(0, ln)
+                self.mru = ln
                 return ln
         return None
 
@@ -173,6 +188,7 @@ class CacheModel:
         s = self.sets[i]
         victim = s.pop() if len(s) == self.ways else None
         s.insert(0, line)
+        self.mru = line
         return victim
 
     def all_lines(self):
@@ -184,6 +200,7 @@ class CacheModel:
         for i in self.live:
             self.sets[i].clear()
         self.live.clear()
+        self.mru = None
 
 
 class _TagLine:
@@ -211,7 +228,7 @@ class MemorySystem:
     ):
         if model not in MODELS:
             raise ValueError(f"unknown model {model!r}")
-        assert size % LINE == 0
+        assert base % LINE == 0 and size % LINE == 0
         self.model = model
         self.base = base
         self.size = size
@@ -451,15 +468,22 @@ class MemorySystem:
         return self.costs.store_hit + cycles
 
     def fetch(self, addr, key):
-        """Instruction fetch: free on icache hit, a miss pays the fill."""
-        self._check_range(addr, 4)
-        if self.no_cache:
-            v, _, _ = self._load_direct(addr, 4, False, key)
-            return v & 0xFFFFFFFF, 0
+        """Instruction fetch of the 4-aligned addr: free on icache hit, a
+        miss pays the fill. A hit on the icache's MRU line skips the range
+        check: a resident line lies inside DRAM."""
         line_base = addr & ~(LINE - 1)
-        line, cycles = self._access(self.icache, line_base, key)
-        off = addr - line_base
-        return int.from_bytes(line.data[off : off + 4], "little"), cycles
+        icache = self.icache
+        line = icache.mru
+        if line is not None and line.base == line_base:
+            icache.hits += 1
+            cycles = 0
+        else:
+            self._check_range(addr, 4)
+            if self.no_cache:
+                v, _, _ = self._load_direct(addr, 4, False, key)
+                return v & 0xFFFFFFFF, 0
+            line, cycles = self._access(icache, line_base, key)
+        return _WORD32.unpack_from(line.data, addr - line_base)[0], cycles
 
     # ---- tag management ---------------------------------------------------
 

@@ -46,7 +46,11 @@ class ByteOracle:
         if rd == 0:
             return
         if event == "alu":
-            vec = 0xFF if any(self.reg[s] for s in info) else 0
+            vec = 0
+            for s in info:
+                if self.reg[s]:
+                    vec = 0xFF
+                    break
         elif event == "load":
             bits, width, signed = info
             vec = bits

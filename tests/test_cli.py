@@ -283,6 +283,15 @@ def test_bad_map_spec(tmp_path, capsys):
     assert main(["run", src, "--map", "nonsense"]) == EXIT_ASM
 
 
+@pytest.mark.parametrize("command", [["run"], ["dump", "--range", "0x80000000:8"]], ids=["run", "dump"])
+def test_negative_dram_latency_is_rejected(tmp_path, capsys, command):
+    src = write(tmp_path, "p.s", EXIT_PROG)
+    assert main([command[0], src, *command[1:], "--dram-latency", "-100"]) == EXIT_ASM
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("conch: ") and "--dram-latency" in err
+
+
 # ---- asm / images ---------------------------------------------------------------
 
 

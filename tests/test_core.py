@@ -1,5 +1,7 @@
 """Interpreter core: decoding, ALU semantics against an independent
-reference, traps, tag propagation, and cycle accounting hooks."""
+reference, traps, tag propagation, cycle accounting hooks, and the
+handler dispatch stepped against a frozen copy of the if/elif
+interpreter it replaced."""
 
 import random
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conch import core, isa
+from conch import asm, core, isa
 from conch.core import (
     Breakpoint,
     BudgetExhausted,
@@ -17,7 +19,6 @@ from conch.core import (
     MisalignedFetch,
     Trap,
     decode,
-    propagate_tag,
     run,
     step,
 )
@@ -389,13 +390,24 @@ def test_histogram_counts():
 
 
 def test_propagate_tag_rules():
-    assert propagate_tag("add", 0, 0) == 0
-    assert propagate_tag("add", 1, 0) == 1
-    assert propagate_tag("xor", 0, 1) == 1
-    assert propagate_tag("addi", 1) == 1
-    assert propagate_tag("lui") == 0
-    assert propagate_tag("jalr", 1) == 0
-    assert propagate_tag("ctag.rdt", 1) == 0
+    """The word-level DIFT rule of register writes: the OR of the source
+    tags, except for results derived only from the pc or an immediate."""
+    x5_tagged = [
+        (isa.enc_r(isa.OP_OP, 0b000, 0, 7, 6, 6), 0),  # add x7, x6, x6
+        (isa.enc_r(isa.OP_OP, 0b000, 0, 7, 5, 6), 1),  # add x7, x5, x6
+        (isa.enc_r(isa.OP_OP, 0b100, 0, 7, 6, 5), 1),  # xor x7, x6, x5
+        (isa.enc_i(isa.OP_IMM, 0b000, 7, 5, 3), 1),  # addi x7, x5, 3
+        (isa.enc_u(isa.OP_LUI, 7, 1), 0),  # lui x7, 1
+        (isa.enc_i(isa.OP_JALR, 0b000, 7, 5, 0), 0),  # jalr x7, 0(x5)
+        (isa.enc_r(isa.OP_CUSTOM0, 0b010, 0, 7, 5, 0), 0),  # ctag.rdt x7, x5
+    ]
+    for word, tag in x5_tagged:
+        stt, mem = make_machine([word])
+        stt.regs[5] = mem.base + 0x1000  # the jalr target, the ctag.rdt address
+        stt.reg_tags[5] = 1
+        stt.reg_tags[7] = 1 - tag  # the step must overwrite it
+        step(stt, mem)
+        assert stt.reg_tags[7] == tag, hex(word)
 
 
 def test_alu_tag_flow_in_machine():
@@ -489,3 +501,246 @@ def test_any_word_raises_only_documented_errors(word, seed, a7, budget):
         step(stt, mem, shim, ByteOracle())
     except (Trap, MemAccessError, BudgetExhausted):
         pass
+
+
+# ---- reference: the if/elif interpreter ---------------------------------------------
+# A frozen copy of the mnemonic chain that the handler dispatch replaced.
+# It decodes with _ref_decode and computes with REF and its own tables, so
+# a change to the handlers or to core's tables cannot move both sides.
+
+_REF_ALU_IMM = {
+    "addi": "add", "slti": "slt", "sltiu": "sltu", "xori": "xor", "ori": "or", "andi": "and",
+    "slli": "sll", "srli": "srl", "srai": "sra",
+    "addiw": "addw", "slliw": "sllw", "srliw": "srlw", "sraiw": "sraw",
+}
+_REF_BRANCH = {
+    "beq": lambda a, b: a == b,
+    "bne": lambda a, b: a != b,
+    "blt": lambda a, b: _ref_s(a) < _ref_s(b),
+    "bge": lambda a, b: _ref_s(a) >= _ref_s(b),
+    "bltu": lambda a, b: a < b,
+    "bgeu": lambda a, b: a >= b,
+}
+_REF_MUL = {"mul", "mulh", "mulhsu", "mulhu", "mulw"}
+_REF_DIV = {"div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw"}
+_REF_LOAD = {"lb": (1, True), "lh": (2, True), "lw": (4, True), "ld": (8, True),
+             "lbu": (1, False), "lhu": (2, False), "lwu": (4, False)}
+_REF_STORE = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
+_M64 = (1 << 64) - 1
+
+
+def _ref_step(st, mem, shim=None, oracle=None):
+    pc = st.pc
+    if pc & 3:
+        raise MisalignedFetch(f"pc {pc:#x}", pc)
+    word, cycles = mem.fetch(pc, st.key)
+    ins = _ref_decode(word)
+    if ins is None:
+        raise IllegalInstruction(f"illegal instruction {word:#010x}")
+    m = ins.mnem
+    regs = st.regs
+    tags = st.reg_tags
+    costs = mem.costs
+    next_pc = pc + 4
+
+    if m in REF:
+        st.write_reg(ins.rd, REF[m](regs[ins.rs1], regs[ins.rs2]), tags[ins.rs1] | tags[ins.rs2])
+        cycles += costs.mul if m in _REF_MUL else costs.div if m in _REF_DIV else costs.alu
+        if oracle:
+            oracle.oracle_step("alu", ins.rd, (ins.rs1, ins.rs2))
+    elif m in _REF_ALU_IMM:
+        st.write_reg(ins.rd, REF[_REF_ALU_IMM[m]](regs[ins.rs1], ins.imm & _M64), tags[ins.rs1])
+        cycles += costs.alu
+        if oracle:
+            oracle.oracle_step("alu", ins.rd, (ins.rs1,))
+    elif m in _REF_LOAD:
+        width, signed = _REF_LOAD[m]
+        ea = (regs[ins.rs1] + ins.imm) & _M64
+        value, tag, c = mem.load(ea, width, signed, st.key)
+        st.write_reg(ins.rd, value, tag)
+        cycles += c
+        if oracle:
+            oracle.oracle_step("load", ins.rd, (mem.oracle_bits_for(ea, width), width, signed))
+    elif m in _REF_STORE:
+        width = _REF_STORE[m]
+        ea = (regs[ins.rs1] + ins.imm) & _M64
+        taints = oracle.store_taints(ins.rs2, width) if oracle else None
+        cycles += mem.store(ea, width, regs[ins.rs2], tags[ins.rs2], st.key, taints)
+    elif m in _REF_BRANCH:
+        taken = _REF_BRANCH[m](regs[ins.rs1], regs[ins.rs2])
+        cycles += costs.branch
+        if taken != (ins.imm < 0):  # static predictor: backward taken
+            cycles += costs.mispredict
+        if taken:
+            next_pc = (pc + ins.imm) & _M64
+    elif m in ("jal", "jalr", "lui", "auipc"):
+        if m == "jalr":
+            target = (regs[ins.rs1] + ins.imm) & _M64 & ~1
+        value = ins.imm if m == "lui" else pc + ins.imm if m == "auipc" else next_pc
+        st.write_reg(ins.rd, value, 0)
+        if m == "jal":
+            next_pc = (pc + ins.imm) & _M64
+        elif m == "jalr":
+            next_pc = target
+        cycles += costs.jump if m in ("jal", "jalr") else costs.alu
+        if oracle:
+            oracle.oracle_step("clear", ins.rd, None)
+    elif m == "ecall":
+        if shim is None:
+            raise Trap("ecall with no OS attached", pc)
+        cycles += costs.alu + shim.handle_ecall(st, mem, oracle)
+    elif m == "ebreak":
+        raise Breakpoint(f"ebreak at {pc:#x}", pc)
+    elif m == "ctag.set":
+        cycles += costs.alu + mem.ctag_set_range(regs[ins.rs1], regs[ins.rs2], st.key)
+    elif m == "ctag.clr":
+        cycles += costs.alu + mem.ctag_clear_range(regs[ins.rs1], regs[ins.rs2], st.key)
+    else:  # ctag.rdt
+        tag, c = mem.ctag_read(regs[ins.rs1])
+        st.write_reg(ins.rd, tag, 0)
+        cycles += costs.alu + c
+        if oracle:
+            oracle.oracle_step("clear", ins.rd, None)
+
+    st.pc = next_pc
+    st.instret += 1
+    st.cycles += cycles
+    st.histogram[m] = st.histogram.get(m, 0) + 1
+
+
+class LoggingOracle(ByteOracle):
+    """A ByteOracle that logs each call with the destination register as
+    the machine holds it at that moment, so a call made before the
+    register write shows."""
+
+    def __init__(self, st):
+        super().__init__()
+        self.st = st
+        self.log = []
+
+    def oracle_step(self, event, rd, info):
+        self.log.append((event, rd, info, self.st.regs[rd], self.st.reg_tags[rd]))
+        super().oracle_step(event, rd, info)
+
+    def store_taints(self, rs, width):
+        self.log.append(("store", rs, width))
+        return super().store_taints(rs, width)
+
+
+def _mem_counters(mem):
+    return (
+        mem.dcache.hits, mem.dcache.misses, mem.icache.hits, mem.icache.misses,
+        mem.tagcache_hits, mem.tagcache_misses, mem.dram_data_accesses, mem.dram_tag_accesses,
+        mem.cipher_blocks, mem.overtag_cipher_blocks,
+    )
+
+
+def _state(stt, mem, oracle):
+    return (
+        stt.pc, list(stt.regs), list(stt.reg_tags), stt.instret, stt.cycles, dict(stt.histogram),
+        stt.halted, stt.exit_code, list(oracle.reg), len(oracle.log), _mem_counters(mem),
+    )
+
+
+def _try_step(step_fn, stt, mem, shim, oracle):
+    """None, or the exception one step raised as (type, message, pc)."""
+    try:
+        step_fn(stt, mem, shim, oracle)
+    except (Trap, MemAccessError, BudgetExhausted) as exc:
+        return type(exc), str(exc), getattr(exc, "pc", None)
+    return None
+
+
+def _lockstep(make, max_steps):
+    """Step a machine under step and one under _ref_step, both built by
+    make(), and compare them after every step. Returns the steps taken."""
+    new, ref = make(), make()
+    for n in range(max_steps):
+        outcome = _try_step(step, *new)
+        assert outcome == _try_step(_ref_step, *ref), f"step {n}"
+        assert _state(new[0], new[1], new[3]) == _state(ref[0], ref[1], ref[3]), f"step {n}"
+        if outcome is not None or new[0].halted:
+            break
+    assert new[3].log == ref[3].log
+    if new[2] is not None:
+        assert bytes(new[2].stdout) == bytes(ref[2].stdout)
+    return n + 1
+
+
+@pytest.mark.parametrize("model", ["baseline", "a", "b"])
+def test_dispatch_matches_reference_on_corpus(corpus, model):
+    for name, source, fs, _ in corpus:
+        program = asm.assemble(asm.SourceUnit.from_text(source))
+
+        def make():
+            mem = MemorySystem(model=model)
+            stt = MachineState()
+            asm.load_image(program, mem, stt)
+            shim = OsShim(generate_master_key(0), seed=0, fs=dict(fs))
+            stt.key = shim.key_for(0)
+            return stt, mem, shim, LoggingOracle(stt)
+
+        steps = _lockstep(make, 100_000)
+        assert steps < 100_000, f"{name} did not finish"
+
+
+# mnemonic -> the word with every operand field zero
+_MATCH = {mnem: match for group in isa._BY_OPCODE.values() for _, match, mnem, _ in group}
+_REG = st.sampled_from([0, 0, 1, 2, 3, 4, 5])
+_IMM = st.one_of(
+    st.integers(-8, 8).map(lambda k: 4 * k),  # branch and jump targets near the sequence
+    st.integers(-2048, 2047),
+    st.integers(-(1 << 31), (1 << 31) - 1),
+)
+_WORD = st.builds(
+    lambda mnem, rd, rs1, rs2, imm: isa._pack(isa.SPECS[mnem][0], _MATCH[mnem], rd, rs1, rs2, imm),
+    st.sampled_from(sorted(isa.SPECS)), _REG, _REG, _REG, _IMM,
+)
+# register values: the text (stores into it), a data window (aligned or
+# not, loads and stores reach it), small counts and any 64-bit word
+_VALUE = st.one_of(
+    st.integers(DRAM_BASE, DRAM_BASE + 64),
+    st.integers(DRAM_BASE + 0x1000, DRAM_BASE + 0x1100),
+    st.integers(0, 64),
+    U64,
+)
+
+
+@given(
+    words=st.lists(_WORD, min_size=1, max_size=12),
+    values=st.lists(_VALUE, min_size=5, max_size=5),
+    tagged=st.lists(st.booleans(), min_size=5, max_size=5),
+    tag_data=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_dispatch_matches_reference_on_random_sequences(words, values, tagged, tag_data):
+    """Short runs of instructions drawn from isa.SPECS, with no OS: equal
+    state after every step, or the same exception with equal state."""
+
+    def make():
+        stt, mem = make_machine(words)
+        if tag_data:
+            mem.ctag_set_range(DRAM_BASE + 0x1000, 64, KEY)
+        oracle = LoggingOracle(stt)
+        for r, (value, tag) in enumerate(zip(values, tagged), start=1):
+            stt.regs[r] = value
+            stt.reg_tags[r] = int(tag)
+            oracle.reg[r] = 0x0F if tag else 0
+        return stt, mem, None, oracle
+
+    _lockstep(make, 4 * len(words) + 4)
+
+
+def test_dispatch_follows_a_store_into_text():
+    """The memo is keyed by the word, so code a store rewrites runs as
+    rewritten: sw overwrites the addi after it with addi x6, x0, 7."""
+    new = isa.enc_i(isa.OP_IMM, 0b000, 6, 0, 7)
+    words = [isa.enc_s(isa.OP_STORE, 0b010, 10, 11, 4), isa.enc_i(isa.OP_IMM, 0b000, 6, 0, 1)]
+    stt, mem = make_machine(words)
+    stt.regs[10] = mem.base
+    stt.regs[11] = new
+    decode(words[1])  # the old word is in the memo
+    step(stt, mem)
+    mem.flush_and_sync(KEY)  # the store reaches DRAM and the icache refills
+    step(stt, mem)
+    assert stt.regs[6] == 7

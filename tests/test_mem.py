@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from conch.crypt import derive_thread_key, generate_master_key, qarma_decrypt, qarma_encrypt
 from conch.mem import (
+    DRAM_BASE,
+    LINE,
+    CacheModel,
     CycleCosts,
     MemAccessError,
     MemorySystem,
@@ -16,6 +19,7 @@ from conch.mem import (
     OutOfBoundsAccess,
     Plane,
     SoundnessViolation,
+    _Line,
 )
 
 KEY = derive_thread_key(generate_master_key(3), 0)
@@ -499,6 +503,71 @@ def test_live_sets_track_resident_lines(dcache, ops):
         cache = mem.dcache
         assert list(cache.all_lines()) == [ln for s in cache.sets for ln in s]
         assert cache.live == {i for i, s in enumerate(cache.sets) if s}
+        _assert_mru(cache)
     mem.flush_and_sync(KEY)
     for cache in (mem.dcache, mem.icache):
         assert not cache.live and not any(cache.sets)
+        assert cache.mru is None
+
+
+# ---- the MRU line -------------------------------------------------------------------
+
+
+def _assert_mru(cache):
+    """CacheModel.mru is None, or a resident line first in its set."""
+    if cache.mru is not None:
+        s = cache.set_for(cache.mru.base)
+        assert s and s[0] is cache.mru
+
+
+class _LruReference:
+    """The set logic of CacheModel without the MRU check: find walks the
+    set every time. Sets hold line bases, most recently used first."""
+
+    def __init__(self, n_sets, ways):
+        self.sets = [[] for _ in range(n_sets)]
+        self.ways = ways
+
+    def _set(self, base):
+        return self.sets[(base // LINE) % len(self.sets)]
+
+    def find(self, base):
+        s = self._set(base)
+        if base not in s:
+            return None
+        s.remove(base)
+        s.insert(0, base)
+        return base
+
+    def insert(self, base):
+        s = self._set(base)
+        victim = s.pop() if len(s) == self.ways else None
+        s.insert(0, base)
+        return victim
+
+    def invalidate(self):
+        for s in self.sets:
+            s.clear()
+
+
+@pytest.mark.parametrize("ways", [1, 2])
+@given(ops=st.lists(st.tuples(st.sampled_from(["find", "insert", "invalidate"]), st.integers(0, 5)), max_size=60))
+@example(ops=[("insert", 0), ("insert", 2), ("find", 0)])  # a hit behind the MRU line
+@settings(max_examples=150, deadline=None)
+def test_mru_matches_plain_lru(ways, ops):
+    # 6 lines over 2 sets, so sets fill, evict and hit
+    cache = CacheModel("c", 2 * ways * LINE, ways)
+    ref = _LruReference(2, ways)
+    for op, i in ops:
+        base = DRAM_BASE + i * LINE
+        if op == "find":
+            line = cache.find(base)
+            assert (line and line.base) == ref.find(base)
+        elif op == "insert":
+            victim = cache.insert(_Line(base, bytearray(LINE), 0))
+            assert (victim and victim.base) == ref.insert(base)
+        else:
+            cache.invalidate()
+            ref.invalidate()
+        assert [[line.base for line in s] for s in cache.sets] == ref.sets
+        _assert_mru(cache)
