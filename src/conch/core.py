@@ -286,9 +286,8 @@ def exec_ctag_clear(st, mem, ins):
 
 # ---- execution ---------------------------------------------------------------
 
-# One handler per instruction word, built on its first fetch or decode by
-# the builder of its class with the operands, the semantics function and
-# the immediate bound in. A handler executes the instruction on
+# The builders of the dispatch memo's handlers, one per instruction class
+# (see the module docstring). A handler executes the instruction on
 # (st, mem, shim, oracle, pc), sets st.pc and returns the cycles beyond
 # the fetch. It changes st.pc only after every call that can raise, so a
 # trapping instruction leaves the pc at itself. Costs are read from
@@ -481,7 +480,7 @@ def _build(ins):
 
 
 # word -> (handler, mnemonic, Instr) for every legal word fetched or decoded
-# so far; exact without invalidation, as the module docstring explains
+# so far (see the module docstring)
 _MEMO = {}
 
 

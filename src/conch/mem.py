@@ -47,9 +47,7 @@ the indices of its non-empty sets (a set fills only through
 CacheModel.insert), so a flush walks only resident lines.
 
 Each CacheModel also keeps mru, its most recently used line (see
-CacheModel). fetch answers an instruction in the icache's mru line before
-any other check, because consecutive instructions mostly share a line.
-Neither changes the LRU order or a hit or miss count.
+CacheModel), which fetch checks first.
 """
 
 from __future__ import annotations
@@ -469,8 +467,8 @@ class MemorySystem:
 
     def fetch(self, addr, key):
         """Instruction fetch of the 4-aligned addr: free on icache hit, a
-        miss pays the fill. A hit on the icache's MRU line skips the range
-        check: a resident line lies inside DRAM."""
+        miss pays the fill. A hit on icache.mru needs no range check,
+        since a resident line lies inside DRAM."""
         line_base = addr & ~(LINE - 1)
         icache = self.icache
         line = icache.mru
