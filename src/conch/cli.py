@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import functools
 import json
 import os
 import sys
@@ -109,8 +110,9 @@ def _fs_of(args):
 
 
 def _sim_kwargs(args):
-    if args.dram_latency < 0:
-        raise ValueError(f"--dram-latency must not be negative, got {args.dram_latency}")
+    for flag, value in (("--dram-latency", args.dram_latency), ("--max-instret", args.max_instret)):
+        if value < 0:
+            raise ValueError(f"{flag} must not be negative, got {value}")
     return dict(
         seed=_seed_of(args),
         fs=_fs_of(args),
@@ -266,7 +268,11 @@ def cmd_demo(args):
 # ---- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and then reused:
+    parse_args does not change it, and building it is a large share of
+    a short invocation."""
     p = argparse.ArgumentParser(prog="conch", description="tagged RV64 simulator")
     sub = p.add_subparsers(dest="command", required=True)
 

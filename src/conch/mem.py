@@ -42,9 +42,10 @@ the tag plane and 64 KiB of the oracle plane. A region is recorded in
 _fill, which every cached access goes through to reach a line, and in
 _word_at_rest, which every uncached access goes through. So every nonzero
 byte of tag_bits and byte_oracle lies in a recorded region, and the
-over-tagging statistics scan only those. Likewise CacheModel.live holds
-the indices of its non-empty sets (a set fills only through
-CacheModel.insert), so a flush walks only resident lines.
+over-tagging statistics scan only those, each over its tagged span.
+Likewise CacheModel.live holds the indices of its non-empty sets (a set
+fills only through CacheModel.insert), so a flush walks only resident
+lines.
 
 Each CacheModel also keeps mru, its most recently used line (see
 CacheModel), which fetch checks first.

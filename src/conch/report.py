@@ -80,17 +80,28 @@ def compute_overtagging(mem, overtag_cipher_blocks=None, baseline_cycles=None):
     boundary, as a fraction of the baseline run.
 
     Only the DRAM regions in mem.regions are scanned: outside them both
-    planes are zero (see the mem module docstring), so the cost follows
-    the run's footprint, not the size of DRAM."""
+    planes are zero (see the mem module docstring). Within a region the
+    tag passes cover only its tagged span, from the first to the last
+    nonzero tag byte, and the oracle bytes of those words; zero bytes add
+    nothing to any count. So the cost follows what the run tagged, not
+    the size of DRAM or of a region."""
     words_tagged = tainted_under_tag = bytes_tainted = 0
     tag_span = 1 << (REGION_SHIFT - 6)  # one tag bit per 8-byte word
     oracle_span = 1 << (REGION_SHIFT - 3)  # one oracle byte per word
     for r in sorted(mem.regions):
         tags = mem.tag_bits[r * tag_span : (r + 1) * tag_span]
         oracle = mem.byte_oracle[r * oracle_span : (r + 1) * oracle_span]
-        bytes_tainted += int.from_bytes(oracle, "little").bit_count()
+        # zero bytes hold no bit to count, so they are deleted first
+        bytes_tainted += int.from_bytes(oracle.translate(None, b"\0"), "little").bit_count()
+        # tag bytes lo..hi-1 hold every tag bit; oracle bytes 8*lo..8*hi-1
+        # belong to their words
+        hi = len(tags.rstrip(b"\0"))
+        if not hi:
+            continue
+        lo = len(tags) - len(tags.lstrip(b"\0"))
+        tags, oracle = tags[lo:hi], oracle[8 * lo : 8 * hi]
         words_tagged += int.from_bytes(tags, "little").bit_count()
-        # per bit j, the words 8*t+j of the region: a byte that is 0xFF
+        # per bit j, the words 8*t+j of the span: a byte that is 0xFF
         # where tags[t] has bit j, ANDed with those words' oracle bytes
         for j, spread in enumerate(_BIT_BYTES):
             under_tag = int.from_bytes(tags.translate(spread), "little")

@@ -369,6 +369,20 @@ def test_comment_stripping_respects_strings(line, data):
     assert program.segments[0][1] == data
 
 
+@pytest.mark.parametrize(
+    "line,text",
+    [
+        ('  .asciz "a#b"  # c', '.asciz "a#b"'),  # '#' inside a string
+        ('.asciz "\\"#" # c', '.asciz "\\"#"'),  # escaped quote, then '#' in the string
+        ("  addi a0, a0, 1   # bump", "addi a0, a0, 1"),  # no quote, a comment
+        ("addi a0, a0, 1", "addi a0, a0, 1"),
+        ("# only a comment", ""),
+    ],
+)
+def test_strip_comment(line, text):
+    assert asm._strip_comment(line) == text
+
+
 def test_string_rejects_characters_wider_than_a_byte():
     with pytest.raises(AsmError):
         assemble(SourceUnit.from_text('.asciz "€"'))

@@ -5,9 +5,11 @@ uncached functional equivalence of a whole program."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conch.crypt import derive_thread_key, generate_master_key
-from conch.mem import REGION_SHIFT, MemorySystem
+from conch.mem import DRAM_SIZE, REGION_SHIFT, MemorySystem
 from conch.report import (
     ByteOracle,
     build_report,
@@ -146,6 +148,86 @@ def test_overtagging_matches_numpy_at_chunk_edges():
     stats = compute_overtagging(mem)
     expected = _overtagging_numpy(mem)
     assert expected["words_tagged_final"] > 100 and expected["overtagged_bytes"] > 0
+    assert {k: stats[k] for k in expected} == expected
+
+
+REGION_WORDS = 1 << (REGION_SHIFT - 3)
+
+
+def _plant(mem, word, tagged, taints):
+    """Set one word's tag bit and oracle byte directly, recording its
+    region as the memory system's access paths do."""
+    if tagged:
+        mem.tag_bits[word >> 3] |= 1 << (word & 7)
+    mem.byte_oracle[word] = taints
+    mem.regions.add(word // REGION_WORDS)
+
+
+def _definition(words):
+    """The counts straight from their definitions over {word: (tagged,
+    taints)}."""
+    tagged = [bin(t).count("1") for tag, t in words.values() if tag]
+    return {
+        "words_tagged_final": len(tagged),
+        "bytes_tainted_oracle_final": sum(bin(t).count("1") for _, t in words.values()),
+        "overtagged_bytes": sum(8 - k for k in tagged),
+    }
+
+
+def test_overtagging_scans_the_tagged_span_exactly():
+    # each case sits in its own region, so a bound off by one word or one
+    # tag byte either way drops or adds counted bits
+    rw = REGION_WORDS
+    words = {
+        rw: (True, 0x0F),  # the only tagged word is the region's first
+        3 * rw - 1: (True, 0x80),  # the only tagged word is the region's last
+        4 * rw + 100: (False, 0xFF),  # oracle taint in a region with no tag bit
+        5 * rw - 1: (False, 0x01),
+    }
+    # tagged words 6rw+67 and 6rw+77 span tag bytes 8 and 9 of the region;
+    # every other word from one before those bytes to one after is untagged
+    # but tainted, inside and just outside the span
+    for w in range(6 * rw + 63, 6 * rw + 81):
+        words[w] = (w in (6 * rw + 67, 6 * rw + 77), 0x81 if w % 2 else 0xFF)
+    mem = MemorySystem(model="b")
+    for w, (tagged, taints) in words.items():
+        _plant(mem, w, tagged, taints)
+    stats = compute_overtagging(mem)
+    expected = _overtagging_numpy(mem)
+    assert expected == _definition(words)
+    assert {k: stats[k] for k in expected} == expected
+
+
+_EDGE_OFFSETS = [0, 1, 7, 8, 63, 64, REGION_WORDS - 65, REGION_WORDS - 9, REGION_WORDS - 8, REGION_WORDS - 1]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, (DRAM_SIZE >> REGION_SHIFT) - 1),
+            st.dictionaries(
+                st.one_of(st.sampled_from(_EDGE_OFFSETS), st.integers(0, REGION_WORDS - 1)),
+                st.tuples(st.booleans(), st.integers(0, 255)),
+                max_size=12,
+            ),
+        ),
+        min_size=2,
+        max_size=3,
+        unique_by=lambda r: r[0],
+    )
+)
+@settings(max_examples=20, deadline=None)
+def test_overtagging_matches_numpy_on_sparse_regions(regions):
+    mem = MemorySystem(model="b")
+    words = {}
+    for r, offsets in regions:
+        mem.regions.add(r)  # a region may be recorded with nothing set
+        for off, (tagged, taints) in offsets.items():
+            words[r * REGION_WORDS + off] = (tagged, taints)
+            _plant(mem, r * REGION_WORDS + off, tagged, taints)
+    stats = compute_overtagging(mem)
+    expected = _overtagging_numpy(mem)
+    assert expected == _definition(words)
     assert {k: stats[k] for k in expected} == expected
 
 
