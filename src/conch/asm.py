@@ -83,8 +83,6 @@ _MEMOP_RE = re.compile(r"^(-?[\w]*)\s*\(\s*(\w+)\s*\)$")
 def _strip_comment(text):
     # '#' starts a comment unless inside a double-quoted string, where a
     # backslash escapes the character after it.
-    if '"' not in text:
-        return text.partition("#")[0].strip()
     in_str = False
     i = 0
     while i < len(text):

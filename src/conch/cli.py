@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import base64
-import functools
 import json
 import os
 import sys
@@ -268,11 +267,7 @@ def cmd_demo(args):
 # ---- entry point -------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser():
-    """The argument parser, built on the first call and then reused:
-    parse_args does not change it, and building it is a large share of
-    a short invocation."""
     p = argparse.ArgumentParser(prog="conch", description="tagged RV64 simulator")
     sub = p.add_subparsers(dest="command", required=True)
 

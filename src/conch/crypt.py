@@ -43,7 +43,6 @@ model, not a hardened implementation.
 
 from __future__ import annotations
 
-import functools
 import struct
 from typing import NamedTuple
 
@@ -397,12 +396,9 @@ def generate_master_key(seed):
     return Key128(w0, k0)
 
 
-@functools.lru_cache(maxsize=256)
 def derive_thread_key(master, tid):
     """Per-thread key: two cipher calls under the master key with the
-    thread id as tweak and fixed distinct plaintext constants. Memoised
-    per (master, tid), since every model of every run derives the same
-    keys; a negative tid raises on every call (errors are not cached)."""
+    thread id as tweak and fixed distinct plaintext constants."""
     if tid < 0:
         raise ValueError("tid must be non-negative")
     w0 = qarma_encrypt(master, tid, 0xA5A5A5A5A5A5A5A5)

@@ -13,9 +13,11 @@ one instruction (see MachineState.charge_copy), so no single ecall can do
 unbounded host work.
 
 The filesystem is a dict of virtual paths to bytes. Thread keys are
-derived lazily from the master key and cached; switching threads flushes
-all dirty state under the outgoing key first, so nothing of thread A
-rests in DRAM under thread B's key.
+derived lazily from the master key and cached in thread_keys, which
+run_models shares across its models (they have one master key), so each
+key is derived once per call. Switching threads flushes all dirty state
+under the outgoing key first, so nothing of thread A rests in DRAM under
+thread B's key.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ class OsShim:
     seed: int = 0
     fs: dict = field(default_factory=dict)
     strict_write: bool = False
+    thread_keys: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.fds = {}
@@ -70,13 +73,12 @@ class OsShim:
         self.stderr = bytearray()
         self.leak_averted_bytes = 0
         self.prng = random.Random(self.seed)
-        self._thread_keys = {}
 
     def key_for(self, tid):
-        key = self._thread_keys.get(tid)
+        key = self.thread_keys.get(tid)
         if key is None:
             key = derive_thread_key(self.master_key, tid)
-            self._thread_keys[tid] = key
+            self.thread_keys[tid] = key
         return key
 
     # ---- kernel-side memory helpers (charged like normal accesses) ----------

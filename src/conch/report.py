@@ -151,11 +151,13 @@ def simulate(
     debug_shadow=False,
     with_oracle=True,
     memo=None,
+    thread_keys=None,
 ):
     """Assemble (if needed), load, and run one program under one cycle
     model. The final flush under the active key is part of the run, so
     DRAM ends at rest. memo is the crypt.BlockMemo the run enciphers
-    through; by default a fresh one."""
+    through, and thread_keys the dict of tid -> key the OS shim derives
+    into (for this seed's master key); by default fresh ones."""
     if program is None:
         program = asm.assemble(asm.SourceUnit.from_text(source))
     mem = MemorySystem(
@@ -170,6 +172,8 @@ def simulate(
     asm.load_image(program, mem, st)
     master = generate_master_key(seed)
     shim = OsShim(master, seed=seed, fs=dict(fs or {}), strict_write=strict_write)
+    if thread_keys is not None:
+        shim.thread_keys = thread_keys
     st.tid = 0
     st.key = shim.key_for(0)
     oracle = ByteOracle() if with_oracle else None
@@ -182,15 +186,16 @@ def run_models(source=None, *, program=None, models=MODELS, **kw):
     """Run the same program once per requested model and cross-check that
     the models agree on everything architectural. Returns {model: SimResult}
     in the canonical baseline/a/b order. The models replay one functional
-    run, so they share one fresh crypt.BlockMemo: each block is enciphered
-    once per call, not once per model."""
+    run, so they share one fresh crypt.BlockMemo and one dict of thread
+    keys: each block is enciphered and each key derived once per call, not
+    once per model."""
     if program is None:
         program = asm.assemble(asm.SourceUnit.from_text(source))
-    memo = BlockMemo()
+    memo, thread_keys = BlockMemo(), {}
     results = {}
     for model in MODELS:
         if model in models:
-            results[model] = simulate(program=program, model=model, memo=memo, **kw)
+            results[model] = simulate(program=program, model=model, memo=memo, thread_keys=thread_keys, **kw)
     vals = list(results.values())
     first = vals[0]
     for other in vals[1:]:

@@ -23,8 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conch
-from conch import cli
-from conch.cli import EXIT_ASM, EXIT_BUDGET, EXIT_DEMO, EXIT_OK, EXIT_TRAP, build_parser, main
+from conch.cli import EXIT_ASM, EXIT_BUDGET, EXIT_DEMO, EXIT_OK, EXIT_TRAP, main
 
 from conftest import odd_access_program
 
@@ -300,30 +299,6 @@ def test_negative_max_instret_is_rejected(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("conch: ") and "--max-instret" in err
-
-
-def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
-    """main reuses one parser per process; a run after runs with append
-    options and a usage error sees only its own arguments."""
-    assert build_parser() is build_parser()
-    src = write(tmp_path, "r.s", READER_PROG)
-    host = tmp_path / "payload.bin"
-    host.write_bytes(bytes([0x7F] + [0] * 7))
-    plain = ["run", src]
-
-    code, report = run_json(capsys, [*plain, "--map", f"input={host}", "--stream", "other=00", "--strict-write"])
-    assert (code, report["exit_code"]) == (EXIT_OK, 0x7F)
-    with pytest.raises(SystemExit) as usage:
-        main(["run"])
-    assert usage.value.code == 2
-    capsys.readouterr()
-    code = main(plain)
-    out = capsys.readouterr().out
-
-    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
-    assert main(plain) == code
-    assert capsys.readouterr().out == out
-    assert json.loads(out)["exit_code"] == 0  # nothing mounted at "input"
 
 
 # ---- asm / images ---------------------------------------------------------------

@@ -107,17 +107,6 @@ def test_thread_key_rejects_negative_tid():
         derive_thread_key(generate_master_key(0), -1)
 
 
-def test_thread_key_memo_matches_derivation():
-    for seed in (0, 1, 7, 2**64 - 1):
-        mk = generate_master_key(seed)
-        for tid in (0, 1, 5, 63, 2**63):
-            assert derive_thread_key(mk, tid) == derive_thread_key.__wrapped__(mk, tid)
-            assert derive_thread_key(mk, tid) == derive_thread_key.__wrapped__(mk, tid)
-        for _ in range(2):  # errors are not cached: the second call raises too
-            with pytest.raises(ValueError):
-                derive_thread_key(mk, -1)
-
-
 # ---- reference: the layer-by-layer circuit ------------------------------------
 #
 # The structural QARMA-64 that conch.crypt used before its layers were fused

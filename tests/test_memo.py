@@ -1,12 +1,12 @@
 """The per-run block memo (crypt.BlockMemo): the cycle models of one
 run_models call share it, so each (key, tweak, block) is enciphered
-once per call. It must change nothing a run reports or leaves behind:
+once per call; they share the derived thread keys the same way. It must change nothing a run reports or leaves behind:
 every check here compares against runs without it or against the bare
 circuit."""
 
 import pytest
 
-from conch import asm, crypt
+from conch import asm, crypt, os_shim
 from conch.crypt import BlockMemo, qarma_decrypt, qarma_encrypt
 from conch.isa import MASK64
 from conch.mem import DRAM_BASE
@@ -106,6 +106,25 @@ def test_models_of_one_call_share_one_memo(circuit_calls):
     simulate(program=program, model="b", seed=0)
     # three models cost the circuit work of one
     assert fused == len(circuit_calls["enc"]) + len(circuit_calls["dec"]) > 0
+
+
+def test_models_of_one_call_derive_each_thread_key_once(monkeypatch):
+    # criterion 8's program switches from thread 0 to thread 1 and back
+    derived = []
+
+    def counting(master, tid):
+        derived.append(tid)
+        return crypt.derive_thread_key(master, tid)
+
+    monkeypatch.setattr(os_shim, "derive_thread_key", counting)
+    program = asm.assemble(asm.SourceUnit.from_text(SWITCHBACK_PROG))
+    for _ in range(2):  # the next call derives its keys afresh
+        derived.clear()
+        results = run_models(program=program, seed=0)
+        assert sorted(derived) == [0, 1]
+        assert len({id(r.shim.thread_keys) for r in results.values()}) == 1
+    master = results["b"].shim.master_key
+    assert results["b"].shim.thread_keys == {tid: crypt.derive_thread_key(master, tid) for tid in (0, 1)}
 
 
 @pytest.mark.parametrize("run", [run_models, simulate], ids=["run_models", "simulate"])
