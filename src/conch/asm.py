@@ -497,16 +497,6 @@ def _encode_stmt(st, symbols, resolve):
     raise AssertionError(f"unhandled format {fmt}")
 
 
-def encode_ctag(kind, rd, rs1, rs2):
-    """Pack one tag-management instruction: custom-0 opcode, funct7=0,
-    funct3 selects set/clr/rdt."""
-    f3 = isa.SPECS["ctag." + kind.lower()][2]
-    for r in (rd, rs1, rs2):
-        if not 0 <= r <= 31:
-            raise ValueError(f"register index {r} out of range")
-    return isa.enc_r(isa.OP_CUSTOM0, f3, 0, rd, rs1, rs2)
-
-
 STACK_RESERVE = 64  # bytes left untouched above the initial stack pointer
 
 

@@ -268,22 +268,6 @@ class MachineState:
         self.copy_words += words
 
 
-# ---- tag management instructions --------------------------------------------
-
-
-def exec_ctag_set(st, mem, ins):
-    """ctag.set rs1, rs2: mark [rs1, rs1+rs2) sensitive. Every word the
-    range overlaps gets its tag set; the byte oracle records exactly the
-    covered bytes. Returns cycles."""
-    return mem.costs.alu + mem.ctag_set_range(st.regs[ins.rs1], st.regs[ins.rs2], st.key)
-
-
-def exec_ctag_clear(st, mem, ins):
-    """ctag.clr rs1, rs2: declassify [rs1, rs1+rs2). Only words fully
-    inside the range lose their tag. Returns cycles."""
-    return mem.costs.alu + mem.ctag_clear_range(st.regs[ins.rs1], st.regs[ins.rs2], st.key)
-
-
 # ---- execution ---------------------------------------------------------------
 
 # The builders of the dispatch memo's handlers, one per instruction class
@@ -407,10 +391,15 @@ def _generic(ins):
         return ebreak
 
     if m in ("ctag.set", "ctag.clr"):
-        exec_ctag = exec_ctag_set if m == "ctag.set" else exec_ctag_clear
+        # ctag.set rs1, rs2 marks [rs1, rs1+rs2) sensitive: every word the
+        # range overlaps gets its tag set. ctag.clr declassifies it: only
+        # words wholly inside lose their tag. Either way the byte oracle
+        # follows exactly the covered bytes.
+        on = m == "ctag.set"
 
         def ctag(st, mem, shim, oracle, pc):
-            cycles = exec_ctag(st, mem, ins)
+            ctag_range = mem.ctag_set_range if on else mem.ctag_clear_range
+            cycles = mem.costs.alu + ctag_range(st.regs[rs1], st.regs[rs2], st.key)
             st.pc = pc + 4
             return cycles
 

@@ -1,5 +1,5 @@
-"""Tagged memory hierarchy: DRAM with a shadow tag bitmap, write-back
-set-associative data/instruction caches, an optional tag cache, and the
+"""Tagged memory hierarchy: DRAM with a tag bitmap, write-back
+set-associative data/instruction caches, model B's tag cache, and the
 encryption boundary at the cache-DRAM edge.
 
 Inside registers and caches data is plaintext; a word whose tag bit is set
@@ -11,7 +11,7 @@ functional simulation and differ only in what they charge and count:
   model A   one DRAM tag access per line fill and per dirty writeback
   model B   the same events go through a small tag cache (hit 1 cycle,
             miss one DRAM tag access; dirty tag-line eviction pays one
-            more); one tag-cache line covers 4 KiB of data space
+            more), a CacheModel whose one line covers 4 KiB of data
 
 Encryption itself always happens (the DRAM image is identical across
 models); baseline simply does not charge or count it. Cipher latency is
@@ -47,8 +47,9 @@ Likewise CacheModel.live holds the indices of its non-empty sets (a set
 fills only through CacheModel.insert), so a flush walks only resident
 lines.
 
-Each CacheModel also keeps mru, its most recently used line (see
-CacheModel), which fetch checks first.
+All three caches (dcache, icache and model B's tagcache) are
+CacheModels, and each keeps mru, its most recently used line, which find
+answers without walking the set; fetch checks icache.mru first.
 """
 
 from __future__ import annotations
@@ -150,12 +151,11 @@ class CacheModel:
     and first in its set, so find can answer it without walking or
     reordering the set."""
 
-    def __init__(self, name, size, ways, line_size=LINE):
-        assert size % (ways * line_size) == 0
+    def __init__(self, name, size, ways):
+        assert size % (ways * LINE) == 0
         self.name = name
         self.ways = ways
-        self.line_size = line_size
-        self.n_sets = size // (ways * line_size)
+        self.n_sets = size // (ways * LINE)
         self.sets = [[] for _ in range(self.n_sets)]
         self.live = set()
         self.mru = None
@@ -163,7 +163,7 @@ class CacheModel:
         self.misses = 0
 
     def set_for(self, line_base):
-        return self.sets[(line_base // self.line_size) % self.n_sets]
+        return self.sets[(line_base // LINE) % self.n_sets]
 
     def find(self, line_base):
         mru = self.mru
@@ -182,7 +182,7 @@ class CacheModel:
     def insert(self, line):
         """Make line the most recently used of its set; returns the least
         recently used line it evicts from a full set, else None."""
-        i = (line.base // self.line_size) % self.n_sets
+        i = (line.base // LINE) % self.n_sets
         self.live.add(i)
         s = self.sets[i]
         victim = s.pop() if len(s) == self.ways else None
@@ -202,14 +202,6 @@ class CacheModel:
         self.mru = None
 
 
-class _TagLine:
-    __slots__ = ("num", "dirty")
-
-    def __init__(self, num):
-        self.num = num
-        self.dirty = False
-
-
 class MemorySystem:
     def __init__(
         self,
@@ -222,7 +214,6 @@ class MemorySystem:
         tag_cache=(4 * 1024, 8),
         no_cache=False,
         debug_soundness=False,
-        debug_shadow=False,
         memo=None,
     ):
         if model not in MODELS:
@@ -234,10 +225,6 @@ class MemorySystem:
         self.costs = costs or CycleCosts()
         self.no_cache = no_cache
         self.debug_soundness = debug_soundness
-        # test aid: word address -> (logical value, key) recorded when a
-        # tagged word is written to DRAM, so the at-rest invariant can be
-        # checked by full scan
-        self.debug_shadow = {} if debug_shadow else None
         # the blocks enciphered so far; MemorySystems replaying one run
         # may share it
         self.memo = BlockMemo() if memo is None else memo
@@ -249,17 +236,22 @@ class MemorySystem:
 
         self.dcache = CacheModel("dcache", dcache[0], dcache[1])
         self.icache = CacheModel("icache", icache[0], icache[1])
-        # 4KB / 8 ways / 64B lines -> 8 sets; one line covers 4 KiB of data
-        self.tagcache_sets = [[] for _ in range(tag_cache[0] // (tag_cache[1] * LINE))]
-        self.tagcache_ways = tag_cache[1]
-        self.tagcache_hits = 0
-        self.tagcache_misses = 0
+        # model B's: 4 KiB / 8 ways / 64 B lines -> 8 sets
+        self.tagcache = CacheModel("tagcache", tag_cache[0], tag_cache[1])
 
         self.dram_data_accesses = 0
         self.dram_tag_accesses = 0
         self.cipher_blocks = 0
         self.overtag_cipher_blocks = 0
         self.clean = True
+
+    @property
+    def tagcache_hits(self):
+        return self.tagcache.hits
+
+    @property
+    def tagcache_misses(self):
+        return self.tagcache.misses
 
     # ---- raw DRAM helpers -------------------------------------------------
 
@@ -315,7 +307,7 @@ class MemorySystem:
     # ---- tag traffic accounting -------------------------------------------
 
     def _tag_access(self, line_base, write):
-        """Charge the per-model cost of touching the shadow tags for one
+        """Charge the per-model cost of touching the tag store for one
         data line; returns cycles."""
         if self.model == "baseline":
             return 0
@@ -324,29 +316,22 @@ class MemorySystem:
             self.dram_tag_accesses += 1
             return lat
         # model B: through the tag cache
-        num = line_base >> 12  # one tag line spans 4 KiB of data
-        s = self.tagcache_sets[num % len(self.tagcache_sets)]
-        for tl in s:
-            if tl.num == num:
-                if s[0] is not tl:
-                    s.remove(tl)
-                    s.insert(0, tl)
-                tl.dirty = tl.dirty or write
-                self.tagcache_hits += 1
-                return self.costs.tag_cache_hit
-        self.tagcache_misses += 1
-        cycles = 0
-        if len(s) == self.tagcache_ways:
-            victim = s.pop()
-            if victim.dirty:
-                self.dram_tag_accesses += 1
-                cycles += lat
-        self.dram_tag_accesses += 1
-        cycles += lat
-        tl = _TagLine(num)
+        tagcache = self.tagcache
+        tag_base = (line_base >> 12) * LINE  # one tag line spans 4 KiB of data
+        tl = tagcache.find(tag_base)
+        if tl is not None:
+            tagcache.hits += 1
+            tl.dirty = tl.dirty or write
+            return self.costs.tag_cache_hit
+        tagcache.misses += 1
+        tl = _Line(tag_base, None, 0)  # a tag line carries only base and dirty
         tl.dirty = write
-        s.insert(0, tl)
-        return cycles
+        victim = tagcache.insert(tl)
+        self.dram_tag_accesses += 1
+        if victim is not None and victim.dirty:
+            self.dram_tag_accesses += 1
+            return 2 * lat
+        return lat
 
     # ---- line movement ----------------------------------------------------
 
@@ -376,16 +361,9 @@ class MemorySystem:
                     enc = qarma_encrypt(key, addr, word, memo=self.memo)
                     out[8 * j : 8 * j + 8] = enc.to_bytes(8, "little")
                     cycles += self._charge_cipher(addr)
-                    if self.debug_shadow is not None:
-                        self.debug_shadow[addr] = (word, key)
-                elif self.debug_shadow is not None:
-                    self.debug_shadow.pop(line.base + 8 * j, None)
             self.dram[off : off + LINE] = out
         else:
             self.dram[off : off + LINE] = data
-            if self.debug_shadow is not None:
-                for j in range(WORDS_PER_LINE):
-                    self.debug_shadow.pop(line.base + 8 * j, None)
         self.tag_bits[off >> 6] = line.tags
         line.dirty = False
         return cycles
@@ -551,12 +529,11 @@ class MemorySystem:
                 if line.dirty:
                     cycles += self._writeback_line(line, key)
             cache.invalidate()
-        for s in self.tagcache_sets:
-            for tl in s:
-                if tl.dirty:
-                    self.dram_tag_accesses += 1
-                    cycles += self.costs.dram_access_latency
-            s.clear()
+        for tl in self.tagcache.all_lines():
+            if tl.dirty:
+                self.dram_tag_accesses += 1
+                cycles += self.costs.dram_access_latency
+        self.tagcache.invalidate()
         self.clean = True
         return cycles
 
@@ -601,13 +578,9 @@ class MemorySystem:
         if tag:
             raw = qarma_encrypt(key, word_addr, value, memo=self.memo)
             self.tag_bits[wi >> 3] |= 1 << (wi & 7)
-            if self.debug_shadow is not None:
-                self.debug_shadow[word_addr] = (value, key)
         else:
             raw = value
             self.tag_bits[wi >> 3] &= ~(1 << (wi & 7)) & 0xFF
-            if self.debug_shadow is not None:
-                self.debug_shadow.pop(word_addr, None)
         self.dram[off : off + 8] = raw.to_bytes(8, "little")
 
     def _load_direct(self, addr, width, signed, key):

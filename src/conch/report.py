@@ -148,7 +148,6 @@ def simulate(
     fs=None,
     no_cache=False,
     debug_soundness=False,
-    debug_shadow=False,
     with_oracle=True,
     memo=None,
     thread_keys=None,
@@ -165,7 +164,6 @@ def simulate(
         costs=CycleCosts(dram_access_latency=dram_latency),
         no_cache=no_cache,
         debug_soundness=debug_soundness,
-        debug_shadow=debug_shadow,
         memo=memo,
     )
     st = MachineState()

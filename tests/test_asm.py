@@ -22,7 +22,6 @@ from conch.asm import (
     UnknownMnemonic,
     assemble,
     disassemble,
-    encode_ctag,
     load_image,
 )
 from conch.core import IllegalInstruction, Instr, MachineState, _decode
@@ -160,19 +159,12 @@ def test_every_mnemonic_assembles_decodes_and_disassembles_back(mnem):
 
 def test_ctag_encodings():
     # custom-0 opcode, funct7 0, funct3 selects the operation
-    assert encode_ctag("set", 0, 10, 11) == (0b0001011 | (10 << 15) | (11 << 20))
-    assert encode_ctag("clr", 0, 10, 11) == (0b0001011 | (1 << 12) | (10 << 15) | (11 << 20))
-    assert encode_ctag("rdt", 5, 10, 0) == (0b0001011 | (2 << 12) | (5 << 7) | (10 << 15))
-
-
-def test_ctag_asm_syntax():
-    program = assemble(
-        SourceUnit.from_text("ctag.set a0, a1\nctag.clr a0, a1\nctag.rdt t0, a0\n")
-    )
-    words = _words_of(program)
-    assert words[0] == encode_ctag("set", 0, 10, 11)
-    assert words[1] == encode_ctag("clr", 0, 10, 11)
-    assert words[2] == encode_ctag("rdt", 5, 10, 0)
+    program = assemble(SourceUnit.from_text("ctag.set a0, a1\nctag.clr a0, a1\nctag.rdt t0, a0\n"))
+    assert _words_of(program) == [
+        0b0001011 | (10 << 15) | (11 << 20),
+        0b0001011 | (1 << 12) | (10 << 15) | (11 << 20),
+        0b0001011 | (2 << 12) | (5 << 7) | (10 << 15),
+    ]
 
 
 def test_branch_to_label_and_numeric_offset():

@@ -1,7 +1,9 @@
 """Memory hierarchy: value/tag correctness through the caches, the
-encryption boundary, tag-management ranges, eviction pressure, and a
-differential check of the cached path against the degenerate uncached
-one."""
+encryption boundary (checked against each test's own record of what it
+stored), tag-management ranges, eviction pressure, and differential
+checks: the cached path against the degenerate uncached one, the MRU
+line against a plain LRU, and model B's tag cache against a frozen copy
+of its hand-written LRU."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -202,16 +204,20 @@ def test_wrong_key_scrambles():
 
 
 def test_at_rest_invariant_full_scan():
-    mem = make_mem(debug_shadow=True)
+    mem = make_mem()
+    stored = {}  # word address -> (value, tag)
     for i in range(200):
         addr = mem.base + 0x800 + 8 * i
-        mem.store(addr, 8, i * 0x9E3779B97F4A7C15 % 2**64, i % 3 == 0, KEY)
+        stored[addr] = (i * 0x9E3779B97F4A7C15 % 2**64, int(i % 3 == 0))
+        mem.store(addr, 8, *stored[addr], KEY)
     mem.flush_and_sync(KEY)
-    assert mem.debug_shadow  # something is tagged
-    for addr, (logical, key) in mem.debug_shadow.items():
+    for addr, (value, tag) in stored.items():
         raw = int.from_bytes(mem.dram[addr - mem.base : addr - mem.base + 8], "little")
-        assert mem.word_tag(addr) == 1
-        assert raw == qarma_encrypt(key, addr, logical)
+        assert mem.word_tag(addr) == tag
+        assert raw == (qarma_encrypt(KEY, addr, value) if tag else value)
+    # and no tag bit is set beyond the tagged words stored
+    tagged = sum(tag for _, tag in stored.values())
+    assert tagged and int.from_bytes(mem.tag_bits, "little").bit_count() == tagged
 
 
 def test_eviction_pressure_preserves_data():
@@ -505,7 +511,7 @@ def test_live_sets_track_resident_lines(dcache, ops):
         assert cache.live == {i for i, s in enumerate(cache.sets) if s}
         _assert_mru(cache)
     mem.flush_and_sync(KEY)
-    for cache in (mem.dcache, mem.icache):
+    for cache in (mem.dcache, mem.icache, mem.tagcache):
         assert not cache.live and not any(cache.sets)
         assert cache.mru is None
 
@@ -571,3 +577,90 @@ def test_mru_matches_plain_lru(ways, ops):
             ref.invalidate()
         assert [[line.base for line in s] for s in cache.sets] == ref.sets
         _assert_mru(cache)
+
+
+# ---- differential: model B's tag cache ------------------------------------------------
+
+
+class _TagCacheReference:
+    """Model B's tag cache as the hand-written LRU it was before it became
+    a CacheModel, kept frozen: each set lists [tag-line number, dirty],
+    most recently used first."""
+
+    def __init__(self, size, ways, costs):
+        self.sets = [[] for _ in range(size // (ways * LINE))]
+        self.ways = ways
+        self.costs = costs
+        self.hits = self.misses = self.dram_tag_accesses = 0
+
+    def access(self, line_base, write):
+        lat = self.costs.dram_access_latency
+        num = line_base >> 12  # one tag line spans 4 KiB of data
+        s = self.sets[num % len(self.sets)]
+        for tl in s:
+            if tl[0] == num:
+                if s[0] is not tl:
+                    s.remove(tl)
+                    s.insert(0, tl)
+                tl[1] = tl[1] or write
+                self.hits += 1
+                return self.costs.tag_cache_hit
+        self.misses += 1
+        cycles = 0
+        if len(s) == self.ways:
+            victim = s.pop()
+            if victim[1]:
+                self.dram_tag_accesses += 1
+                cycles += lat
+        self.dram_tag_accesses += 1
+        cycles += lat
+        s.insert(0, [num, write])
+        return cycles
+
+    def flush(self):
+        cycles = 0
+        for s in self.sets:
+            for tl in s:
+                if tl[1]:
+                    self.dram_tag_accesses += 1
+                    cycles += self.costs.dram_access_latency
+            s.clear()
+        return cycles
+
+
+# Runs of accesses with a flush_and_sync after each. An access (k, s, line,
+# write) touches data line `line` of the 4 KiB page k * n_sets + s, so the
+# pages fall into tag-cache sets 0 and 1, 17 pages each: more than the 8
+# ways of the default geometry, and sets fill, hit and evict.
+TAG_RUNS = st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 16), st.integers(0, 1), st.integers(0, 4096 // LINE - 1), st.booleans()),
+        max_size=80,
+    ),
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize("tag_cache", [(4096, 8), (64, 1)], ids=["8x8", "1x1"])
+@given(runs=TAG_RUNS)
+@example(runs=[[(k, 0, 0, True) for k in range(9)]])  # a dirty victim in the default geometry
+@settings(max_examples=100, deadline=None)
+def test_tag_cache_matches_reference(tag_cache, runs):
+    mem = MemorySystem(model="b", tag_cache=tag_cache)
+    ref = _TagCacheReference(*tag_cache, mem.costs)
+    n_sets = len(ref.sets)
+    for run in runs:
+        for k, s, line, write in run:
+            line_base = mem.base + 4096 * (k * n_sets + s) + LINE * line
+            assert mem._tag_access(line_base, write) == ref.access(line_base, write)
+            _assert_same_tag_counters(mem, ref)
+        assert mem.flush_and_sync(KEY) == ref.flush()
+        _assert_same_tag_counters(mem, ref)
+
+
+def _assert_same_tag_counters(mem, ref):
+    assert (mem.tagcache_hits, mem.tagcache_misses, mem.dram_tag_accesses) == (
+        ref.hits,
+        ref.misses,
+        ref.dram_tag_accesses,
+    )
