@@ -157,14 +157,26 @@ def test_every_mnemonic_assembles_decodes_and_disassembles_back(mnem):
         assert _words_of(assemble(SourceUnit.from_text(text))) == [word], text
 
 
+# ctag.set a0, a1 / ctag.clr a0, a1 / ctag.rdt t0, a0: custom-0 opcode,
+# funct7 0, funct3 selects the operation.
+_CTAG_WORDS = [
+    0b0001011 | (10 << 15) | (11 << 20),
+    0b0001011 | (1 << 12) | (10 << 15) | (11 << 20),
+    0b0001011 | (2 << 12) | (5 << 7) | (10 << 15),
+]
+
+
 def test_ctag_encodings():
-    # custom-0 opcode, funct7 0, funct3 selects the operation
-    program = assemble(SourceUnit.from_text("ctag.set a0, a1\nctag.clr a0, a1\nctag.rdt t0, a0\n"))
-    assert _words_of(program) == [
-        0b0001011 | (10 << 15) | (11 << 20),
-        0b0001011 | (1 << 12) | (10 << 15) | (11 << 20),
-        0b0001011 | (2 << 12) | (5 << 7) | (10 << 15),
+    assert [_decode(w) for w in _CTAG_WORDS] == [
+        Instr("ctag.set", 0, 10, 11, 0),
+        Instr("ctag.clr", 0, 10, 11, 0),
+        Instr("ctag.rdt", 5, 10, 0, 0),
     ]
+
+
+def test_ctag_asm_syntax():
+    program = assemble(SourceUnit.from_text("ctag.set a0, a1\nctag.clr a0, a1\nctag.rdt t0, a0\n"))
+    assert _words_of(program) == _CTAG_WORDS
 
 
 def test_branch_to_label_and_numeric_offset():
