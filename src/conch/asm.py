@@ -5,6 +5,11 @@ follow on the same line), `#` comments, directives .text/.data/.org/
 .align/.byte/.half/.word/.dword/.asciz/.globl. Flat bare-metal layout:
 text defaults to TEXT_BASE, data to DATA_BASE, no relocation or linking.
 
+One table of operand fields per format (_OPERANDS) gives the syntax in
+both directions: the assembler parses each statement's operands by it,
+checking immediates against isa.imm_range(), and disassemble() renders
+decoded words by it. Every word is packed by isa.encode().
+
 Pseudo-instructions are fixed expansions so cycle counts stay
 reproducible: nop, mv, j, ret, li (addi, or lui+addi for 32-bit range),
 la (always auipc+addi).
@@ -150,41 +155,55 @@ class _Stmt:
     mnemonic: str = ""
     ops: list = field(default_factory=list)
     data: bytes = b""
-    pseudo_of: str = ""  # original pseudo mnemonic, for diagnostics
 
 
 def _li_expansion(rd, value, line):
-    # Deterministic: addi for 12-bit, lui(+addiw) for the 32-bit signed
+    # Deterministic: addi for 12-bit, lui(+addi) for the 32-bit signed
     # range. Anything wider must come from memory (.dword plus ld).
     if value >= 1 << 63:
         value -= 1 << 64
-    if -2048 <= value <= 2047:
-        return [("addi", [rd, 0, value])]
-    if not -(1 << 31) <= value < 1 << 31:
+    lo, hi = isa.imm_range("I")
+    if lo <= value <= hi:
+        return [("addi", rd, 0, 0, value)]
+    lo, hi = isa.imm_range("U")
+    if not lo <= value <= hi:
         raise ImmediateOutOfRange(
             line, f"li value {value:#x} beyond 32-bit signed range; use .dword and ld"
         )
-    # addiw wraps at 32 bits, so the carry between halves always works out
-    lo = sext(value & 0xFFF, 12)
-    hi = ((value - lo) >> 12) & 0xFFFFF
-    insns = [("lui", [rd, hi])]
-    if lo != 0:
-        insns.append(("addiw", [rd, rd, lo]))
+    # lui's partner is addi, which does not wrap at 32 bits: a low part
+    # that carries into bit 31 leaves the value sign-extended wrong, as the
+    # strict xfail tests/test_asm.py::test_li_carry_into_bit_31 pins. addiw
+    # would wrap it.
+    low = sext(value & 0xFFF, 12)
+    insns = [("lui", rd, 0, 0, value - low)]
+    if low != 0:
+        insns.append(("addi", rd, rd, 0, low))
     return insns
 
 
-def _pseudo_size(mnemonic, ops, line):
-    # Instruction count a pseudo will expand to; needed for layout.
-    if mnemonic == "li":
-        if len(ops) != 2:
-            raise AsmError(line, "li needs rd, imm")
-        return len(_li_expansion(0, _parse_int(ops[1], line), line))
-    if mnemonic == "la":
-        return 2
-    return 1
+# pseudo-instruction -> its operand count
+_PSEUDOS = {"nop": 0, "mv": 2, "j": 1, "ret": 0, "li": 2, "la": 2}
 
 
-_PSEUDOS = {"nop", "mv", "j", "ret", "li", "la"}
+def _expand(mn, ops, addr, line, resolve):
+    """The (mnemonic, rd, rs1, rs2, imm) instructions pseudo `mn` at addr
+    stands for."""
+    if len(ops) != _PSEUDOS[mn]:
+        raise AsmError(line, f"{mn} expects {_PSEUDOS[mn]} operands, got {len(ops)}")
+    if mn == "nop":
+        return [("addi", 0, 0, 0, 0)]
+    if mn == "ret":
+        return [("jalr", 0, 1, 0, 0)]
+    if mn == "j":
+        return [("jal", 0, 0, 0, _immediate("jal", "off", ops[0], addr, line, resolve))]
+    rd = _reg(ops[0], line)
+    if mn == "mv":
+        return [("addi", rd, _reg(ops[1], line), 0, 0)]
+    if mn == "li":
+        return _li_expansion(rd, _parse_int(ops[1], line), line)
+    delta = resolve(ops[1], line) - addr  # la: always auipc+addi
+    hi = (delta + 0x800) >> 12
+    return [("auipc", rd, 0, 0, hi << 12), ("addi", rd, rd, 0, delta - (hi << 12))]
 
 
 def assemble(src: SourceUnit) -> Program:
@@ -282,7 +301,11 @@ def assemble(src: SourceUnit) -> Program:
 
         ops = _split_ops(rest)
         if head in _PSEUDOS:
-            size = _pseudo_size(head, ops, line_no)
+            # Layout needs only the length, which no label changes, so every
+            # label reads as the nearest aligned address: a jump to it
+            # fails here only if it fails for every target.
+            here = lc[section]
+            size = len(_expand(head, ops, here, line_no, lambda tok, line: here - here % 4))
         elif head in isa.SPECS:
             size = 1
         else:
@@ -320,7 +343,7 @@ def assemble(src: SourceUnit) -> Program:
                 out += v.to_bytes(width, "little")
             data = out
         else:
-            data = b"".join(w.to_bytes(4, "little") for w in _encode_stmt(st, symbols, resolve))
+            data = b"".join(w.to_bytes(4, "little") for w in _encode_stmt(st, resolve))
         off = st.addr - base
         buf[off : off + len(data)] = data
 
@@ -336,165 +359,75 @@ def assemble(src: SourceUnit) -> Program:
     return Program(segments=segments, entry=entry, symbols=dict(symbols))
 
 
-def _branch_offset(tok, addr, resolve, line, span_bits):
-    # Either a defined label (absolute target) or an integer byte offset
-    # relative to this instruction.
-    try:
-        off = int(tok, 0)
-    except ValueError:
-        target = resolve(tok, line)
-        off = target - addr
-    lim = 1 << (span_bits - 1)
-    if not -lim <= off < lim:
-        raise ImmediateOutOfRange(line, f"branch/jump offset {off} exceeds {span_bits}-bit range")
-    if off % 2:
-        raise MisalignedTarget(line, f"branch/jump offset {off} is odd")
-    if (addr + off) % 4:
-        raise MisalignedTarget(line, f"target {addr + off:#x} not 4-byte aligned")
-    return off
+# Operand fields of each format in source order: a register field, "imm"
+# for an immediate, "mem" for imm(rs1), "off" for a branch or jump target
+# (a label or a byte offset) and "hi" for the upper 20 bits of lui and
+# auipc. The assembler parses them and disassemble() renders them.
+_OPERANDS = {
+    "R": ("rd", "rs1", "rs2"),
+    "I": ("rd", "rs1", "imm"),
+    "S": ("rs2", "mem"),
+    "B": ("rs1", "rs2", "off"),
+    "U": ("rd", "hi"),
+    "J": ("rd", "off"),
+    "SHIFT64": ("rd", "rs1", "imm"),
+    "SHIFT32": ("rd", "rs1", "imm"),
+    "SYS": (),
+    "CTAG": ("rs1", "rs2"),
+    "CTAGRD": ("rd", "rs1"),
+}
+# mnemonic -> its operand fields; loads and jalr take rd, imm(rs1)
+_SYNTAX = {
+    mn: ("rd", "mem") if opcode in (isa.OP_LOAD, isa.OP_JALR) else _OPERANDS[fmt]
+    for mn, (fmt, opcode, _, _) in isa.SPECS.items()
+}
 
 
-def _encode_stmt(st, symbols, resolve):
+def _immediate(mn, kind, tok, addr, line, resolve):
+    """The immediate of one operand of `mn` at addr, checked against the
+    range of its format: "hi" is the upper 20 bits, signed or not, and
+    "off" a label or a byte offset from addr."""
+    lo, hi = isa.imm_range(isa.SPECS[mn][0])
+    if kind == "off":
+        try:
+            imm = int(tok, 0)
+        except ValueError:
+            imm = resolve(tok, line) - addr
+    else:
+        imm = _parse_int(tok, line)
+    if kind == "hi":  # the upper 20 bits of the 32-bit range, signed or not
+        lo, hi = lo >> 12, (hi - lo) >> 12
+    if not lo <= imm <= hi:
+        raise ImmediateOutOfRange(line, f"{mn} immediate {imm} out of range {lo}..{hi}")
+    if kind == "off" and (imm % 2 or (addr + imm) % 4):
+        raise MisalignedTarget(line, f"{mn} target {addr + imm:#x} not 4-byte aligned")
+    return imm << 12 if kind == "hi" else imm
+
+
+def _encode_stmt(st, resolve):
     line, addr, mn, ops = st.line, st.addr, st.mnemonic, st.ops
-
-    def need(n):
-        if len(ops) != n:
-            raise AsmError(line, f"{mn} expects {n} operands, got {len(ops)}")
-
-    # Pseudo expansion first.
-    if mn == "nop":
-        need(0)
-        return [isa.enc_i(isa.OP_IMM, 0b000, 0, 0, 0)]
-    if mn == "mv":
-        need(2)
-        return [isa.enc_i(isa.OP_IMM, 0b000, _reg(ops[0], line), _reg(ops[1], line), 0)]
-    if mn == "ret":
-        need(0)
-        return [isa.enc_i(isa.OP_JALR, 0b000, 0, 1, 0)]
-    if mn == "j":
-        need(1)
-        off = _branch_offset(ops[0], addr, resolve, line, 21)
-        return [isa.enc_j(isa.OP_JAL, 0, off)]
-    if mn == "li":
-        need(2)
-        rd = _reg(ops[0], line)
-        out = []
-        for sub_mn, sub_ops in _li_expansion(rd, _parse_int(ops[1], line), line):
-            if sub_mn == "lui":
-                out.append(isa.enc_u(isa.OP_LUI, sub_ops[0], sub_ops[1]))
-            else:
-                out.append(isa.enc_i(isa.OP_IMM, 0b000, sub_ops[0], sub_ops[1], sub_ops[2]))
-        return out
-    if mn == "la":
-        need(2)
-        rd = _reg(ops[0], line)
-        target = resolve(ops[1], line)
-        delta = target - addr
-        hi = (delta + 0x800) >> 12
-        lo = delta - (hi << 12)
-        return [
-            isa.enc_u(isa.OP_AUIPC, rd, hi & 0xFFFFF),
-            isa.enc_i(isa.OP_IMM, 0b000, rd, rd, lo),
-        ]
-
-    spec = isa.SPECS.get(mn)
-    if spec is None:
-        raise UnknownMnemonic(line, f"unknown mnemonic {mn!r}")
-    fmt, opcode, f3, f7 = spec
-
-    if fmt == "R":
-        need(3)
-        return [isa.enc_r(opcode, f3, f7, _reg(ops[0], line), _reg(ops[1], line), _reg(ops[2], line))]
-
-    if fmt == "I":
-        if opcode == isa.OP_LOAD or (opcode == isa.OP_JALR and len(ops) == 2 and "(" in ops[1]):
-            need(2)
-            rd = _reg(ops[0], line)
-            m = _MEMOP_RE.match(ops[1])
+    if mn in _PSEUDOS:
+        return [isa.encode(*insn) for insn in _expand(mn, ops, addr, line, resolve)]
+    fields = _SYNTAX[mn]
+    operands = {"rd": 0, "rs1": 0, "rs2": 0, "imm": 0}
+    if mn == "jalr" and len(ops) == 3:
+        fields = _OPERANDS["I"]
+    elif mn == "jal" and len(ops) == 1:
+        fields, operands["rd"] = ("off",), 1  # jal label links ra
+    if len(ops) != len(fields):
+        raise AsmError(line, f"{mn} expects {len(fields)} operands, got {len(ops)}")
+    for kind, tok in zip(fields, ops):
+        if kind == "mem":
+            m = _MEMOP_RE.match(tok)
             if not m:
-                raise AsmError(line, f"expected imm(reg) operand, got {ops[1]!r}")
-            imm = _parse_int(m.group(1), line) if m.group(1) else 0
-            rs1 = _reg(m.group(2), line)
+                raise AsmError(line, f"expected imm(reg) operand, got {tok!r}")
+            operands["rs1"] = _reg(m.group(2), line)
+            tok = m.group(1) or "0"
+        if kind in ("rd", "rs1", "rs2"):
+            operands[kind] = _reg(tok, line)
         else:
-            need(3)
-            rd = _reg(ops[0], line)
-            rs1 = _reg(ops[1], line)
-            imm = _parse_int(ops[2], line)
-        if not -2048 <= imm <= 2047:
-            raise ImmediateOutOfRange(line, f"immediate {imm} out of 12-bit range")
-        return [isa.enc_i(opcode, f3, rd, rs1, imm)]
-
-    if fmt == "S":
-        need(2)
-        rs2 = _reg(ops[0], line)
-        m = _MEMOP_RE.match(ops[1])
-        if not m:
-            raise AsmError(line, f"expected imm(reg) operand, got {ops[1]!r}")
-        imm = _parse_int(m.group(1), line) if m.group(1) else 0
-        rs1 = _reg(m.group(2), line)
-        if not -2048 <= imm <= 2047:
-            raise ImmediateOutOfRange(line, f"immediate {imm} out of 12-bit range")
-        return [isa.enc_s(opcode, f3, rs1, rs2, imm)]
-
-    if fmt == "B":
-        need(3)
-        rs1 = _reg(ops[0], line)
-        rs2 = _reg(ops[1], line)
-        off = _branch_offset(ops[2], addr, resolve, line, 13)
-        return [isa.enc_b(opcode, f3, rs1, rs2, off)]
-
-    if fmt == "U":
-        need(2)
-        rd = _reg(ops[0], line)
-        imm = _parse_int(ops[1], line)
-        if not 0 <= imm <= 0xFFFFF:
-            # accept negative 20-bit immediates too
-            if not -(1 << 19) <= imm < (1 << 19):
-                raise ImmediateOutOfRange(line, f"{mn} immediate {imm} out of 20-bit range")
-        return [isa.enc_u(opcode, rd, imm & 0xFFFFF)]
-
-    if fmt == "J":
-        if len(ops) == 1:
-            rd = 1  # jal with implicit link register
-            tok = ops[0]
-        else:
-            need(2)
-            rd = _reg(ops[0], line)
-            tok = ops[1]
-        off = _branch_offset(tok, addr, resolve, line, 21)
-        return [isa.enc_j(opcode, rd, off)]
-
-    if fmt == "SHIFT64":
-        need(3)
-        rd = _reg(ops[0], line)
-        rs1 = _reg(ops[1], line)
-        sh = _parse_int(ops[2], line)
-        if not 0 <= sh <= 63:
-            raise ImmediateOutOfRange(line, f"shift amount {sh} out of range 0..63")
-        return [isa.enc_i(opcode, f3, rd, rs1, (f7 << 6) | sh)]
-
-    if fmt == "SHIFT32":
-        need(3)
-        rd = _reg(ops[0], line)
-        rs1 = _reg(ops[1], line)
-        sh = _parse_int(ops[2], line)
-        if not 0 <= sh <= 31:
-            raise ImmediateOutOfRange(line, f"shift amount {sh} out of range 0..31")
-        return [isa.enc_i(opcode, f3, rd, rs1, (f7 << 5) | sh)]
-
-    if fmt == "SYS":
-        need(0)
-        return [isa.enc_i(opcode, f3, 0, 0, f7)]
-
-    if fmt == "CTAG":
-        need(2)
-        return [isa.enc_r(opcode, f3, f7, 0, _reg(ops[0], line), _reg(ops[1], line))]
-
-    if fmt == "CTAGRD":
-        need(2)
-        return [isa.enc_r(opcode, f3, f7, _reg(ops[0], line), _reg(ops[1], line), 0)]
-
-    raise AssertionError(f"unhandled format {fmt}")
+            operands["imm"] = _immediate(mn, kind, tok, addr, line, resolve)
+    return [isa.encode(mn, **operands)]
 
 
 STACK_RESERVE = 64  # bytes left untouched above the initial stack pointer
@@ -523,33 +456,17 @@ def load_image(program: Program, mem, st):
     st.reg_tags[2] = 0
 
 
-# Operand syntax of each format, as the assembler reads it back.
-_SYNTAX = {
-    "R": "{rd}, {rs1}, {rs2}",
-    "I": "{rd}, {rs1}, {imm}",
-    "S": "{rs2}, {imm}({rs1})",
-    "B": "{rs1}, {rs2}, {imm}",
-    "U": "{rd}, {hi:#x}",
-    "J": "{rd}, {imm}",
-    "SHIFT64": "{rd}, {rs1}, {imm}",
-    "SHIFT32": "{rd}, {rs1}, {imm}",
-    "SYS": "",
-    "CTAG": "{rs1}, {rs2}",
-    "CTAGRD": "{rd}, {rs1}",
-}
-_MEM_SYNTAX = "{rd}, {imm}({rs1})"  # I-format loads and jalr
-
-
 def disassemble(word):
     """Debug helper: render one instruction word in re-assemblable syntax.
     Raises ValueError exactly for the words the decoder rejects."""
     dec = isa.decode(word)
     if dec is None:
         raise ValueError(f"cannot disassemble {word:#010x}")
-    mn, fmt, (rd, rs1, rs2, imm) = dec
-    syntax = _SYNTAX[fmt]
-    if fmt == "I" and isa.SPECS[mn][1] in (isa.OP_LOAD, isa.OP_JALR):
-        syntax = _MEM_SYNTAX
+    mn, _, (rd, rs1, rs2, imm) = dec
     r = isa.REG_NAME
-    ops = syntax.format(rd=r[rd], rs1=r[rs1], rs2=r[rs2], imm=imm, hi=(imm >> 12) & 0xFFFFF)
+    text = {
+        "rd": r[rd], "rs1": r[rs1], "rs2": r[rs2], "imm": imm, "off": imm,
+        "mem": f"{imm}({r[rs1]})", "hi": f"{(imm >> 12) & 0xFFFFF:#x}",
+    }
+    ops = ", ".join(str(text[kind]) for kind in _SYNTAX[mn])
     return f"{mn} {ops}" if ops else mn

@@ -5,10 +5,14 @@ management group on the custom-0 opcode. Encodings follow the standard
 R/I/S/B/U/J formats; the tag group is R-format with funct7=0.
 
 SPECS is the only table of encodings, and _FORMATS the only description
-of each format's operand fields. The enc_* packers and decode() are built
-on both: decode() matches words against the (mask, match) pair each SPECS
-entry yields, as riscv-opcodes derives Spike's decoder, and the
-interpreter and the disassembler both read instructions through it.
+of each format's operand fields. Everything that reads or writes a word is
+built on both, and there is no per-format packer:
+- decode() matches words against the (mask, match) pair each SPECS entry
+  yields, as riscv-opcodes derives Spike's decoder; the interpreter and
+  the disassembler read instructions through it.
+- encode(), its inverse, packs operands over the same match value.
+- imm_range() gives each format's immediate bounds, which the assembler's
+  operand syntax checks.
 """
 
 from __future__ import annotations
@@ -129,7 +133,7 @@ def sext(value, bits):
 # (word bit, width, immediate bit) slices and the width the immediate is
 # sign-extended from (0: unsigned). Every bit outside these fields is fixed
 # by the mnemonic. CTAG is ctag.set/ctag.clr rs1, rs2; CTAGRD is ctag.rdt
-# rd, rs1. The enc_* packers and decode() both read this table.
+# rd, rs1. encode(), decode() and imm_range() read this table.
 _FORMATS = {
     "R": (("rd", "rs1", "rs2"), (), 0),
     "I": (("rd", "rs1"), ((20, 12, 0),), 12),
@@ -144,43 +148,6 @@ _FORMATS = {
     "CTAGRD": (("rd", "rs1"), (), 0),
 }
 _REG_SHIFT = {"rd": 7, "rs1": 15, "rs2": 20}
-
-
-def _pack(fmt, fixed, rd=0, rs1=0, rs2=0, imm=0):
-    """Place operands into the fields of `fmt` over the fixed bits; the
-    inverse of _operands for in-range operands."""
-    regs, slices, _ = _FORMATS[fmt]
-    word = fixed
-    for r, value in zip(_REG_SHIFT, (rd, rs1, rs2)):
-        if r in regs:
-            word |= value << _REG_SHIFT[r]
-    for at, width, to in slices:
-        word |= ((imm >> to) & ((1 << width) - 1)) << at
-    return word
-
-
-def enc_r(opcode, f3, f7, rd, rs1, rs2):
-    return _pack("R", opcode | f3 << 12 | f7 << 25, rd, rs1, rs2)
-
-
-def enc_i(opcode, f3, rd, rs1, imm):
-    return _pack("I", opcode | f3 << 12, rd, rs1, imm=imm)
-
-
-def enc_s(opcode, f3, rs1, rs2, imm):
-    return _pack("S", opcode | f3 << 12, rs1=rs1, rs2=rs2, imm=imm)
-
-
-def enc_b(opcode, f3, rs1, rs2, imm):
-    return _pack("B", opcode | f3 << 12, rs1=rs1, rs2=rs2, imm=imm)
-
-
-def enc_u(opcode, rd, imm20):
-    return _pack("U", opcode, rd, imm=imm20 << 12)
-
-
-def enc_j(opcode, rd, imm):
-    return _pack("J", opcode, rd, imm=imm)
 
 
 def _operand_bits(fmt):
@@ -202,13 +169,36 @@ def _operands(fmt, word):
     return rd, rs1, rs2, sext(imm, sign) if sign else imm
 
 
-# opcode -> [(mask, match, mnemonic, format)]: mask covers every bit outside
-# the format's operands and match is the encoding with all operands zero,
-# so at most one entry matches a word.
+# mnemonic -> the encoding with every operand zero; opcode -> [(mask,
+# match, mnemonic, format)], where mask covers every bit outside the
+# format's operands, so at most one entry matches a word.
+_MATCH = {}
 _BY_OPCODE = {}
 for _mnem, (_fmt, _opcode, _f3, _f7) in SPECS.items():
-    _match = _opcode | (_f3 or 0) << 12 | (_f7 or 0) << {"SHIFT64": 26, "SYS": 20}.get(_fmt, 25)
-    _BY_OPCODE.setdefault(_opcode, []).append((~_operand_bits(_fmt) & 0xFFFFFFFF, _match, _mnem, _fmt))
+    _MATCH[_mnem] = _opcode | (_f3 or 0) << 12 | (_f7 or 0) << {"SHIFT64": 26, "SYS": 20}.get(_fmt, 25)
+    _BY_OPCODE.setdefault(_opcode, []).append((~_operand_bits(_fmt) & 0xFFFFFFFF, _MATCH[_mnem], _mnem, _fmt))
+
+
+def imm_range(fmt):
+    """(lowest, highest) immediate of `fmt` as decode() returns it: the
+    span of its sign width, or of its field width if it is unsigned."""
+    _, slices, sign = _FORMATS[fmt]
+    if sign:
+        return -(1 << (sign - 1)), (1 << (sign - 1)) - 1
+    return 0, (1 << sum(width for _, width, _ in slices)) - 1
+
+
+def encode(mnem, rd=0, rs1=0, rs2=0, imm=0):
+    """The word for `mnem` with the given operands, imm as decode()
+    returns it; the inverse of decode() for operands in range."""
+    regs, slices, _ = _FORMATS[SPECS[mnem][0]]
+    word = _MATCH[mnem]
+    for r, value in zip(_REG_SHIFT, (rd, rs1, rs2)):
+        if r in regs:
+            word |= value << _REG_SHIFT[r]
+    for at, width, to in slices:
+        word |= ((imm >> to) & ((1 << width) - 1)) << at
+    return word
 
 
 def decode(word):

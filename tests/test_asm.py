@@ -266,6 +266,53 @@ def test_branch_range_and_alignment():
         assemble(SourceUnit.from_text(too_far))  # +4 KiB is one past the max
 
 
+_HI = (-(1 << 19), 0xFFFFF), (-(1 << 19) - 1, 1 << 20)  # signed or unsigned 20 bits
+
+
+@pytest.mark.parametrize(
+    "template,inside,outside",
+    [
+        ("addi a0, a0, {}", (-2048, 2047), (-2049, 2048)),
+        ("ld a0, {}(a1)", (-2048, 2047), (-2049, 2048)),
+        ("jalr a0, {}(a1)", (-2048, 2047), (-2049, 2048)),
+        ("jalr a0, a1, {}", (-2048, 2047), (-2049, 2048)),
+        ("sd a0, {}(a1)", (-2048, 2047), (-2049, 2048)),
+        ("slli a0, a0, {}", (0, 63), (-1, 64)),
+        ("slliw a0, a0, {}", (0, 31), (-1, 32)),
+        ("lui a0, {}", *_HI),
+        ("auipc a0, {}", *_HI),
+        # a target must be 4-byte aligned, so the last forward one is 4 short
+        ("beq a0, a1, {}", (-4096, 4092), (-4097, 4096)),
+        ("jal a0, {}", (-(1 << 20), (1 << 20) - 4), (-(1 << 20) - 1, 1 << 20)),
+    ],
+)
+def test_immediate_range_edges(template, inside, outside):
+    hi = template.startswith(("lui", "auipc"))
+    for value in inside:
+        (word,) = _words_of(assemble(SourceUnit.from_text(template.format(value))))
+        assert _decode(word).imm == (isa.sext(value << 12, 32) if hi else value), value
+    for value in outside:
+        with pytest.raises(ImmediateOutOfRange):
+            assemble(SourceUnit.from_text(template.format(value)))
+
+
+_PSEUDO_OPERANDS = {"nop": "", "mv": "a0, a1", "j": "0", "ret": "", "li": "a0, 1", "la": "a0, 0"}
+
+
+@pytest.mark.parametrize("mnem", sorted(isa.SPECS) + sorted(_PSEUDO_OPERANDS))
+def test_operand_count_errors_name_the_line(mnem):
+    if mnem in _PSEUDO_OPERANDS:
+        ops = _PSEUDO_OPERANDS[mnem]
+    else:
+        ops, _ = _random_operands(mnem, random.Random(mnem))
+    ops = ops.split(", ") if ops else []
+    wrong = [ops + ["x1"]] + ([ops[:-1]] if ops else [])
+    for bad in wrong:
+        with pytest.raises(AsmError) as ei:
+            assemble(SourceUnit.from_text(f"nop\n{mnem} {', '.join(bad)}\n"))
+        assert ei.value.line == 2 and str(ei.value).startswith("line 2: "), (bad, str(ei.value))
+
+
 def test_store_immediate_range():
     with pytest.raises(ImmediateOutOfRange):
         assemble(SourceUnit.from_text("sd x1, 4096(x2)\n"))

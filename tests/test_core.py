@@ -50,14 +50,14 @@ def make_machine(words, data=()):
 
 
 def test_decode_fields():
-    w = isa.enc_r(isa.OP_OP, 0b000, 0b0000000, 3, 4, 5)  # add x3, x4, x5
+    w = isa.encode("add", 3, 4, 5)  # add x3, x4, x5
     assert decode(w) == Instr("add", 3, 4, 5, 0)
-    w = isa.enc_i(isa.OP_IMM, 0b000, 1, 2, -7)
+    w = isa.encode("addi", 1, 2, imm=-7)
     assert decode(w) == Instr("addi", 1, 2, 0, -7)
 
 
 def test_decode_is_memoized():
-    w = isa.enc_i(isa.OP_IMM, 0b000, 1, 2, 42)
+    w = isa.encode("addi", 1, 2, imm=42)
     assert decode(w) is decode(w)
 
 
@@ -66,13 +66,13 @@ def test_decode_is_memoized():
     [
         0x00000000,
         0xFFFFFFFF,
-        isa.enc_r(isa.OP_OP, 0b000, 0b1111111, 1, 2, 3),  # bad funct7
-        isa.enc_i(isa.OP_IMM, 0b001, 1, 2, 1 << 10),  # slli with funct6 set
-        isa.enc_i(isa.OP_LOAD, 0b111, 1, 2, 0),  # no such load width
-        isa.enc_i(isa.OP_JALR, 0b010, 1, 2, 0),  # jalr funct3 must be 0
+        isa.encode("add", 1, 2, 3) | 0b1111111 << 25,  # bad funct7
+        isa.encode("slli", 1, 2) | 1 << 30,  # slli with funct6 set
+        isa.encode("lb", 1, 2) | 0b111 << 12,  # no such load width
+        isa.encode("jalr", 1, 2) | 0b010 << 12,  # jalr funct3 must be 0
         (2 << 12) | 0b1110011,  # system funct3 2
-        isa.enc_r(isa.OP_CUSTOM0, 0b011, 0, 0, 1, 2),  # ctag funct3 3
-        isa.enc_r(isa.OP_CUSTOM0, 0b000, 0, 5, 1, 2),  # ctag.set with rd set
+        isa.encode("ctag.set", rs1=1, rs2=2) | 0b011 << 12,  # ctag funct3 3
+        isa.encode("ctag.set", rs1=1, rs2=2) | 5 << 7,  # ctag.set with rd set
     ],
 )
 def test_decode_rejects(word):
@@ -206,6 +206,24 @@ def test_decode_matches_reference_on_any_word(word):
     assert _decode_or_none(word) == _ref_decode(word)
 
 
+def test_encode_inverts_decode_on_every_opcode_funct3_funct7():
+    decoded = [(w, isa.decode(w)) for w in grid_words(1)]
+    assert [hex(w) for w, dec in decoded if dec and isa.encode(dec[0], *dec[2]) != w] == []
+
+
+@given(st.integers(0, (1 << 32) - 1), st.sampled_from([e for g in isa._BY_OPCODE.values() for e in g]))
+@settings(max_examples=500, deadline=None)
+def test_encode_inverts_decode_on_any_word(word, entry):
+    # the word as drawn, and the word with entry's fixed bits put over it
+    mask, match, mnem, _ = entry
+    fixed = match | word & ~mask
+    assert isa.decode(fixed)[0] == mnem
+    for w in (word, fixed):
+        dec = isa.decode(w)
+        if dec is not None:
+            assert isa.encode(dec[0], *dec[2]) == w
+
+
 # ---- ALU semantics ------------------------------------------------------------
 
 # Independent reference semantics, written from the architecture manual
@@ -304,20 +322,20 @@ def test_division_edges(mnem, a, b):
 
 
 def test_x0_is_immutable():
-    stt, mem = make_machine([isa.enc_i(isa.OP_IMM, 0b000, 0, 0, 5)])  # addi x0, x0, 5
+    stt, mem = make_machine([isa.encode("addi", imm=5)])  # addi x0, x0, 5
     step(stt, mem)
     assert stt.regs[0] == 0 and stt.reg_tags[0] == 0
 
 
 def test_branch_and_prediction_costs():
     # forward branch taken: static not-taken prediction misses
-    beq = isa.enc_b(isa.OP_BRANCH, 0b000, 0, 0, 8)
+    beq = isa.encode("beq", imm=8)
     stt, mem = make_machine([beq, 0, 0])
     step(stt, mem)
     assert stt.pc == mem.base + 8
     taken_fwd = stt.cycles
 
-    stt2, mem2 = make_machine([isa.enc_b(isa.OP_BRANCH, 0b001, 0, 0, 8), 0, 0])  # bne: not taken
+    stt2, mem2 = make_machine([isa.encode("bne", imm=8), 0, 0])  # bne: not taken
     step(stt2, mem2)
     assert stt2.pc == mem2.base + 4
     nottaken_fwd = stt2.cycles
@@ -325,8 +343,8 @@ def test_branch_and_prediction_costs():
 
 
 def test_jal_jalr_link_and_target():
-    jal = isa.enc_j(isa.OP_JAL, 1, 12)
-    stt, mem = make_machine([jal, 0, 0, isa.enc_i(isa.OP_JALR, 0b000, 5, 1, 1)])
+    jal = isa.encode("jal", 1, imm=12)
+    stt, mem = make_machine([jal, 0, 0, isa.encode("jalr", 5, 1, imm=1)])
     step(stt, mem)
     assert stt.pc == mem.base + 12
     assert stt.regs[1] == mem.base + 4 and stt.reg_tags[1] == 0
@@ -360,27 +378,27 @@ def test_byte_access_at_odd_address_runs(mnem, no_cache):
 
 
 def test_ebreak_and_run_trap():
-    stt, mem = make_machine([isa.enc_i(isa.OP_SYSTEM, 0, 0, 0, 1)])
+    stt, mem = make_machine([isa.encode("ebreak")])
     assert run(stt, mem) == "trap"
     assert isinstance(stt.trap, Breakpoint)
     assert stt.halted
 
 
 def test_ecall_without_shim_traps():
-    stt, mem = make_machine([isa.enc_i(isa.OP_SYSTEM, 0, 0, 0, 0)])
+    stt, mem = make_machine([isa.encode("ecall")])
     with pytest.raises(Trap):
         step(stt, mem)
 
 
 def test_run_budget():
-    jal_self = isa.enc_j(isa.OP_JAL, 0, 0)
+    jal_self = isa.encode("jal")
     stt, mem = make_machine([jal_self])
     assert run(stt, mem, max_instret=50) == "budget"
     assert stt.instret == 50
 
 
 def test_histogram_counts():
-    stt, mem = make_machine([0x13, 0x13, isa.enc_j(isa.OP_JAL, 0, -8)])
+    stt, mem = make_machine([0x13, 0x13, isa.encode("jal", imm=-8)])
     run(stt, mem, max_instret=9)
     assert stt.histogram["addi"] == 6
     assert stt.histogram["jal"] == 3
@@ -393,13 +411,13 @@ def test_propagate_tag_rules():
     """The word-level DIFT rule of register writes: the OR of the source
     tags, except for results derived only from the pc or an immediate."""
     x5_tagged = [
-        (isa.enc_r(isa.OP_OP, 0b000, 0, 7, 6, 6), 0),  # add x7, x6, x6
-        (isa.enc_r(isa.OP_OP, 0b000, 0, 7, 5, 6), 1),  # add x7, x5, x6
-        (isa.enc_r(isa.OP_OP, 0b100, 0, 7, 6, 5), 1),  # xor x7, x6, x5
-        (isa.enc_i(isa.OP_IMM, 0b000, 7, 5, 3), 1),  # addi x7, x5, 3
-        (isa.enc_u(isa.OP_LUI, 7, 1), 0),  # lui x7, 1
-        (isa.enc_i(isa.OP_JALR, 0b000, 7, 5, 0), 0),  # jalr x7, 0(x5)
-        (isa.enc_r(isa.OP_CUSTOM0, 0b010, 0, 7, 5, 0), 0),  # ctag.rdt x7, x5
+        (isa.encode("add", 7, 6, 6), 0),  # add x7, x6, x6
+        (isa.encode("add", 7, 5, 6), 1),  # add x7, x5, x6
+        (isa.encode("xor", 7, 6, 5), 1),  # xor x7, x6, x5
+        (isa.encode("addi", 7, 5, imm=3), 1),  # addi x7, x5, 3
+        (isa.encode("lui", 7, imm=1 << 12), 0),  # lui x7, 1
+        (isa.encode("jalr", 7, 5), 0),  # jalr x7, 0(x5)
+        (isa.encode("ctag.rdt", 7, 5), 0),  # ctag.rdt x7, x5
     ]
     for word, tag in x5_tagged:
         stt, mem = make_machine([word])
@@ -412,8 +430,8 @@ def test_propagate_tag_rules():
 
 def test_alu_tag_flow_in_machine():
     # x5 tagged; x6 = x5 + x7 must carry the tag, x8 = x7 + x7 must not
-    add1 = isa.enc_r(isa.OP_OP, 0, 0, 6, 5, 7)
-    add2 = isa.enc_r(isa.OP_OP, 0, 0, 8, 7, 7)
+    add1 = isa.encode("add", 6, 5, 7)
+    add2 = isa.encode("add", 8, 7, 7)
     stt, mem = make_machine([add1, add2])
     stt.reg_tags[5] = 1
     step(stt, mem)
@@ -424,8 +442,8 @@ def test_alu_tag_flow_in_machine():
 
 def test_load_store_tag_flow():
     # sd tagged x5 to memory, ld back into x6: tag survives the round trip
-    sd = isa.enc_s(isa.OP_STORE, 0b011, 10, 5, 0)
-    ld = isa.enc_i(isa.OP_LOAD, 0b011, 6, 10, 0)
+    sd = isa.encode("sd", rs1=10, rs2=5)
+    ld = isa.encode("ld", 6, 10)
     stt, mem = make_machine([sd, ld])
     stt.regs[10] = mem.base + 0x1000
     stt.regs[5] = 0xABCD
@@ -440,7 +458,7 @@ def test_load_store_tag_flow():
 
 
 def test_ctag_rdt_reads_but_never_taints():
-    rdt = isa.enc_r(isa.OP_CUSTOM0, 0b010, 0, 6, 10, 0)
+    rdt = isa.encode("ctag.rdt", 6, 10)
     stt, mem = make_machine([rdt])
     stt.regs[10] = mem.base + 0x2000
     mem.ctag_set_range(mem.base + 0x2000, 8, KEY)
@@ -450,8 +468,8 @@ def test_ctag_rdt_reads_but_never_taints():
 
 
 def test_mul_div_cycle_costs():
-    mul = isa.enc_r(isa.OP_OP, 0b000, 1, 6, 5, 5)
-    div = isa.enc_r(isa.OP_OP, 0b100, 1, 7, 5, 5)
+    mul = isa.encode("mul", 6, 5, 5)
+    div = isa.encode("div", 7, 5, 5)
     stt, mem = make_machine([mul, div])
     step(stt, mem)
     c_mul = stt.cycles
@@ -684,18 +702,13 @@ def test_dispatch_matches_reference_on_corpus(corpus, model):
         assert steps < 100_000, f"{name} did not finish"
 
 
-# mnemonic -> the word with every operand field zero
-_MATCH = {mnem: match for group in isa._BY_OPCODE.values() for _, match, mnem, _ in group}
 _REG = st.sampled_from([0, 0, 1, 2, 3, 4, 5])
 _IMM = st.one_of(
     st.integers(-8, 8).map(lambda k: 4 * k),  # branch and jump targets near the sequence
     st.integers(-2048, 2047),
     st.integers(-(1 << 31), (1 << 31) - 1),
 )
-_WORD = st.builds(
-    lambda mnem, rd, rs1, rs2, imm: isa._pack(isa.SPECS[mnem][0], _MATCH[mnem], rd, rs1, rs2, imm),
-    st.sampled_from(sorted(isa.SPECS)), _REG, _REG, _REG, _IMM,
-)
+_WORD = st.builds(isa.encode, st.sampled_from(sorted(isa.SPECS)), _REG, _REG, _REG, _IMM)
 # register values: the text (stores into it), a data window (aligned or
 # not, loads and stores reach it), small counts and any 64-bit word
 _VALUE = st.one_of(
@@ -734,8 +747,8 @@ def test_dispatch_matches_reference_on_random_sequences(words, values, tagged, t
 def test_dispatch_follows_a_store_into_text():
     """The memo is keyed by the word, so code a store rewrites runs as
     rewritten: sw overwrites the addi after it with addi x6, x0, 7."""
-    new = isa.enc_i(isa.OP_IMM, 0b000, 6, 0, 7)
-    words = [isa.enc_s(isa.OP_STORE, 0b010, 10, 11, 4), isa.enc_i(isa.OP_IMM, 0b000, 6, 0, 1)]
+    new = isa.encode("addi", 6, imm=7)
+    words = [isa.encode("sw", rs1=10, rs2=11, imm=4), isa.encode("addi", 6, imm=1)]
     stt, mem = make_machine(words)
     stt.regs[10] = mem.base
     stt.regs[11] = new
