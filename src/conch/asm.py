@@ -18,7 +18,6 @@ la (always auipc+addi).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import isa
 from .isa import sext
@@ -59,10 +58,10 @@ class SegmentOutOfBounds(Exception):
     pass
 
 
-@dataclass
 class SourceUnit:
-    lines: list  # (line number, text)
-    origin: str = "<inline>"
+    def __init__(self, lines, origin="<inline>"):
+        self.lines = lines  # (line number, text)
+        self.origin = origin
 
     @classmethod
     def from_text(cls, text, origin="<inline>"):
@@ -74,11 +73,11 @@ class SourceUnit:
             return cls.from_text(f.read(), origin=str(path))
 
 
-@dataclass
 class Program:
-    segments: list  # (base address, bytes, kind in {"text", "data"})
-    entry: int
-    symbols: dict = field(default_factory=dict)
+    def __init__(self, segments, entry, symbols=None):
+        self.segments = segments  # (base address, bytes, kind in {"text", "data"})
+        self.entry = entry
+        self.symbols = {} if symbols is None else symbols
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.][\w.$]*)\s*:\s*(.*)$")
@@ -147,14 +146,14 @@ def _parse_string(tok, line):
 
 
 # Statement kinds produced by the first pass.
-@dataclass
 class _Stmt:
-    line: int
-    addr: int
-    kind: str  # "insn" or "bytes"
-    mnemonic: str = ""
-    ops: list = field(default_factory=list)
-    data: bytes = b""
+    def __init__(self, line, addr, kind, mnemonic="", ops=None, data=b""):
+        self.line = line
+        self.addr = addr
+        self.kind = kind  # "insn", "datavals" (.word, .dword) or "bytes"
+        self.mnemonic = mnemonic
+        self.ops = [] if ops is None else ops
+        self.data = data
 
 
 def _li_expansion(rd, value, line):

@@ -54,8 +54,8 @@ def image_to_program(doc):
     if not isinstance(doc, dict) or doc.get("format") != IMAGE_FORMAT:
         raise ValueError("not a conch image file")
     entry, segs = doc.get("entry"), doc.get("segments")
-    if not isinstance(entry, int) or not isinstance(segs, list):
-        raise ValueError("image needs an integer entry and a list of segments")
+    if type(entry) is not int or not 0 <= entry < 1 << 64 or not isinstance(segs, list):
+        raise ValueError("image needs a 64-bit entry address and a list of segments")
     segments = []
     for i, seg in enumerate(segs):
         if not (isinstance(seg, dict) and isinstance(seg.get("base"), int) and isinstance(seg.get("data"), str)):

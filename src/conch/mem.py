@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import mmap
 import struct
-from dataclasses import dataclass
 
 from .crypt import BlockMemo, qarma_decrypt, qarma_encrypt
 from .isa import MASK64
@@ -89,19 +88,32 @@ class SoundnessViolation(AssertionError):
     the byte oracle; must never happen."""
 
 
-@dataclass
 class CycleCosts:
-    alu: int = 1
-    mul: int = 3
-    div: int = 33
-    load_hit: int = 2
-    store_hit: int = 1
-    branch: int = 1
-    mispredict: int = 3
-    jump: int = 2
-    dram_access_latency: int = 60
-    cipher_block: int = 4
-    tag_cache_hit: int = 1
+    def __init__(
+        self,
+        alu=1,
+        mul=3,
+        div=33,
+        load_hit=2,
+        store_hit=1,
+        branch=1,
+        mispredict=3,
+        jump=2,
+        dram_access_latency=60,
+        cipher_block=4,
+        tag_cache_hit=1,
+    ):
+        self.alu = alu
+        self.mul = mul
+        self.div = div
+        self.load_hit = load_hit
+        self.store_hit = store_hit
+        self.branch = branch
+        self.mispredict = mispredict
+        self.jump = jump
+        self.dram_access_latency = dram_access_latency
+        self.cipher_block = cipher_block
+        self.tag_cache_hit = tag_cache_hit
 
 
 class Plane(mmap.mmap):

@@ -23,7 +23,6 @@ thread B's key.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .core import StrictWriteViolation
 from .crypt import derive_thread_key, qarma_encrypt
@@ -49,24 +48,22 @@ _PATH_MAX = 4096
 _GETRANDOM_MAX = 33_554_431  # Linux returns at most this many bytes per getrandom call
 
 
-@dataclass
 class FileDesc:
-    path: str
-    flags: int
-    data: bytes
-    pos: int = 0
-    sensitive: bool = False
+    def __init__(self, path, flags, data, pos=0, sensitive=False):
+        self.path = path
+        self.flags = flags
+        self.data = data
+        self.pos = pos
+        self.sensitive = sensitive
 
 
-@dataclass
 class OsShim:
-    master_key: object
-    seed: int = 0
-    fs: dict = field(default_factory=dict)
-    strict_write: bool = False
-    thread_keys: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, master_key, seed=0, fs=None, strict_write=False, thread_keys=None):
+        self.master_key = master_key
+        self.seed = seed
+        self.fs = {} if fs is None else fs
+        self.strict_write = strict_write
+        self.thread_keys = {} if thread_keys is None else thread_keys
         self.fds = {}
         self.next_fd = 3
         self.stdout = bytearray()

@@ -21,7 +21,6 @@ word-granularity design pays for its tiny metadata footprint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import asm
 from .core import MachineState, run
@@ -126,14 +125,14 @@ def compute_overtagging(mem, overtag_cipher_blocks=None, baseline_cycles=None):
 # ---- one run -------------------------------------------------------------------
 
 
-@dataclass
 class SimResult:
-    model: str
-    st: MachineState
-    mem: MemorySystem
-    shim: OsShim
-    oracle: ByteOracle
-    stop: str
+    def __init__(self, model, st, mem, shim, oracle, stop):
+        self.model = model
+        self.st = st
+        self.mem = mem
+        self.shim = shim
+        self.oracle = oracle
+        self.stop = stop
 
 
 def simulate(

@@ -328,6 +328,10 @@ def test_image_round_trip_is_equivalent(tmp_path, capsys):
         {"format": "conch-image"},
         {"format": "conch-image", "entry": "x", "segments": []},
         {"format": "conch-image", "entry": 0x80000000, "segments": [{"base": "a", "data": ""}]},
+        # entries that are not 64-bit addresses
+        {"format": "conch-image", "entry": -8, "segments": []},
+        {"format": "conch-image", "entry": True, "segments": []},
+        {"format": "conch-image", "entry": 1 << 65, "segments": []},
     ],
 )
 def test_malformed_image_exit_code(tmp_path, capsys, doc):
@@ -336,6 +340,15 @@ def test_malformed_image_exit_code(tmp_path, capsys, doc):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("conch: ")
+
+
+@pytest.mark.parametrize("entry", [0, (1 << 64) - 4])
+def test_image_entry_outside_dram_traps(tmp_path, capsys, entry):
+    # a 64-bit entry is a well-formed image; fetching outside DRAM traps
+    doc = {"format": "conch-image", "entry": entry, "segments": []}
+    img = write(tmp_path, "img.json", json.dumps(doc))
+    assert main(["run", img]) == EXIT_TRAP
+    assert "outside DRAM" in capsys.readouterr().err
 
 
 _JSON = st.recursive(

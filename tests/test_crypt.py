@@ -319,6 +319,56 @@ def ref_decrypt(key, tweak, ciphertext, sigma=1):
     return s ^ w0
 
 
+# ---- conch.crypt's tables == tables built from the reference ---------------------
+#
+# The builders below apply the reference tables entry by entry, the way
+# conch.crypt once built its own; conch.crypt now derives the same tables by
+# lookup and composition.
+
+
+def _table(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+def _through(sbox, *lins):
+    # Each entry of an S-box table through the linear tables, first one first.
+    rows = []
+    for row in sbox:
+        out = []
+        for v in row:
+            for t in lins:
+                v = _ap(t, v)
+            out.append(v)
+        rows.append(out)
+    return _table(rows)
+
+
+def _packed_schedule(t):
+    ts = _schedule(t)[1:]
+    packed = 0
+    for i, v in enumerate(ts + [_ap(_T_L, v) for v in ts]):
+        packed |= v << (64 * i)
+    return packed
+
+
+def test_linear_tables_match_reference():
+    assert crypt._T_L == _table(_T_L)
+    assert crypt._T_LI == _table(_T_LI)
+    assert crypt._T_TWEAK == _table(_cells_fn_to_tables(_packed_schedule))
+
+
+@pytest.mark.parametrize("sigma", [0, 1, 2])
+def test_sigma_tables_match_reference(sigma):
+    sb, sbi = _T_S[sigma]
+    assert crypt._sigma_tables(sigma) == (
+        _through(sb, _T_L),
+        _through(sbi, _T_LI),
+        _through(sbi, _T_TAUI, _T_LI),
+        _through(sb, _T_TAU, _T_LI),
+        _table(sbi),
+    )
+
+
 # ---- fused circuit == reference ------------------------------------------------
 
 SIGMAS = st.sampled_from([0, 1, 2])
@@ -390,3 +440,19 @@ def test_import_builds_only_the_default_sbox_tables():
     proc = subprocess.run([sys.executable, "-c", probe, pkg_root], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[1]"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # A fresh interpreter without site, since pytest itself loads both.
+    pkg_root = str(Path(conch.__file__).resolve().parents[1])
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import conch.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    cmd = [sys.executable, "-I", "-S", "-c", probe, pkg_root]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "conch.cli" in loaded and "conch.crypt" in loaded
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
