@@ -3,6 +3,10 @@ models, dump at-rest memory, and run the bundled demos.
 
 Exit codes: 0 success, 2 assembly/usage error, 3 runtime trap, 4
 instruction budget exhausted, 5 demo assertion failure.
+
+A command line whose first word names a command is parsed by that
+command's parser alone; the full tree of COMMANDS is built only for
+`conch -h`, a bare `conch` or an unknown command.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import base64
 import json
 import os
 import sys
-from importlib import resources
 
 from . import asm
 from .asm import AsmError, SegmentOutOfBounds
@@ -241,6 +244,8 @@ DEMOS = {
 def cmd_demo(args):
     if args.name not in DEMOS:
         raise ValueError(f"unknown demo {args.name!r} (have: {', '.join(sorted(DEMOS))})")
+    from importlib import resources  # only here: it is a slow import
+
     demo = DEMOS[args.name]
     source = (resources.files("conch") / "demos" / f"{args.name}.s").read_text()
     results = run_models(
@@ -267,38 +272,65 @@ def cmd_demo(args):
 # ---- entry point -------------------------------------------------------------------
 
 
+def _asm_arguments(p):
+    p.add_argument("source")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(fn=cmd_asm)
+
+
+def _run_arguments(p):
+    p.add_argument("source", help="assembly source or conch image")
+    p.add_argument("--models", default="baseline,a,b", help="comma-separated subset of baseline,a,b")
+    p.add_argument("--report", metavar="PATH", help="also write the JSON report here")
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    _add_run_options(p)
+    p.set_defaults(fn=cmd_run)
+
+
+def _dump_arguments(p):
+    p.add_argument("source")
+    p.add_argument("--range", required=True, metavar="ADDR:LEN")
+    _add_run_options(p)
+    p.set_defaults(fn=cmd_dump)
+
+
+def _demo_arguments(p):
+    p.add_argument("name", help=", ".join(sorted(DEMOS)))
+    p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(fn=cmd_demo)
+
+
+# name -> (help, add_arguments): add_arguments fills in the command's parser
+COMMANDS = {
+    "asm": ("assemble source to an image file", _asm_arguments),
+    "run": ("run a program under the cycle models", _run_arguments),
+    "dump": ("run, then dump at-rest memory", _dump_arguments),
+    "demo": ("run a bundled demo", _demo_arguments),
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="conch", description="tagged RV64 simulator")
     sub = p.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("asm", help="assemble source to an image file")
-    pa.add_argument("source")
-    pa.add_argument("-o", "--output", required=True)
-    pa.set_defaults(fn=cmd_asm)
-
-    pr = sub.add_parser("run", help="run a program under the cycle models")
-    pr.add_argument("source", help="assembly source or conch image")
-    pr.add_argument("--models", default="baseline,a,b", help="comma-separated subset of baseline,a,b")
-    pr.add_argument("--report", metavar="PATH", help="also write the JSON report here")
-    pr.add_argument("--format", choices=("json", "text"), default="json")
-    _add_run_options(pr)
-    pr.set_defaults(fn=cmd_run)
-
-    pd = sub.add_parser("dump", help="run, then dump at-rest memory")
-    pd.add_argument("source")
-    pd.add_argument("--range", required=True, metavar="ADDR:LEN")
-    _add_run_options(pd)
-    pd.set_defaults(fn=cmd_dump)
-
-    pe = sub.add_parser("demo", help="run a bundled demo")
-    pe.add_argument("name", help=", ".join(sorted(DEMOS)))
-    pe.add_argument("--seed", type=int, default=None)
-    pe.set_defaults(fn=cmd_demo)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return p
 
 
+def parse_args(argv=None):
+    """Parse a command line. When argv[0] names a command, only that
+    command's parser is built; it is the subparser build_parser would
+    make (same prog, help and defaults), so the result is the same."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        p = argparse.ArgumentParser(prog=f"conch {argv[0]}")
+        COMMANDS[argv[0]][1](p)
+        return p.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.fn(args)
     except (AsmError, SegmentOutOfBounds, ValueError, OSError) as exc:

@@ -59,8 +59,8 @@ class StrictWriteViolation(Trap):
 
 
 class BudgetExhausted(Exception):
-    """A kernel-side copy would overrun the instruction budget; the run
-    stops with "budget", not with a trap."""
+    """A kernel-side copy or a ctag walk would overrun the instruction
+    budget; the run stops with "budget", not with a trap."""
 
 
 class Instr(NamedTuple):
@@ -259,12 +259,13 @@ class MachineState:
             self.reg_tags[rd] = tag
 
     def charge_copy(self, words):
-        """Count a kernel-side copy of `words` word accesses against the
-        instruction budget, which retired instructions and copied words
-        share. A copy that, with the ecall making it, would overrun the
-        budget raises BudgetExhausted before it starts."""
+        """Count a kernel-side copy (or a ctag walk) of `words` word
+        accesses against the instruction budget, which retired
+        instructions and copied words share. A copy that, with the
+        instruction making it, would overrun the budget raises
+        BudgetExhausted before it starts."""
         if self.max_instret is not None and self.instret + 1 + self.copy_words + words > self.max_instret:
-            raise BudgetExhausted(f"kernel copy of {words} words at pc {self.pc:#x} overruns the budget")
+            raise BudgetExhausted(f"copy of {words} words at pc {self.pc:#x} overruns the budget")
         self.copy_words += words
 
 
@@ -398,8 +399,11 @@ def _generic(ins):
         on = m == "ctag.set"
 
         def ctag(st, mem, shim, oracle, pc):
+            base, length = st.regs[rs1], st.regs[rs2]
+            # the walk is charged like a kernel copy, before it starts
+            st.charge_copy(mem.ctag_walk_length(base, length, on))
             ctag_range = mem.ctag_set_range if on else mem.ctag_clear_range
-            cycles = mem.costs.alu + ctag_range(st.regs[rs1], st.regs[rs2], st.key)
+            cycles = mem.costs.alu + ctag_range(base, length, st.key)
             st.pc = pc + 4
             return cycles
 

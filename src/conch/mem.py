@@ -37,8 +37,8 @@ first write, so a run pays only for the memory its program touches.
 
 Bookkeeping scales with that footprint too, not with DRAM size or cache
 geometry. MemorySystem.regions holds the indices (offset >> REGION_SHIFT)
-of the 512 KiB DRAM regions the run has reached; one region is 8 KiB of
-the tag plane and 64 KiB of the oracle plane. A region is recorded in
+of the 32 KiB DRAM regions the run has reached; one region is 512 B of
+the tag plane and 4 KiB of the oracle plane. A region is recorded in
 _fill, which every cached access goes through to reach a line, and in
 _word_at_rest, which every uncached access goes through. So every nonzero
 byte of tag_bits and byte_oracle lies in a recorded region, and the
@@ -64,11 +64,18 @@ DRAM_BASE = 0x8000_0000
 DRAM_SIZE = 64 * 1024 * 1024
 LINE = 64
 WORDS_PER_LINE = LINE // 8
-REGION_SHIFT = 19  # a 512 KiB DRAM region: 8 KiB of tag plane, 64 KiB of oracle plane
+REGION_SHIFT = 15  # a 32 KiB DRAM region: 512 B of tag plane, 4 KiB of oracle plane
 
 MODELS = ("baseline", "a", "b")
 
 _WORD32 = struct.Struct("<I")
+
+
+def _ctag_words(base, end, on):
+    """The words [lo, hi) a ctag walk over [base, end) changes: every word
+    the range overlaps when setting (on), only those wholly inside it when
+    clearing."""
+    return (base & ~7, (end + 7) & ~7) if on else ((base + 7) & ~7, end & ~7)
 
 
 class MemAccessError(Exception):
@@ -488,6 +495,19 @@ class MemorySystem:
         as plaintext after the next writeback."""
         return self._ctag_range(base, length, key, False)
 
+    def ctag_walk_length(self, base, length, on):
+        """The accesses a ctag.set (on) or ctag.clr walk over [base,
+        base+length) makes: one per line it overlaps, or one per word it
+        changes when no_cache. A range outside DRAM raises
+        OutOfBoundsAccess, as the walk itself would."""
+        if length == 0:
+            return 0
+        self._check_range(base, length)
+        if self.no_cache:
+            lo, hi = _ctag_words(base, base + length, on)
+            return max(hi - lo, 0) >> 3
+        return ((base + length + LINE - 1) >> 6) - (base >> 6)
+
     def _ctag_range(self, base, length, key, on):
         """Set (on) the tags of the words [base, base+length) overlaps, or
         clear those of the words wholly inside it; set or clear the oracle
@@ -496,8 +516,7 @@ class MemorySystem:
             return 0
         self._check_range(base, length)
         end = base + length
-        # the words affected: [lo, hi)
-        lo, hi = (base & ~7, (end + 7) & ~7) if on else ((base + 7) & ~7, end & ~7)
+        lo, hi = _ctag_words(base, end, on)
         if self.no_cache:
             for w in range(lo, hi, 8):
                 # read before flipping the tag: it decides the decrypt

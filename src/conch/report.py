@@ -79,11 +79,13 @@ def compute_overtagging(mem, overtag_cipher_blocks=None, baseline_cycles=None):
     boundary, as a fraction of the baseline run.
 
     Only the DRAM regions in mem.regions are scanned: outside them both
-    planes are zero (see the mem module docstring). Within a region the
-    tag passes cover only its tagged span, from the first to the last
-    nonzero tag byte, and the oracle bytes of those words; zero bytes add
-    nothing to any count. So the cost follows what the run tagged, not
-    the size of DRAM or of a region."""
+    planes are zero (see the mem module docstring). A region is 32 KiB
+    of DRAM: 512 B of tag plane and 4 KiB of oracle plane. The taint
+    count passes once over a region's oracle bytes; the tag passes cover
+    only its tagged span, from the first to the last nonzero tag byte,
+    and the oracle bytes of those words. Zero bytes add nothing to any
+    count. So the cost follows the run's footprint and what it tagged,
+    not the size of DRAM."""
     words_tagged = tainted_under_tag = bytes_tainted = 0
     tag_span = 1 << (REGION_SHIFT - 6)  # one tag bit per 8-byte word
     oracle_span = 1 << (REGION_SHIFT - 3)  # one oracle byte per word

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conch
+from conch import cli
 from conch.cli import EXIT_ASM, EXIT_BUDGET, EXIT_DEMO, EXIT_OK, EXIT_TRAP, main
 
 from conftest import odd_access_program
@@ -174,12 +175,14 @@ def test_run_budget_exit_code(tmp_path, capsys):
     [
         pytest.param("la a0, base; li a1, 1; slli a1, a1, 62; li a2, 0; li a7, 278", id="getrandom"),
         pytest.param("li a0, 1; la a1, base; li a2, -1; li a7, 64", id="write"),
+        pytest.param("la a0, base; li a1, 1; slli a1, a1, 24; ctag.set a0, a1", id="ctag.set"),
     ],
 )
 def test_huge_kernel_copy_stops_on_budget(tmp_path, capsys, args):
     # getrandom of 1<<62 bytes and write of 2**64 - 1 bytes, both at the base
-    # of DRAM: each copied word counts against --max-instret like an
-    # instruction, so the ecall stops the run instead of copying for minutes.
+    # of DRAM, and a ctag.set of 16 MiB there: each copied word (each line
+    # the ctag walk visits) counts against --max-instret like an
+    # instruction, so the run stops instead of copying for minutes.
     lines = "".join(f"    {a.strip()}\n" for a in args.split(";"))
     src = write(tmp_path, "copy.s", f".org 0x80000000\nbase:\n{lines}    ecall\n    li a7, 93\n    ecall\n")
     t0 = time.perf_counter()
@@ -188,6 +191,15 @@ def test_huge_kernel_copy_stops_on_budget(tmp_path, capsys, args):
     assert code == EXIT_BUDGET
     assert report["stop_reason"] == "budget"
     assert report["instret"] < 1000
+
+
+@pytest.mark.parametrize("m", ["ctag.set", "ctag.clr"])
+def test_ctag_range_outside_dram_traps(tmp_path, capsys, m):
+    # 128 MiB from the base of DRAM leaves DRAM: a trap, not a budget stop
+    src = write(tmp_path, "ctag.s", f".org 0x80000000\nbase:\n    la a0, base\n    li a1, 1\n    slli a1, a1, 27\n    {m} a0, a1\n")
+    code, report = run_json(capsys, ["run", src, "--max-instret", "1000"])
+    assert code == EXIT_TRAP
+    assert report["stop_reason"] == "trap"
 
 
 def test_openat_path_read_stops_on_budget(tmp_path, capsys):
@@ -454,6 +466,84 @@ def test_demo_unknown_name(capsys):
 
 def test_demo_failure_exit_code_is_distinct():
     assert EXIT_DEMO not in (EXIT_OK, EXIT_ASM, EXIT_TRAP, EXIT_BUDGET)
+
+
+# ---- parsing ---------------------------------------------------------------------
+# main parses with the invoked command's parser alone (cli.parse_args);
+# it must read every command line as the full tree does.
+
+_RUN_OPTIONS = [
+    "--seed", "5", "--map", "/a=host_a", "--map", "/b=host_b", "--stream", "/s=00ff", "--stream", "/t=",
+    "--max-instret", "10", "--dram-latency", "7", "--strict-write",
+]
+_VALID_ARGVS = [
+    ["asm", "p.s", "-o", "p.json"],
+    ["asm", "--output", "p.json", "p.s"],
+    ["run", "p.s"],
+    ["run", "p.s", "--models", "a,b", "--report", "r.json", "--format", "text", *_RUN_OPTIONS],
+    ["run", "--format=json", "p.s", "--max-instret=-1"],
+    ["dump", "p.s", "--range", "0x80000000:64"],
+    ["dump", "--range=0x80000000:8", "p.s", *_RUN_OPTIONS],
+    ["demo", "threads"],
+    ["demo", "heartbleed", "--seed", "3"],
+]
+_USAGE_ERRORS = [
+    [],
+    ["frob"],
+    ["--seed", "1", "run", "p.s"],
+    ["asm"],
+    ["asm", "p.s"],
+    ["run"],
+    ["run", "p.s", "--seed", "abc"],
+    ["run", "p.s", "--max-instret", "1.5"],
+    ["run", "p.s", "--format", "xml"],
+    ["run", "p.s", "--map"],
+    ["dump", "p.s"],
+    ["demo"],
+    ["demo", "threads", "--seed", "0x3"],
+]
+_UNRECOGNIZED = [
+    (["run", "p.s", "--bogus"], "--bogus"),
+    (["asm", "p.s", "-o", "p.json", "extra"], "extra"),
+    (["dump", "p.s", "--range", "0x80000000:8", "--models", "a"], "--models a"),
+    (["demo", "threads", "again"], "again"),
+]
+
+
+def _parse_exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGVS, ids=" ".join)
+def test_lean_parse_matches_full_parser(argv):
+    assert cli.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_command_help_matches_full_parser(command, capsys):
+    lean = _parse_exit(cli.parse_args, [command, "-h"], capsys)
+    full = _parse_exit(cli.build_parser().parse_args, [command, "-h"], capsys)
+    assert lean == full
+    assert lean[0] == 0 and lean[1].startswith(f"usage: conch {command} ")
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=lambda a: " ".join(a) or "(none)")
+def test_usage_errors_match_full_parser(argv, capsys):
+    lean = _parse_exit(main, argv, capsys)
+    full = _parse_exit(cli.build_parser().parse_args, argv, capsys)
+    assert lean == full
+    assert lean[0] == EXIT_ASM and "error:" in lean[2]
+
+
+@pytest.mark.parametrize("argv, extra", _UNRECOGNIZED, ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_unrecognized_argument_names_the_command(argv, extra, capsys):
+    code, out, err = _parse_exit(main, argv, capsys)
+    assert code == EXIT_ASM and out == ""
+    assert err.startswith(f"usage: conch {argv[0]} ")
+    assert err.splitlines()[-1] == f"conch {argv[0]}: error: unrecognized arguments: {extra}"
 
 
 # ---- console script -------------------------------------------------------------

@@ -404,6 +404,45 @@ def test_histogram_counts():
     assert stt.histogram["jal"] == 3
 
 
+@pytest.mark.parametrize(
+    "m, no_cache, walked",
+    [
+        ("ctag.set", False, 3),  # [base+8, base+138) overlaps lines 0, 1 and 2
+        ("ctag.clr", False, 3),
+        ("ctag.set", True, 17),  # words base+8 .. base+136, the last one partly covered
+        ("ctag.clr", True, 16),  # only the words wholly inside
+    ],
+)
+def test_ctag_walk_is_charged_against_the_budget(m, no_cache, walked):
+    stt, mem = make_machine([isa.encode(m, rs1=10, rs2=11)])
+    mem.no_cache = no_cache
+    stt.regs[10], stt.regs[11] = mem.base + 8, 130
+    step(stt, mem)
+    assert stt.copy_words == walked
+
+
+def test_ctag_walk_over_budget_stops_before_walking():
+    # a 16 MiB ctag.set would walk 262,144 lines; the budget stops it first
+    stt, mem = make_machine([isa.encode("ctag.set", rs1=10, rs2=11)])
+    stt.regs[10], stt.regs[11] = mem.base + 0x1000, 16 << 20
+    stt.max_instret = 1000
+    with pytest.raises(BudgetExhausted):
+        step(stt, mem)
+    assert stt.copy_words == 0 and stt.instret == 0
+    assert mem.dcache.hits == mem.dcache.misses == 0
+    assert mem.word_tag(mem.base + 0x1000) == 0
+
+
+@pytest.mark.parametrize("m", ["ctag.set", "ctag.clr"])
+def test_ctag_walk_outside_dram_traps_before_the_charge(m):
+    stt, mem = make_machine([isa.encode(m, rs1=10, rs2=11)])
+    stt.regs[10], stt.regs[11] = mem.base, DRAM_SIZE + 8
+    stt.max_instret = 1000
+    with pytest.raises(MemAccessError):
+        step(stt, mem)
+    assert stt.copy_words == 0
+
+
 # ---- tags through the machine ------------------------------------------------
 
 
