@@ -399,11 +399,9 @@ def _generic(ins):
         on = m == "ctag.set"
 
         def ctag(st, mem, shim, oracle, pc):
-            base, length = st.regs[rs1], st.regs[rs2]
-            # the walk is charged like a kernel copy, before it starts
-            st.charge_copy(mem.ctag_walk_length(base, length, on))
             ctag_range = mem.ctag_set_range if on else mem.ctag_clear_range
-            cycles = mem.costs.alu + ctag_range(base, length, st.key)
+            # the walk is charged like a kernel copy, before it starts
+            cycles = mem.costs.alu + ctag_range(st.regs[rs1], st.regs[rs2], st.key, st.charge_copy)
             st.pc = pc + 4
             return cycles
 

@@ -71,13 +71,6 @@ MODELS = ("baseline", "a", "b")
 _WORD32 = struct.Struct("<I")
 
 
-def _ctag_words(base, end, on):
-    """The words [lo, hi) a ctag walk over [base, end) changes: every word
-    the range overlaps when setting (on), only those wholly inside it when
-    clearing."""
-    return (base & ~7, (end + 7) & ~7) if on else ((base + 7) & ~7, end & ~7)
-
-
 class MemAccessError(Exception):
     pass
 
@@ -483,40 +476,35 @@ class MemorySystem:
 
     # ---- tag management ---------------------------------------------------
 
-    def ctag_set_range(self, base, length, key):
+    def ctag_set_range(self, base, length, key, charge=None):
         """Tag every word overlapping [base, base+length); the byte oracle
-        records exactly the covered bytes. Returns cycles."""
-        return self._ctag_range(base, length, key, True)
+        records exactly the covered bytes. Returns cycles. For charge,
+        see _ctag_range."""
+        return self._ctag_range(base, length, key, True, charge)
 
-    def ctag_clear_range(self, base, length, key):
+    def ctag_clear_range(self, base, length, key, charge=None):
         """Clear tags of words fully inside [base, base+length); words
         only partially covered stay tagged. Covered oracle bytes clear.
         Lines pass through the cache, so cleared words will rest in DRAM
-        as plaintext after the next writeback."""
-        return self._ctag_range(base, length, key, False)
+        as plaintext after the next writeback. Returns cycles. For
+        charge, see _ctag_range."""
+        return self._ctag_range(base, length, key, False, charge)
 
-    def ctag_walk_length(self, base, length, on):
-        """The accesses a ctag.set (on) or ctag.clr walk over [base,
-        base+length) makes: one per line it overlaps, or one per word it
-        changes when no_cache. A range outside DRAM raises
-        OutOfBoundsAccess, as the walk itself would."""
-        if length == 0:
-            return 0
-        self._check_range(base, length)
-        if self.no_cache:
-            lo, hi = _ctag_words(base, base + length, on)
-            return max(hi - lo, 0) >> 3
-        return ((base + length + LINE - 1) >> 6) - (base >> 6)
-
-    def _ctag_range(self, base, length, key, on):
+    def _ctag_range(self, base, length, key, on, charge):
         """Set (on) the tags of the words [base, base+length) overlaps, or
         clear those of the words wholly inside it; set or clear the oracle
-        bits of the covered bytes. Returns cycles."""
+        bits of the covered bytes. Returns cycles. Once the range is
+        checked, and before the walk starts, charge (if given) is called
+        with the accesses the walk makes: one per line it visits, or one
+        per word it changes when no_cache."""
         if length == 0:
             return 0
         self._check_range(base, length)
         end = base + length
-        lo, hi = _ctag_words(base, end, on)
+        # the words affected: [lo, hi)
+        lo, hi = (base & ~7, (end + 7) & ~7) if on else ((base + 7) & ~7, end & ~7)
+        if charge is not None:
+            charge(max(hi - lo, 0) >> 3 if self.no_cache else ((end + LINE - 1) >> 6) - (base >> 6))
         if self.no_cache:
             for w in range(lo, hi, 8):
                 # read before flipping the tag: it decides the decrypt

@@ -195,7 +195,8 @@ def test_huge_kernel_copy_stops_on_budget(tmp_path, capsys, args):
 
 @pytest.mark.parametrize("m", ["ctag.set", "ctag.clr"])
 def test_ctag_range_outside_dram_traps(tmp_path, capsys, m):
-    # 128 MiB from the base of DRAM leaves DRAM: a trap, not a budget stop
+    # 128 MiB from the base of DRAM leaves DRAM: the range check comes
+    # before the walk is charged, so this traps instead of stopping on budget
     src = write(tmp_path, "ctag.s", f".org 0x80000000\nbase:\n    la a0, base\n    li a1, 1\n    slli a1, a1, 27\n    {m} a0, a1\n")
     code, report = run_json(capsys, ["run", src, "--max-instret", "1000"])
     assert code == EXIT_TRAP

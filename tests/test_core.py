@@ -433,16 +433,6 @@ def test_ctag_walk_over_budget_stops_before_walking():
     assert mem.word_tag(mem.base + 0x1000) == 0
 
 
-@pytest.mark.parametrize("m", ["ctag.set", "ctag.clr"])
-def test_ctag_walk_outside_dram_traps_before_the_charge(m):
-    stt, mem = make_machine([isa.encode(m, rs1=10, rs2=11)])
-    stt.regs[10], stt.regs[11] = mem.base, DRAM_SIZE + 8
-    stt.max_instret = 1000
-    with pytest.raises(MemAccessError):
-        step(stt, mem)
-    assert stt.copy_words == 0
-
-
 # ---- tags through the machine ------------------------------------------------
 
 
