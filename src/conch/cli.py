@@ -320,7 +320,9 @@ def build_parser():
 def parse_args(argv=None):
     """Parse a command line. When argv[0] names a command, only that
     command's parser is built; it is the subparser build_parser would
-    make (same prog, help and defaults), so the result is the same."""
+    make (same prog, help and defaults), so the result is the same. Only
+    an unrecognized argument is reported differently: under `conch CMD`,
+    not `conch`."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
         p = argparse.ArgumentParser(prog=f"conch {argv[0]}")
