@@ -204,8 +204,6 @@ _BRANCH = {
     "bgeu": lambda a, b: a >= b,
 }
 
-_MUL_OPS = frozenset({"mul", "mulh", "mulhsu", "mulhu", "mulw"})
-_DIV_OPS = frozenset({"div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw"})
 # mnemonic -> (width, signed) and mnemonic -> width
 _LOAD_INFO = {
     "lb": (1, True),
@@ -218,6 +216,20 @@ _LOAD_INFO = {
 }
 _STORE_INFO = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 
+# The CycleCosts field that prices one retired instruction, by mnemonic
+# (see report.counts). Loads and stores price nothing here: they are
+# priced per access from the memory system's counts, which kernel copies
+# add to. Every mnemonic not listed (ecall, ctag.*, lui, auipc and the
+# rest of the ALU) is priced as alu.
+PRICE_FIELD = {
+    **dict.fromkeys(("mul", "mulh", "mulhsu", "mulhu", "mulw"), "mul"),
+    **dict.fromkeys(("div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw"), "div"),
+    **dict.fromkeys(_BRANCH, "branch"),
+    "jal": "jump",
+    "jalr": "jump",
+    **dict.fromkeys([*_LOAD_INFO, *_STORE_INFO]),
+}
+
 # ---- machine state ----------------------------------------------------------
 
 
@@ -227,7 +239,7 @@ class MachineState:
         "reg_tags",
         "pc",
         "instret",
-        "cycles",
+        "mispredicts",
         "histogram",
         "halted",
         "exit_code",
@@ -243,7 +255,7 @@ class MachineState:
         self.reg_tags = [0] * 32
         self.pc = pc
         self.instret = 0
-        self.cycles = 0
+        self.mispredicts = 0
         self.histogram = {}
         self.halted = False
         self.exit_code = 0
@@ -273,19 +285,15 @@ class MachineState:
 
 # The builders of the dispatch memo's handlers, one per instruction class
 # (see the module docstring). A handler executes the instruction on
-# (st, mem, shim, oracle, pc), sets st.pc and returns the cycles beyond
-# the fetch. It changes st.pc only after every call that can raise, so a
-# trapping instruction leaves the pc at itself. Costs are read from
-# mem.costs when the handler runs, and the oracle and the memory system
-# are called through their attributes, because handlers are shared by
-# every MemorySystem in the process and the bench tracer wraps those
-# attributes.
+# (st, mem, shim, oracle, pc) and sets st.pc. It changes st.pc only after
+# every call that can raise, so a trapping instruction leaves the pc at
+# itself. The oracle and the memory system are called through their
+# attributes, because the bench tracer wraps those attributes.
 
 
 def _alu_reg(ins):
     m, rd, rs1, rs2, _ = ins
     fn = _ALU[m]
-    cost = "mul" if m in _MUL_OPS else "div" if m in _DIV_OPS else "alu"
     src = (rs1, rs2)
 
     def alu_reg(st, mem, shim, oracle, pc):
@@ -296,7 +304,6 @@ def _alu_reg(ins):
         if oracle:
             oracle.oracle_step("alu", rd, src)
         st.pc = pc + 4
-        return getattr(mem.costs, cost)
 
     return alu_reg
 
@@ -314,7 +321,6 @@ def _alu_imm(ins):
         if oracle:
             oracle.oracle_step("alu", rd, src)
         st.pc = pc + 4
-        return mem.costs.alu
 
     return alu_imm
 
@@ -325,14 +331,13 @@ def _load(ins):
 
     def load(st, mem, shim, oracle, pc):
         ea = (st.regs[rs1] + imm) & MASK64
-        value, tag, cycles = mem.load(ea, width, signed, st.key)
+        value, tag = mem.load(ea, width, signed, st.key)
         if rd:
             st.regs[rd] = value
             st.reg_tags[rd] = tag
         if oracle:
             oracle.oracle_step("load", rd, (mem.oracle_bits_for(ea, width), width, signed))
         st.pc = pc + 4
-        return cycles
 
     return load
 
@@ -344,9 +349,8 @@ def _store(ins):
     def store(st, mem, shim, oracle, pc):
         ea = (st.regs[rs1] + imm) & MASK64
         taints = oracle.store_taints(rs2, width) if oracle else None
-        cycles = mem.store(ea, width, st.regs[rs2], st.reg_tags[rs2], st.key, taints)
+        mem.store(ea, width, st.regs[rs2], st.reg_tags[rs2], st.key, taints)
         st.pc = pc + 4
-        return cycles
 
     return store
 
@@ -357,12 +361,10 @@ def _branch(ins):
     backward = imm < 0  # the static predictor takes backward branches
 
     def branch(st, mem, shim, oracle, pc):
-        costs = mem.costs
-        if cond(st.regs[rs1], st.regs[rs2]):
-            st.pc = (pc + imm) & MASK64
-            return costs.branch if backward else costs.branch + costs.mispredict
-        st.pc = pc + 4
-        return costs.branch + costs.mispredict if backward else costs.branch
+        taken = cond(st.regs[rs1], st.regs[rs2])
+        if taken != backward:
+            st.mispredicts += 1
+        st.pc = (pc + imm) & MASK64 if taken else pc + 4
 
     return branch
 
@@ -378,9 +380,8 @@ def _generic(ins):
         def ecall(st, mem, shim, oracle, pc):
             if shim is None:
                 raise Trap("ecall with no OS attached", pc)
-            cycles = mem.costs.alu + shim.handle_ecall(st, mem, oracle)
+            shim.handle_ecall(st, mem, oracle)
             st.pc = pc + 4
-            return cycles
 
         return ecall
 
@@ -401,21 +402,18 @@ def _generic(ins):
         def ctag(st, mem, shim, oracle, pc):
             ctag_range = mem.ctag_set_range if on else mem.ctag_clear_range
             # the walk is charged like a kernel copy, before it starts
-            cycles = mem.costs.alu + ctag_range(st.regs[rs1], st.regs[rs2], st.key, st.charge_copy)
+            ctag_range(st.regs[rs1], st.regs[rs2], st.key, st.charge_copy)
             st.pc = pc + 4
-            return cycles
 
         return ctag
 
     if m == "ctag.rdt":
 
         def ctag_rdt(st, mem, shim, oracle, pc):
-            tag, cycles = mem.ctag_read(st.regs[rs1])
-            st.write_reg(rd, tag, 0)
+            st.write_reg(rd, mem.ctag_read(st.regs[rs1]), 0)
             if oracle:
                 oracle.oracle_step("clear", rd, None)
             st.pc = pc + 4
-            return mem.costs.alu + cycles
 
         return ctag_rdt
 
@@ -426,7 +424,6 @@ def _generic(ins):
             if oracle:
                 oracle.oracle_step("clear", rd, None)
             st.pc = (pc + imm) & MASK64
-            return mem.costs.jump
 
         return jal
 
@@ -438,7 +435,6 @@ def _generic(ins):
             if oracle:
                 oracle.oracle_step("clear", rd, None)
             st.pc = target
-            return mem.costs.jump
 
         return jalr
 
@@ -450,7 +446,6 @@ def _generic(ins):
         if oracle:
             oracle.oracle_step("clear", rd, None)
         st.pc = pc + 4
-        return mem.costs.alu
 
     return upper
 
@@ -485,19 +480,19 @@ def _entry(word):
 
 def step(st, mem, shim=None, oracle=None):
     """Fetch one instruction, run its handler from the dispatch memo and
-    retire it; updates st in place and charges cycles through mem's cost
-    table."""
+    retire it; updates st in place. The instruction's events are counted
+    on st and mem as they happen, so a trapping one leaves its partial
+    work counted (see report.counts)."""
     pc = st.pc
     if pc & 3:
         raise MisalignedFetch(f"pc {pc:#x}", pc)
-    word, cycles = mem.fetch(pc, st.key)
+    word = mem.fetch(pc, st.key)
     entry = _MEMO.get(word)
     if entry is None:
         entry = _entry(word)
     handler, m, _ = entry
-    cycles += handler(st, mem, shim, oracle, pc)
+    handler(st, mem, shim, oracle, pc)
     st.instret += 1
-    st.cycles += cycles
     hist = st.histogram
     hist[m] = hist.get(m, 0) + 1
 

@@ -5,21 +5,28 @@ encryption boundary at the cache-DRAM edge.
 Inside registers and caches data is plaintext; a word whose tag bit is set
 rests in DRAM as ciphertext under (current thread key, word address as
 tweak). Untagged words rest verbatim. The three cycle models share one
-functional simulation and differ only in what they charge and count:
+functional simulation and differ only in which events they count
+(report.price turns counts into cycles):
 
-  baseline  no tag traffic, no cipher cycles, counters stay zero
+  baseline  no tag-store or cipher events: those counters stay zero
   model A   one DRAM tag access per line fill and per dirty writeback
-  model B   the same events go through a small tag cache (hit 1 cycle,
-            miss one DRAM tag access; dirty tag-line eviction pays one
-            more), a CacheModel whose one line covers 4 KiB of data
+  model B   the same events go through a small tag cache (a hit counts
+            a tag-cache hit, a miss one DRAM tag access and a dirty
+            tag-line eviction one more), a CacheModel whose one line
+            covers 4 KiB of data
+
+Every model counts each load and store (kernel copies included) and
+each DRAM data access: a line fill or writeback, and in the degenerate
+no_cache mode each direct load, direct store and ctag walk, while a
+no_cache fetch is free.
 
 Encryption itself always happens (the DRAM image is identical across
-models); baseline simply does not charge or count it. Cipher latency is
-charged per tagged word in both directions, fill and writeback. The
-blocks go through MemorySystem.memo, a crypt.BlockMemo that the models of
-one run_models call share: a block one model enciphered, or a ciphertext
+models); baseline simply does not count it. A cipher block is counted
+per tagged word in both directions, fill and writeback. The blocks go
+through MemorySystem.memo, a crypt.BlockMemo that the models of one
+run_models call share: a block one model enciphered, or a ciphertext
 the engine wrote earlier, is looked up rather than recomputed. The memo
-changes host time only, never a charge, a counter or a DRAM byte.
+changes host time only, never a count or a DRAM byte.
 
 The byte_oracle bitmap is the byte-granularity golden taint reference
 (one bit per DRAM byte) used to measure over-tagging; it is maintained on
@@ -86,34 +93,6 @@ class MisalignedAccess(MemAccessError):
 class SoundnessViolation(AssertionError):
     """Raised in debug mode when a word's hardware tag under-approximates
     the byte oracle; must never happen."""
-
-
-class CycleCosts:
-    def __init__(
-        self,
-        alu=1,
-        mul=3,
-        div=33,
-        load_hit=2,
-        store_hit=1,
-        branch=1,
-        mispredict=3,
-        jump=2,
-        dram_access_latency=60,
-        cipher_block=4,
-        tag_cache_hit=1,
-    ):
-        self.alu = alu
-        self.mul = mul
-        self.div = div
-        self.load_hit = load_hit
-        self.store_hit = store_hit
-        self.branch = branch
-        self.mispredict = mispredict
-        self.jump = jump
-        self.dram_access_latency = dram_access_latency
-        self.cipher_block = cipher_block
-        self.tag_cache_hit = tag_cache_hit
 
 
 class Plane(mmap.mmap):
@@ -220,7 +199,6 @@ class MemorySystem:
         model="baseline",
         base=DRAM_BASE,
         size=DRAM_SIZE,
-        costs=None,
         dcache=(32 * 1024, 8),
         icache=(32 * 1024, 8),
         tag_cache=(4 * 1024, 8),
@@ -234,7 +212,6 @@ class MemorySystem:
         self.model = model
         self.base = base
         self.size = size
-        self.costs = costs or CycleCosts()
         self.no_cache = no_cache
         self.debug_soundness = debug_soundness
         # the blocks enciphered so far; MemorySystems replaying one run
@@ -251,6 +228,8 @@ class MemorySystem:
         # model B's: 4 KiB / 8 ways / 64 B lines -> 8 sets
         self.tagcache = CacheModel("tagcache", tag_cache[0], tag_cache[1])
 
+        self.loads = 0
+        self.stores = 0
         self.dram_data_accesses = 0
         self.dram_tag_accesses = 0
         self.cipher_blocks = 0
@@ -319,14 +298,13 @@ class MemorySystem:
     # ---- tag traffic accounting -------------------------------------------
 
     def _tag_access(self, line_base, write):
-        """Charge the per-model cost of touching the tag store for one
-        data line; returns cycles."""
+        """Count the per-model events of touching the tag store for one
+        data line."""
         if self.model == "baseline":
-            return 0
-        lat = self.costs.dram_access_latency
+            return
         if self.model == "a":
             self.dram_tag_accesses += 1
-            return lat
+            return
         # model B: through the tag cache
         tagcache = self.tagcache
         tag_base = (line_base >> 12) * LINE  # one tag line spans 4 KiB of data
@@ -334,35 +312,30 @@ class MemorySystem:
         if tl is not None:
             tagcache.hits += 1
             tl.dirty = tl.dirty or write
-            return self.costs.tag_cache_hit
+            return
         tagcache.misses += 1
         tl = _Line(tag_base, None, 0)  # a tag line carries only base and dirty
         tl.dirty = write
         victim = tagcache.insert(tl)
-        self.dram_tag_accesses += 1
-        if victim is not None and victim.dirty:
-            self.dram_tag_accesses += 1
-            return 2 * lat
-        return lat
+        # a dirty victim is written back: one more DRAM tag access
+        self.dram_tag_accesses += 2 if victim is not None and victim.dirty else 1
 
     # ---- line movement ----------------------------------------------------
 
-    def _charge_cipher(self, word_addr):
-        """Cipher latency for one tagged word crossing the DRAM boundary.
-        Charged in models A and B; spurious work on fully over-tagged
-        words is attributed separately."""
+    def _count_cipher(self, word_addr):
+        """Count one tagged word crossing the DRAM boundary, in models A
+        and B; spurious work on fully over-tagged words is counted
+        separately too."""
         if self.model == "baseline":
-            return 0
+            return
         self.cipher_blocks += 1
         if self.oracle_word(word_addr) == 0:
             self.overtag_cipher_blocks += 1
-        return self.costs.cipher_block
 
     def _writeback_line(self, line, key):
         off = line.base - self.base
-        cycles = self.costs.dram_access_latency
         self.dram_data_accesses += 1
-        cycles += self._tag_access(line.base, write=True)
+        self._tag_access(line.base, write=True)
         data = line.data
         if line.tags:
             out = bytearray(data)
@@ -372,20 +345,18 @@ class MemorySystem:
                     word = int.from_bytes(data[8 * j : 8 * j + 8], "little")
                     enc = qarma_encrypt(key, addr, word, memo=self.memo)
                     out[8 * j : 8 * j + 8] = enc.to_bytes(8, "little")
-                    cycles += self._charge_cipher(addr)
+                    self._count_cipher(addr)
             self.dram[off : off + LINE] = out
         else:
             self.dram[off : off + LINE] = data
         self.tag_bits[off >> 6] = line.tags
         line.dirty = False
-        return cycles
 
     def _fill(self, cache, line_base, key):
         off = line_base - self.base
         self.regions.add(off >> REGION_SHIFT)
-        cycles = self.costs.dram_access_latency
         self.dram_data_accesses += 1
-        cycles += self._tag_access(line_base, write=False)
+        self._tag_access(line_base, write=False)
         tags = self.tag_bits[off >> 6]
         data = bytearray(self.dram[off : off + LINE])
         if tags:
@@ -395,18 +366,18 @@ class MemorySystem:
                     raw = int.from_bytes(data[8 * j : 8 * j + 8], "little")
                     plain = qarma_decrypt(key, addr, raw, memo=self.memo)
                     data[8 * j : 8 * j + 8] = plain.to_bytes(8, "little")
-                    cycles += self._charge_cipher(addr)
+                    self._count_cipher(addr)
         line = _Line(line_base, data, tags)
         victim = cache.insert(line)
         if victim is not None and victim.dirty:
-            cycles += self._writeback_line(victim, key)
-        return line, cycles
+            self._writeback_line(victim, key)
+        return line
 
     def _access(self, cache, line_base, key):
         line = cache.find(line_base)
         if line is not None:
             cache.hits += 1
-            return line, 0
+            return line
         cache.misses += 1
         return self._fill(cache, line_base, key)
 
@@ -417,22 +388,24 @@ class MemorySystem:
             raise MisalignedAccess(f"{width}-byte access at {addr:#x}")
 
     def load(self, addr, width, signed, key):
-        """Returns (value, tag, cycles). The tag is the containing word's
-        tag regardless of which bytes were read."""
+        """Returns (value, tag). The tag is the containing word's tag
+        regardless of which bytes were read."""
         self._check_range(addr, width)
         self._align_check(addr, width)
+        self.loads += 1
         if self.no_cache:
+            self.dram_data_accesses += 1
             return self._load_direct(addr, width, signed, key)
         line_base = addr & ~(LINE - 1)
-        line, cycles = self._access(self.dcache, line_base, key)
+        line = self._access(self.dcache, line_base, key)
         off = addr - line_base
         value = int.from_bytes(line.data[off : off + width], "little")
         tag = (line.tags >> (off >> 3)) & 1
-        return _extend(value, width, signed), tag, self.costs.load_hit + cycles
+        return _extend(value, width, signed), tag
 
     def store(self, addr, width, value, src_tag, key, taints=None):
         """Write-allocate write-back store. Full-word stores replace the
-        word tag; narrower stores retain it (old OR src). Returns cycles.
+        word tag; narrower stores retain it (old OR src).
 
         taints carries per-byte oracle bits for the written bytes; by
         default the word-level src_tag is broadcast."""
@@ -440,10 +413,12 @@ class MemorySystem:
         self._align_check(addr, width)
         if taints is None:
             taints = ((1 << width) - 1) if src_tag else 0
+        self.stores += 1
         if self.no_cache:
+            self.dram_data_accesses += 1
             return self._store_direct(addr, width, value, src_tag, taints, key)
         line_base = addr & ~(LINE - 1)
-        line, cycles = self._access(self.dcache, line_base, key)
+        line = self._access(self.dcache, line_base, key)
         off = addr - line_base
         line.data[off : off + width] = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
         j = off >> 3
@@ -454,51 +429,48 @@ class MemorySystem:
         self.clean = False
         if self.debug_soundness and self.oracle_word(addr) and not tag:
             raise SoundnessViolation(f"store left word {addr & ~7:#x} under-tagged")
-        return self.costs.store_hit + cycles
 
     def fetch(self, addr, key):
-        """Instruction fetch of the 4-aligned addr: free on icache hit, a
-        miss pays the fill. A hit on icache.mru needs no range check,
-        since a resident line lies inside DRAM."""
+        """Instruction fetch of the 4-aligned addr: an icache hit counts
+        nothing else, a miss fills the line; a no_cache fetch counts
+        nothing. A hit on icache.mru needs no range check, since a
+        resident line lies inside DRAM."""
         line_base = addr & ~(LINE - 1)
         icache = self.icache
         line = icache.mru
         if line is not None and line.base == line_base:
             icache.hits += 1
-            cycles = 0
         else:
             self._check_range(addr, 4)
             if self.no_cache:
-                v, _, _ = self._load_direct(addr, 4, False, key)
-                return v & 0xFFFFFFFF, 0
-            line, cycles = self._access(icache, line_base, key)
-        return _WORD32.unpack_from(line.data, addr - line_base)[0], cycles
+                return self._load_direct(addr, 4, False, key)[0]
+            line = self._access(icache, line_base, key)
+        return _WORD32.unpack_from(line.data, addr - line_base)[0]
 
     # ---- tag management ---------------------------------------------------
 
     def ctag_set_range(self, base, length, key, charge=None):
         """Tag every word overlapping [base, base+length); the byte oracle
-        records exactly the covered bytes. Returns cycles. For charge,
-        see _ctag_range."""
+        records exactly the covered bytes. For charge, see _ctag_range."""
         return self._ctag_range(base, length, key, True, charge)
 
     def ctag_clear_range(self, base, length, key, charge=None):
         """Clear tags of words fully inside [base, base+length); words
         only partially covered stay tagged. Covered oracle bytes clear.
         Lines pass through the cache, so cleared words will rest in DRAM
-        as plaintext after the next writeback. Returns cycles. For
-        charge, see _ctag_range."""
+        as plaintext after the next writeback. For charge, see
+        _ctag_range."""
         return self._ctag_range(base, length, key, False, charge)
 
     def _ctag_range(self, base, length, key, on, charge):
         """Set (on) the tags of the words [base, base+length) overlaps, or
         clear those of the words wholly inside it; set or clear the oracle
-        bits of the covered bytes. Returns cycles. Once the range is
-        checked, and before the walk starts, charge (if given) is called
-        with the accesses the walk makes: one per line it visits, or one
-        per word it changes when no_cache."""
+        bits of the covered bytes. Once the range is checked, and before
+        the walk starts, charge (if given) is called with the accesses the
+        walk makes: one per line it visits, or one per word it changes
+        when no_cache."""
         if length == 0:
-            return 0
+            return
         self._check_range(base, length)
         end = base + length
         # the words affected: [lo, hi)
@@ -509,32 +481,30 @@ class MemorySystem:
             for w in range(lo, hi, 8):
                 # read before flipping the tag: it decides the decrypt
                 self._set_word_at_rest(w, self._word_at_rest(w, key), on, key)
-            cycles = self.costs.dram_access_latency
+            self.dram_data_accesses += 1  # the whole walk counts as one
         else:
-            cycles = 0
             for lb in range(base & ~(LINE - 1), end, LINE):
-                line, c = self._access(self.dcache, lb, key)
-                cycles += c
+                line = self._access(self.dcache, lb, key)
                 # bit j: word lb + 8j lies in [lo, hi)
                 mask = (0xFF << (max(lo - lb, 0) >> 3)) & (0xFF >> (max(lb + LINE - hi, 0) >> 3))
                 line.tags = line.tags | mask if on else line.tags & ~mask
                 line.dirty = True
             self.clean = False
         self._oracle_set(base, length, on)
-        return cycles
 
     def ctag_read(self, addr):
-        """Tag bit of the word containing addr, plus the cycles the lookup
-        cost. A resident line answers from its own metadata for free; a
-        miss consults the tag store without filling data."""
+        """Tag bit of the word containing addr. A resident line answers
+        from its own metadata and counts nothing; a miss consults the tag
+        store without filling data."""
         self._check_range(addr, 1)
         if self.no_cache:
-            return self.word_tag(addr), 0
+            return self.word_tag(addr)
         line_base = addr & ~(LINE - 1)
         line = self.dcache.find(line_base)
         if line is not None:
-            return (line.tags >> ((addr - line_base) >> 3)) & 1, 0
-        return self.word_tag(addr), self._tag_access(line_base, write=False)
+            return (line.tags >> ((addr - line_base) >> 3)) & 1
+        self._tag_access(line_base, write=False)
+        return self.word_tag(addr)
 
     # ---- maintenance -------------------------------------------------------
 
@@ -542,19 +512,14 @@ class MemorySystem:
         """Write back every dirty line under `key` and invalidate the
         caches; afterwards all of DRAM is at rest (tagged words encrypted,
         the rest plaintext)."""
-        cycles = 0
         for cache in (self.dcache, self.icache):
             for line in cache.all_lines():
                 if line.dirty:
-                    cycles += self._writeback_line(line, key)
+                    self._writeback_line(line, key)
             cache.invalidate()
-        for tl in self.tagcache.all_lines():
-            if tl.dirty:
-                self.dram_tag_accesses += 1
-                cycles += self.costs.dram_access_latency
+        self.dram_tag_accesses += sum(tl.dirty for tl in self.tagcache.all_lines())
         self.tagcache.invalidate()
         self.clean = True
-        return cycles
 
     def raw_dump(self, start, length):
         """The attacker's view: exact DRAM bytes plus per-word tag bits.
@@ -605,8 +570,7 @@ class MemorySystem:
     def _load_direct(self, addr, width, signed, key):
         w = addr & ~7
         value = (self._word_at_rest(w, key) >> (8 * (addr - w))) & ((1 << (8 * width)) - 1)
-        cycles = self.costs.load_hit + self.costs.dram_access_latency
-        return _extend(value, width, signed), self.word_tag(w), cycles
+        return _extend(value, width, signed), self.word_tag(w)
 
     def _store_direct(self, addr, width, value, src_tag, taints, key):
         w = addr & ~7
@@ -615,4 +579,3 @@ class MemorySystem:
         word = self._word_at_rest(w, key) & ~mask | (value << shift) & mask
         self._set_word_at_rest(w, word, _stored_tag(self.word_tag(w), width, src_tag), key)
         self._oracle_update(addr, width, taints)
-        return self.costs.store_hit + self.costs.dram_access_latency

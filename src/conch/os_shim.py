@@ -78,19 +78,17 @@ class OsShim:
             self.thread_keys[tid] = key
         return key
 
-    # ---- kernel-side memory helpers (charged like normal accesses) ----------
+    # ---- kernel-side memory helpers (counted like normal accesses) ----------
 
     def _read_cstr(self, st, mem, addr):
         out = bytearray()
-        cycles = 0
         for i in range(_PATH_MAX):
             st.charge_copy(1)  # one word access per byte load
-            b, _, c = mem.load((addr + i) & MASK64, 1, False, st.key)
-            cycles += c
+            b, _ = mem.load((addr + i) & MASK64, 1, False, st.key)
             if b == 0:
-                return out.decode("utf-8", "replace"), cycles
+                return out.decode("utf-8", "replace")
             out.append(b)
-        return None, cycles
+        return None
 
     @staticmethod
     def _stores_for(addr, n):
@@ -101,9 +99,8 @@ class OsShim:
         return head + words + tail
 
     def _write_bytes(self, st, mem, addr, data, tag):
-        """Copy data into guest memory, tagged or not, charging cycles.
-        Uses doubleword stores on aligned runs."""
-        cycles = 0
+        """Copy data into guest memory, tagged or not. Uses doubleword
+        stores on aligned runs."""
         i = 0
         n = len(data)
         while i < n:
@@ -114,47 +111,44 @@ class OsShim:
                 width = 1
             value = int.from_bytes(data[i : i + width], "little")
             taints = ((1 << width) - 1) if tag else 0
-            cycles += mem.store(a, width, value, tag, st.key, taints)
+            mem.store(a, width, value, tag, st.key, taints)
             i += width
-        return cycles
 
     # ---- syscalls ------------------------------------------------------------
 
     def handle_ecall(self, st, mem, oracle=None):
-        """Dispatch on a7; the result lands in a0 (untagged). Returns the
-        cycles of kernel-side memory work."""
+        """Dispatch on a7; the result lands in a0 (untagged)."""
         num = st.regs[17]
         a0, a1, a2 = st.regs[10], st.regs[11], st.regs[12]
 
         if num == SYS_EXIT:
             st.halted = True
             st.exit_code = a0 & 0xFF
-            return 0
+            return
 
         if num == SYS_OPENAT:
-            ret, cycles = self.sys_openat(st, mem, a0, a1, a2)
+            ret = self.sys_openat(st, mem, a0, a1, a2)
         elif num == SYS_READ:
-            ret, cycles = self.sys_read(st, mem, a0, a1, a2)
+            ret = self.sys_read(st, mem, a0, a1, a2)[0]
         elif num == SYS_WRITE:
-            ret, cycles = self.sys_write(st, mem, a0, a1, a2)
+            ret = self.sys_write(st, mem, a0, a1, a2)[0]
         elif num == SYS_GETRANDOM:
-            ret, cycles = self.sys_getrandom(st, mem, a0, a1, a2)
+            ret = self.sys_getrandom(st, mem, a0, a1, a2)[0]
         elif num == SYS_THREAD_SWITCH:
-            ret, cycles = self.sys_thread_switch(st, mem, a0)
+            ret = self.sys_thread_switch(st, mem, a0)
         else:
-            ret, cycles = -ENOSYS, 0
+            ret = -ENOSYS
 
         st.write_reg(10, ret & MASK64, 0)
         if oracle:
             oracle.oracle_step("clear", 10, None)
-        return cycles
 
     def sys_openat(self, st, mem, dirfd, path_ptr, flags):
-        path, cycles = self._read_cstr(st, mem, path_ptr)
+        path = self._read_cstr(st, mem, path_ptr)
         if path is None:
-            return -ENAMETOOLONG, cycles
+            return -ENAMETOOLONG
         if path not in self.fs:
-            return -ENOENT, cycles
+            return -ENOENT
         fd = self.next_fd
         self.next_fd += 1
         self.fds[fd] = FileDesc(
@@ -163,7 +157,9 @@ class OsShim:
             data=bytes(self.fs[path]),
             sensitive=bool(flags & O_SENSITIVE),
         )
-        return fd, cycles
+        return fd
+
+    # read, write and getrandom return (result, guest accesses made)
 
     def sys_read(self, st, mem, fd, buf, count):
         f = self.fds.get(fd)
@@ -172,11 +168,12 @@ class OsShim:
         n = min(count, len(f.data) - f.pos)
         if n <= 0:
             return 0, 0
-        st.charge_copy(self._stores_for(buf, n))
+        stores = self._stores_for(buf, n)
+        st.charge_copy(stores)
         chunk = f.data[f.pos : f.pos + n]
         f.pos += n
-        cycles = self._write_bytes(st, mem, buf, chunk, 1 if f.sensitive else 0)
-        return n, cycles
+        self._write_bytes(st, mem, buf, chunk, 1 if f.sensitive else 0)
+        return n, stores
 
     def sys_write(self, st, mem, fd, buf, count):
         """Emit count bytes from guest memory. Bytes of tagged words leave
@@ -185,15 +182,13 @@ class OsShim:
         if fd not in (1, 2):
             return -EBADF, 0
         sink = self.stdout if fd == 1 else self.stderr
-        if count:
-            st.charge_copy(((buf & 7) + count + 7) >> 3)  # one load per word touched
-        cycles = 0
+        loads = ((buf & 7) + count + 7) >> 3 if count else 0  # one per word touched
+        st.charge_copy(loads)
         i = 0
         while i < count:
             a = (buf + i) & MASK64
             w = a & ~7
-            value, tag, c = mem.load(w, 8, False, st.key)
-            cycles += c
+            value, tag = mem.load(w, 8, False, st.key)
             take = min(count - i, w + 8 - a)
             if tag:
                 if self.strict_write:
@@ -204,7 +199,7 @@ class OsShim:
             else:
                 sink += value.to_bytes(8, "little")[a - w : a - w + take]
             i += take
-        return count, cycles
+        return count, loads
 
     def sys_getrandom(self, st, mem, buf, count, flags):
         """Randomness is sensitive by definition: the returned bytes land
@@ -213,10 +208,10 @@ class OsShim:
         count = min(count, _GETRANDOM_MAX)
         if buf < mem.base or buf + count > mem.base + mem.size:
             return -EFAULT, 0
-        st.charge_copy(self._stores_for(buf, count))
-        data = self.prng.randbytes(count)
-        cycles = self._write_bytes(st, mem, buf, data, 1)
-        return count, cycles
+        stores = self._stores_for(buf, count)
+        st.charge_copy(stores)
+        self._write_bytes(st, mem, buf, self.prng.randbytes(count), 1)
+        return count, stores
 
     def sys_thread_switch(self, st, mem, tid):
         """Flush everything dirty under the outgoing thread's key, then
@@ -224,8 +219,8 @@ class OsShim:
         the key change, not a full context switch."""
         tid = tid & MASK64
         if tid >= 1 << 16:
-            return -EINVAL, 0
-        cycles = mem.flush_and_sync(st.key)
+            return -EINVAL
+        mem.flush_and_sync(st.key)
         st.tid = tid
         st.key = self.key_for(tid)
-        return 0, cycles
+        return 0

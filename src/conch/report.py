@@ -1,6 +1,6 @@
 """Measurement harness: the byte-granular taint oracle, side-by-side
-runs of the cycle models over one program, over-tagging statistics, and
-the run report.
+runs of the cycle models over one program, the pricing of their event
+counts, over-tagging statistics, and the run report.
 
 The oracle is the ground truth that the one-bit word tags are judged
 against. It shadows every register with an 8-bit byte-taint vector and
@@ -21,11 +21,12 @@ word-granularity design pays for its tiny metadata footprint.
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from . import asm
-from .core import MachineState, run
+from .core import PRICE_FIELD, MachineState, run
 from .crypt import BlockMemo, generate_master_key
-from .mem import MODELS, REGION_SHIFT, CycleCosts, MemorySystem
+from .mem import MODELS, REGION_SHIFT, MemorySystem
 from .os_shim import OsShim
 
 DEFAULT_MAX_INSTRET = 100_000_000
@@ -64,6 +65,53 @@ class ByteOracle:
         return self.reg[rs] & ((1 << width) - 1)
 
 
+# ---- pricing -------------------------------------------------------------------
+
+
+class CycleCosts(NamedTuple):
+    """The cycles one counted event costs: one field per key of counts."""
+
+    alu: int = 1
+    mul: int = 3
+    div: int = 33
+    load_hit: int = 2
+    store_hit: int = 1
+    branch: int = 1
+    mispredict: int = 3
+    jump: int = 2
+    dram_access_latency: int = 60
+    cipher_block: int = 4
+    tag_cache_hit: int = 1
+
+
+def counts(st, mem):
+    """The events a run counted, keyed by the CycleCosts field that prices
+    each: retired instructions by class (core.PRICE_FIELD), mispredicted
+    branches, loads and stores (kernel copies included), DRAM data and
+    tag accesses, cipher blocks and tag-cache hits. A counter that a
+    model never moves stays 0."""
+    n = dict.fromkeys(("alu", "mul", "div", "branch", "jump"), 0)
+    for m, k in st.histogram.items():
+        field = PRICE_FIELD.get(m, "alu")
+        if field:
+            n[field] += k
+    n.update(
+        load_hit=mem.loads,
+        store_hit=mem.stores,
+        mispredict=st.mispredicts,
+        dram_access_latency=mem.dram_data_accesses + mem.dram_tag_accesses,
+        cipher_block=mem.cipher_blocks,
+        tag_cache_hit=mem.tagcache_hits,
+    )
+    return n
+
+
+def price(vector, costs):
+    """The cycles of vector (CycleCosts field -> count) under costs. This
+    is the one reader of a CycleCosts."""
+    return sum(getattr(costs, field) * n for field, n in vector.items())
+
+
 # ---- statistics --------------------------------------------------------------
 
 
@@ -71,12 +119,10 @@ class ByteOracle:
 _BIT_BYTES = [bytes(0xFF if b >> j & 1 else 0 for b in range(256)) for j in range(8)]
 
 
-def compute_overtagging(mem, overtag_cipher_blocks=None, baseline_cycles=None):
+def compute_overtagging(mem):
     """Final tag statistics. A tagged word with k oracle-tainted bytes
     contributes 8-k over-tagged bytes; the ratio normalizes by all bytes
-    under tag. The extra-cycles figure prices the cipher work spent on
-    words that carried no tainted byte at all when they crossed the DRAM
-    boundary, as a fraction of the baseline run.
+    under tag.
 
     Only the DRAM regions in mem.regions are scanned: outside them both
     planes are zero (see the mem module docstring). A region is 32 KiB
@@ -110,31 +156,27 @@ def compute_overtagging(mem, overtag_cipher_blocks=None, baseline_cycles=None):
             tainted_under_tag += (under_tag & taints).bit_count()
     overtagged = 8 * words_tagged - tainted_under_tag
     ratio = 100.0 * overtagged / (8 * words_tagged) if words_tagged else 0.0
-    stats = {
+    return {
         "words_tagged_final": words_tagged,
         "bytes_tainted_oracle_final": bytes_tainted,
         "overtagged_bytes": overtagged,
         "overtag_ratio_pct": round(ratio, 4),
     }
-    if overtag_cipher_blocks is not None and baseline_cycles:
-        extra = mem.costs.cipher_block * overtag_cipher_blocks
-        stats["overtag_extra_cycles_pct"] = round(100.0 * extra / baseline_cycles, 4)
-    else:
-        stats["overtag_extra_cycles_pct"] = None
-    return stats
 
 
 # ---- one run -------------------------------------------------------------------
 
 
 class SimResult:
-    def __init__(self, model, st, mem, shim, oracle, stop):
+    def __init__(self, model, st, mem, shim, oracle, stop, costs):
         self.model = model
         self.st = st
         self.mem = mem
         self.shim = shim
         self.oracle = oracle
         self.stop = stop
+        self.costs = costs
+        self.cycles = price(counts(st, mem), costs)
 
 
 def simulate(
@@ -155,18 +197,13 @@ def simulate(
 ):
     """Assemble (if needed), load, and run one program under one cycle
     model. The final flush under the active key is part of the run, so
-    DRAM ends at rest. memo is the crypt.BlockMemo the run enciphers
-    through, and thread_keys the dict of tid -> key the OS shim derives
-    into (for this seed's master key); by default fresh ones."""
+    DRAM ends at rest. dram_latency is the price of one DRAM access. memo
+    is the crypt.BlockMemo the run enciphers through, and thread_keys the
+    dict of tid -> key the OS shim derives into (for this seed's master
+    key); by default fresh ones."""
     if program is None:
         program = asm.assemble(asm.SourceUnit.from_text(source))
-    mem = MemorySystem(
-        model=model,
-        costs=CycleCosts(dram_access_latency=dram_latency),
-        no_cache=no_cache,
-        debug_soundness=debug_soundness,
-        memo=memo,
-    )
+    mem = MemorySystem(model=model, no_cache=no_cache, debug_soundness=debug_soundness, memo=memo)
     st = MachineState()
     asm.load_image(program, mem, st)
     master = generate_master_key(seed)
@@ -177,8 +214,9 @@ def simulate(
     st.key = shim.key_for(0)
     oracle = ByteOracle() if with_oracle else None
     stop = run(st, mem, shim, oracle, max_instret)
-    st.cycles += mem.flush_and_sync(st.key)
-    return SimResult(model=model, st=st, mem=mem, shim=shim, oracle=oracle, stop=stop)
+    mem.flush_and_sync(st.key)
+    costs = CycleCosts(dram_access_latency=dram_latency)
+    return SimResult(model=model, st=st, mem=mem, shim=shim, oracle=oracle, stop=stop, costs=costs)
 
 
 def run_models(source=None, *, program=None, models=MODELS, **kw):
@@ -220,33 +258,33 @@ def build_report(results, seed):
     """Assemble the RunReport dict from per-model results. Functional
     fields come from any run (they are identical); cost fields are per
     model; memory statistics come from the most detailed model present.
-    Never includes key material."""
+    The over-tag extra-cycles figure prices that model's cipher work on
+    words that carried no tainted byte at all when they crossed the DRAM
+    boundary, as a fraction of the baseline's cycles. Never includes key
+    material."""
     any_r = next(iter(results.values()))
-    base = results.get("baseline")
-    ra = results.get("a")
-    rb = results.get("b")
-    detailed = rb or ra or base
+    cycles = {m: r.cycles for m, r in results.items()}
+    base = cycles.get("baseline")
+    detailed = results.get("b") or results.get("a") or results["baseline"]
 
-    def pct(r):
-        if r is None or base is None or base.st.cycles == 0:
+    def pct(model):
+        if model not in cycles or not base:
             return None
-        return round(100.0 * (r.st.cycles - base.st.cycles) / base.st.cycles, 4)
+        return round(100.0 * (cycles[model] - base) / base, 4)
 
     mem = detailed.mem
+    tag_stats = compute_overtagging(mem)
+    extra = None
+    if detailed.model != "baseline" and base:
+        extra = price({"cipher_block": mem.overtag_cipher_blocks}, detailed.costs)
+        extra = round(100.0 * extra / base, 4)
+    tag_stats["overtag_extra_cycles_pct"] = extra
     report = {
         "instret": any_r.st.instret,
         "histogram": dict(sorted(any_r.st.histogram.items())),
-        "cycles": {
-            "baseline": base.st.cycles if base else None,
-            "model_a": ra.st.cycles if ra else None,
-            "model_b": rb.st.cycles if rb else None,
-        },
-        "overhead": {"model_a_pct": pct(ra), "model_b_pct": pct(rb)},
-        "tag_stats": compute_overtagging(
-            mem,
-            overtag_cipher_blocks=mem.overtag_cipher_blocks if detailed.model != "baseline" else None,
-            baseline_cycles=base.st.cycles if base else None,
-        ),
+        "cycles": {"baseline": base, "model_a": cycles.get("a"), "model_b": cycles.get("b")},
+        "overhead": {"model_a_pct": pct("a"), "model_b_pct": pct("b")},
+        "tag_stats": tag_stats,
         "mem_stats": {
             "dcache_hits": mem.dcache.hits,
             "dcache_misses": mem.dcache.misses,

@@ -266,9 +266,9 @@ def test_criterion_06_overhead_ordering():
     start = time.monotonic()
     results = run_models(STREAM_PROG, seed=0)
     elapsed = time.monotonic() - start
-    base = results["baseline"].st.cycles
-    a = results["a"].st.cycles
-    b = results["b"].st.cycles
+    base = results["baseline"].cycles
+    a = results["a"].cycles
+    b = results["b"].cycles
     assert results["b"].mem.cipher_blocks * 8 >= MIB  # tagged traffic floor
     assert a > b > base > 0
     overhead_a = (a - base) / base
@@ -352,11 +352,11 @@ def test_criterion_07_baseline_purity():
     rt = simulate(tagged, model="baseline", seed=0, fs=dict(PURITY_FS))
     assert rp.stop == rt.stop == "exit"
     assert rp.st.instret == rt.st.instret
-    assert rt.st.cycles - rp.st.cycles == 0  # exactly zero
+    assert rt.cycles - rp.cycles == 0  # exactly zero
     # sanity: a tag-aware model does see the difference
     ap = simulate(plain, model="a", seed=0, fs=dict(PURITY_FS))
     at = simulate(tagged, model="a", seed=0, fs=dict(PURITY_FS))
-    assert at.st.cycles > ap.st.cycles
+    assert at.cycles > ap.cycles
 
 
 SWITCHBACK_PROG = """

@@ -25,7 +25,7 @@ from conch.core import (
 from conch.crypt import derive_thread_key, generate_master_key
 from conch.mem import DRAM_BASE, DRAM_SIZE, MemAccessError, MemorySystem, MisalignedAccess
 from conch.os_shim import SYS_GETRANDOM, SYS_OPENAT, SYS_READ, SYS_THREAD_SWITCH, SYS_WRITE, FileDesc, OsShim
-from conch.report import ByteOracle, simulate
+from conch.report import ByteOracle, CycleCosts, counts, price, simulate
 
 from conftest import grid_words, odd_access_program
 
@@ -333,13 +333,14 @@ def test_branch_and_prediction_costs():
     stt, mem = make_machine([beq, 0, 0])
     step(stt, mem)
     assert stt.pc == mem.base + 8
-    taken_fwd = stt.cycles
+    assert stt.mispredicts == 1
 
     stt2, mem2 = make_machine([isa.encode("bne", imm=8), 0, 0])  # bne: not taken
     step(stt2, mem2)
     assert stt2.pc == mem2.base + 4
-    nottaken_fwd = stt2.cycles
-    assert taken_fwd == nottaken_fwd + mem.costs.mispredict
+    assert stt2.mispredicts == 0
+    costs = CycleCosts()
+    assert price(counts(stt, mem), costs) == price(counts(stt2, mem2), costs) + costs.mispredict
 
 
 def test_jal_jalr_link_and_target():
@@ -481,7 +482,9 @@ def test_load_store_tag_flow():
     step(stt, mem)
     assert stt.regs[6] == 0xABCD
     assert stt.reg_tags[6] == 1
-    assert mem.ctag_read(mem.base + 0x1000) == (1, 0)  # resident, free lookup
+    before = _mem_counters(mem)
+    assert mem.ctag_read(mem.base + 0x1000) == 1
+    assert _mem_counters(mem) == before  # resident: the lookup counts nothing
     mem.flush_and_sync(KEY)
     assert mem.word_tag(mem.base + 0x1000) == 1  # and now at rest too
 
@@ -501,12 +504,10 @@ def test_mul_div_cycle_costs():
     div = isa.encode("div", 7, 5, 5)
     stt, mem = make_machine([mul, div])
     step(stt, mem)
-    c_mul = stt.cycles
     step(stt, mem)
-    c_div = stt.cycles - c_mul
-    # first step pays the icache fill; strip it for the comparison
-    assert c_mul - mem.costs.dram_access_latency == mem.costs.mul
-    assert c_div == mem.costs.div
+    n = counts(stt, mem)
+    # the first step's icache fill is the one DRAM access
+    assert n == {**dict.fromkeys(n, 0), "mul": 1, "div": 1, "dram_access_latency": 1}
 
 
 # ---- robustness: any word at the pc ------------------------------------------------
@@ -580,44 +581,39 @@ def _ref_step(st, mem, shim=None, oracle=None):
     pc = st.pc
     if pc & 3:
         raise MisalignedFetch(f"pc {pc:#x}", pc)
-    word, cycles = mem.fetch(pc, st.key)
+    word = mem.fetch(pc, st.key)
     ins = _ref_decode(word)
     if ins is None:
         raise IllegalInstruction(f"illegal instruction {word:#010x}")
     m = ins.mnem
     regs = st.regs
     tags = st.reg_tags
-    costs = mem.costs
     next_pc = pc + 4
 
     if m in REF:
         st.write_reg(ins.rd, REF[m](regs[ins.rs1], regs[ins.rs2]), tags[ins.rs1] | tags[ins.rs2])
-        cycles += costs.mul if m in _REF_MUL else costs.div if m in _REF_DIV else costs.alu
         if oracle:
             oracle.oracle_step("alu", ins.rd, (ins.rs1, ins.rs2))
     elif m in _REF_ALU_IMM:
         st.write_reg(ins.rd, REF[_REF_ALU_IMM[m]](regs[ins.rs1], ins.imm & _M64), tags[ins.rs1])
-        cycles += costs.alu
         if oracle:
             oracle.oracle_step("alu", ins.rd, (ins.rs1,))
     elif m in _REF_LOAD:
         width, signed = _REF_LOAD[m]
         ea = (regs[ins.rs1] + ins.imm) & _M64
-        value, tag, c = mem.load(ea, width, signed, st.key)
+        value, tag = mem.load(ea, width, signed, st.key)
         st.write_reg(ins.rd, value, tag)
-        cycles += c
         if oracle:
             oracle.oracle_step("load", ins.rd, (mem.oracle_bits_for(ea, width), width, signed))
     elif m in _REF_STORE:
         width = _REF_STORE[m]
         ea = (regs[ins.rs1] + ins.imm) & _M64
         taints = oracle.store_taints(ins.rs2, width) if oracle else None
-        cycles += mem.store(ea, width, regs[ins.rs2], tags[ins.rs2], st.key, taints)
+        mem.store(ea, width, regs[ins.rs2], tags[ins.rs2], st.key, taints)
     elif m in _REF_BRANCH:
         taken = _REF_BRANCH[m](regs[ins.rs1], regs[ins.rs2])
-        cycles += costs.branch
         if taken != (ins.imm < 0):  # static predictor: backward taken
-            cycles += costs.mispredict
+            st.mispredicts += 1
         if taken:
             next_pc = (pc + ins.imm) & _M64
     elif m in ("jal", "jalr", "lui", "auipc"):
@@ -629,30 +625,43 @@ def _ref_step(st, mem, shim=None, oracle=None):
             next_pc = (pc + ins.imm) & _M64
         elif m == "jalr":
             next_pc = target
-        cycles += costs.jump if m in ("jal", "jalr") else costs.alu
         if oracle:
             oracle.oracle_step("clear", ins.rd, None)
     elif m == "ecall":
         if shim is None:
             raise Trap("ecall with no OS attached", pc)
-        cycles += costs.alu + shim.handle_ecall(st, mem, oracle)
+        shim.handle_ecall(st, mem, oracle)
     elif m == "ebreak":
         raise Breakpoint(f"ebreak at {pc:#x}", pc)
     elif m == "ctag.set":
-        cycles += costs.alu + mem.ctag_set_range(regs[ins.rs1], regs[ins.rs2], st.key)
+        mem.ctag_set_range(regs[ins.rs1], regs[ins.rs2], st.key)
     elif m == "ctag.clr":
-        cycles += costs.alu + mem.ctag_clear_range(regs[ins.rs1], regs[ins.rs2], st.key)
+        mem.ctag_clear_range(regs[ins.rs1], regs[ins.rs2], st.key)
     else:  # ctag.rdt
-        tag, c = mem.ctag_read(regs[ins.rs1])
-        st.write_reg(ins.rd, tag, 0)
-        cycles += costs.alu + c
+        st.write_reg(ins.rd, mem.ctag_read(regs[ins.rs1]), 0)
         if oracle:
             oracle.oracle_step("clear", ins.rd, None)
 
     st.pc = next_pc
     st.instret += 1
-    st.cycles += cycles
     st.histogram[m] = st.histogram.get(m, 0) + 1
+
+
+def _ref_price_field(m):
+    """The CycleCosts field the reference charged for one retired m, or
+    None for loads and stores, which the memory system prices per access."""
+    if m in _REF_LOAD or m in _REF_STORE:
+        return None
+    if m in _REF_BRANCH:
+        return "branch"
+    if m in ("jal", "jalr"):
+        return "jump"
+    return "mul" if m in _REF_MUL else "div" if m in _REF_DIV else "alu"
+
+
+def test_price_fields_match_reference():
+    for m in isa.SPECS:
+        assert core.PRICE_FIELD.get(m, "alu") == _ref_price_field(m), m
 
 
 class LoggingOracle(ByteOracle):
@@ -678,13 +687,13 @@ def _mem_counters(mem):
     return (
         mem.dcache.hits, mem.dcache.misses, mem.icache.hits, mem.icache.misses,
         mem.tagcache_hits, mem.tagcache_misses, mem.dram_data_accesses, mem.dram_tag_accesses,
-        mem.cipher_blocks, mem.overtag_cipher_blocks,
+        mem.cipher_blocks, mem.overtag_cipher_blocks, mem.loads, mem.stores,
     )
 
 
 def _state(stt, mem, oracle):
     return (
-        stt.pc, list(stt.regs), list(stt.reg_tags), stt.instret, stt.cycles, dict(stt.histogram),
+        stt.pc, list(stt.regs), list(stt.reg_tags), stt.instret, stt.mispredicts, dict(stt.histogram),
         stt.halted, stt.exit_code, list(oracle.reg), len(oracle.log), _mem_counters(mem),
     )
 

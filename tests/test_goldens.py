@@ -10,10 +10,16 @@ behaviour is checked against them, not trusted.
 Regenerate only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_goldens.py
+
+tests/data/priced_cycles.json is not regenerated by that script. It holds
+each corpus program's per-model cycles under five seeded random
+CycleCosts, zero fields among them, as recorded by the simulator that
+summed a cost at every charge it made; priced counts must match it.
 """
 
 import contextlib
 import io
+import json
 import sys
 from importlib import resources
 from pathlib import Path
@@ -22,11 +28,12 @@ import pytest
 
 from conch import asm
 from conch.cli import DEMOS, EXIT_OK, main
-from conch.report import build_report, emit_report, run_models
+from conch.report import CycleCosts, build_report, counts, emit_report, price, run_models
 
 from conftest import build_corpus
 
 GOLDENS = Path(__file__).parent / "data" / "goldens"
+PRICED = Path(__file__).parent / "data" / "priced_cycles.json"
 SEED = 0
 
 
@@ -80,6 +87,15 @@ def test_corpus_demos_use_the_demo_inputs():
 @pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f, _ in build_corpus()])
 def test_report_matches_golden(name, source, fs):
     assert report_text(source, fs) == _golden(f"report_{name}.json")
+
+
+@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f, _ in build_corpus()])
+def test_priced_cycles_match_golden(name, source, fs):
+    golden = json.loads(PRICED.read_text())
+    results = run_models(source, seed=SEED, fs=fs)
+    for fields, expected in zip(golden["costs"], golden["cycles"][name], strict=True):
+        costs = CycleCosts(**fields)
+        assert {m: price(counts(r.st, r.mem), costs) for m, r in results.items()} == expected, fields
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))

@@ -14,7 +14,6 @@ from conch.mem import (
     DRAM_BASE,
     LINE,
     CacheModel,
-    CycleCosts,
     MemAccessError,
     MemorySystem,
     MisalignedAccess,
@@ -40,7 +39,7 @@ def test_store_load_roundtrip(width, value):
     mem = make_mem()
     addr = mem.base + 0x100
     mem.store(addr, width, value, 0, KEY)
-    got, tag, _ = mem.load(addr, width, False, KEY)
+    got, tag = mem.load(addr, width, False, KEY)
     assert got == value
     assert tag == 0
 
@@ -49,9 +48,9 @@ def test_signed_load_extends():
     mem = make_mem()
     addr = mem.base + 0x40
     mem.store(addr, 1, 0x80, 0, KEY)
-    got, _, _ = mem.load(addr, 1, True, KEY)
+    got, _ = mem.load(addr, 1, True, KEY)
     assert got == 0xFFFFFFFFFFFFFF80
-    got, _, _ = mem.load(addr, 1, False, KEY)
+    got, _ = mem.load(addr, 1, False, KEY)
     assert got == 0x80
 
 
@@ -60,7 +59,7 @@ def test_little_endian_byte_order():
     addr = mem.base + 0x200
     mem.store(addr, 8, 0x0807060504030201, 0, KEY)
     for i in range(8):
-        b, _, _ = mem.load(addr + i, 1, False, KEY)
+        b, _ = mem.load(addr + i, 1, False, KEY)
         assert b == i + 1
 
 
@@ -97,7 +96,7 @@ def test_partial_store_retains_tag():
     addr = mem.base + 0x308
     mem.store(addr, 8, 0xFFFFFFFFFFFFFFFF, 1, KEY)
     mem.store(addr, 2, 0xAAAA, 0, KEY)  # clean halfword into tagged word
-    value, tag, _ = mem.load(addr, 8, False, KEY)
+    value, tag = mem.load(addr, 8, False, KEY)
     assert value == 0xFFFFFFFFFFFFAAAA
     assert tag == 1  # retain-tag policy
 
@@ -109,7 +108,7 @@ def test_partial_store_retains_tag_each_width(width, no_cache):
     addr = mem.base + 0x308
     mem.store(addr, 8, 0xFFFFFFFFFFFFFFFF, 1, KEY)
     mem.store(addr + 8 - width, width, 0, 0, KEY)  # clean sub-word store into the tagged word's top
-    value, tag, _ = mem.load(addr, 8, False, KEY)
+    value, tag = mem.load(addr, 8, False, KEY)
     assert value == (1 << (64 - 8 * width)) - 1
     assert tag == 1  # retain-tag policy
 
@@ -159,12 +158,13 @@ def test_ctag_read_modes():
     mem = make_mem()
     addr = mem.base + 0x500
     mem.ctag_set_range(addr, 8, KEY)
-    tag, cycles = mem.ctag_read(addr)
-    assert (tag, cycles) == (1, 0)  # line resident from the set walk
+    misses = mem.tagcache_misses
+    assert mem.ctag_read(addr) == 1  # line resident from the set walk
+    assert mem.tagcache_misses == misses  # no tag-store lookup
     mem.flush_and_sync(KEY)
-    tag, cycles = mem.ctag_read(addr)
-    assert tag == 1
-    assert cycles > 0  # had to consult the tag store
+    accesses = mem.dram_tag_accesses
+    assert mem.ctag_read(addr) == 1
+    assert mem.dram_tag_accesses == accesses + 1  # had to consult the tag store
 
 
 # ---- the encryption boundary ------------------------------------------------------
@@ -197,7 +197,7 @@ def test_wrong_key_scrambles():
     addr = mem.base + 0x700
     mem.store(addr, 8, 0x1234, 1, KEY)
     mem.flush_and_sync(KEY)
-    got, tag, _ = mem.load(addr, 8, False, KEY2)
+    got, tag = mem.load(addr, 8, False, KEY2)
     assert tag == 1
     assert got != 0x1234
     assert got == qarma_decrypt(KEY2, addr, qarma_encrypt(KEY, addr, 0x1234))
@@ -229,7 +229,7 @@ def test_eviction_pressure_preserves_data():
         mem.store(addr, 8, i, i % 2, KEY)
     for i in range(lines):
         addr = mem.base + 0x10000 + 64 * i
-        value, tag, _ = mem.load(addr, 8, False, KEY)
+        value, tag = mem.load(addr, 8, False, KEY)
         assert value == i
         assert tag == i % 2
 
@@ -308,21 +308,24 @@ def test_model_b_tag_cache_filters():
 def test_model_b_dirty_tag_eviction_costs_one_more():
     # single-entry tag cache makes the victim deterministic
     mem = MemorySystem(model="b", tag_cache=(64, 1))
-    lat = mem.costs.dram_access_latency
-    assert mem._tag_access(mem.base, write=True) == lat  # miss, fills dirty
-    assert mem._tag_access(mem.base + 4096, write=False) == 2 * lat  # dirty victim
-    assert mem._tag_access(mem.base + 8192, write=False) == lat  # clean victim
-    assert mem.dram_tag_accesses == 4
+    counted = []
+    for line_base, write in [(mem.base, True), (mem.base + 4096, False), (mem.base + 8192, False)]:
+        before = mem.dram_tag_accesses
+        mem._tag_access(line_base, write)
+        counted.append(mem.dram_tag_accesses - before)
+    # a miss that fills dirty, a dirty victim, a clean victim
+    assert counted == [1, 2, 1]
 
 
 def test_cipher_latency_charged_per_tagged_word():
-    costs = CycleCosts()
-    mem = MemorySystem(model="a", costs=costs)
+    mem = MemorySystem(model="a")
     addr = mem.base + 0x3000
     mem.ctag_set_range(addr, 64, KEY)  # whole line tagged
-    flush_cycles = mem.flush_and_sync(KEY)
-    expected = costs.dram_access_latency * 2 + costs.cipher_block * 8
-    assert flush_cycles == expected
+    before = (mem.dram_data_accesses, mem.dram_tag_accesses, mem.cipher_blocks)
+    mem.flush_and_sync(KEY)
+    after = (mem.dram_data_accesses, mem.dram_tag_accesses, mem.cipher_blocks)
+    # one writeback: its data access, its tag access and 8 cipher blocks
+    assert [b - a for a, b in zip(before, after)] == [1, 1, 8]
 
 
 # ---- the planes ---------------------------------------------------------------
@@ -473,7 +476,7 @@ def _apply(mem, op):
     elif kind == "load":
         _, offset, width = op
         addr = mem.base + offset - offset % width
-        value, tag, _ = mem.load(addr, width, False, KEY)
+        value, tag = mem.load(addr, width, False, KEY)
         return value, tag, mem.oracle_bits_for(addr, width)
     elif kind in ("ctag_set", "ctag_clr"):
         _, offset, length = op
@@ -587,14 +590,12 @@ class _TagCacheReference:
     a CacheModel, kept frozen: each set lists [tag-line number, dirty],
     most recently used first."""
 
-    def __init__(self, size, ways, costs):
+    def __init__(self, size, ways):
         self.sets = [[] for _ in range(size // (ways * LINE))]
         self.ways = ways
-        self.costs = costs
         self.hits = self.misses = self.dram_tag_accesses = 0
 
     def access(self, line_base, write):
-        lat = self.costs.dram_access_latency
         num = line_base >> 12  # one tag line spans 4 KiB of data
         s = self.sets[num % len(self.sets)]
         for tl in s:
@@ -604,28 +605,21 @@ class _TagCacheReference:
                     s.insert(0, tl)
                 tl[1] = tl[1] or write
                 self.hits += 1
-                return self.costs.tag_cache_hit
+                return
         self.misses += 1
-        cycles = 0
         if len(s) == self.ways:
             victim = s.pop()
             if victim[1]:
                 self.dram_tag_accesses += 1
-                cycles += lat
         self.dram_tag_accesses += 1
-        cycles += lat
         s.insert(0, [num, write])
-        return cycles
 
     def flush(self):
-        cycles = 0
         for s in self.sets:
             for tl in s:
                 if tl[1]:
                     self.dram_tag_accesses += 1
-                    cycles += self.costs.dram_access_latency
             s.clear()
-        return cycles
 
 
 # Runs of accesses with a flush_and_sync after each. An access (k, s, line,
@@ -647,20 +641,27 @@ TAG_RUNS = st.lists(
 @settings(max_examples=100, deadline=None)
 def test_tag_cache_matches_reference(tag_cache, runs):
     mem = MemorySystem(model="b", tag_cache=tag_cache)
-    ref = _TagCacheReference(*tag_cache, mem.costs)
+    ref = _TagCacheReference(*tag_cache)
     n_sets = len(ref.sets)
     for run in runs:
         for k, s, line, write in run:
             line_base = mem.base + 4096 * (k * n_sets + s) + LINE * line
-            assert mem._tag_access(line_base, write) == ref.access(line_base, write)
-            _assert_same_tag_counters(mem, ref)
-        assert mem.flush_and_sync(KEY) == ref.flush()
-        _assert_same_tag_counters(mem, ref)
+            before = _tag_counts(mem, ref)
+            mem._tag_access(line_base, write)
+            ref.access(line_base, write)
+            _assert_same_deltas(before, _tag_counts(mem, ref))
+        before = _tag_counts(mem, ref)
+        mem.flush_and_sync(KEY)
+        ref.flush()
+        _assert_same_deltas(before, _tag_counts(mem, ref))
 
 
-def _assert_same_tag_counters(mem, ref):
-    assert (mem.tagcache_hits, mem.tagcache_misses, mem.dram_tag_accesses) == (
-        ref.hits,
-        ref.misses,
-        ref.dram_tag_accesses,
-    )
+def _tag_counts(mem, ref):
+    """The tag-cache hits, misses and DRAM tag accesses of mem and of ref."""
+    return (mem.tagcache_hits, mem.tagcache_misses, mem.dram_tag_accesses), (ref.hits, ref.misses, ref.dram_tag_accesses)
+
+
+def _assert_same_deltas(before, after):
+    """One call moved mem's counts and ref's by the same amounts."""
+    (mem0, ref0), (mem1, ref1) = before, after
+    assert [b - a for a, b in zip(mem0, mem1)] == [b - a for a, b in zip(ref0, ref1)]

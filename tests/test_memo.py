@@ -29,7 +29,7 @@ def _pairs(memo):
 
 def _outcome(r):
     """What one model's run charged, printed and left in memory."""
-    return r.st.cycles, r.mem.cipher_blocks, bytes(r.shim.stdout), r.mem.dram, r.mem.tag_bits, r.mem.byte_oracle
+    return r.cycles, r.mem.cipher_blocks, bytes(r.shim.stdout), r.mem.dram, r.mem.tag_bits, r.mem.byte_oracle
 
 
 @pytest.fixture

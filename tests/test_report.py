@@ -92,14 +92,15 @@ def test_overtagging_empty_state():
     assert stats["words_tagged_final"] == 0
     assert stats["overtagged_bytes"] == 0
     assert stats["overtag_ratio_pct"] == 0.0
-    assert stats["overtag_extra_cycles_pct"] is None
 
 
 def test_overtag_cycle_attribution():
-    mem = MemorySystem(model="b")
-    stats = compute_overtagging(mem, overtag_cipher_blocks=25, baseline_cycles=10_000)
-    # 25 blocks at 4 cycles each against 10k baseline cycles
-    assert stats["overtag_extra_cycles_pct"] == 1.0
+    # the over-tagged cipher blocks at 4 cycles each against the baseline's cycles
+    results = run_models(STREAM64K, seed=0)
+    blocks = results["b"].mem.overtag_cipher_blocks
+    assert blocks > 0
+    rep = build_report(results, seed=0)
+    assert rep["tag_stats"]["overtag_extra_cycles_pct"] == round(100.0 * 4 * blocks / rep["cycles"]["baseline"], 4)
 
 
 @pytest.mark.xfail(
@@ -280,7 +281,7 @@ def test_simulate_runs_and_flushes():
     assert r.stop == "exit"
     assert r.st.exit_code == 0
     assert r.mem.clean  # final flush is part of the run
-    assert r.st.cycles > 0
+    assert r.cycles > 0
 
 
 def test_run_models_order_and_agreement():
@@ -288,7 +289,7 @@ def test_run_models_order_and_agreement():
     assert list(results) == ["baseline", "a", "b"]
     regs = [r.st.regs for r in results.values()]
     assert regs[0] == regs[1] == regs[2]
-    cycles = [r.st.cycles for r in results.values()]
+    cycles = [r.cycles for r in results.values()]
     assert cycles[0] < cycles[2] < cycles[1]  # ordering for a tagged workload
 
 
@@ -305,6 +306,50 @@ def test_cached_and_uncached_agree_on_program():
     assert a.st.exit_code == b.st.exit_code
     assert bytes(a.mem.dram) == bytes(b.mem.dram)
     assert bytes(a.mem.tag_bits) == bytes(b.mem.tag_bits)
+
+
+def test_uncached_dram_accesses_are_counted_and_priced():
+    # no_cache: the ld, the sd and the ctag.set walk each count one DRAM
+    # data access and are priced at the DRAM latency; fetches are free
+    results = run_models(PROG, seed=0, no_cache=True)
+    assert [r.mem.dram_data_accesses for r in results.values()] == [3, 3, 3]
+    assert {m: r.cycles for m, r in results.items()} == {"baseline": 191, "a": 191, "b": 191}
+
+
+def _counted_price(r):
+    """r's cycles priced from its counters under the default costs, with
+    no instruction but alu ops retired."""
+    m, st = r.mem, r.st
+    assert set(st.histogram) <= {"auipc", "addi"} and st.mispredicts == 0
+    assert m.stores == m.cipher_blocks == 0
+    return st.instret + 2 * m.loads + 60 * (m.dram_data_accesses + m.dram_tag_accesses) + m.tagcache_hits
+
+
+STOP_PROGRAMS = {
+    # the trapping ebreak's fetch fills one line: one DRAM data access,
+    # and in models A and B one DRAM tag access
+    "ebreak": (".org 0x80000000\nebreak\n", None, "trap", {"baseline": 60, "a": 120, "b": 120}),
+    # la and li retire (3 alu); openat's _read_cstr loads 4 path bytes
+    # before the fifth overruns the budget of 8. The text line and the
+    # path's line both fill; model B's second tag lookup hits.
+    "openat_budget": (
+        ".org 0x80000000\nla a1, path\nli a7, 56\necall\n.org 0x80000800\npath:\n.asciz \"abcdefgh\"\n",
+        8,
+        "budget",
+        {"baseline": 131, "a": 251, "b": 192},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOP_PROGRAMS))
+def test_stopped_runs_price_their_partial_work(name):
+    source, budget, stop, expected = STOP_PROGRAMS[name]
+    results = run_models(source, seed=0, max_instret=budget)
+    assert {r.stop for r in results.values()} == {stop}
+    assert {m: r.cycles for m, r in results.items()} == {m: _counted_price(r) for m, r in results.items()}
+    assert build_report(results, seed=0)["cycles"] == {
+        "baseline": expected["baseline"], "model_a": expected["a"], "model_b": expected["b"]
+    }
 
 
 # ---- report assembly -------------------------------------------------------------
