@@ -63,7 +63,7 @@ def image_to_program(doc):
     for i, seg in enumerate(segs):
         if not (isinstance(seg, dict) and isinstance(seg.get("base"), int) and isinstance(seg.get("data"), str)):
             raise ValueError(f"image segment {i} needs an integer base and base64 data")
-        segments.append((seg["base"], base64.b64decode(seg["data"]), seg.get("kind", "data")))
+        segments.append((seg["base"], base64.b64decode(seg["data"], validate=True), seg.get("kind", "data")))
     return asm.Program(segments=segments, entry=entry, symbols=doc.get("symbols", {}))
 
 
@@ -73,7 +73,10 @@ def load_program(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return image_to_program(json.loads(text))
+        try:
+            return image_to_program(json.loads(text))
+        except RecursionError:
+            raise ValueError("image file nests too deeply") from None
     return asm.assemble(asm.SourceUnit.from_text(text, origin=path))
 
 

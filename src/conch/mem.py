@@ -1,32 +1,31 @@
 """Tagged memory hierarchy: DRAM with a tag bitmap, write-back
-set-associative data/instruction caches, model B's tag cache, and the
+set-associative data/instruction caches, a tag cache, and the
 encryption boundary at the cache-DRAM edge.
 
 Inside registers and caches data is plaintext; a word whose tag bit is set
 rests in DRAM as ciphertext under (current thread key, word address as
-tweak). Untagged words rest verbatim. The three cycle models share one
-functional simulation and differ only in which events they count
-(report.price turns counts into cycles):
+tweak). Untagged words rest verbatim.
 
-  baseline  no tag-store or cipher events: those counters stay zero
-  model A   one DRAM tag access per line fill and per dirty writeback
-  model B   the same events go through a small tag cache (a hit counts
-            a tag-cache hit, a miss one DRAM tag access and a dirty
-            tag-line eviction one more), a CacheModel whose one line
-            covers 4 KiB of data
+Memory knows no cycle model: it counts every event once, and
+report.counts picks the events each model pays for. It counts each load
+and store (kernel copies included) and each DRAM data access: a line
+fill or writeback, and under no_cache each direct load, direct store and
+ctag walk (a no_cache fetch is free). It counts each touch of the tag
+store for one data line (a fill, a dirty writeback, a ctag.rdt miss) and
+its lookup in the tag cache, a CacheModel whose one line covers 4 KiB of
+data: a hit, or a miss whose dirty victim is one tag writeback; a flush
+writes back every dirty tag line. Each tagged word crossing the
+boundary, either way, is one cipher block, and one over-tag block too
+when none of its bytes is oracle-tainted. Under no_cache no tag or
+cipher event is counted, so the models price alike there: no_cache is a
+functional reference only.
 
-Every model counts each load and store (kernel copies included) and
-each DRAM data access: a line fill or writeback, and in the degenerate
-no_cache mode each direct load, direct store and ctag walk, while a
-no_cache fetch is free.
-
-Encryption itself always happens (the DRAM image is identical across
-models); baseline simply does not count it. A cipher block is counted
-per tagged word in both directions, fill and writeback. The blocks go
-through MemorySystem.memo, a crypt.BlockMemo that the models of one
-run_models call share: a block one model enciphered, or a ciphertext
-the engine wrote earlier, is looked up rather than recomputed. The memo
-changes host time only, never a count or a DRAM byte.
+Encryption itself always happens, whoever pays for it. The blocks go
+through MemorySystem.memo, a crypt.BlockMemo that the simulations of one
+run_models call share: a block one simulation enciphered, or a
+ciphertext the engine wrote earlier, is looked up rather than
+recomputed. The memo changes host time only, never a count or a DRAM
+byte.
 
 The byte_oracle bitmap is the byte-granularity golden taint reference
 (one bit per DRAM byte) used to measure over-tagging; it is maintained on
@@ -54,9 +53,9 @@ Likewise CacheModel.live holds the indices of its non-empty sets (a set
 fills only through CacheModel.insert), so a flush walks only resident
 lines.
 
-All three caches (dcache, icache and model B's tagcache) are
-CacheModels, and each keeps mru, its most recently used line, which find
-answers without walking the set; fetch checks icache.mru first.
+All three caches (dcache, icache and the tagcache) are CacheModels, and
+each keeps mru, its most recently used line, which find answers without
+walking the set; fetch checks icache.mru first.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ LINE = 64
 WORDS_PER_LINE = LINE // 8
 REGION_SHIFT = 15  # a 32 KiB DRAM region: 512 B of tag plane, 4 KiB of oracle plane
 
-MODELS = ("baseline", "a", "b")
+MODELS = ("baseline", "a", "b")  # the cycle models report.counts tells apart
 
 _WORD32 = struct.Struct("<I")
 
@@ -182,7 +181,7 @@ class CacheModel:
         return victim
 
     def all_lines(self):
-        # ascending set order: writeback order drives model B's tag cache
+        # ascending set order: writeback order drives the tag cache
         for i in sorted(self.live):
             yield from self.sets[i]
 
@@ -196,7 +195,6 @@ class CacheModel:
 class MemorySystem:
     def __init__(
         self,
-        model="baseline",
         base=DRAM_BASE,
         size=DRAM_SIZE,
         dcache=(32 * 1024, 8),
@@ -206,10 +204,7 @@ class MemorySystem:
         debug_soundness=False,
         memo=None,
     ):
-        if model not in MODELS:
-            raise ValueError(f"unknown model {model!r}")
         assert base % LINE == 0 and size % LINE == 0
-        self.model = model
         self.base = base
         self.size = size
         self.no_cache = no_cache
@@ -225,13 +220,14 @@ class MemorySystem:
 
         self.dcache = CacheModel("dcache", dcache[0], dcache[1])
         self.icache = CacheModel("icache", icache[0], icache[1])
-        # model B's: 4 KiB / 8 ways / 64 B lines -> 8 sets
+        # 4 KiB / 8 ways / 64 B lines -> 8 sets
         self.tagcache = CacheModel("tagcache", tag_cache[0], tag_cache[1])
 
         self.loads = 0
         self.stores = 0
         self.dram_data_accesses = 0
-        self.dram_tag_accesses = 0
+        self.tag_store_touches = 0
+        self.tag_writebacks = 0
         self.cipher_blocks = 0
         self.overtag_cipher_blocks = 0
         self.clean = True
@@ -298,14 +294,8 @@ class MemorySystem:
     # ---- tag traffic accounting -------------------------------------------
 
     def _tag_access(self, line_base, write):
-        """Count the per-model events of touching the tag store for one
-        data line."""
-        if self.model == "baseline":
-            return
-        if self.model == "a":
-            self.dram_tag_accesses += 1
-            return
-        # model B: through the tag cache
+        """Count one touch of the tag store for one data line and its tag-cache lookup."""
+        self.tag_store_touches += 1
         tagcache = self.tagcache
         tag_base = (line_base >> 12) * LINE  # one tag line spans 4 KiB of data
         tl = tagcache.find(tag_base)
@@ -317,17 +307,14 @@ class MemorySystem:
         tl = _Line(tag_base, None, 0)  # a tag line carries only base and dirty
         tl.dirty = write
         victim = tagcache.insert(tl)
-        # a dirty victim is written back: one more DRAM tag access
-        self.dram_tag_accesses += 2 if victim is not None and victim.dirty else 1
+        if victim is not None and victim.dirty:
+            self.tag_writebacks += 1
 
     # ---- line movement ----------------------------------------------------
 
     def _count_cipher(self, word_addr):
-        """Count one tagged word crossing the DRAM boundary, in models A
-        and B; spurious work on fully over-tagged words is counted
-        separately too."""
-        if self.model == "baseline":
-            return
+        """Count one tagged word crossing the DRAM boundary; spurious work
+        on fully over-tagged words is counted separately too."""
         self.cipher_blocks += 1
         if self.oracle_word(word_addr) == 0:
             self.overtag_cipher_blocks += 1
@@ -517,7 +504,7 @@ class MemorySystem:
                 if line.dirty:
                     self._writeback_line(line, key)
             cache.invalidate()
-        self.dram_tag_accesses += sum(tl.dirty for tl in self.tagcache.all_lines())
+        self.tag_writebacks += sum(tl.dirty for tl in self.tagcache.all_lines())
         self.tagcache.invalidate()
         self.clean = True
 

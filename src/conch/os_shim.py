@@ -91,28 +91,27 @@ class OsShim:
         return None
 
     @staticmethod
-    def _stores_for(addr, n):
-        # The stores _write_bytes makes for n bytes at addr: single bytes up
-        # to the first word boundary, whole words, then single bytes.
+    def _store_plan(addr, n):
+        """The stores that copy n bytes to addr, as (width, byte offsets)
+        runs: single bytes up to the first word boundary, whole words,
+        then single bytes."""
         head = min(n, -addr % 8)
-        words, tail = divmod(n - head, 8)
-        return head + words + tail
+        body = n - (n - head) % 8
+        return (1, range(head)), (8, range(head, body, 8)), (1, range(body, n))
+
+    def _charge_stores(self, st, addr, n):
+        """Charge the stores of _store_plan(addr, n) before any is made."""
+        stores = sum(len(offsets) for _, offsets in self._store_plan(addr, n))
+        st.charge_copy(stores)
+        return stores
 
     def _write_bytes(self, st, mem, addr, data, tag):
-        """Copy data into guest memory, tagged or not. Uses doubleword
-        stores on aligned runs."""
-        i = 0
-        n = len(data)
-        while i < n:
-            a = (addr + i) & MASK64
-            if a % 8 == 0 and n - i >= 8:
-                width = 8
-            else:
-                width = 1
-            value = int.from_bytes(data[i : i + width], "little")
-            taints = ((1 << width) - 1) if tag else 0
-            mem.store(a, width, value, tag, st.key, taints)
-            i += width
+        """Copy data into guest memory, tagged or not, by _store_plan."""
+        for width, offsets in self._store_plan(addr, len(data)):
+            taints = (1 << width) - 1 if tag else 0
+            for i in offsets:
+                value = int.from_bytes(data[i : i + width], "little")
+                mem.store((addr + i) & MASK64, width, value, tag, st.key, taints)
 
     # ---- syscalls ------------------------------------------------------------
 
@@ -168,8 +167,7 @@ class OsShim:
         n = min(count, len(f.data) - f.pos)
         if n <= 0:
             return 0, 0
-        stores = self._stores_for(buf, n)
-        st.charge_copy(stores)
+        stores = self._charge_stores(st, buf, n)
         chunk = f.data[f.pos : f.pos + n]
         f.pos += n
         self._write_bytes(st, mem, buf, chunk, 1 if f.sensitive else 0)
@@ -208,8 +206,7 @@ class OsShim:
         count = min(count, _GETRANDOM_MAX)
         if buf < mem.base or buf + count > mem.base + mem.size:
             return -EFAULT, 0
-        stores = self._stores_for(buf, count)
-        st.charge_copy(stores)
+        stores = self._charge_stores(st, buf, count)
         self._write_bytes(st, mem, buf, self.prng.randbytes(count), 1)
         return count, stores
 

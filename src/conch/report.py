@@ -84,24 +84,47 @@ class CycleCosts(NamedTuple):
     tag_cache_hit: int = 1
 
 
-def counts(st, mem):
-    """The events a run counted, keyed by the CycleCosts field that prices
-    each: retired instructions by class (core.PRICE_FIELD), mispredicted
-    branches, loads and stores (kernel copies included), DRAM data and
-    tag accesses, cipher blocks and tag-cache hits. A counter that a
-    model never moves stays 0."""
+def mem_stats(mem, model):
+    """The memory counters of model, out of the union of events mem
+    counted. Baseline pays for no tag or cipher event, model A for one
+    DRAM tag access per tag-store touch, model B for its tag-cache hits
+    and, as DRAM tag accesses, its tag-cache misses and dirty tag-line
+    writebacks; A and B for every cipher block. An unknown model raises
+    ValueError."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    tag_accesses = {"baseline": 0, "a": mem.tag_store_touches, "b": mem.tagcache_misses + mem.tag_writebacks}
+    return {
+        "dcache_hits": mem.dcache.hits,
+        "dcache_misses": mem.dcache.misses,
+        "icache_hits": mem.icache.hits,
+        "icache_misses": mem.icache.misses,
+        "tagcache_hits": mem.tagcache_hits if model == "b" else 0,
+        "tagcache_misses": mem.tagcache_misses if model == "b" else 0,
+        "dram_data_accesses": mem.dram_data_accesses,
+        "dram_tag_accesses": tag_accesses[model],
+        "cipher_blocks": 0 if model == "baseline" else mem.cipher_blocks,
+    }
+
+
+def counts(st, mem, model):
+    """The events model pays for in a run, keyed by the CycleCosts field
+    that prices each: retired instructions by class (core.PRICE_FIELD),
+    mispredicted branches, loads and stores (kernel copies included), and
+    mem_stats' DRAM data and tag accesses, cipher blocks and tag-cache hits."""
     n = dict.fromkeys(("alu", "mul", "div", "branch", "jump"), 0)
     for m, k in st.histogram.items():
         field = PRICE_FIELD.get(m, "alu")
         if field:
             n[field] += k
+    ms = mem_stats(mem, model)
     n.update(
         load_hit=mem.loads,
         store_hit=mem.stores,
         mispredict=st.mispredicts,
-        dram_access_latency=mem.dram_data_accesses + mem.dram_tag_accesses,
-        cipher_block=mem.cipher_blocks,
-        tag_cache_hit=mem.tagcache_hits,
+        dram_access_latency=ms["dram_data_accesses"] + ms["dram_tag_accesses"],
+        cipher_block=ms["cipher_blocks"],
+        tag_cache_hit=ms["tagcache_hits"],
     )
     return n
 
@@ -176,7 +199,7 @@ class SimResult:
         self.oracle = oracle
         self.stop = stop
         self.costs = costs
-        self.cycles = price(counts(st, mem), costs)
+        self.cycles = price(counts(st, mem, model), costs)
 
 
 def simulate(
@@ -195,15 +218,15 @@ def simulate(
     memo=None,
     thread_keys=None,
 ):
-    """Assemble (if needed), load, and run one program under one cycle
-    model. The final flush under the active key is part of the run, so
-    DRAM ends at rest. dram_latency is the price of one DRAM access. memo
-    is the crypt.BlockMemo the run enciphers through, and thread_keys the
-    dict of tid -> key the OS shim derives into (for this seed's master
-    key); by default fresh ones."""
+    """Assemble (if needed), load, and run one program, then price its
+    counts under one cycle model. The final flush under the active key is
+    part of the run, so DRAM ends at rest. dram_latency is the price of
+    one DRAM access. memo is the crypt.BlockMemo the run enciphers
+    through, and thread_keys the dict of tid -> key the OS shim derives
+    into (for this seed's master key); by default fresh ones."""
     if program is None:
         program = asm.assemble(asm.SourceUnit.from_text(source))
-    mem = MemorySystem(model=model, no_cache=no_cache, debug_soundness=debug_soundness, memo=memo)
+    mem = MemorySystem(no_cache=no_cache, debug_soundness=debug_soundness, memo=memo)
     st = MachineState()
     asm.load_image(program, mem, st)
     master = generate_master_key(seed)
@@ -221,11 +244,11 @@ def simulate(
 
 def run_models(source=None, *, program=None, models=MODELS, **kw):
     """Run the same program once per requested model and cross-check that
-    the models agree on everything architectural. Returns {model: SimResult}
-    in the canonical baseline/a/b order. The models replay one functional
-    run, so they share one fresh crypt.BlockMemo and one dict of thread
-    keys: each block is enciphered and each key derived once per call, not
-    once per model."""
+    the runs agree on everything architectural. Returns {model: SimResult}
+    in the canonical baseline/a/b order. The runs replay one functional
+    run and differ only in pricing, so they share one fresh crypt.BlockMemo
+    and one dict of thread keys: each block is enciphered and each key
+    derived once per call, not once per model."""
     if program is None:
         program = asm.assemble(asm.SourceUnit.from_text(source))
     memo, thread_keys = BlockMemo(), {}
@@ -257,11 +280,11 @@ def run_models(source=None, *, program=None, models=MODELS, **kw):
 def build_report(results, seed):
     """Assemble the RunReport dict from per-model results. Functional
     fields come from any run (they are identical); cost fields are per
-    model; memory statistics come from the most detailed model present.
-    The over-tag extra-cycles figure prices that model's cipher work on
-    words that carried no tainted byte at all when they crossed the DRAM
-    boundary, as a fraction of the baseline's cycles. Never includes key
-    material."""
+    model; memory statistics are mem_stats of the most detailed model
+    present. The over-tag extra-cycles figure prices that model's cipher
+    work on words that carried no tainted byte at all when they crossed
+    the DRAM boundary, as a fraction of the baseline's cycles. Never
+    includes key material."""
     any_r = next(iter(results.values()))
     cycles = {m: r.cycles for m, r in results.items()}
     base = cycles.get("baseline")
@@ -285,17 +308,7 @@ def build_report(results, seed):
         "cycles": {"baseline": base, "model_a": cycles.get("a"), "model_b": cycles.get("b")},
         "overhead": {"model_a_pct": pct("a"), "model_b_pct": pct("b")},
         "tag_stats": tag_stats,
-        "mem_stats": {
-            "dcache_hits": mem.dcache.hits,
-            "dcache_misses": mem.dcache.misses,
-            "icache_hits": mem.icache.hits,
-            "icache_misses": mem.icache.misses,
-            "tagcache_hits": mem.tagcache_hits,
-            "tagcache_misses": mem.tagcache_misses,
-            "dram_data_accesses": mem.dram_data_accesses,
-            "dram_tag_accesses": mem.dram_tag_accesses,
-            "cipher_blocks": mem.cipher_blocks,
-        },
+        "mem_stats": mem_stats(mem, detailed.model),
         "leak_averted_bytes": any_r.shim.leak_averted_bytes,
         "seed": seed,
         "exit_code": any_r.st.exit_code,

@@ -173,7 +173,7 @@ def test_criterion_04_soundness(corpus):
         program = asm.assemble(asm.SourceUnit.from_text(source))
         # debug_soundness arms the word-level assertion at every store and
         # writeback; SoundnessViolation is an AssertionError and aborts.
-        mem = MemorySystem(model="b", debug_soundness=True)
+        mem = MemorySystem(debug_soundness=True)
         st = MachineState()
         asm.load_image(program, mem, st)
         shim = OsShim(generate_master_key(0), seed=0, fs=dict(fs))
@@ -424,6 +424,19 @@ def test_criterion_09_semantics_preservation(corpus_runs):
             assert other.mem.dram == base.mem.dram, name
             assert other.mem.tag_bits == base.mem.tag_bits, name
             assert other.mem.byte_oracle == base.mem.byte_oracle, name
+            # memory counts the same events whatever the model: the runs
+            # differ only in how report prices them
+            assert _counters(other) == _counters(base), name
+
+
+def _counters(r):
+    """Every event a run counted."""
+    m = r.mem
+    return (
+        m.dcache.hits, m.dcache.misses, m.icache.hits, m.icache.misses, m.tagcache.hits, m.tagcache.misses,
+        m.tag_store_touches, m.tag_writebacks, m.dram_data_accesses, m.loads, m.stores,
+        m.cipher_blocks, m.overtag_cipher_blocks, r.st.mispredicts, r.st.histogram,
+    )
 
 
 CLEAR_FLOW = """

@@ -345,10 +345,14 @@ def test_image_round_trip_is_equivalent(tmp_path, capsys):
         {"format": "conch-image", "entry": -8, "segments": []},
         {"format": "conch-image", "entry": True, "segments": []},
         {"format": "conch-image", "entry": 1 << 65, "segments": []},
+        # segment data that is not base64
+        {"format": "conch-image", "entry": 0x80000000, "segments": [{"base": 0x80000000, "data": "@@@"}]},
+        # JSON nested deeper than the parser recurses (a document as text)
+        '{"format": ' + "[" * 200_000 + "]" * 200_000 + "}",
     ],
 )
 def test_malformed_image_exit_code(tmp_path, capsys, doc):
-    img = write(tmp_path, "bad.json", json.dumps(doc))
+    img = write(tmp_path, "bad.json", doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["run", img]) == EXIT_ASM
     out, err = capsys.readouterr()
     assert out == ""

@@ -340,7 +340,8 @@ def test_branch_and_prediction_costs():
     assert stt2.pc == mem2.base + 4
     assert stt2.mispredicts == 0
     costs = CycleCosts()
-    assert price(counts(stt, mem), costs) == price(counts(stt2, mem2), costs) + costs.mispredict
+    taken, not_taken = (price(counts(t, m, "baseline"), costs) for t, m in ((stt, mem), (stt2, mem2)))
+    assert taken == not_taken + costs.mispredict
 
 
 def test_jal_jalr_link_and_target():
@@ -505,7 +506,7 @@ def test_mul_div_cycle_costs():
     stt, mem = make_machine([mul, div])
     step(stt, mem)
     step(stt, mem)
-    n = counts(stt, mem)
+    n = counts(stt, mem, "baseline")
     # the first step's icache fill is the one DRAM access
     assert n == {**dict.fromkeys(n, 0), "mul": 1, "div": 1, "dram_access_latency": 1}
 
@@ -537,7 +538,7 @@ def _random_regs(seed):
 def test_any_word_raises_only_documented_errors(word, seed, a7, budget):
     """One step of an arbitrary word, with arbitrary registers, fails only
     with the exceptions run() turns into a trap or a budget stop."""
-    mem = MemorySystem(model="b")
+    mem = MemorySystem()
     mem.write_raw_init(mem.base, word.to_bytes(4, "little"))
     shim = OsShim(generate_master_key(0), fs={"f": b"x"})
     shim.fds[3] = FileDesc(path="f", flags=0, data=bytes(range(256)))
@@ -686,7 +687,7 @@ class LoggingOracle(ByteOracle):
 def _mem_counters(mem):
     return (
         mem.dcache.hits, mem.dcache.misses, mem.icache.hits, mem.icache.misses,
-        mem.tagcache_hits, mem.tagcache_misses, mem.dram_data_accesses, mem.dram_tag_accesses,
+        mem.tagcache_hits, mem.tagcache_misses, mem.tag_store_touches, mem.tag_writebacks, mem.dram_data_accesses,
         mem.cipher_blocks, mem.overtag_cipher_blocks, mem.loads, mem.stores,
     )
 
@@ -707,9 +708,10 @@ def _try_step(step_fn, stt, mem, shim, oracle):
     return None
 
 
-def _lockstep(make, max_steps):
+def _lockstep(make, max_steps, model="b"):
     """Step a machine under step and one under _ref_step, both built by
-    make(), and compare them after every step. Returns the steps taken."""
+    make(), and compare them after every step, then the count vectors
+    model prices. Returns the steps taken."""
     new, ref = make(), make()
     for n in range(max_steps):
         outcome = _try_step(step, *new)
@@ -718,6 +720,7 @@ def _lockstep(make, max_steps):
         if outcome is not None or new[0].halted:
             break
     assert new[3].log == ref[3].log
+    assert counts(new[0], new[1], model) == counts(ref[0], ref[1], model)
     if new[2] is not None:
         assert bytes(new[2].stdout) == bytes(ref[2].stdout)
     return n + 1
@@ -729,14 +732,14 @@ def test_dispatch_matches_reference_on_corpus(corpus, model):
         program = asm.assemble(asm.SourceUnit.from_text(source))
 
         def make():
-            mem = MemorySystem(model=model)
+            mem = MemorySystem()
             stt = MachineState()
             asm.load_image(program, mem, stt)
             shim = OsShim(generate_master_key(0), seed=0, fs=dict(fs))
             stt.key = shim.key_for(0)
             return stt, mem, shim, LoggingOracle(stt)
 
-        steps = _lockstep(make, 100_000)
+        steps = _lockstep(make, 100_000, model)
         assert steps < 100_000, f"{name} did not finish"
 
 

@@ -95,7 +95,7 @@ def test_priced_cycles_match_golden(name, source, fs):
     results = run_models(source, seed=SEED, fs=fs)
     for fields, expected in zip(golden["costs"], golden["cycles"][name], strict=True):
         costs = CycleCosts(**fields)
-        assert {m: price(counts(r.st, r.mem), costs) for m, r in results.items()} == expected, fields
+        assert {m: price(counts(r.st, r.mem, r.model), costs) for m, r in results.items()} == expected, fields
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))

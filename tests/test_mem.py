@@ -2,17 +2,20 @@
 encryption boundary (checked against each test's own record of what it
 stored), tag-management ranges, eviction pressure, and differential
 checks: the cached path against the degenerate uncached one, the MRU
-line against a plain LRU, and model B's tag cache against a frozen copy
-of its hand-written LRU."""
+line against a plain LRU, model B's tag cache against a frozen copy of
+its hand-written LRU, and each model's share of the counted events
+against frozen per-model memories."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conch.core import MachineState
 from conch.crypt import derive_thread_key, generate_master_key, qarma_decrypt, qarma_encrypt
 from conch.mem import (
     DRAM_BASE,
     LINE,
+    MODELS,
     CacheModel,
     MemAccessError,
     MemorySystem,
@@ -22,13 +25,10 @@ from conch.mem import (
     SoundnessViolation,
     _Line,
 )
+from conch.report import counts, mem_stats
 
 KEY = derive_thread_key(generate_master_key(3), 0)
 KEY2 = derive_thread_key(generate_master_key(3), 1)
-
-
-def make_mem(**kw):
-    return MemorySystem(model=kw.pop("model", "b"), **kw)
 
 
 # ---- plain value plumbing -----------------------------------------------------
@@ -36,7 +36,7 @@ def make_mem(**kw):
 
 @pytest.mark.parametrize("width,value", [(1, 0xA5), (2, 0xBEEF), (4, 0xDEADBEEF), (8, 0x0123456789ABCDEF)])
 def test_store_load_roundtrip(width, value):
-    mem = make_mem()
+    mem = MemorySystem()
     addr = mem.base + 0x100
     mem.store(addr, width, value, 0, KEY)
     got, tag = mem.load(addr, width, False, KEY)
@@ -45,7 +45,7 @@ def test_store_load_roundtrip(width, value):
 
 
 def test_signed_load_extends():
-    mem = make_mem()
+    mem = MemorySystem()
     addr = mem.base + 0x40
     mem.store(addr, 1, 0x80, 0, KEY)
     got, _ = mem.load(addr, 1, True, KEY)
@@ -55,7 +55,7 @@ def test_signed_load_extends():
 
 
 def test_little_endian_byte_order():
-    mem = make_mem()
+    mem = MemorySystem()
     addr = mem.base + 0x200
     mem.store(addr, 8, 0x0807060504030201, 0, KEY)
     for i in range(8):
@@ -64,7 +64,7 @@ def test_little_endian_byte_order():
 
 
 def test_misaligned_access_raises():
-    mem = make_mem()
+    mem = MemorySystem()
     with pytest.raises(MisalignedAccess):
         mem.load(mem.base + 1, 4, False, KEY)
     with pytest.raises(MisalignedAccess):
@@ -72,7 +72,7 @@ def test_misaligned_access_raises():
 
 
 def test_bounds_checked():
-    mem = make_mem()
+    mem = MemorySystem()
     with pytest.raises(OutOfBoundsAccess):
         mem.load(mem.base - 8, 8, False, KEY)
     with pytest.raises(OutOfBoundsAccess):
@@ -83,7 +83,7 @@ def test_bounds_checked():
 
 
 def test_full_word_store_replaces_tag():
-    mem = make_mem()
+    mem = MemorySystem()
     addr = mem.base + 0x300
     mem.store(addr, 8, 1, 1, KEY)
     assert mem.load(addr, 8, False, KEY)[1] == 1
@@ -92,7 +92,7 @@ def test_full_word_store_replaces_tag():
 
 
 def test_partial_store_retains_tag():
-    mem = make_mem()
+    mem = MemorySystem()
     addr = mem.base + 0x308
     mem.store(addr, 8, 0xFFFFFFFFFFFFFFFF, 1, KEY)
     mem.store(addr, 2, 0xAAAA, 0, KEY)  # clean halfword into tagged word
@@ -104,7 +104,7 @@ def test_partial_store_retains_tag():
 @pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
 @pytest.mark.parametrize("width", [1, 2, 4])
 def test_partial_store_retains_tag_each_width(width, no_cache):
-    mem = make_mem(no_cache=no_cache)
+    mem = MemorySystem(no_cache=no_cache)
     addr = mem.base + 0x308
     mem.store(addr, 8, 0xFFFFFFFFFFFFFFFF, 1, KEY)
     mem.store(addr + 8 - width, width, 0, 0, KEY)  # clean sub-word store into the tagged word's top
@@ -114,14 +114,14 @@ def test_partial_store_retains_tag_each_width(width, no_cache):
 
 
 def test_partial_tagged_store_taints_word():
-    mem = make_mem()
+    mem = MemorySystem()
     addr = mem.base + 0x310
     mem.store(addr, 1, 0x55, 1, KEY)
     assert mem.load(addr, 8, False, KEY)[1] == 1
 
 
 def test_ctag_set_covers_straddled_words():
-    mem = make_mem()
+    mem = MemorySystem()
     base = mem.base + 0x400
     mem.ctag_set_range(base + 4, 8, KEY)  # touches words 0 and 1
     assert mem.load(base, 8, False, KEY)[1] == 1
@@ -134,7 +134,7 @@ def test_ctag_set_covers_straddled_words():
 
 
 def test_ctag_clear_only_full_words():
-    mem = make_mem()
+    mem = MemorySystem()
     base = mem.base + 0x480
     mem.ctag_set_range(base, 24, KEY)
     mem.ctag_clear_range(base, 12, KEY)  # word 0 fully inside, word 1 partial
@@ -146,7 +146,7 @@ def test_ctag_clear_only_full_words():
 
 @pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
 def test_ctag_clear_keeps_partial_words_at_both_ends(no_cache):
-    mem = make_mem(no_cache=no_cache)
+    mem = MemorySystem(no_cache=no_cache)
     base = mem.base + 0x4C0
     mem.ctag_set_range(base, 24, KEY)
     mem.ctag_clear_range(base + 4, 16, KEY)  # word 0 and word 2 partial, word 1 inside
@@ -155,23 +155,23 @@ def test_ctag_clear_keeps_partial_words_at_both_ends(no_cache):
 
 
 def test_ctag_read_modes():
-    mem = make_mem()
+    mem = MemorySystem()
     addr = mem.base + 0x500
     mem.ctag_set_range(addr, 8, KEY)
     misses = mem.tagcache_misses
     assert mem.ctag_read(addr) == 1  # line resident from the set walk
     assert mem.tagcache_misses == misses  # no tag-store lookup
     mem.flush_and_sync(KEY)
-    accesses = mem.dram_tag_accesses
+    touches = mem.tag_store_touches
     assert mem.ctag_read(addr) == 1
-    assert mem.dram_tag_accesses == accesses + 1  # had to consult the tag store
+    assert mem.tag_store_touches == touches + 1  # had to consult the tag store
 
 
 # ---- the encryption boundary ------------------------------------------------------
 
 
 def test_tagged_word_rests_encrypted():
-    mem = make_mem()
+    mem = MemorySystem()
     addr = mem.base + 0x600
     mem.store(addr, 8, 0xCAFEBABE, 1, KEY)
     mem.flush_and_sync(KEY)
@@ -184,7 +184,7 @@ def test_tagged_word_rests_encrypted():
 
 
 def test_untagged_word_rests_plain():
-    mem = make_mem()
+    mem = MemorySystem()
     addr = mem.base + 0x608
     mem.store(addr, 8, 0xCAFEBABE, 0, KEY)
     mem.flush_and_sync(KEY)
@@ -193,7 +193,7 @@ def test_untagged_word_rests_plain():
 
 
 def test_wrong_key_scrambles():
-    mem = make_mem()
+    mem = MemorySystem()
     addr = mem.base + 0x700
     mem.store(addr, 8, 0x1234, 1, KEY)
     mem.flush_and_sync(KEY)
@@ -204,7 +204,7 @@ def test_wrong_key_scrambles():
 
 
 def test_at_rest_invariant_full_scan():
-    mem = make_mem()
+    mem = MemorySystem()
     stored = {}  # word address -> (value, tag)
     for i in range(200):
         addr = mem.base + 0x800 + 8 * i
@@ -222,7 +222,7 @@ def test_at_rest_invariant_full_scan():
 
 def test_eviction_pressure_preserves_data():
     # 3x the dcache capacity in distinct lines, half of them tagged
-    mem = make_mem()
+    mem = MemorySystem()
     lines = 3 * (32 * 1024 // 64)
     for i in range(lines):
         addr = mem.base + 0x10000 + 64 * i
@@ -235,7 +235,7 @@ def test_eviction_pressure_preserves_data():
 
 
 def test_raw_dump_requires_clean_caches():
-    mem = make_mem()
+    mem = MemorySystem()
     mem.store(mem.base, 8, 1, 0, KEY)
     with pytest.raises(RuntimeError):
         mem.raw_dump(mem.base, 16)
@@ -246,7 +246,7 @@ def test_raw_dump_requires_clean_caches():
 
 
 def test_format_dump_shape():
-    mem = make_mem()
+    mem = MemorySystem()
     mem.store(mem.base, 8, 0xAB, 1, KEY)
     mem.flush_and_sync(KEY)
     text = mem.format_dump(mem.base, 16)
@@ -258,7 +258,7 @@ def test_format_dump_shape():
 
 
 def test_soundness_guard_trips_on_violation():
-    mem = make_mem(debug_soundness=True)
+    mem = MemorySystem(debug_soundness=True)
     addr = mem.base + 0x900
     mem.store(addr, 8, 7, 1, KEY)
     # force an inconsistent oracle state behind the API's back
@@ -266,66 +266,83 @@ def test_soundness_guard_trips_on_violation():
         mem.store(addr, 8, 7, 0, KEY, taints=0xFF)
 
 
-# ---- model accounting -----------------------------------------------------------
+# ---- model accounting ------------------------------------------------------------
+# Memory counts the union of the models' events; report.mem_stats gives
+# each model its share.
 
 
 def test_baseline_charges_no_tag_or_cipher_work():
-    mem = MemorySystem(model="baseline")
+    mem = MemorySystem()
     addr = mem.base + 0x1000
     mem.store(addr, 8, 42, 1, KEY)
     mem.flush_and_sync(KEY)
     mem.load(addr, 8, False, KEY)
-    assert mem.dram_tag_accesses == 0
-    assert mem.cipher_blocks == 0
-    assert mem.tagcache_hits == mem.tagcache_misses == 0
-    # but the functional result is still encrypted at rest
+    stats = mem_stats(mem, "baseline")
+    assert stats["dram_tag_accesses"] == stats["cipher_blocks"] == 0
+    assert stats["tagcache_hits"] == stats["tagcache_misses"] == 0
+    # though memory counted them, and the word is still encrypted at rest
+    assert mem.tag_store_touches == 3 and mem.cipher_blocks == 2
     raw = int.from_bytes(mem.dram[0x1000:0x1008], "little")
     assert raw == qarma_encrypt(KEY, addr, 42)
 
 
 def test_model_a_counts_tag_traffic_per_line_event():
-    mem = MemorySystem(model="a")
+    mem = MemorySystem()
     addr = mem.base + 0x2000
     mem.store(addr, 8, 1, 1, KEY)  # miss: one fill
-    assert mem.dram_tag_accesses == 1
+    assert mem_stats(mem, "a")["dram_tag_accesses"] == 1
     mem.flush_and_sync(KEY)  # one dirty writeback
-    assert mem.dram_tag_accesses == 2
+    assert mem_stats(mem, "a")["dram_tag_accesses"] == 2
     mem.load(addr, 8, False, KEY)  # fill again
-    assert mem.dram_tag_accesses == 3
-    assert mem.cipher_blocks == 2  # one encrypt, one decrypt
+    stats = mem_stats(mem, "a")
+    assert stats["dram_tag_accesses"] == 3
+    assert stats["cipher_blocks"] == 2  # one encrypt, one decrypt
+    assert stats["tagcache_hits"] == stats["tagcache_misses"] == 0
 
 
 def test_model_b_tag_cache_filters():
-    mem = MemorySystem(model="b")
+    mem = MemorySystem()
     # 64 consecutive lines share one 4 KiB tag line
     for i in range(64):
         mem.load(mem.base + 64 * i, 8, False, KEY)
-    assert mem.tagcache_misses == 1
-    assert mem.tagcache_hits == 63
-    assert mem.dram_tag_accesses == 1
+    stats = mem_stats(mem, "b")
+    assert stats["tagcache_misses"] == 1
+    assert stats["tagcache_hits"] == 63
+    assert stats["dram_tag_accesses"] == 1
+    assert mem_stats(mem, "a")["dram_tag_accesses"] == 64
 
 
 def test_model_b_dirty_tag_eviction_costs_one_more():
     # single-entry tag cache makes the victim deterministic
-    mem = MemorySystem(model="b", tag_cache=(64, 1))
+    mem = MemorySystem(tag_cache=(64, 1))
     counted = []
     for line_base, write in [(mem.base, True), (mem.base + 4096, False), (mem.base + 8192, False)]:
-        before = mem.dram_tag_accesses
+        before = mem_stats(mem, "b")["dram_tag_accesses"]
         mem._tag_access(line_base, write)
-        counted.append(mem.dram_tag_accesses - before)
+        counted.append(mem_stats(mem, "b")["dram_tag_accesses"] - before)
     # a miss that fills dirty, a dirty victim, a clean victim
     assert counted == [1, 2, 1]
 
 
 def test_cipher_latency_charged_per_tagged_word():
-    mem = MemorySystem(model="a")
+    mem = MemorySystem()
     addr = mem.base + 0x3000
     mem.ctag_set_range(addr, 64, KEY)  # whole line tagged
-    before = (mem.dram_data_accesses, mem.dram_tag_accesses, mem.cipher_blocks)
+    fields = ("dram_data_accesses", "dram_tag_accesses", "cipher_blocks")
+    before = [mem_stats(mem, "a")[f] for f in fields]
     mem.flush_and_sync(KEY)
-    after = (mem.dram_data_accesses, mem.dram_tag_accesses, mem.cipher_blocks)
+    after = [mem_stats(mem, "a")[f] for f in fields]
     # one writeback: its data access, its tag access and 8 cipher blocks
     assert [b - a for a, b in zip(before, after)] == [1, 1, 8]
+
+
+def test_unknown_model_raises():
+    mem = MemorySystem()
+    with pytest.raises(ValueError):
+        mem_stats(mem, "c")
+    with pytest.raises(ValueError):
+        counts(MachineState(), mem, "B")
+
 
 
 # ---- the planes ---------------------------------------------------------------
@@ -334,7 +351,7 @@ def test_cipher_latency_charged_per_tagged_word():
 @pytest.mark.parametrize("plane", ["dram", "tag_bits", "byte_oracle"])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_planes_compare_by_content(plane, where):
-    a, b = make_mem(), make_mem()
+    a, b = MemorySystem(), MemorySystem()
     for name in ("dram", "tag_bits", "byte_oracle"):
         assert getattr(a, name) is not getattr(b, name)
         assert getattr(a, name) == getattr(b, name)
@@ -378,7 +395,7 @@ ORACLE_SPAN = 256  # bytes of DRAM under test: 32 oracle bytes
 @settings(max_examples=300, deadline=None)
 def test_oracle_set_matches_per_byte_rule(initial, offset, length, on):
     length = min(length, ORACLE_SPAN - offset)
-    mem = make_mem(size=ORACLE_SPAN)
+    mem = MemorySystem(size=ORACLE_SPAN)
     mem.byte_oracle[:] = initial
     expected = bytearray(initial)
     _oracle_set_per_byte(expected, offset, length, on)
@@ -415,7 +432,7 @@ def _oracle_bits_per_byte(oracle, bi, width):
 )
 @settings(max_examples=50, deadline=None)
 def test_oracle_update_matches_per_byte_rule(width, initial, slot, taints):
-    mem = make_mem(size=ORACLE_SPAN)
+    mem = MemorySystem(size=ORACLE_SPAN)
     for offset in range(8 * slot, 8 * slot + 8, width):  # every aligned offset in the word
         mem.byte_oracle[:] = initial
         expected = bytearray(initial)
@@ -434,7 +451,7 @@ def test_oracle_update_matches_per_byte_rule(width, initial, slot, taints):
 @settings(max_examples=300, deadline=None)
 def test_oracle_bits_for_matches_per_byte_rule(initial, offset, width):
     width = min(width, ORACLE_SPAN - offset)
-    mem = make_mem(size=ORACLE_SPAN)
+    mem = MemorySystem(size=ORACLE_SPAN)
     mem.byte_oracle[:] = initial
     assert mem.oracle_bits_for(mem.base + offset, width) == _oracle_bits_per_byte(initial, offset, width)
 
@@ -464,24 +481,26 @@ OPS = st.lists(
 SPAN = 128 * 8  # the bytes OPS reaches
 
 
-def _apply(mem, op):
-    """Apply one OPS step to mem; a load returns (value, tag, oracle bits)."""
+def _apply(mem, op, page=0):
+    """Apply one OPS step to the 4 KiB page `page` of mem's DRAM; a load
+    returns (value, tag, oracle bits)."""
+    base = mem.base + 4096 * page
     kind = op[0]
     if kind == "store":
         _, offset, width, value, tag, taints = op
         taints &= (1 << width) - 1
         if not tag:
             taints = 0  # a register tag over-approximates its byte taints
-        mem.store(mem.base + offset - offset % width, width, value & ((1 << (8 * width)) - 1), tag, KEY, taints)
+        mem.store(base + offset - offset % width, width, value & ((1 << (8 * width)) - 1), tag, KEY, taints)
     elif kind == "load":
         _, offset, width = op
-        addr = mem.base + offset - offset % width
+        addr = base + offset - offset % width
         value, tag = mem.load(addr, width, False, KEY)
         return value, tag, mem.oracle_bits_for(addr, width)
     elif kind in ("ctag_set", "ctag_clr"):
         _, offset, length = op
         ctag = mem.ctag_set_range if kind == "ctag_set" else mem.ctag_clear_range
-        ctag(mem.base + offset, min(length, SPAN - offset), KEY)
+        ctag(base + offset, min(length, SPAN - offset), KEY)
     else:
         mem.flush_and_sync(KEY)
     return None
@@ -490,8 +509,8 @@ def _apply(mem, op):
 @given(ops=OPS)
 @settings(max_examples=120, deadline=None)
 def test_cached_matches_uncached(ops):
-    cached = MemorySystem(model="b", debug_soundness=True)
-    flat = MemorySystem(model="b", no_cache=True, debug_soundness=True)
+    cached = MemorySystem(debug_soundness=True)
+    flat = MemorySystem(no_cache=True, debug_soundness=True)
     for op in ops:
         assert _apply(cached, op) == _apply(flat, op)
     cached.flush_and_sync(KEY)
@@ -506,7 +525,7 @@ def test_cached_matches_uncached(ops):
 @given(ops=OPS)
 @settings(max_examples=60, deadline=None)
 def test_live_sets_track_resident_lines(dcache, ops):
-    mem = MemorySystem(model="b", dcache=dcache)
+    mem = MemorySystem(dcache=dcache)
     for op in ops:
         _apply(mem, op)
         cache = mem.dcache
@@ -640,7 +659,7 @@ TAG_RUNS = st.lists(
 @example(runs=[[(k, 0, 0, True) for k in range(9)]])  # a dirty victim in the default geometry
 @settings(max_examples=100, deadline=None)
 def test_tag_cache_matches_reference(tag_cache, runs):
-    mem = MemorySystem(model="b", tag_cache=tag_cache)
+    mem = MemorySystem(tag_cache=tag_cache)
     ref = _TagCacheReference(*tag_cache)
     n_sets = len(ref.sets)
     for run in runs:
@@ -657,11 +676,107 @@ def test_tag_cache_matches_reference(tag_cache, runs):
 
 
 def _tag_counts(mem, ref):
-    """The tag-cache hits, misses and DRAM tag accesses of mem and of ref."""
-    return (mem.tagcache_hits, mem.tagcache_misses, mem.dram_tag_accesses), (ref.hits, ref.misses, ref.dram_tag_accesses)
+    """Model B's tag-cache hits, misses and DRAM tag accesses in mem, and
+    those of ref."""
+    stats = mem_stats(mem, "b")
+    return (
+        (stats["tagcache_hits"], stats["tagcache_misses"], stats["dram_tag_accesses"]),
+        (ref.hits, ref.misses, ref.dram_tag_accesses),
+    )
 
 
 def _assert_same_deltas(before, after):
     """One call moved mem's counts and ref's by the same amounts."""
     (mem0, ref0), (mem1, ref1) = before, after
     assert [b - a for a, b in zip(mem0, mem1)] == [b - a for a, b in zip(ref0, ref1)]
+
+
+# ---- differential: the union of events against per-model memories ---------------------
+
+
+class _PerModelMemory(MemorySystem):
+    """A MemorySystem that counts one model's tag and cipher events only,
+    as memory did before it counted their union: frozen copies of that
+    _tag_access, _count_cipher and flush_and_sync. Its counters are what
+    report.mem_stats must give for the model."""
+
+    def __init__(self, model, **kw):
+        super().__init__(**kw)
+        self.model = model
+        self.dram_tag_accesses = 0
+
+    def _tag_access(self, line_base, write):
+        if self.model == "baseline":
+            return
+        if self.model == "a":
+            self.dram_tag_accesses += 1
+            return
+        tagcache = self.tagcache
+        tag_base = (line_base >> 12) * LINE
+        tl = tagcache.find(tag_base)
+        if tl is not None:
+            tagcache.hits += 1
+            tl.dirty = tl.dirty or write
+            return
+        tagcache.misses += 1
+        tl = _Line(tag_base, None, 0)
+        tl.dirty = write
+        victim = tagcache.insert(tl)
+        self.dram_tag_accesses += 2 if victim is not None and victim.dirty else 1
+
+    def _count_cipher(self, word_addr):
+        if self.model == "baseline":
+            return
+        self.cipher_blocks += 1
+        if self.oracle_word(word_addr) == 0:
+            self.overtag_cipher_blocks += 1
+
+    def flush_and_sync(self, key):
+        for cache in (self.dcache, self.icache):
+            for line in cache.all_lines():
+                if line.dirty:
+                    self._writeback_line(line, key)
+            cache.invalidate()
+        self.dram_tag_accesses += sum(tl.dirty for tl in self.tagcache.all_lines())
+        self.tagcache.invalidate()
+        self.clean = True
+
+
+# "small": a dcache of 8 sets of 2 ways, which the 16 lines OPS reaches in
+# a page overflow, and a one-line tag cache, which every other page evicts
+GEOMETRIES = {"default": {}, "small": {"dcache": (1024, 2), "tag_cache": (64, 1)}, "no_cache": {"no_cache": True}}
+
+
+@pytest.mark.parametrize("geometry", list(GEOMETRIES))
+@given(ops=OPS, pages=st.lists(st.integers(0, 16), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_each_model_counts_its_share_of_the_union(geometry, ops, pages):
+    mem = MemorySystem(**GEOMETRIES[geometry])
+    refs = {m: _PerModelMemory(m, **GEOMETRIES[geometry]) for m in MODELS}
+    for i, op in enumerate(ops):
+        for target in (mem, *refs.values()):
+            _apply(target, op, pages[i % len(pages)])
+    for target in (mem, *refs.values()):
+        target.flush_and_sync(KEY)
+    state = MachineState()
+    for model, ref in refs.items():
+        assert mem_stats(mem, model) == {
+            "dcache_hits": ref.dcache.hits,
+            "dcache_misses": ref.dcache.misses,
+            "icache_hits": ref.icache.hits,
+            "icache_misses": ref.icache.misses,
+            "tagcache_hits": ref.tagcache_hits,
+            "tagcache_misses": ref.tagcache_misses,
+            "dram_data_accesses": ref.dram_data_accesses,
+            "dram_tag_accesses": ref.dram_tag_accesses,
+            "cipher_blocks": ref.cipher_blocks,
+        }, model
+        n = counts(state, mem, model)
+        assert (n["dram_access_latency"], n["cipher_block"], n["tag_cache_hit"]) == (
+            ref.dram_data_accesses + ref.dram_tag_accesses,
+            ref.cipher_blocks,
+            ref.tagcache_hits,
+        ), model
+        # build_report prices the over-tag blocks of a model that pays for cipher work
+        if model != "baseline":
+            assert mem.overtag_cipher_blocks == ref.overtag_cipher_blocks, model

@@ -32,7 +32,7 @@ MASTER = generate_master_key(7)
 
 
 def machine(seed=0, fs=None, strict_write=False):
-    mem = MemorySystem(model="b")
+    mem = MemorySystem()
     shim = OsShim(master_key=MASTER, seed=seed, fs=fs or {}, strict_write=strict_write)
     st = MachineState(pc=mem.base, key=shim.key_for(0))
     return st, mem, shim

@@ -15,6 +15,7 @@ from conch.report import (
     build_report,
     compute_overtagging,
     emit_report,
+    mem_stats,
     run_models,
     simulate,
 )
@@ -74,7 +75,7 @@ def test_store_taints_masks_width():
 
 
 def test_overtagging_counts_partial_words():
-    mem = MemorySystem(model="b")
+    mem = MemorySystem()
     a = mem.base + 0x100
     mem.ctag_set_range(a, 4, KEY)  # one word, 4 of 8 bytes tainted
     mem.ctag_set_range(a + 8, 8, KEY)  # one word fully tainted
@@ -87,7 +88,7 @@ def test_overtagging_counts_partial_words():
 
 
 def test_overtagging_empty_state():
-    mem = MemorySystem(model="b")
+    mem = MemorySystem()
     stats = compute_overtagging(mem)
     assert stats["words_tagged_final"] == 0
     assert stats["overtagged_bytes"] == 0
@@ -134,7 +135,7 @@ def test_overtagging_matches_numpy_at_chunk_edges():
     # each word it writes, as the memory system's access paths do; the
     # edge words are the first and last words of the first two and the
     # last two regions of DRAM.
-    mem = MemorySystem(model="b")
+    mem = MemorySystem()
     n_words = mem.size // 8
     region_words = 1 << (REGION_SHIFT - 3)
     rng = random.Random(5)
@@ -190,7 +191,7 @@ def test_overtagging_scans_the_tagged_span_exactly():
     # but tainted, inside and just outside the span
     for w in range(6 * rw + 63, 6 * rw + 81):
         words[w] = (w in (6 * rw + 67, 6 * rw + 77), 0x81 if w % 2 else 0xFF)
-    mem = MemorySystem(model="b")
+    mem = MemorySystem()
     for w, (tagged, taints) in words.items():
         _plant(mem, w, tagged, taints)
     stats = compute_overtagging(mem)
@@ -219,7 +220,7 @@ _EDGE_OFFSETS = [0, 1, 7, 8, 63, 64, REGION_WORDS - 65, REGION_WORDS - 9, REGION
 )
 @settings(max_examples=20, deadline=None)
 def test_overtagging_matches_numpy_on_sparse_regions(regions):
-    mem = MemorySystem(model="b")
+    mem = MemorySystem()
     words = {}
     for r, offsets in regions:
         mem.regions.add(r)  # a region may be recorded with nothing set
@@ -319,10 +320,11 @@ def test_uncached_dram_accesses_are_counted_and_priced():
 def _counted_price(r):
     """r's cycles priced from its counters under the default costs, with
     no instruction but alu ops retired."""
-    m, st = r.mem, r.st
+    m, st, stats = r.mem, r.st, mem_stats(r.mem, r.model)
     assert set(st.histogram) <= {"auipc", "addi"} and st.mispredicts == 0
     assert m.stores == m.cipher_blocks == 0
-    return st.instret + 2 * m.loads + 60 * (m.dram_data_accesses + m.dram_tag_accesses) + m.tagcache_hits
+    dram = stats["dram_data_accesses"] + stats["dram_tag_accesses"]
+    return st.instret + 2 * m.loads + 60 * dram + stats["tagcache_hits"]
 
 
 STOP_PROGRAMS = {
@@ -377,6 +379,27 @@ def test_report_partial_models():
     assert rep["cycles"]["model_a"] is None
     assert rep["overhead"]["model_b_pct"] is None  # no baseline to compare
     assert rep["tag_stats"]["overtag_extra_cycles_pct"] is None
+
+
+# mem_stats and cycles of PROG run under one model alone (seed 0): baseline
+# reports no tag or cipher event, model A no tag-cache event
+_SHARED_STATS = {
+    "dcache_hits": 2, "dcache_misses": 64, "icache_hits": 9, "icache_misses": 1, "dram_data_accesses": 129,
+}
+SINGLE_MODEL_REPORTS = {
+    "baseline": (7751, {"tagcache_hits": 0, "tagcache_misses": 0, "dram_tag_accesses": 0, "cipher_blocks": 0}),
+    "a": (17539, {"tagcache_hits": 0, "tagcache_misses": 0, "dram_tag_accesses": 129, "cipher_blocks": 512}),
+    "b": (10106, {"tagcache_hits": 127, "tagcache_misses": 2, "dram_tag_accesses": 3, "cipher_blocks": 512}),
+}
+
+
+@pytest.mark.parametrize("model", list(SINGLE_MODEL_REPORTS))
+def test_report_single_model_mem_stats(model):
+    rep = build_report(run_models(PROG, models=(model,), seed=0), seed=0)
+    cycles, stats = SINGLE_MODEL_REPORTS[model]
+    label = {"baseline": "baseline", "a": "model_a", "b": "model_b"}[model]
+    assert rep["cycles"] == {k: cycles if k == label else None for k in ("baseline", "model_a", "model_b")}
+    assert rep["mem_stats"] == {**_SHARED_STATS, **stats}
 
 
 def test_emit_text_format():
