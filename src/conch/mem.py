@@ -8,17 +8,14 @@ tweak). Untagged words rest verbatim.
 
 Memory knows no cycle model: it counts every event once, and
 report.counts picks the events each model pays for. It counts each load
-and store (kernel copies included) and each DRAM data access: a line
-fill or writeback, and under no_cache each direct load, direct store and
-ctag walk (a no_cache fetch is free). It counts each touch of the tag
-store for one data line (a fill, a dirty writeback, a ctag.rdt miss) and
-its lookup in the tag cache, a CacheModel whose one line covers 4 KiB of
-data: a hit, or a miss whose dirty victim is one tag writeback; a flush
-writes back every dirty tag line. Each tagged word crossing the
-boundary, either way, is one cipher block, and one over-tag block too
-when none of its bytes is oracle-tainted. Under no_cache no tag or
-cipher event is counted, so the models price alike there: no_cache is a
-functional reference only.
+and store (kernel copies included) and each DRAM data access, which is a
+line fill or writeback. It counts each touch of the tag store for one
+data line (a fill, a dirty writeback, a ctag.rdt miss) and its lookup in
+the tag cache, a CacheModel whose one line covers 4 KiB of data: a hit,
+or a miss whose dirty victim is one tag writeback; a flush writes back
+every dirty tag line. Each tagged word crossing the boundary, either
+way, is one cipher block, and one over-tag block too when none of its
+bytes is oracle-tainted.
 
 Encryption itself always happens, whoever pays for it. The blocks go
 through MemorySystem.memo, a crypt.BlockMemo that the simulations of one
@@ -30,7 +27,8 @@ byte.
 The byte_oracle bitmap is the byte-granularity golden taint reference
 (one bit per DRAM byte) used to measure over-tagging; it is maintained on
 the store paths and by the tag-management instructions and has no effect
-on simulated behavior.
+on simulated behavior. Every store checks it: a store that leaves an
+oracle-tainted word untagged raises SoundnessViolation.
 
 Every load and store is naturally aligned (a misaligned one raises
 MisalignedAccess, which the interpreter turns into a trap), so a data
@@ -45,8 +43,7 @@ Bookkeeping scales with that footprint too, not with DRAM size or cache
 geometry. MemorySystem.regions holds the indices (offset >> REGION_SHIFT)
 of the 32 KiB DRAM regions the run has reached; one region is 512 B of
 the tag plane and 4 KiB of the oracle plane. A region is recorded in
-_fill, which every cached access goes through to reach a line, and in
-_word_at_rest, which every uncached access goes through. So every nonzero
+_fill, which every access goes through to reach a line. So every nonzero
 byte of tag_bits and byte_oracle lies in a recorded region, and the
 over-tagging statistics scan only those, each over its tagged span.
 Likewise CacheModel.live holds the indices of its non-empty sets (a set
@@ -90,8 +87,8 @@ class MisalignedAccess(MemAccessError):
 
 
 class SoundnessViolation(AssertionError):
-    """Raised in debug mode when a word's hardware tag under-approximates
-    the byte oracle; must never happen."""
+    """Raised when a store leaves a word's hardware tag under its byte
+    oracle: an oracle-tainted word untagged. Must never happen."""
 
 
 class Plane(mmap.mmap):
@@ -117,11 +114,6 @@ def _extend(value, width, signed):
     if signed and value & (1 << (8 * width - 1)):
         value -= 1 << (8 * width)
     return value & MASK64
-
-
-def _stored_tag(old, width, src_tag):
-    """A full-word store replaces the word tag; a narrower one ORs into it."""
-    return src_tag if width == 8 else old | src_tag
 
 
 class _Line:
@@ -200,15 +192,11 @@ class MemorySystem:
         dcache=(32 * 1024, 8),
         icache=(32 * 1024, 8),
         tag_cache=(4 * 1024, 8),
-        no_cache=False,
-        debug_soundness=False,
         memo=None,
     ):
         assert base % LINE == 0 and size % LINE == 0
         self.base = base
         self.size = size
-        self.no_cache = no_cache
-        self.debug_soundness = debug_soundness
         # the blocks enciphered so far; MemorySystems replaying one run
         # may share it
         self.memo = BlockMemo() if memo is None else memo
@@ -380,9 +368,6 @@ class MemorySystem:
         self._check_range(addr, width)
         self._align_check(addr, width)
         self.loads += 1
-        if self.no_cache:
-            self.dram_data_accesses += 1
-            return self._load_direct(addr, width, signed, key)
         line_base = addr & ~(LINE - 1)
         line = self._access(self.dcache, line_base, key)
         off = addr - line_base
@@ -395,33 +380,31 @@ class MemorySystem:
         word tag; narrower stores retain it (old OR src).
 
         taints carries per-byte oracle bits for the written bytes; by
-        default the word-level src_tag is broadcast."""
+        default the word-level src_tag is broadcast. A store that leaves
+        the word untagged while its oracle byte is nonzero raises
+        SoundnessViolation."""
         self._check_range(addr, width)
         self._align_check(addr, width)
         if taints is None:
             taints = ((1 << width) - 1) if src_tag else 0
         self.stores += 1
-        if self.no_cache:
-            self.dram_data_accesses += 1
-            return self._store_direct(addr, width, value, src_tag, taints, key)
         line_base = addr & ~(LINE - 1)
         line = self._access(self.dcache, line_base, key)
         off = addr - line_base
         line.data[off : off + width] = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
         j = off >> 3
-        tag = _stored_tag((line.tags >> j) & 1, width, src_tag)
+        tag = src_tag if width == 8 else (line.tags >> j) & 1 | src_tag
         line.tags = line.tags & ~(1 << j) | tag << j
         line.dirty = True
         self._oracle_update(addr, width, taints)
         self.clean = False
-        if self.debug_soundness and self.oracle_word(addr) and not tag:
+        if not tag and self.byte_oracle[(addr - self.base) >> 3]:
             raise SoundnessViolation(f"store left word {addr & ~7:#x} under-tagged")
 
     def fetch(self, addr, key):
         """Instruction fetch of the 4-aligned addr: an icache hit counts
-        nothing else, a miss fills the line; a no_cache fetch counts
-        nothing. A hit on icache.mru needs no range check, since a
-        resident line lies inside DRAM."""
+        nothing else, a miss fills the line. A hit on icache.mru needs no
+        range check, since a resident line lies inside DRAM."""
         line_base = addr & ~(LINE - 1)
         icache = self.icache
         line = icache.mru
@@ -429,8 +412,6 @@ class MemorySystem:
             icache.hits += 1
         else:
             self._check_range(addr, 4)
-            if self.no_cache:
-                return self._load_direct(addr, 4, False, key)[0]
             line = self._access(icache, line_base, key)
         return _WORD32.unpack_from(line.data, addr - line_base)[0]
 
@@ -454,8 +435,7 @@ class MemorySystem:
         clear those of the words wholly inside it; set or clear the oracle
         bits of the covered bytes. Once the range is checked, and before
         the walk starts, charge (if given) is called with the accesses the
-        walk makes: one per line it visits, or one per word it changes
-        when no_cache."""
+        walk makes: one per line it visits."""
         if length == 0:
             return
         self._check_range(base, length)
@@ -463,20 +443,14 @@ class MemorySystem:
         # the words affected: [lo, hi)
         lo, hi = (base & ~7, (end + 7) & ~7) if on else ((base + 7) & ~7, end & ~7)
         if charge is not None:
-            charge(max(hi - lo, 0) >> 3 if self.no_cache else ((end + LINE - 1) >> 6) - (base >> 6))
-        if self.no_cache:
-            for w in range(lo, hi, 8):
-                # read before flipping the tag: it decides the decrypt
-                self._set_word_at_rest(w, self._word_at_rest(w, key), on, key)
-            self.dram_data_accesses += 1  # the whole walk counts as one
-        else:
-            for lb in range(base & ~(LINE - 1), end, LINE):
-                line = self._access(self.dcache, lb, key)
-                # bit j: word lb + 8j lies in [lo, hi)
-                mask = (0xFF << (max(lo - lb, 0) >> 3)) & (0xFF >> (max(lb + LINE - hi, 0) >> 3))
-                line.tags = line.tags | mask if on else line.tags & ~mask
-                line.dirty = True
-            self.clean = False
+            charge(((end + LINE - 1) >> 6) - (base >> 6))
+        for lb in range(base & ~(LINE - 1), end, LINE):
+            line = self._access(self.dcache, lb, key)
+            # bit j: word lb + 8j lies in [lo, hi)
+            mask = (0xFF << (max(lo - lb, 0) >> 3)) & (0xFF >> (max(lb + LINE - hi, 0) >> 3))
+            line.tags = line.tags | mask if on else line.tags & ~mask
+            line.dirty = True
+        self.clean = False
         self._oracle_set(base, length, on)
 
     def ctag_read(self, addr):
@@ -484,8 +458,6 @@ class MemorySystem:
         from its own metadata and counts nothing; a miss consults the tag
         store without filling data."""
         self._check_range(addr, 1)
-        if self.no_cache:
-            return self.word_tag(addr)
         line_base = addr & ~(LINE - 1)
         line = self.dcache.find(line_base)
         if line is not None:
@@ -532,37 +504,3 @@ class MemorySystem:
             word = int.from_bytes(chunk.ljust(8, b"\x00"), "little")
             out.append(f"{w:08x}: {word:016x} {tags[i]}")
         return "\n".join(out) + "\n"
-
-    # ---- degenerate uncached mode (differential testing) --------------------
-
-    def _word_at_rest(self, word_addr, key):
-        off = word_addr - self.base
-        self.regions.add(off >> REGION_SHIFT)
-        raw = int.from_bytes(self.dram[off : off + 8], "little")
-        if self.word_tag(word_addr):
-            return qarma_decrypt(key, word_addr, raw, memo=self.memo)
-        return raw
-
-    def _set_word_at_rest(self, word_addr, value, tag, key):
-        off = word_addr - self.base
-        wi = off >> 3
-        if tag:
-            raw = qarma_encrypt(key, word_addr, value, memo=self.memo)
-            self.tag_bits[wi >> 3] |= 1 << (wi & 7)
-        else:
-            raw = value
-            self.tag_bits[wi >> 3] &= ~(1 << (wi & 7)) & 0xFF
-        self.dram[off : off + 8] = raw.to_bytes(8, "little")
-
-    def _load_direct(self, addr, width, signed, key):
-        w = addr & ~7
-        value = (self._word_at_rest(w, key) >> (8 * (addr - w))) & ((1 << (8 * width)) - 1)
-        return _extend(value, width, signed), self.word_tag(w)
-
-    def _store_direct(self, addr, width, value, src_tag, taints, key):
-        w = addr & ~7
-        shift = 8 * (addr - w)
-        mask = ((1 << (8 * width)) - 1) << shift
-        word = self._word_at_rest(w, key) & ~mask | (value << shift) & mask
-        self._set_word_at_rest(w, word, _stored_tag(self.word_tag(w), width, src_tag), key)
-        self._oracle_update(addr, width, taints)

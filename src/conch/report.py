@@ -212,8 +212,6 @@ def simulate(
     max_instret=DEFAULT_MAX_INSTRET,
     strict_write=False,
     fs=None,
-    no_cache=False,
-    debug_soundness=False,
     with_oracle=True,
     memo=None,
     thread_keys=None,
@@ -226,13 +224,11 @@ def simulate(
     into (for this seed's master key); by default fresh ones."""
     if program is None:
         program = asm.assemble(asm.SourceUnit.from_text(source))
-    mem = MemorySystem(no_cache=no_cache, debug_soundness=debug_soundness, memo=memo)
+    mem = MemorySystem(memo=memo)
     st = MachineState()
     asm.load_image(program, mem, st)
     master = generate_master_key(seed)
-    shim = OsShim(master, seed=seed, fs=dict(fs or {}), strict_write=strict_write)
-    if thread_keys is not None:
-        shim.thread_keys = thread_keys
+    shim = OsShim(master, seed=seed, fs=dict(fs or {}), strict_write=strict_write, thread_keys=thread_keys)
     st.tid = 0
     st.key = shim.key_for(0)
     oracle = ByteOracle() if with_oracle else None

@@ -1,11 +1,92 @@
 """Shared test corpus: small programs exercising every subsystem, reused
 by the semantics-preservation and soundness suites. Each entry is
 (name, source, fs, expected_exit); expected_exit None means "don't care,
-but it must exit cleanly"."""
+but it must exit cleanly". Also the uncached reference memory that the
+cached hierarchy is checked against."""
 
 import random
 
 import pytest
+
+from conch.crypt import qarma_decrypt, qarma_encrypt
+from conch.isa import MASK64
+from conch.mem import REGION_SHIFT, MemorySystem
+
+
+class UncachedReference(MemorySystem):
+    """Memory without caches, kept frozen as the reference the cached
+    hierarchy must agree with: every load, store, fetch and ctag walk
+    reads or writes the words at rest in DRAM, deciphering and
+    enciphering tagged ones under the access's key. It keeps its own
+    copies of the retain-OR tag rule and of sign extension. It counts no
+    event; a ctag walk is charged one access per word it changes."""
+
+    def _word_at_rest(self, word_addr, key):
+        off = word_addr - self.base
+        self.regions.add(off >> REGION_SHIFT)
+        raw = int.from_bytes(self.dram[off : off + 8], "little")
+        if self.word_tag(word_addr):
+            return qarma_decrypt(key, word_addr, raw, memo=self.memo)
+        return raw
+
+    def _set_word_at_rest(self, word_addr, value, tag, key):
+        off = word_addr - self.base
+        wi = off >> 3
+        if tag:
+            raw = qarma_encrypt(key, word_addr, value, memo=self.memo)
+            self.tag_bits[wi >> 3] |= 1 << (wi & 7)
+        else:
+            raw = value
+            self.tag_bits[wi >> 3] &= ~(1 << (wi & 7)) & 0xFF
+        self.dram[off : off + 8] = raw.to_bytes(8, "little")
+
+    def _load_direct(self, addr, width, signed, key):
+        w = addr & ~7
+        value = (self._word_at_rest(w, key) >> (8 * (addr - w))) & ((1 << (8 * width)) - 1)
+        if signed and value & (1 << (8 * width - 1)):
+            value -= 1 << (8 * width)
+        return value & MASK64, self.word_tag(w)
+
+    def load(self, addr, width, signed, key):
+        self._check_range(addr, width)
+        self._align_check(addr, width)
+        return self._load_direct(addr, width, signed, key)
+
+    def store(self, addr, width, value, src_tag, key, taints=None):
+        self._check_range(addr, width)
+        self._align_check(addr, width)
+        if taints is None:
+            taints = ((1 << width) - 1) if src_tag else 0
+        w = addr & ~7
+        shift = 8 * (addr - w)
+        mask = ((1 << (8 * width)) - 1) << shift
+        word = self._word_at_rest(w, key) & ~mask | (value << shift) & mask
+        # a full-word store replaces the word tag; a narrower one ORs into it
+        tag = src_tag if width == 8 else self.word_tag(w) | src_tag
+        self._set_word_at_rest(w, word, tag, key)
+        self._oracle_update(addr, width, taints)
+
+    def fetch(self, addr, key):
+        self._check_range(addr, 4)
+        return self._load_direct(addr, 4, False, key)[0]
+
+    def _ctag_range(self, base, length, key, on, charge):
+        if length == 0:
+            return
+        self._check_range(base, length)
+        end = base + length
+        lo, hi = (base & ~7, (end + 7) & ~7) if on else ((base + 7) & ~7, end & ~7)
+        if charge is not None:
+            charge(max(hi - lo, 0) >> 3)
+        for w in range(lo, hi, 8):
+            # read before flipping the tag: it decides the decrypt
+            self._set_word_at_rest(w, self._word_at_rest(w, key), on, key)
+        self._oracle_set(base, length, on)
+
+    def ctag_read(self, addr):
+        self._check_range(addr, 1)
+        return self.word_tag(addr)
+
 
 # Arithmetic mix including the division edge cases, results stored so the
 # memory image is part of the cross-model comparison.

@@ -50,12 +50,12 @@ def demo_source(name):
 
 @pytest.fixture(scope="module")
 def corpus_runs(corpus):
-    """All corpus programs under all three models, with the continuous
-    word-level soundness assertion armed. Shared by criteria 4 and 9."""
+    """All corpus programs under all three models; every store checks
+    word-level soundness. Used by criterion 9."""
     runs = {}
     for name, source, fs, _ in corpus:
         program = asm.assemble(asm.SourceUnit.from_text(source))
-        runs[name] = run_models(program=program, fs=fs, seed=0, debug_soundness=True)
+        runs[name] = run_models(program=program, fs=fs, seed=0)
     return runs
 
 
@@ -171,9 +171,9 @@ class CheckingOracle(ByteOracle):
 def test_criterion_04_soundness(corpus):
     for name, source, fs, expected_exit in corpus:
         program = asm.assemble(asm.SourceUnit.from_text(source))
-        # debug_soundness arms the word-level assertion at every store and
-        # writeback; SoundnessViolation is an AssertionError and aborts.
-        mem = MemorySystem(debug_soundness=True)
+        # every store asserts word-level soundness; SoundnessViolation is
+        # an AssertionError and aborts.
+        mem = MemorySystem()
         st = MachineState()
         asm.load_image(program, mem, st)
         shim = OsShim(generate_master_key(0), seed=0, fs=dict(fs))

@@ -362,19 +362,17 @@ def test_misaligned_fetch_traps():
         step(stt, mem)
 
 
-@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
-@pytest.mark.parametrize("mnem", ["lh", "lw", "ld", "sh", "sw", "sd"])
-def test_misaligned_data_access_traps(mnem, no_cache):
-    res = simulate(odd_access_program(mnem), no_cache=no_cache)
+@pytest.mark.parametrize("mnem", ["lh", "lw", "ld", "sh", "sw", "sd"], ids=lambda m: f"{m}-cached")
+def test_misaligned_data_access_traps(mnem):
+    res = simulate(odd_access_program(mnem))
     assert res.stop == "trap"
     assert isinstance(res.st.trap, MisalignedAccess)
     assert res.st.instret == 3  # la and li retire; the access does not
 
 
-@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
-@pytest.mark.parametrize("mnem", ["lb", "sb"])
-def test_byte_access_at_odd_address_runs(mnem, no_cache):
-    res = simulate(odd_access_program(mnem), no_cache=no_cache)
+@pytest.mark.parametrize("mnem", ["lb", "sb"], ids=lambda m: f"{m}-cached")
+def test_byte_access_at_odd_address_runs(mnem):
+    res = simulate(odd_access_program(mnem))
     assert res.stop == "exit"
     assert res.st.exit_code == 0
 
@@ -406,21 +404,12 @@ def test_histogram_counts():
     assert stt.histogram["jal"] == 3
 
 
-@pytest.mark.parametrize(
-    "m, no_cache, walked",
-    [
-        ("ctag.set", False, 3),  # [base+8, base+138) overlaps lines 0, 1 and 2
-        ("ctag.clr", False, 3),
-        ("ctag.set", True, 17),  # words base+8 .. base+136, the last one partly covered
-        ("ctag.clr", True, 16),  # only the words wholly inside
-    ],
-)
-def test_ctag_walk_is_charged_against_the_budget(m, no_cache, walked):
+@pytest.mark.parametrize("m", ["ctag.set", "ctag.clr"])
+def test_ctag_walk_is_charged_against_the_budget(m):
     stt, mem = make_machine([isa.encode(m, rs1=10, rs2=11)])
-    mem.no_cache = no_cache
     stt.regs[10], stt.regs[11] = mem.base + 8, 130
     step(stt, mem)
-    assert stt.copy_words == walked
+    assert stt.copy_words == 3  # [base+8, base+138) overlaps lines 0, 1 and 2
 
 
 def test_ctag_walk_over_budget_stops_before_walking():

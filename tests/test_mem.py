@@ -1,7 +1,7 @@
 """Memory hierarchy: value/tag correctness through the caches, the
 encryption boundary (checked against each test's own record of what it
 stored), tag-management ranges, eviction pressure, and differential
-checks: the cached path against the degenerate uncached one, the MRU
+checks: the cached path against the uncached reference, the MRU
 line against a plain LRU, model B's tag cache against a frozen copy of
 its hand-written LRU, and each model's share of the counted events
 against frozen per-model memories."""
@@ -26,6 +26,8 @@ from conch.mem import (
     _Line,
 )
 from conch.report import counts, mem_stats
+
+from conftest import UncachedReference
 
 KEY = derive_thread_key(generate_master_key(3), 0)
 KEY2 = derive_thread_key(generate_master_key(3), 1)
@@ -101,10 +103,14 @@ def test_partial_store_retains_tag():
     assert tag == 1  # retain-tag policy
 
 
-@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
+# Run on both memories, so the reference is pinned to the rule as well.
+MEMORIES = pytest.mark.parametrize("memory", [MemorySystem, UncachedReference], ids=["cached", "no_cache"])
+
+
+@MEMORIES
 @pytest.mark.parametrize("width", [1, 2, 4])
-def test_partial_store_retains_tag_each_width(width, no_cache):
-    mem = MemorySystem(no_cache=no_cache)
+def test_partial_store_retains_tag_each_width(width, memory):
+    mem = memory()
     addr = mem.base + 0x308
     mem.store(addr, 8, 0xFFFFFFFFFFFFFFFF, 1, KEY)
     mem.store(addr + 8 - width, width, 0, 0, KEY)  # clean sub-word store into the tagged word's top
@@ -144,9 +150,9 @@ def test_ctag_clear_only_full_words():
     assert mem.oracle_bits_for(base, 12) == 0
 
 
-@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
-def test_ctag_clear_keeps_partial_words_at_both_ends(no_cache):
-    mem = MemorySystem(no_cache=no_cache)
+@MEMORIES
+def test_ctag_clear_keeps_partial_words_at_both_ends(memory):
+    mem = memory()
     base = mem.base + 0x4C0
     mem.ctag_set_range(base, 24, KEY)
     mem.ctag_clear_range(base + 4, 16, KEY)  # word 0 and word 2 partial, word 1 inside
@@ -258,7 +264,7 @@ def test_format_dump_shape():
 
 
 def test_soundness_guard_trips_on_violation():
-    mem = MemorySystem(debug_soundness=True)
+    mem = MemorySystem()
     addr = mem.base + 0x900
     mem.store(addr, 8, 7, 1, KEY)
     # force an inconsistent oracle state behind the API's back
@@ -456,7 +462,7 @@ def test_oracle_bits_for_matches_per_byte_rule(initial, offset, width):
     assert mem.oracle_bits_for(mem.base + offset, width) == _oracle_bits_per_byte(initial, offset, width)
 
 
-# ---- differential: cached vs uncached ---------------------------------------------
+# ---- differential: cached vs the uncached reference ------------------------------
 
 OPS = st.lists(
     st.one_of(
@@ -507,10 +513,11 @@ def _apply(mem, op, page=0):
 
 
 @given(ops=OPS)
+@example(ops=[("store", 8, 8, 2**64 - 1, 1, 0), ("store", 12, 4, 0, 0, 0), ("load", 8, 8)])  # a clean narrow store keeps the tag
 @settings(max_examples=120, deadline=None)
 def test_cached_matches_uncached(ops):
-    cached = MemorySystem(debug_soundness=True)
-    flat = MemorySystem(no_cache=True, debug_soundness=True)
+    cached = MemorySystem()
+    flat = UncachedReference()
     for op in ops:
         assert _apply(cached, op) == _apply(flat, op)
     cached.flush_and_sync(KEY)
@@ -744,7 +751,7 @@ class _PerModelMemory(MemorySystem):
 
 # "small": a dcache of 8 sets of 2 ways, which the 16 lines OPS reaches in
 # a page overflow, and a one-line tag cache, which every other page evicts
-GEOMETRIES = {"default": {}, "small": {"dcache": (1024, 2), "tag_cache": (64, 1)}, "no_cache": {"no_cache": True}}
+GEOMETRIES = {"default": {}, "small": {"dcache": (1024, 2), "tag_cache": (64, 1)}}
 
 
 @pytest.mark.parametrize("geometry", list(GEOMETRIES))

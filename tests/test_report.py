@@ -1,6 +1,7 @@
 """Harness layer: oracle rules in isolation, over-tagging arithmetic on
-synthetic memory states, report assembly and rendering, and the cached vs
-uncached functional equivalence of a whole program."""
+synthetic memory states, report assembly and rendering, and the
+functional equivalence of whole programs run on the cached hierarchy and
+on the uncached reference."""
 
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conch import report
 from conch.crypt import derive_thread_key, generate_master_key
 from conch.mem import DRAM_SIZE, REGION_SHIFT, MemorySystem
 from conch.report import (
@@ -20,7 +22,7 @@ from conch.report import (
     simulate,
 )
 
-from conftest import STREAM64K, build_corpus
+from conftest import STREAM64K, UncachedReference, build_corpus
 
 KEY = derive_thread_key(generate_master_key(0), 0)
 
@@ -242,13 +244,12 @@ def _regions_holding_set_bits(mem):
     return found
 
 
-@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no_cache"])
-@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f, _ in build_corpus()])
-def test_set_bits_lie_in_recorded_regions(name, source, fs, no_cache):
+@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=f"{n}-cached") for n, s, f, _ in build_corpus()])
+def test_set_bits_lie_in_recorded_regions(name, source, fs):
     """Every nonzero byte of both planes lies in a region the access paths
     recorded, so the region-only statistics equal a scan of whole planes.
     The corpus holds the three demos with the inputs `conch demo` uses."""
-    mem = simulate(source, model="b", seed=0, fs=fs, no_cache=no_cache).mem
+    mem = simulate(source, model="b", seed=0, fs=fs).mem
     assert _regions_holding_set_bits(mem) <= mem.regions
     stats = compute_overtagging(mem)
     expected = _overtagging_numpy(mem)
@@ -299,22 +300,30 @@ def test_run_models_subset():
     assert list(results) == ["baseline"]
 
 
-def test_cached_and_uncached_agree_on_program():
-    a = simulate(PROG, model="b", seed=0)
-    b = simulate(PROG, model="b", seed=0, no_cache=True)
-    assert a.st.regs == b.st.regs
-    assert a.st.reg_tags == b.st.reg_tags
-    assert a.st.exit_code == b.st.exit_code
-    assert bytes(a.mem.dram) == bytes(b.mem.dram)
-    assert bytes(a.mem.tag_bits) == bytes(b.mem.tag_bits)
+def _assert_cached_matches_uncached(monkeypatch, source, **kw):
+    """Run source through simulate on MemorySystem and on the uncached
+    reference, with one seed, fs and oracle; both runs end flushed. They
+    agree on the machine state, the output and every byte of the three
+    planes. copy_words may differ: the reference charges a ctag walk per
+    word, not per line."""
+    a = simulate(source, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(report, "MemorySystem", UncachedReference)
+        b = simulate(source, **kw)
+    assert type(b.mem) is UncachedReference
+    assert (a.st.regs, a.st.reg_tags, a.st.instret) == (b.st.regs, b.st.reg_tags, b.st.instret)
+    assert (a.stop, a.st.exit_code, bytes(a.shim.stdout)) == (b.stop, b.st.exit_code, bytes(b.shim.stdout))
+    for plane in ("dram", "tag_bits", "byte_oracle"):
+        assert getattr(a.mem, plane) == getattr(b.mem, plane), plane
 
 
-def test_uncached_dram_accesses_are_counted_and_priced():
-    # no_cache: the ld, the sd and the ctag.set walk each count one DRAM
-    # data access and are priced at the DRAM latency; fetches are free
-    results = run_models(PROG, seed=0, no_cache=True)
-    assert [r.mem.dram_data_accesses for r in results.values()] == [3, 3, 3]
-    assert {m: r.cycles for m, r in results.items()} == {"baseline": 191, "a": 191, "b": 191}
+def test_cached_and_uncached_agree_on_program(monkeypatch):
+    _assert_cached_matches_uncached(monkeypatch, PROG, model="b", seed=0)
+
+
+@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f, _ in build_corpus()])
+def test_cached_matches_uncached_on_corpus(name, source, fs, monkeypatch):
+    _assert_cached_matches_uncached(monkeypatch, source, seed=0, fs=fs)
 
 
 def _counted_price(r):
