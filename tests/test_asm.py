@@ -1,6 +1,7 @@
 """Assembler: encodings against the frozen reference-toolchain corpus,
 layout and directive behavior, pseudo expansion, and error reporting."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -24,11 +25,12 @@ from conch.asm import (
     disassemble,
     load_image,
 )
+from conch.cli import load_program, program_to_image
 from conch.core import IllegalInstruction, Instr, MachineState, _decode
 from conch.isa import MASK64
 from conch.mem import MemorySystem
 
-from conftest import grid_words
+from conftest import build_corpus, grid_words
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "golden_encodings.json").read_text())
 
@@ -468,3 +470,34 @@ def test_any_source_raises_only_asm_error(text):
 def test_asm_error_is_common_base():
     for exc in (DuplicateLabel, UndefinedLabel, UnknownMnemonic, ImmediateOutOfRange, MisalignedTarget):
         assert issubclass(exc, AsmError)
+
+
+# ---- images of the checked-in programs -----------------------------------------
+
+IMAGES = pathlib.Path(__file__).parent / "data" / "golden_images.json"
+BENCH_PROGRAMS = pathlib.Path(__file__).parents[1] / "bench" / "programs"
+
+
+def program_sources():
+    """{name: source} of every checked-in program: the corpus, the three
+    demos among it, and bench/programs/*.s."""
+    sources = {name: source for name, source, _, _ in build_corpus()}
+    for path in sorted(BENCH_PROGRAMS.glob("*.s")):
+        sources[f"bench_{path.stem}"] = path.read_bytes().decode("utf-8")
+    return sources
+
+
+def image_digest(source, tmp_path):
+    """SHA-256 of the image `conch asm` writes for source, read back from
+    a UTF-8 file the way `conch run` reads it."""
+    path = tmp_path / "prog.s"
+    path.write_bytes(source.encode("utf-8"))
+    image = json.dumps(program_to_image(load_program(str(path))), sort_keys=True)
+    return hashlib.sha256(image.encode("utf-8")).hexdigest()
+
+
+def test_program_images_match_golden(tmp_path):
+    # Recorded from the assembler before it took source text directly;
+    # every rewrite since must lay out and encode each program the same.
+    golden = json.loads(IMAGES.read_text(encoding="utf-8"))
+    assert {name: image_digest(source, tmp_path) for name, source in program_sources().items()} == golden
