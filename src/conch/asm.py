@@ -1,9 +1,16 @@
 """Two-pass assembler for the simulator's RV64IM + tag-instruction subset.
 
-Grammar: one statement per line, `label:` definitions (instruction may
-follow on the same line), `#` comments, directives .text/.data/.org/
-.align/.byte/.half/.word/.dword/.asciz/.globl. Flat bare-metal layout:
-text defaults to TEXT_BASE, data to DATA_BASE, no relocation or linking.
+assemble() takes the source text. Grammar: one statement per line,
+`label:` definitions (instruction may follow on the same line), `#`
+comments, directives .text/.data/.org/.align/.byte/.half/.word/.dword/
+.asciz/.globl. Flat bare-metal layout: text defaults to TEXT_BASE, data
+to DATA_BASE, no relocation or linking.
+
+Pass one lays out every statement and collects the labels; pass two
+encodes each instruction and data directive into the space it took. A
+value of .byte, .half, .word or .dword is an integer literal or a label,
+and one of w bytes must lie in -2**(8w-1) <= v < 2**(8w): any value of
+that width, signed or not.
 
 One table of operand fields per format (_OPERANDS) gives the syntax in
 both directions: the assembler parses each statement's operands by it,
@@ -56,21 +63,6 @@ class MisalignedTarget(AsmError):
 
 class SegmentOutOfBounds(Exception):
     pass
-
-
-class SourceUnit:
-    def __init__(self, lines, origin="<inline>"):
-        self.lines = lines  # (line number, text)
-        self.origin = origin
-
-    @classmethod
-    def from_text(cls, text, origin="<inline>"):
-        return cls([(i + 1, ln) for i, ln in enumerate(text.splitlines())], origin)
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as f:
-            return cls.from_text(f.read(), origin=str(path))
 
 
 class Program:
@@ -145,17 +137,6 @@ def _parse_string(tok, line):
     return bytes(out)
 
 
-# Statement kinds produced by the first pass.
-class _Stmt:
-    def __init__(self, line, addr, kind, mnemonic="", ops=None, data=b""):
-        self.line = line
-        self.addr = addr
-        self.kind = kind  # "insn", "datavals" (.word, .dword) or "bytes"
-        self.mnemonic = mnemonic
-        self.ops = [] if ops is None else ops
-        self.data = data
-
-
 def _li_expansion(rd, value, line):
     # Deterministic: addi for 12-bit, lui(+addi) for the 32-bit signed
     # range. Anything wider must come from memory (.dword plus ld).
@@ -205,9 +186,16 @@ def _expand(mn, ops, addr, line, resolve):
     return [("auipc", rd, 0, 0, hi << 12), ("addi", rd, rd, 0, delta - (hi << 12))]
 
 
-def assemble(src: SourceUnit) -> Program:
-    """Two-pass assembly: collect symbols and layout, then encode."""
+# data directive -> the width in bytes of each of its values
+_WIDTHS = {".byte": 1, ".half": 2, ".word": 4, ".dword": 8}
+
+
+def assemble(source: str) -> Program:
+    """Two-pass assembly of source text: lay out every statement and
+    collect the symbols, then encode each one into the space it took."""
     symbols = {}
+    # (line, address, mnemonic or data directive, operands, chunk) of every
+    # statement pass two encodes
     stmts = []
     # (section, base, bytearray) chunks; a chunk starts at .text/.data/.org
     chunks = []
@@ -219,29 +207,20 @@ def assemble(src: SourceUnit) -> Program:
 
     new_chunk()
 
-    def emit(line, n, kind, **fields):
-        # Record a statement at the location counter, with the chunk that
-        # pass two encodes it into, and reserve its n bytes there.
-        chunk = chunks[-1]
-        stmts.append((_Stmt(line, lc[section], kind, **fields), chunk))
-        chunk[2].extend(bytes(n))
-        lc[section] += n
+    def place(data):
+        chunks[-1][2].extend(data)
+        lc[section] += len(data)
 
-    def define_label(name, line):
-        if name in symbols:
-            raise DuplicateLabel(line, f"label {name!r} already defined")
-        symbols[name] = lc[section]
-
-    for line_no, raw in src.lines:
+    for line_no, raw in enumerate(source.splitlines(), 1):
         text = _strip_comment(raw)
         if not text:
             continue
         m = _LABEL_RE.match(text)
         while m and m.group(1) not in isa.SPECS and not m.group(1).startswith("."):
-            define_label(m.group(1), line_no)
+            if m.group(1) in symbols:
+                raise DuplicateLabel(line_no, f"label {m.group(1)!r} already defined")
+            symbols[m.group(1)] = lc[section]
             text = m.group(2).strip()
-            if not text:
-                break
             m = _LABEL_RE.match(text)
         if not text:
             continue
@@ -249,8 +228,11 @@ def assemble(src: SourceUnit) -> Program:
         parts = text.split(None, 1)
         head = parts[0].lower()
         rest = parts[1] if len(parts) > 1 else ""
+        ops = _split_ops(rest)
 
-        if head.startswith("."):
+        if head in _WIDTHS:
+            size = _WIDTHS[head] * len(ops)
+        elif head.startswith("."):
             if head == ".text":
                 section = "text"
                 new_chunk()
@@ -258,8 +240,7 @@ def assemble(src: SourceUnit) -> Program:
                 section = "data"
                 new_chunk()
             elif head == ".org":
-                addr = _parse_int(rest.strip(), line_no)
-                lc[section] = addr
+                lc[section] = _parse_int(rest.strip(), line_no)
                 new_chunk()
             elif head == ".align":
                 n = _parse_int(rest.strip(), line_no)
@@ -270,80 +251,40 @@ def assemble(src: SourceUnit) -> Program:
                     # The gap stays out of the image: DRAM reads as zero.
                     lc[section] += pad
                     new_chunk()
-            elif head == ".byte":
-                vals = [_parse_int(t, line_no) for t in _split_ops(rest)]
-                for v in vals:
-                    if not -128 <= v <= 255:
-                        raise ImmediateOutOfRange(line_no, f".byte value {v} out of range")
-                data = bytes(v & 0xFF for v in vals)
-                emit(line_no, len(data), "bytes", data=data)
-            elif head == ".half":
-                vals = [_parse_int(t, line_no) for t in _split_ops(rest)]
-                data = bytearray()
-                for v in vals:
-                    if not -(1 << 15) <= v < (1 << 16):
-                        raise ImmediateOutOfRange(line_no, f".half value {v} out of range")
-                    data += (v & 0xFFFF).to_bytes(2, "little")
-                emit(line_no, len(data), "bytes", data=bytes(data))
-            elif head in (".word", ".dword"):
-                width = 4 if head == ".word" else 8
-                toks = _split_ops(rest)
-                emit(line_no, width * len(toks), "datavals", mnemonic=head, ops=toks)
             elif head == ".asciz":
-                data = _parse_string(rest, line_no) + b"\x00"
-                emit(line_no, len(data), "bytes", data=data)
-            elif head == ".globl":
-                pass  # accepted for source compatibility; no linker here
-            else:
+                place(_parse_string(rest, line_no) + b"\x00")
+            elif head != ".globl":  # .globl is accepted; there is no linker
                 raise UnknownMnemonic(line_no, f"unknown directive {head}")
             continue
-
-        ops = _split_ops(rest)
-        if head in _PSEUDOS:
+        elif head in _PSEUDOS:
             # Layout needs only the length, which no label changes, so every
             # label reads as the nearest aligned address: a jump to it
             # fails here only if it fails for every target.
             here = lc[section]
-            size = len(_expand(head, ops, here, line_no, lambda tok, line: here - here % 4))
+            size = 4 * len(_expand(head, ops, here, line_no, lambda tok, line: here - here % 4))
         elif head in isa.SPECS:
-            size = 1
+            size = 4
         else:
             raise UnknownMnemonic(line_no, f"unknown mnemonic {head!r}")
-        emit(line_no, 4 * size, "insn", mnemonic=head, ops=ops)
+        # Reserve the statement's bytes; pass two encodes into them.
+        stmts.append((line_no, lc[section], head, ops, chunks[-1]))
+        place(bytes(size))
 
-    # Pass two: encode each statement into the space it reserved.
+    # Pass two: every label is known, so each operand resolves.
     def resolve(tok, line):
         if tok in symbols:
             return symbols[tok]
-        v = None
         try:
-            v = int(tok, 0)
+            return int(tok, 0)
         except ValueError:
-            pass
-        if v is None:
-            raise UndefinedLabel(line, f"undefined label {tok!r}")
-        return v
+            raise UndefinedLabel(line, f"undefined label {tok!r}") from None
 
-    for st, (_, base, buf) in stmts:
-        if st.kind == "bytes":
-            data = st.data
-        elif st.kind == "datavals":
-            width = 4 if st.mnemonic == ".word" else 8
-            out = bytearray()
-            for tok in st.ops:
-                if tok in symbols:
-                    v = symbols[tok]
-                else:
-                    v = _parse_int(tok, st.line)
-                if v < 0:
-                    v += 1 << (8 * width)
-                if not 0 <= v < (1 << (8 * width)):
-                    raise ImmediateOutOfRange(st.line, f"{st.mnemonic} value out of range")
-                out += v.to_bytes(width, "little")
-            data = out
+    for line, addr, head, ops, (_, base, buf) in stmts:
+        if head in _WIDTHS:
+            data = b"".join(_data_value(head, resolve(tok, line), line) for tok in ops)
         else:
-            data = b"".join(w.to_bytes(4, "little") for w in _encode_stmt(st, resolve))
-        off = st.addr - base
+            data = b"".join(w.to_bytes(4, "little") for w in _encode(head, ops, addr, line, resolve))
+        off = addr - base
         buf[off : off + len(data)] = data
 
     segments = [
@@ -356,6 +297,15 @@ def assemble(src: SourceUnit) -> Program:
     if entry % 4 != 0:
         raise MisalignedTarget(0, f"entry point {entry:#x} not 4-byte aligned")
     return Program(segments=segments, entry=entry, symbols=dict(symbols))
+
+
+def _data_value(head, value, line):
+    """value as the little-endian bytes of data directive `head`: any
+    value of its width, signed or not, fits."""
+    bits = 8 * _WIDTHS[head]
+    if not -(1 << (bits - 1)) <= value < 1 << bits:
+        raise ImmediateOutOfRange(line, f"{head} value {value} out of range")
+    return (value & ((1 << bits) - 1)).to_bytes(bits // 8, "little")
 
 
 # Operand fields of each format in source order: a register field, "imm"
@@ -403,8 +353,8 @@ def _immediate(mn, kind, tok, addr, line, resolve):
     return imm << 12 if kind == "hi" else imm
 
 
-def _encode_stmt(st, resolve):
-    line, addr, mn, ops = st.line, st.addr, st.mnemonic, st.ops
+def _encode(mn, ops, addr, line, resolve):
+    """The instruction words statement `mn ops` at addr encodes to."""
     if mn in _PSEUDOS:
         return [isa.encode(*insn) for insn in _expand(mn, ops, addr, line, resolve)]
     fields = _SYNTAX[mn]

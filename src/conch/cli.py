@@ -67,17 +67,22 @@ def image_to_program(doc):
     return asm.Program(segments=segments, entry=entry, symbols=doc.get("symbols", {}))
 
 
+def read_source(path):
+    """The text of a program file, read as UTF-8 whatever the locale."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def load_program(path):
     """Accept either assembly source or an image produced by `conch asm`;
     images are JSON objects, so the first byte tells them apart."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_source(path)
     if text.lstrip().startswith("{"):
         try:
             return image_to_program(json.loads(text))
         except RecursionError:
             raise ValueError("image file nests too deeply") from None
-    return asm.assemble(asm.SourceUnit.from_text(text, origin=path))
+    return asm.assemble(text)
 
 
 # ---- shared options -----------------------------------------------------------
@@ -139,7 +144,7 @@ def _stop_exit(stop):
 
 
 def cmd_asm(args):
-    program = asm.assemble(asm.SourceUnit.from_file(args.source))
+    program = asm.assemble(read_source(args.source))
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(program_to_image(program), fh, indent=2)
         fh.write("\n")
@@ -247,10 +252,8 @@ DEMOS = {
 def cmd_demo(args):
     if args.name not in DEMOS:
         raise ValueError(f"unknown demo {args.name!r} (have: {', '.join(sorted(DEMOS))})")
-    from importlib import resources  # only here: it is a slow import
-
     demo = DEMOS[args.name]
-    source = (resources.files("conch") / "demos" / f"{args.name}.s").read_text()
+    source = read_source(os.path.join(os.path.dirname(__file__), "demos", f"{args.name}.s"))
     results = run_models(
         source,
         seed=_seed_of(args),

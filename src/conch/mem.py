@@ -133,9 +133,8 @@ class CacheModel:
     and first in its set, so find can answer it without walking or
     reordering the set."""
 
-    def __init__(self, name, size, ways):
+    def __init__(self, size, ways):
         assert size % (ways * LINE) == 0
-        self.name = name
         self.ways = ways
         self.n_sets = size // (ways * LINE)
         self.sets = [[] for _ in range(self.n_sets)]
@@ -206,10 +205,10 @@ class MemorySystem:
         self.byte_oracle = Plane(size // 8)  # 1 bit per byte
         self.regions = set()  # DRAM regions reached: off >> REGION_SHIFT
 
-        self.dcache = CacheModel("dcache", dcache[0], dcache[1])
-        self.icache = CacheModel("icache", icache[0], icache[1])
+        self.dcache = CacheModel(*dcache)
+        self.icache = CacheModel(*icache)
         # 4 KiB / 8 ways / 64 B lines -> 8 sets
-        self.tagcache = CacheModel("tagcache", tag_cache[0], tag_cache[1])
+        self.tagcache = CacheModel(*tag_cache)
 
         self.loads = 0
         self.stores = 0

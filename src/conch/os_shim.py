@@ -49,9 +49,8 @@ _GETRANDOM_MAX = 33_554_431  # Linux returns at most this many bytes per getrand
 
 
 class FileDesc:
-    def __init__(self, path, flags, data, pos=0, sensitive=False):
+    def __init__(self, path, data, pos=0, sensitive=False):
         self.path = path
-        self.flags = flags
         self.data = data
         self.pos = pos
         self.sensitive = sensitive
@@ -152,7 +151,6 @@ class OsShim:
         self.next_fd += 1
         self.fds[fd] = FileDesc(
             path=path,
-            flags=flags,
             data=bytes(self.fs[path]),
             sensitive=bool(flags & O_SENSITIVE),
         )

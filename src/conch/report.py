@@ -191,12 +191,11 @@ def compute_overtagging(mem):
 
 
 class SimResult:
-    def __init__(self, model, st, mem, shim, oracle, stop, costs):
+    def __init__(self, model, st, mem, shim, stop, costs):
         self.model = model
         self.st = st
         self.mem = mem
         self.shim = shim
-        self.oracle = oracle
         self.stop = stop
         self.costs = costs
         self.cycles = price(counts(st, mem, model), costs)
@@ -223,7 +222,7 @@ def simulate(
     through, and thread_keys the dict of tid -> key the OS shim derives
     into (for this seed's master key); by default fresh ones."""
     if program is None:
-        program = asm.assemble(asm.SourceUnit.from_text(source))
+        program = asm.assemble(source)
     mem = MemorySystem(memo=memo)
     st = MachineState()
     asm.load_image(program, mem, st)
@@ -231,11 +230,10 @@ def simulate(
     shim = OsShim(master, seed=seed, fs=dict(fs or {}), strict_write=strict_write, thread_keys=thread_keys)
     st.tid = 0
     st.key = shim.key_for(0)
-    oracle = ByteOracle() if with_oracle else None
-    stop = run(st, mem, shim, oracle, max_instret)
+    stop = run(st, mem, shim, ByteOracle() if with_oracle else None, max_instret)
     mem.flush_and_sync(st.key)
     costs = CycleCosts(dram_access_latency=dram_latency)
-    return SimResult(model=model, st=st, mem=mem, shim=shim, oracle=oracle, stop=stop, costs=costs)
+    return SimResult(model=model, st=st, mem=mem, shim=shim, stop=stop, costs=costs)
 
 
 def run_models(source=None, *, program=None, models=MODELS, **kw):
@@ -246,7 +244,7 @@ def run_models(source=None, *, program=None, models=MODELS, **kw):
     and one dict of thread keys: each block is enciphered and each key
     derived once per call, not once per model."""
     if program is None:
-        program = asm.assemble(asm.SourceUnit.from_text(source))
+        program = asm.assemble(source)
     memo, thread_keys = BlockMemo(), {}
     results = {}
     for model in MODELS:

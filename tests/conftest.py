@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from conch.cli import read_source
 from conch.crypt import qarma_decrypt, qarma_encrypt
 from conch.isa import MASK64
 from conch.mem import REGION_SHIFT, MemorySystem
@@ -419,10 +420,10 @@ def grid_words(per_triple):
                     yield (f7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | op
 
 
-def _demo_source(name):
+def demo_source(name):
     from importlib import resources
 
-    return (resources.files("conch") / "demos" / f"{name}.s").read_text()
+    return read_source(resources.files("conch") / "demos" / f"{name}.s")
 
 
 def build_corpus():
@@ -434,9 +435,9 @@ def build_corpus():
         ("sort", SORT, {}, 0),
         ("clear_flow", CLEAR_FLOW, {}, 0),
         ("io_plain", IO_PLAIN, {"input": bytes(range(64))}, 0),
-        ("demo_heartbleed", _demo_source("heartbleed"), {"request": _HB_REQUEST, "secret": _HB_SECRET}, 0),
-        ("demo_granularity", _demo_source("granularity"), {}, 0),
-        ("demo_threads", _demo_source("threads"), {}, 0),
+        ("demo_heartbleed", demo_source("heartbleed"), {"request": _HB_REQUEST, "secret": _HB_SECRET}, 0),
+        ("demo_granularity", demo_source("granularity"), {}, 0),
+        ("demo_threads", demo_source("threads"), {}, 0),
     ]
     return corpus
 

@@ -7,7 +7,6 @@ import functools
 import json
 import random
 import time
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,8 @@ from conch.crypt import Key128, generate_master_key, qarma_decrypt, qarma_encryp
 from conch.mem import MemorySystem
 from conch.os_shim import OsShim
 from conch.report import ByteOracle, build_report, compute_overtagging, emit_report, run_models, simulate
+
+from conftest import demo_source
 
 MIB = 1024 * 1024
 GOLDENS = Path(__file__).parent / "data" / "goldens"
@@ -44,17 +45,13 @@ def criterion(num, name):
     return deco
 
 
-def demo_source(name):
-    return (resources.files("conch") / "demos" / f"{name}.s").read_text()
-
-
 @pytest.fixture(scope="module")
 def corpus_runs(corpus):
     """All corpus programs under all three models; every store checks
     word-level soundness. Used by criterion 9."""
     runs = {}
     for name, source, fs, _ in corpus:
-        program = asm.assemble(asm.SourceUnit.from_text(source))
+        program = asm.assemble(source)
         runs[name] = run_models(program=program, fs=fs, seed=0)
     return runs
 
@@ -81,7 +78,7 @@ def test_criterion_01_cipher_conformance():
 
 @criterion(2, "confidentiality end to end")
 def test_criterion_02_confidentiality_end_to_end():
-    program = asm.assemble(asm.SourceUnit.from_text(demo_source("heartbleed")))
+    program = asm.assemble(demo_source("heartbleed"))
     res = simulate(
         program=program,
         model="b",
@@ -170,7 +167,7 @@ class CheckingOracle(ByteOracle):
 @criterion(4, "soundness, no under-tagging")
 def test_criterion_04_soundness(corpus):
     for name, source, fs, expected_exit in corpus:
-        program = asm.assemble(asm.SourceUnit.from_text(source))
+        program = asm.assemble(source)
         # every store asserts word-level soundness; SoundnessViolation is
         # an AssertionError and aborts.
         mem = MemorySystem()
@@ -217,7 +214,7 @@ buf:
 
 @criterion(5, "over-tagging in kind")
 def test_criterion_05_overtagging(corpus):
-    program = asm.assemble(asm.SourceUnit.from_text(demo_source("granularity")))
+    program = asm.assemble(demo_source("granularity"))
     res = simulate(program=program, model="b", seed=0)
     assert res.stop == "exit"
     stats = compute_overtagging(res.mem)
@@ -392,7 +389,7 @@ slot:
 
 @criterion(8, "thread-key isolation")
 def test_criterion_08_thread_key_isolation():
-    program = asm.assemble(asm.SourceUnit.from_text(SWITCHBACK_PROG))
+    program = asm.assemble(SWITCHBACK_PROG)
     res = simulate(program=program, model="b", seed=0)
     assert res.stop == "exit" and res.st.exit_code == 0
     slot = program.symbols["slot"]

@@ -18,7 +18,6 @@ from conch.asm import (
     ImmediateOutOfRange,
     MisalignedTarget,
     SegmentOutOfBounds,
-    SourceUnit,
     UndefinedLabel,
     UnknownMnemonic,
     assemble,
@@ -41,7 +40,7 @@ def _words_of(program):
 
 
 def test_golden_corpus_encodings():
-    program = assemble(SourceUnit.from_text("\n".join(GOLDEN["source"])))
+    program = assemble("\n".join(GOLDEN["source"]))
     words = _words_of(program)
     expect = list(GOLDEN["words"])
     assert len(words) == len(expect)
@@ -58,7 +57,7 @@ def test_disassemble_golden_roundtrip():
     # the identical word (branch/jump offsets render as numeric).
     for word in GOLDEN["words"]:
         text = disassemble(word)
-        redone = assemble(SourceUnit.from_text(text))
+        redone = assemble(text)
         assert _words_of(redone) == [word], text
 
 
@@ -153,10 +152,10 @@ def test_every_mnemonic_assembles_decodes_and_disassembles_back(mnem):
     rng = random.Random(mnem)
     for _ in range(20):
         ops, expect = _random_operands(mnem, rng)
-        (word,) = _words_of(assemble(SourceUnit.from_text(f"{mnem} {ops}")))
+        (word,) = _words_of(assemble(f"{mnem} {ops}"))
         assert _decode(word) == expect, (mnem, ops)
         text = disassemble(word)
-        assert _words_of(assemble(SourceUnit.from_text(text))) == [word], text
+        assert _words_of(assemble(text)) == [word], text
 
 
 # ctag.set a0, a1 / ctag.clr a0, a1 / ctag.rdt t0, a0: custom-0 opcode,
@@ -177,19 +176,19 @@ def test_ctag_encodings():
 
 
 def test_ctag_asm_syntax():
-    program = assemble(SourceUnit.from_text("ctag.set a0, a1\nctag.clr a0, a1\nctag.rdt t0, a0\n"))
+    program = assemble("ctag.set a0, a1\nctag.clr a0, a1\nctag.rdt t0, a0\n")
     assert _words_of(program) == _CTAG_WORDS
 
 
 def test_branch_to_label_and_numeric_offset():
-    a = assemble(SourceUnit.from_text("top: addi x1, x1, 1\nbne x1, x2, top\n"))
-    b = assemble(SourceUnit.from_text("addi x1, x1, 1\nbne x1, x2, -4\n"))
+    a = assemble("top: addi x1, x1, 1\nbne x1, x2, top\n")
+    b = assemble("addi x1, x1, 1\nbne x1, x2, -4\n")
     assert _words_of(a) == _words_of(b)
 
 
 def test_li_expansions():
     def words(src):
-        return _words_of(assemble(SourceUnit.from_text(src)))
+        return _words_of(assemble(src))
 
     assert len(words("li a0, 42")) == 1  # addi
     assert len(words("li a0, -2048")) == 1
@@ -200,7 +199,7 @@ def test_li_expansions():
 
 def test_li_out_of_range():
     with pytest.raises(ImmediateOutOfRange):
-        assemble(SourceUnit.from_text("li a0, 0x1122334455667788"))
+        assemble("li a0, 0x1122334455667788")
 
 
 def test_li_runtime_values():
@@ -246,26 +245,26 @@ def test_li_carry_into_bit_31(value):
 
 def test_duplicate_label():
     with pytest.raises(DuplicateLabel):
-        assemble(SourceUnit.from_text("x: nop\nx: nop\n"))
+        assemble("x: nop\nx: nop\n")
 
 
 def test_undefined_label():
     with pytest.raises(UndefinedLabel):
-        assemble(SourceUnit.from_text("j nowhere\n"))
+        assemble("j nowhere\n")
 
 
 def test_unknown_mnemonic_reports_line():
     with pytest.raises(UnknownMnemonic) as ei:
-        assemble(SourceUnit.from_text("nop\nfrobnicate x1, x2\n"))
+        assemble("nop\nfrobnicate x1, x2\n")
     assert "2" in str(ei.value)
 
 
 def test_branch_range_and_alignment():
     near = "beq x0, x0, target\n.org 0x80000800\ntarget: nop\n"
-    assemble(SourceUnit.from_text(near))  # +2 KiB, inside the 13-bit span
+    assemble(near)  # +2 KiB, inside the 13-bit span
     too_far = near.replace("0x80000800", "0x80001000")
     with pytest.raises(ImmediateOutOfRange):
-        assemble(SourceUnit.from_text(too_far))  # +4 KiB is one past the max
+        assemble(too_far)  # +4 KiB is one past the max
 
 
 _HI = (-(1 << 19), 0xFFFFF), (-(1 << 19) - 1, 1 << 20)  # signed or unsigned 20 bits
@@ -291,11 +290,11 @@ _HI = (-(1 << 19), 0xFFFFF), (-(1 << 19) - 1, 1 << 20)  # signed or unsigned 20 
 def test_immediate_range_edges(template, inside, outside):
     hi = template.startswith(("lui", "auipc"))
     for value in inside:
-        (word,) = _words_of(assemble(SourceUnit.from_text(template.format(value))))
+        (word,) = _words_of(assemble(template.format(value)))
         assert _decode(word).imm == (isa.sext(value << 12, 32) if hi else value), value
     for value in outside:
         with pytest.raises(ImmediateOutOfRange):
-            assemble(SourceUnit.from_text(template.format(value)))
+            assemble(template.format(value))
 
 
 _PSEUDO_OPERANDS = {"nop": "", "mv": "a0, a1", "j": "0", "ret": "", "li": "a0, 1", "la": "a0, 0"}
@@ -311,13 +310,13 @@ def test_operand_count_errors_name_the_line(mnem):
     wrong = [ops + ["x1"]] + ([ops[:-1]] if ops else [])
     for bad in wrong:
         with pytest.raises(AsmError) as ei:
-            assemble(SourceUnit.from_text(f"nop\n{mnem} {', '.join(bad)}\n"))
+            assemble(f"nop\n{mnem} {', '.join(bad)}\n")
         assert ei.value.line == 2 and str(ei.value).startswith("line 2: "), (bad, str(ei.value))
 
 
 def test_store_immediate_range():
     with pytest.raises(ImmediateOutOfRange):
-        assemble(SourceUnit.from_text("sd x1, 4096(x2)\n"))
+        assemble("sd x1, 4096(x2)\n")
 
 
 def test_directives_layout():
@@ -333,7 +332,7 @@ b:
 c:
     .asciz "hi\\n"
 """
-    program = assemble(SourceUnit.from_text(src))
+    program = assemble(src)
     assert {kind for _, _, kind in program.segments} == {"data"}
     base, data = _flat_image(program)
     assert data[0:3] == bytes([1, 2, 3])
@@ -344,6 +343,41 @@ c:
     assert data[12:20] == (base + 8).to_bytes(8, "little")
     assert data[20:24] == b"hi\n\x00"
     assert data[5:8] == bytes(3)  # the .align gap reads as zero
+
+
+# data directive -> its width in bytes
+_DATA_WIDTHS = {".byte": 1, ".half": 2, ".word": 4, ".dword": 8}
+
+
+@pytest.mark.parametrize("directive", sorted(_DATA_WIDTHS))
+def test_data_values_span_signed_and_unsigned_ranges(directive):
+    # One rule for every width w: -2**(8w-1) <= v < 2**(8w).
+    width = _DATA_WIDTHS[directive]
+    lo, hi = -(1 << (8 * width - 1)), (1 << (8 * width)) - 1
+    program = assemble(f".data\n{directive} {lo}, {hi}\n")
+    assert program.segments[0][1] == (lo % (hi + 1)).to_bytes(width, "little") + b"\xff" * width
+    for value in (lo - 1, hi + 1):
+        with pytest.raises(ImmediateOutOfRange):
+            assemble(f".data\n{directive} {value}\n")
+
+
+@pytest.mark.parametrize("line", [".word -0xFFFFFFFF", ".dword -0x10000000000000000"])
+def test_negative_data_values_do_not_wrap(line):
+    with pytest.raises(ImmediateOutOfRange):
+        assemble(f".data\n{line}\n")
+
+
+@pytest.mark.parametrize("directive", sorted(_DATA_WIDTHS))
+def test_data_values_are_literals_or_labels(directive):
+    with pytest.raises(UndefinedLabel):
+        assemble(f".data\n{directive} nowhere\n")
+    # a label is a value like any other: DATA_BASE fits only .word and .dword
+    source = f".data\nhere: {directive} here\n"
+    if _DATA_WIDTHS[directive] < 4:
+        with pytest.raises(ImmediateOutOfRange):
+            assemble(source)
+    else:
+        assert assemble(source).segments[0][1] == asm.DATA_BASE.to_bytes(_DATA_WIDTHS[directive], "little")
 
 
 def _flat_image(program):
@@ -357,11 +391,11 @@ def _flat_image(program):
 
 
 def test_align_gap_is_not_materialised():
-    program = assemble(SourceUnit.from_text("nop\n.align 26\nnop\n"))
+    program = assemble("nop\n.align 26\nnop\n")
     assert sum(len(data) for _, data, _ in program.segments) == 8
     assert [base for base, _, _ in program.segments] == [asm.TEXT_BASE, asm.TEXT_BASE + (1 << 26)]
     # a .align that is already satisfied starts no new segment
-    assert len(assemble(SourceUnit.from_text("nop\n.align 2\nnop\n")).segments) == 1
+    assert len(assemble("nop\n.align 2\nnop\n").segments) == 1
 
 
 def test_many_align_gaps_assemble_in_linear_time():
@@ -370,37 +404,35 @@ def test_many_align_gaps_assemble_in_linear_time():
     n = 8000
     src = ".data\n" + "".join(f".byte {i & 0xFF}\n.align 3\n" for i in range(n))
     t0 = time.perf_counter()
-    program = assemble(SourceUnit.from_text(src))
+    program = assemble(src)
     assert time.perf_counter() - t0 < 2.0
     assert program.segments == [(asm.DATA_BASE + 8 * i, bytes([i & 0xFF]), "data") for i in range(n)]
 
 
 def test_entry_rules():
-    p = assemble(SourceUnit.from_text("nop\n_start: nop\n"))
+    p = assemble("nop\n_start: nop\n")
     assert p.entry == p.symbols["_start"]
-    q = assemble(SourceUnit.from_text("nop\nnop\n"))
+    q = assemble("nop\nnop\n")
     assert q.entry == asm.TEXT_BASE
 
 
 def test_load_image_rejects_out_of_range():
     mem = MemorySystem()
     st = MachineState()
-    program = assemble(SourceUnit.from_text(".data\n.org 0x90000000\n.byte 1\n"))
+    program = assemble(".data\n.org 0x90000000\n.byte 1\n")
     with pytest.raises(SegmentOutOfBounds):
         load_image(program, mem, st)
 
 
 def test_load_image_rejects_overlap():
-    program = assemble(
-        SourceUnit.from_text(".data\n.dword 1, 2\n.org 0x80100008\n.dword 3\n")
-    )
+    program = assemble(".data\n.dword 1, 2\n.org 0x80100008\n.dword 3\n")
     mem = MemorySystem()
     with pytest.raises(SegmentOutOfBounds):
         load_image(program, mem, st=MachineState())
 
 
 def test_load_image_sets_cpu_state():
-    program = assemble(SourceUnit.from_text("_start: nop\n"))
+    program = assemble("_start: nop\n")
     mem = MemorySystem()
     st = MachineState()
     load_image(program, mem, st)
@@ -418,7 +450,7 @@ def test_load_image_sets_cpu_state():
     ],
 )
 def test_comment_stripping_respects_strings(line, data):
-    program = assemble(SourceUnit.from_text(line))
+    program = assemble(line)
     assert program.segments[0][1] == data
 
 
@@ -438,7 +470,7 @@ def test_strip_comment(line, text):
 
 def test_string_rejects_characters_wider_than_a_byte():
     with pytest.raises(AsmError):
-        assemble(SourceUnit.from_text('.asciz "€"'))
+        assemble('.asciz "€"')
 
 
 _HEADS = sorted(isa.SPECS) + [
@@ -462,7 +494,7 @@ _LINE = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_any_source_raises_only_asm_error(text):
     try:
-        assemble(SourceUnit.from_text(text))
+        assemble(text)
     except AsmError:
         pass
 

@@ -557,15 +557,15 @@ def test_unrecognized_argument_names_the_command(argv, extra, capsys):
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def run_module(argv):
-    """Run `python -m conch argv` with the imported conch package first on
-    the child's path, so neither the working directory nor an install
-    decides which code runs."""
-    env = dict(os.environ)
+def run_module(argv, python_opts=(), **env_vars):
+    """Run `python python_opts -m conch argv` with env_vars set and the
+    imported conch package first on the child's path, so neither the
+    working directory nor an install decides which code runs."""
+    env = {**os.environ, **env_vars}
     pkg_root = str(Path(conch.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "conch", *argv],
+        [sys.executable, *python_opts, "-m", "conch", *argv],
         capture_output=True,
         text=True,
         timeout=120,
@@ -592,6 +592,18 @@ def test_console_script_entry_point(tmp_path, capsys):
     assert proc.returncode == EXIT_ASM
     assert "conch:" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_asm_reads_source_as_utf8_under_the_c_locale(tmp_path):
+    # `conch asm` reads a program file as UTF-8, as `conch run` does, even
+    # where the locale's encoding is ASCII and cannot decode the comment.
+    src = tmp_path / "cafe.s"
+    src.write_bytes(("# café\n" + EXIT_PROG).encode("utf-8"))
+    img_c, img = tmp_path / "c.img.json", tmp_path / "img.json"
+    proc = run_module(["asm", str(src), "-o", str(img_c)], ["-X", "utf8=0"], LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(["asm", str(src), "-o", str(img)]) == EXIT_OK
+    assert img_c.read_bytes() == img.read_bytes()
 
 
 def test_cli_import_leaves_numpy_unloaded():

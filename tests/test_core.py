@@ -530,7 +530,7 @@ def test_any_word_raises_only_documented_errors(word, seed, a7, budget):
     mem = MemorySystem()
     mem.write_raw_init(mem.base, word.to_bytes(4, "little"))
     shim = OsShim(generate_master_key(0), fs={"f": b"x"})
-    shim.fds[3] = FileDesc(path="f", flags=0, data=bytes(range(256)))
+    shim.fds[3] = FileDesc(path="f", data=bytes(range(256)))
     stt = MachineState(pc=mem.base, key=KEY)
     stt.regs[1:] = _random_regs(seed)
     stt.regs[17] = a7
@@ -718,7 +718,7 @@ def _lockstep(make, max_steps, model="b"):
 @pytest.mark.parametrize("model", ["baseline", "a", "b"])
 def test_dispatch_matches_reference_on_corpus(corpus, model):
     for name, source, fs, _ in corpus:
-        program = asm.assemble(asm.SourceUnit.from_text(source))
+        program = asm.assemble(source)
 
         def make():
             mem = MemorySystem()

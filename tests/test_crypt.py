@@ -456,4 +456,4 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert "conch.cli" in loaded and "conch.crypt" in loaded
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
-    assert "importlib.resources" not in loaded  # only `conch demo` needs it
+    assert "importlib.resources" not in loaded

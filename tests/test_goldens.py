@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from conch import asm
-from conch.cli import DEMOS, EXIT_OK, main
+from conch.cli import DEMOS, EXIT_OK, main, read_source
 from conch.report import CycleCosts, build_report, counts, emit_report, price, run_models
 
 from conftest import build_corpus
@@ -50,7 +50,7 @@ def dump_text(name):
     """`conch dump` over the demo's data, from its lowest to its highest
     data address (an .align gap splits it into segments), with the demo's
     inputs mounted as streams."""
-    program = asm.assemble(asm.SourceUnit.from_file(_demo_path(name)))
+    program = asm.assemble(read_source(_demo_path(name)))
     spans = [(b, b + len(d)) for b, d, kind in program.segments if kind == "data"]
     base, end = min(lo for lo, _ in spans), max(hi for _, hi in spans)
     argv = ["dump", _demo_path(name), "--seed", str(SEED), "--range", f"{base:#x}:{end - base}"]
@@ -80,7 +80,7 @@ def test_corpus_demos_use_the_demo_inputs():
     corpus = {name: (source, fs) for name, source, fs, _ in build_corpus()}
     for name, demo in DEMOS.items():
         source, fs = corpus[f"demo_{name}"]
-        assert source == Path(_demo_path(name)).read_text()
+        assert source == read_source(_demo_path(name))
         assert fs == demo["fs"]
 
 

@@ -591,7 +591,7 @@ class _LruReference:
 @settings(max_examples=150, deadline=None)
 def test_mru_matches_plain_lru(ways, ops):
     # 6 lines over 2 sets, so sets fill, evict and hit
-    cache = CacheModel("c", 2 * ways * LINE, ways)
+    cache = CacheModel(2 * ways * LINE, ways)
     ref = _LruReference(2, ways)
     for op, i in ops:
         base = DRAM_BASE + i * LINE

@@ -58,7 +58,7 @@ def test_memo_changes_nothing(name, source, fs, monkeypatch):
     # Criterion 9 compares the models of one run, which now share cipher
     # results; equality with a run whose models share none keeps that
     # comparison meaningful.
-    program = asm.assemble(asm.SourceUnit.from_text(source))
+    program = asm.assemble(source)
     with_memo = run_models(program=program, seed=0, fs=fs)
     monkeypatch.setattr(crypt, "MEMO_MAX_PAIRS", 0)
     without = run_models(program=program, seed=0, fs=fs)
@@ -96,7 +96,7 @@ def test_small_cap_is_never_exceeded(name, cap, monkeypatch):
 
 def test_models_of_one_call_share_one_memo(circuit_calls):
     (source,) = [s for n, s, _, _ in build_corpus() if n == "sort"]
-    program = asm.assemble(asm.SourceUnit.from_text(source))
+    program = asm.assemble(source)
     results = run_models(program=program, seed=0)
     memos = {id(r.mem.memo) for r in results.values()}
     assert len(memos) == 1
@@ -117,7 +117,7 @@ def test_models_of_one_call_derive_each_thread_key_once(monkeypatch):
         return crypt.derive_thread_key(master, tid)
 
     monkeypatch.setattr(os_shim, "derive_thread_key", counting)
-    program = asm.assemble(asm.SourceUnit.from_text(SWITCHBACK_PROG))
+    program = asm.assemble(SWITCHBACK_PROG)
     for _ in range(2):  # the next call derives its keys afresh
         derived.clear()
         results = run_models(program=program, seed=0)
@@ -130,7 +130,7 @@ def test_models_of_one_call_derive_each_thread_key_once(monkeypatch):
 @pytest.mark.parametrize("run", [run_models, simulate], ids=["run_models", "simulate"])
 def test_each_call_starts_with_an_empty_memo(run, circuit_calls):
     (source,) = [s for n, s, _, _ in build_corpus() if n == "sort"]
-    program = asm.assemble(asm.SourceUnit.from_text(source))
+    program = asm.assemble(source)
     counts = []
     for _ in range(2):
         circuit_calls["enc"].clear()
@@ -145,7 +145,7 @@ def test_each_call_starts_with_an_empty_memo(run, circuit_calls):
 def test_wrong_key_fill_reaches_the_circuit(circuit_calls):
     # criterion 8's program: thread 1 loads a word thread 0 wrote, so
     # the fill decrypts thread 0's ciphertext under thread 1's key
-    program = asm.assemble(asm.SourceUnit.from_text(SWITCHBACK_PROG))
+    program = asm.assemble(SWITCHBACK_PROG)
     res = simulate(program=program, model="b", seed=0)
     slot = program.symbols["slot"]
     key0, key1 = res.shim.key_for(0), res.shim.key_for(1)

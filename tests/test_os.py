@@ -385,8 +385,8 @@ def test_any_syscall_returns_a_value_or_errno_or_stops(a7, args, budget, strict_
     loads and stores as it charged to the budget."""
     st, mem, shim = machine(fs={"f": bytes(range(200))}, strict_write=strict_write)
     put_cstr(st, mem, _PATH, "f")
-    shim.fds[3] = FileDesc(path="f", flags=0, data=bytes(range(200)))
-    shim.fds[4] = FileDesc(path="f", flags=O_SENSITIVE, data=bytes(200), sensitive=True)
+    shim.fds[3] = FileDesc(path="f", data=bytes(range(200)))
+    shim.fds[4] = FileDesc(path="f", data=bytes(200), sensitive=True)
     shim.next_fd = 5
     mem.store(mem.base + 0x200, 8, 0x1234, 1, st.key)  # a tagged word for write to meet
     st.max_instret = budget

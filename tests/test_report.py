@@ -321,7 +321,39 @@ def test_cached_and_uncached_agree_on_program(monkeypatch):
     _assert_cached_matches_uncached(monkeypatch, PROG, model="b", seed=0)
 
 
-@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f, _ in build_corpus()])
+# Clean (untagged) narrow stores into a ctag.set buffer, where the
+# retain-OR rule decides the word tag: an sb, sh and sw each into a word
+# whose other bytes stay tainted, then an sb, sb, sh and sw that together
+# overwrite one whole word. Each word stays tagged, so it rests enciphered.
+RETAIN_OR = """
+    .org 0x80000000
+    la   s0, buf
+    li   t0, 32
+    ctag.set s0, t0
+    li   t1, 0x5a
+    sb   t1, 3(s0)
+    sh   t1, 10(s0)
+    sw   t1, 20(s0)
+    sb   t1, 24(s0)
+    sb   t1, 25(s0)
+    sh   t1, 26(s0)
+    sw   t1, 28(s0)
+    ld   t2, 24(s0)
+    ctag.rdt t3, s0
+    li   a0, 0
+    li   a7, 93
+    ecall
+
+    .org 0x80001000
+buf:
+    .dword 0x1111111111111111, 0x2222222222222222, 0x3333333333333333, 0x4444444444444444
+"""
+
+
+@pytest.mark.parametrize(
+    "name,source,fs",
+    [pytest.param(n, s, f, id=n) for n, s, f, _ in [*build_corpus(), ("retain_or", RETAIN_OR, {}, 0)]],
+)
 def test_cached_matches_uncached_on_corpus(name, source, fs, monkeypatch):
     _assert_cached_matches_uncached(monkeypatch, source, seed=0, fs=fs)
 
