@@ -46,13 +46,14 @@ the tag plane and 4 KiB of the oracle plane. A region is recorded in
 _fill, which every access goes through to reach a line. So every nonzero
 byte of tag_bits and byte_oracle lies in a recorded region, and the
 over-tagging statistics scan only those, each over its tagged span.
-Likewise CacheModel.live holds the indices of its non-empty sets (a set
-fills only through CacheModel.insert), so a flush walks only resident
-lines.
+Likewise CacheModel.sets holds only the non-empty sets (a set fills only
+through CacheModel.insert), so a flush walks only resident lines.
 
 All three caches (dcache, icache and the tagcache) are CacheModels, and
 each keeps mru, its most recently used line, which find answers without
-walking the set; fetch checks icache.mru first.
+walking the set; fetch checks icache.mru first. Only store and the ctag
+walks dirty a line, and only a dcache line. tag_store_touches and clean
+are read from the caches, not kept beside them.
 """
 
 from __future__ import annotations
@@ -127,30 +128,25 @@ class _Line:
 
 
 class CacheModel:
-    """Set-associative, write-back, LRU. Each set is a list with the most
-    recently used line first; live holds the indices of the non-empty
-    sets. mru is the line last found or inserted, or None: it is resident
-    and first in its set, so find can answer it without walking or
-    reordering the set."""
+    """Set-associative, write-back, LRU. sets maps the index of each
+    non-empty set to its lines, the most recently used first. mru is the
+    line last found or inserted, or None: it is resident and first in its
+    set, so find can answer it without walking or reordering the set."""
 
     def __init__(self, size, ways):
         assert size % (ways * LINE) == 0
         self.ways = ways
         self.n_sets = size // (ways * LINE)
-        self.sets = [[] for _ in range(self.n_sets)]
-        self.live = set()
+        self.sets = {}
         self.mru = None
         self.hits = 0
         self.misses = 0
-
-    def set_for(self, line_base):
-        return self.sets[(line_base // LINE) % self.n_sets]
 
     def find(self, line_base):
         mru = self.mru
         if mru is not None and mru.base == line_base:
             return mru
-        s = self.set_for(line_base)
+        s = self.sets.get((line_base // LINE) % self.n_sets, ())
         for ln in s:
             if ln.base == line_base:
                 if s[0] is not ln:
@@ -163,9 +159,7 @@ class CacheModel:
     def insert(self, line):
         """Make line the most recently used of its set; returns the least
         recently used line it evicts from a full set, else None."""
-        i = (line.base // LINE) % self.n_sets
-        self.live.add(i)
-        s = self.sets[i]
+        s = self.sets.setdefault((line.base // LINE) % self.n_sets, [])
         victim = s.pop() if len(s) == self.ways else None
         s.insert(0, line)
         self.mru = line
@@ -173,13 +167,11 @@ class CacheModel:
 
     def all_lines(self):
         # ascending set order: writeback order drives the tag cache
-        for i in sorted(self.live):
+        for i in sorted(self.sets):
             yield from self.sets[i]
 
     def invalidate(self):
-        for i in self.live:
-            self.sets[i].clear()
-        self.live.clear()
+        self.sets.clear()
         self.mru = None
 
 
@@ -213,11 +205,9 @@ class MemorySystem:
         self.loads = 0
         self.stores = 0
         self.dram_data_accesses = 0
-        self.tag_store_touches = 0
         self.tag_writebacks = 0
         self.cipher_blocks = 0
         self.overtag_cipher_blocks = 0
-        self.clean = True
 
     @property
     def tagcache_hits(self):
@@ -226,6 +216,16 @@ class MemorySystem:
     @property
     def tagcache_misses(self):
         return self.tagcache.misses
+
+    @property
+    def tag_store_touches(self):
+        """Touches of the tag store: each is one tag-cache lookup."""
+        return self.tagcache.hits + self.tagcache.misses
+
+    @property
+    def clean(self):
+        """DRAM holds the at-rest image: no dcache line is dirty."""
+        return not any(ln.dirty for s in self.dcache.sets.values() for ln in s)
 
     # ---- raw DRAM helpers -------------------------------------------------
 
@@ -281,8 +281,7 @@ class MemorySystem:
     # ---- tag traffic accounting -------------------------------------------
 
     def _tag_access(self, line_base, write):
-        """Count one touch of the tag store for one data line and its tag-cache lookup."""
-        self.tag_store_touches += 1
+        """Count one touch of the tag store for one data line: its tag-cache lookup."""
         tagcache = self.tagcache
         tag_base = (line_base >> 12) * LINE  # one tag line spans 4 KiB of data
         tl = tagcache.find(tag_base)
@@ -396,7 +395,6 @@ class MemorySystem:
         line.tags = line.tags & ~(1 << j) | tag << j
         line.dirty = True
         self._oracle_update(addr, width, taints)
-        self.clean = False
         if not tag and self.byte_oracle[(addr - self.base) >> 3]:
             raise SoundnessViolation(f"store left word {addr & ~7:#x} under-tagged")
 
@@ -449,7 +447,6 @@ class MemorySystem:
             mask = (0xFF << (max(lo - lb, 0) >> 3)) & (0xFF >> (max(lb + LINE - hi, 0) >> 3))
             line.tags = line.tags | mask if on else line.tags & ~mask
             line.dirty = True
-        self.clean = False
         self._oracle_set(base, length, on)
 
     def ctag_read(self, addr):
@@ -467,21 +464,21 @@ class MemorySystem:
     # ---- maintenance -------------------------------------------------------
 
     def flush_and_sync(self, key):
-        """Write back every dirty line under `key` and invalidate the
+        """Write back every dirty dcache line under `key` and invalidate the
         caches; afterwards all of DRAM is at rest (tagged words encrypted,
         the rest plaintext)."""
-        for cache in (self.dcache, self.icache):
-            for line in cache.all_lines():
-                if line.dirty:
-                    self._writeback_line(line, key)
-            cache.invalidate()
+        for line in self.dcache.all_lines():
+            if line.dirty:
+                self._writeback_line(line, key)
+        self.dcache.invalidate()
+        self.icache.invalidate()
         self.tag_writebacks += sum(tl.dirty for tl in self.tagcache.all_lines())
         self.tagcache.invalidate()
-        self.clean = True
 
     def raw_dump(self, start, length):
         """The attacker's view: exact DRAM bytes plus per-word tag bits.
-        Never decrypts. Requires a prior flush_and_sync."""
+        Never decrypts. Requires DRAM at rest (clean), as flush_and_sync
+        leaves it."""
         if not self.clean:
             raise RuntimeError("raw_dump requires flush_and_sync first")
         self._check_range(start, length)

@@ -1,15 +1,17 @@
 """Memory hierarchy: value/tag correctness through the caches, the
 encryption boundary (checked against each test's own record of what it
-stored), tag-management ranges, eviction pressure, and differential
-checks: the cached path against the uncached reference, the MRU
-line against a plain LRU, model B's tag cache against a frozen copy of
-its hand-written LRU, and each model's share of the counted events
-against frozen per-model memories."""
+stored), tag-management ranges, eviction pressure, the records read
+from the caches (clean, and an icache that is never dirty), and
+differential checks: the cached path against the uncached reference,
+the MRU line against a plain LRU, model B's tag cache against a frozen
+copy of its hand-written LRU, and each model's share of the counted
+events against frozen per-model memories."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conch import isa
 from conch.core import MachineState
 from conch.crypt import derive_thread_key, generate_master_key, qarma_decrypt, qarma_encrypt
 from conch.mem import (
@@ -25,7 +27,7 @@ from conch.mem import (
     SoundnessViolation,
     _Line,
 )
-from conch.report import counts, mem_stats
+from conch.report import counts, mem_stats, simulate
 
 from conftest import UncachedReference
 
@@ -526,8 +528,8 @@ def test_cached_matches_uncached(ops):
     assert cached.byte_oracle[: SPAN // 8] == flat.byte_oracle[: SPAN // 8]
 
 
-# The 16 lines OPS reaches share 8 sets of 2 ways and evict; over 16 sets of
-# one way, a set of indices iterates out of ascending order.
+# The 16 lines OPS reaches fill 8 sets of 2 ways, or 16 sets of one way,
+# in the order the ops first touch them, which is seldom ascending.
 @pytest.mark.parametrize("dcache", [(1024, 2), (1024, 1)], ids=["8x2", "16x1"])
 @given(ops=OPS)
 @settings(max_examples=60, deadline=None)
@@ -536,13 +538,78 @@ def test_live_sets_track_resident_lines(dcache, ops):
     for op in ops:
         _apply(mem, op)
         cache = mem.dcache
-        assert list(cache.all_lines()) == [ln for s in cache.sets for ln in s]
-        assert cache.live == {i for i, s in enumerate(cache.sets) if s}
+        assert all(cache.sets.values())  # only non-empty sets are kept
+        for i, s in cache.sets.items():
+            assert all((ln.base // LINE) % cache.n_sets == i for ln in s)
+        assert list(cache.all_lines()) == [ln for i in sorted(cache.sets) for ln in cache.sets[i]]
         _assert_mru(cache)
     mem.flush_and_sync(KEY)
     for cache in (mem.dcache, mem.icache, mem.tagcache):
-        assert not cache.live and not any(cache.sets)
+        assert cache.sets == {}
         assert cache.mru is None
+
+
+# ---- records read from the caches ---------------------------------------------------
+
+SELF_PATCH = f"""
+.org 0x80000000
+    la   t0, patch
+    li   t1, {isa.encode("addi", 10, imm=7):#x}
+    sw   t1, 0(t0)
+    li   a0, 1
+    li   a7, 5000
+    ecall               # thread switch: the flush writes the patch back
+patch:
+    addi a0, zero, 1    # runs as addi a0, zero, 7 once the icache refills
+    li   a7, 93
+    ecall
+"""
+
+
+def _dirty_lines(cache):
+    return [ln for s in cache.sets.values() for ln in s if ln.dirty]
+
+
+def test_icache_lines_are_never_dirty(corpus, monkeypatch):
+    """flush_and_sync only invalidates the icache: no corpus run, nor a
+    program that stores into its own text, has a dirty icache line at any
+    fetch or flush."""
+    fetch, flush = MemorySystem.fetch, MemorySystem.flush_and_sync
+
+    def checked_fetch(self, addr, key):
+        assert not _dirty_lines(self.icache)
+        return fetch(self, addr, key)
+
+    def checked_flush(self, key):
+        assert not _dirty_lines(self.icache)
+        flush(self, key)
+
+    monkeypatch.setattr(MemorySystem, "fetch", checked_fetch)
+    monkeypatch.setattr(MemorySystem, "flush_and_sync", checked_flush)
+    for name, source, fs, _ in corpus:
+        assert simulate(source, fs=dict(fs)).stop == "exit", name
+    res = simulate(SELF_PATCH)
+    assert (res.stop, res.st.exit_code) == ("exit", 7)
+
+
+def test_clean_once_eviction_wrote_back_every_dirty_line():
+    """clean reads the dcache's dirty bits: once eviction has written back
+    a stored line, DRAM is at rest with no flush, and raw_dump shows what
+    flush_and_sync leaves."""
+    mem = MemorySystem()
+    addr = mem.base + 0x3008
+    mem.store(addr, 8, 0x1234, 1, KEY)
+    mem.store(addr + 8, 4, 0x56, 0, KEY)
+    assert not mem.clean
+    for k in range(1, 9):  # 8 more lines of its 8-way set: the stored line is evicted
+        mem.load(addr + 4096 * k, 8, False, KEY)
+    assert mem.clean and not _dirty_lines(mem.dcache)
+    dump = mem.raw_dump(addr - 8, LINE)
+    mem.flush_and_sync(KEY)
+    assert mem.raw_dump(addr - 8, LINE) == dump
+    data, tags = dump
+    assert data[8:20] == qarma_encrypt(KEY, addr, 0x1234).to_bytes(8, "little") + (0x56).to_bytes(4, "little")
+    assert tags[:3] == [0, 1, 0]
 
 
 # ---- the MRU line -------------------------------------------------------------------
@@ -551,7 +618,7 @@ def test_live_sets_track_resident_lines(dcache, ops):
 def _assert_mru(cache):
     """CacheModel.mru is None, or a resident line first in its set."""
     if cache.mru is not None:
-        s = cache.set_for(cache.mru.base)
+        s = cache.sets.get((cache.mru.base // LINE) % cache.n_sets)
         assert s and s[0] is cache.mru
 
 
@@ -604,7 +671,10 @@ def test_mru_matches_plain_lru(ways, ops):
         else:
             cache.invalidate()
             ref.invalidate()
-        assert [[line.base for line in s] for s in cache.sets] == ref.sets
+        # exactly the reference's non-empty sets, yielded in ascending set order
+        resident = {i: [line.base for line in s] for i, s in cache.sets.items()}
+        assert resident == {i: s for i, s in enumerate(ref.sets) if s}
+        assert [line.base for line in cache.all_lines()] == [base for s in ref.sets for base in s]
         _assert_mru(cache)
 
 
@@ -746,7 +816,6 @@ class _PerModelMemory(MemorySystem):
             cache.invalidate()
         self.dram_tag_accesses += sum(tl.dirty for tl in self.tagcache.all_lines())
         self.tagcache.invalidate()
-        self.clean = True
 
 
 # "small": a dcache of 8 sets of 2 ways, which the 16 lines OPS reaches in
