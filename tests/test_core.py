@@ -699,8 +699,8 @@ def _try_step(step_fn, stt, mem, shim, oracle):
 
 def _lockstep(make, max_steps):
     """Step a machine under step and one under _ref_step, both built by
-    make(), and compare them after every step, then the count vectors
-    each model prices. Returns the steps taken."""
+    make(), and compare them after every step. Returns both machines and
+    the steps taken."""
     new, ref = make(), make()
     for n in range(max_steps):
         outcome = _try_step(step, *new)
@@ -709,14 +709,17 @@ def _lockstep(make, max_steps):
         if outcome is not None or new[0].halted:
             break
     assert new[3].log == ref[3].log
-    for model in MODELS:
-        assert counts(new[0], new[1], model) == counts(ref[0], ref[1], model), model
     if new[2] is not None:
         assert bytes(new[2].stdout) == bytes(ref[2].stdout)
-    return n + 1
+    return new, ref, n + 1
 
 
-def test_dispatch_matches_reference_on_corpus(corpus):
+@pytest.fixture(scope="module")
+def corpus_lockstep(corpus):
+    """Each corpus program stepped once under both step functions: memory
+    counts the union of every model's events, so one run serves all three
+    models. Maps name to (new, ref)."""
+    runs = {}
     for name, source, fs, _ in corpus:
         program = asm.assemble(source)
 
@@ -728,8 +731,16 @@ def test_dispatch_matches_reference_on_corpus(corpus):
             stt.key = shim.key_for(0)
             return stt, mem, shim, LoggingOracle(stt)
 
-        steps = _lockstep(make, 100_000)
+        new, ref, steps = _lockstep(make, 100_000)
         assert steps < 100_000, f"{name} did not finish"
+        runs[name] = new, ref
+    return runs
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_dispatch_matches_reference_on_corpus(corpus_lockstep, model):
+    for name, (new, ref) in corpus_lockstep.items():
+        assert counts(new[0], new[1], model) == counts(ref[0], ref[1], model), name
 
 
 _REG = st.sampled_from([0, 0, 1, 2, 3, 4, 5])
@@ -773,7 +784,9 @@ def test_dispatch_matches_reference_on_random_sequences(words, values, tagged, t
             oracle.reg[r] = 0x0F if tag else 0
         return stt, mem, None, oracle
 
-    _lockstep(make, 4 * len(words) + 4)
+    new, ref, _ = _lockstep(make, 4 * len(words) + 4)
+    for model in MODELS:
+        assert counts(new[0], new[1], model) == counts(ref[0], ref[1], model), model
 
 
 def test_dispatch_follows_a_store_into_text():
