@@ -98,11 +98,6 @@ def _s64(x):
     return x - 0x1_0000_0000_0000_0000 if x & 0x8000_0000_0000_0000 else x
 
 
-def _s32(x):
-    x &= 0xFFFFFFFF
-    return x - 0x1_0000_0000 if x & 0x8000_0000 else x
-
-
 def _w(x):
     return sext(x & 0xFFFFFFFF, 32) & MASK64
 
@@ -130,24 +125,6 @@ def _rem(a, b):
     return (sa - _div_trunc(sa, sb) * sb) & MASK64
 
 
-def _divw(a, b):
-    sa, sb = _s32(a), _s32(b)
-    if sb == 0:
-        return MASK64
-    if sa == -(1 << 31) and sb == -1:
-        return sext(sa, 32) & MASK64
-    return _div_trunc(sa, sb) & MASK64
-
-
-def _remw(a, b):
-    sa, sb = _s32(a), _s32(b)
-    if sb == 0:
-        return sext(sa, 32) & MASK64
-    if sa == -(1 << 31) and sb == -1:
-        return 0
-    return (sa - _div_trunc(sa, sb) * sb) & MASK64
-
-
 _ALU = {
     "add": lambda a, b: (a + b) & MASK64,
     "sub": lambda a, b: (a - b) & MASK64,
@@ -171,11 +148,12 @@ _ALU = {
     "subw": lambda a, b: _w(a - b),
     "sllw": lambda a, b: _w(a << (b & 31)),
     "srlw": lambda a, b: _w((a & 0xFFFFFFFF) >> (b & 31)),
-    "sraw": lambda a, b: _w(_s32(a) >> (b & 31)),
+    "sraw": lambda a, b: _w(_s64(_w(a)) >> (b & 31)),
     "mulw": lambda a, b: _w(a * b),
-    "divw": _divw,
+    # as the RISC-V spec defines them: div and rem of the sign-extended words
+    "divw": lambda a, b: _w(_div(_w(a), _w(b))),
     "divuw": lambda a, b: MASK64 if b & 0xFFFFFFFF == 0 else _w((a & 0xFFFFFFFF) // (b & 0xFFFFFFFF)),
-    "remw": _remw,
+    "remw": lambda a, b: _w(_rem(_w(a), _w(b))),
     "remuw": lambda a, b: _w(a) if b & 0xFFFFFFFF == 0 else _w((a & 0xFFFFFFFF) % (b & 0xFFFFFFFF)),
 }
 

@@ -4,7 +4,8 @@ encryption boundary at the cache-DRAM edge.
 
 Inside registers and caches data is plaintext; a word whose tag bit is set
 rests in DRAM as ciphertext under (current thread key, word address as
-tweak). Untagged words rest verbatim.
+tweak). Untagged words rest verbatim. A cache line holds its eight words
+beside its 8-bit tag mask, bit j for word j.
 
 Memory knows no cycle model: it counts every event once, and
 report.counts picks the events each model pays for. It counts each load
@@ -17,9 +18,11 @@ every dirty tag line. Each tagged word crossing the boundary, either
 way, is one cipher block, and one over-tag block too when none of its
 bytes is oracle-tainted.
 
-Encryption itself always happens, whoever pays for it. The blocks go
-through MemorySystem.memo, a crypt.BlockMemo that the simulations of one
-run_models call share: a block one simulation enciphered, or a
+Encryption itself always happens, whoever pays for it. Fills and
+writebacks share one transcoder, _transcode, which passes each tagged
+word of a line through the cipher under (key, its address). The blocks
+go through MemorySystem.memo, a crypt.BlockMemo that the simulations of
+one run_models call share: a block one simulation enciphered, or a
 ciphertext the engine wrote earlier, is looked up rather than
 recomputed. The memo changes host time only, never a count or a DRAM
 byte.
@@ -72,7 +75,7 @@ REGION_SHIFT = 15  # a 32 KiB DRAM region: 512 B of tag plane, 4 KiB of oracle p
 
 MODELS = ("baseline", "a", "b")  # the cycle models report.counts tells apart
 
-_WORD32 = struct.Struct("<I")
+_LINE_WORDS = struct.Struct("<8Q")  # a line's bytes in DRAM, as its eight words
 
 
 class MemAccessError(Exception):
@@ -118,11 +121,11 @@ def _extend(value, width, signed):
 
 
 class _Line:
-    __slots__ = ("base", "data", "tags", "dirty")
+    __slots__ = ("base", "words", "tags", "dirty")
 
-    def __init__(self, base, data, tags):
+    def __init__(self, base, words, tags):
         self.base = base
-        self.data = data
+        self.words = words  # list of 8 ints, word j at base + 8j
         self.tags = tags  # 8-bit mask, bit j = sensitivity of word j
         self.dirty = False
 
@@ -176,17 +179,9 @@ class CacheModel:
 
 
 class MemorySystem:
-    def __init__(
-        self,
-        base=DRAM_BASE,
-        size=DRAM_SIZE,
-        dcache=(32 * 1024, 8),
-        icache=(32 * 1024, 8),
-        tag_cache=(4 * 1024, 8),
-        memo=None,
-    ):
-        assert base % LINE == 0 and size % LINE == 0
-        self.base = base
+    def __init__(self, size=DRAM_SIZE, dcache=(32 * 1024, 8), tag_cache=(4 * 1024, 8), memo=None):
+        assert size % LINE == 0
+        self.base = DRAM_BASE
         self.size = size
         # the blocks enciphered so far; MemorySystems replaying one run
         # may share it
@@ -198,7 +193,7 @@ class MemorySystem:
         self.regions = set()  # DRAM regions reached: off >> REGION_SHIFT
 
         self.dcache = CacheModel(*dcache)
-        self.icache = CacheModel(*icache)
+        self.icache = CacheModel(32 * 1024, 8)
         # 4 KiB / 8 ways / 64 B lines -> 8 sets
         self.tagcache = CacheModel(*tag_cache)
 
@@ -305,23 +300,25 @@ class MemorySystem:
         if self.oracle_word(word_addr) == 0:
             self.overtag_cipher_blocks += 1
 
+    def _transcode(self, line_base, words, tags, key, cipher):
+        """The DRAM edge, either way: a new list of the line's words, each
+        word whose tag bit is set passed through cipher under (key, its
+        address) and counted as one block."""
+        words = list(words)
+        if tags:
+            for j in range(WORDS_PER_LINE):
+                if (tags >> j) & 1:
+                    addr = line_base + 8 * j
+                    words[j] = cipher(key, addr, words[j], memo=self.memo)
+                    self._count_cipher(addr)
+        return words
+
     def _writeback_line(self, line, key):
         off = line.base - self.base
         self.dram_data_accesses += 1
         self._tag_access(line.base, write=True)
-        data = line.data
-        if line.tags:
-            out = bytearray(data)
-            for j in range(WORDS_PER_LINE):
-                if (line.tags >> j) & 1:
-                    addr = line.base + 8 * j
-                    word = int.from_bytes(data[8 * j : 8 * j + 8], "little")
-                    enc = qarma_encrypt(key, addr, word, memo=self.memo)
-                    out[8 * j : 8 * j + 8] = enc.to_bytes(8, "little")
-                    self._count_cipher(addr)
-            self.dram[off : off + LINE] = out
-        else:
-            self.dram[off : off + LINE] = data
+        words = self._transcode(line.base, line.words, line.tags, key, qarma_encrypt)
+        _LINE_WORDS.pack_into(self.dram, off, *words)
         self.tag_bits[off >> 6] = line.tags
         line.dirty = False
 
@@ -331,16 +328,8 @@ class MemorySystem:
         self.dram_data_accesses += 1
         self._tag_access(line_base, write=False)
         tags = self.tag_bits[off >> 6]
-        data = bytearray(self.dram[off : off + LINE])
-        if tags:
-            for j in range(WORDS_PER_LINE):
-                if (tags >> j) & 1:
-                    addr = line_base + 8 * j
-                    raw = int.from_bytes(data[8 * j : 8 * j + 8], "little")
-                    plain = qarma_decrypt(key, addr, raw, memo=self.memo)
-                    data[8 * j : 8 * j + 8] = plain.to_bytes(8, "little")
-                    self._count_cipher(addr)
-        line = _Line(line_base, data, tags)
+        words = self._transcode(line_base, _LINE_WORDS.unpack_from(self.dram, off), tags, key, qarma_decrypt)
+        line = _Line(line_base, words, tags)
         victim = cache.insert(line)
         if victim is not None and victim.dirty:
             self._writeback_line(victim, key)
@@ -368,10 +357,9 @@ class MemorySystem:
         self.loads += 1
         line_base = addr & ~(LINE - 1)
         line = self._access(self.dcache, line_base, key)
-        off = addr - line_base
-        value = int.from_bytes(line.data[off : off + width], "little")
-        tag = (line.tags >> (off >> 3)) & 1
-        return _extend(value, width, signed), tag
+        j = (addr - line_base) >> 3
+        value = (line.words[j] >> (8 * (addr & 7))) & ((1 << (8 * width)) - 1)
+        return _extend(value, width, signed), (line.tags >> j) & 1
 
     def store(self, addr, width, value, src_tag, key, taints=None):
         """Write-allocate write-back store. Full-word stores replace the
@@ -388,9 +376,10 @@ class MemorySystem:
         self.stores += 1
         line_base = addr & ~(LINE - 1)
         line = self._access(self.dcache, line_base, key)
-        off = addr - line_base
-        line.data[off : off + width] = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
-        j = off >> 3
+        j = (addr - line_base) >> 3
+        shift = 8 * (addr & 7)
+        mask = ((1 << (8 * width)) - 1) << shift
+        line.words[j] = line.words[j] & ~mask | (value << shift) & mask
         tag = src_tag if width == 8 else (line.tags >> j) & 1 | src_tag
         line.tags = line.tags & ~(1 << j) | tag << j
         line.dirty = True
@@ -410,7 +399,7 @@ class MemorySystem:
         else:
             self._check_range(addr, 4)
             line = self._access(icache, line_base, key)
-        return _WORD32.unpack_from(line.data, addr - line_base)[0]
+        return (line.words[(addr - line_base) >> 3] >> (8 * (addr & 4))) & 0xFFFFFFFF
 
     # ---- tag management ---------------------------------------------------
 
@@ -493,10 +482,10 @@ class MemorySystem:
         data, tags = self.raw_dump(start, length)
         out = []
         w0 = start & ~7
+        data = bytes(start - w0) + data  # each byte at its offset in its word
         for i, w in enumerate(range(w0, start + length, 8)):
-            if i % 8 == 0:
+            if i == 0 or w % LINE == 0:
                 out.append(f"# line {w & ~(LINE - 1):#x}")
-            chunk = data[max(0, w - start) : w - start + 8]
-            word = int.from_bytes(chunk.ljust(8, b"\x00"), "little")
+            word = int.from_bytes(data[8 * i : 8 * i + 8].ljust(8, b"\x00"), "little")
             out.append(f"{w:08x}: {word:016x} {tags[i]}")
         return "\n".join(out) + "\n"

@@ -265,6 +265,30 @@ def test_format_dump_shape():
     assert lines[2].endswith(" 0")
 
 
+def test_format_dump_puts_each_byte_at_its_offset_in_its_word():
+    """A range that starts inside a word shows its bytes where they lie;
+    the bytes before it read 00, as the tail past its end does."""
+    mem = MemorySystem()
+    mem.write_raw_init(mem.base + 0x100, (0x1122334455667788).to_bytes(8, "little"))
+    assert mem.format_dump(mem.base + 0x103, 8).splitlines() == [
+        "# line 0x80000100",
+        "80000100: 1122334455000000 0",
+        "80000108: 0000000000000000 0",
+    ]
+
+
+def test_format_dump_heads_each_line():
+    """A range that starts inside a line gets a header above its first row
+    and above every row that starts a line."""
+    mem = MemorySystem()
+    lines = mem.format_dump(mem.base + 0x138, 80).splitlines()
+    headers = {i: row for i, row in enumerate(lines) if row.startswith("#")}
+    assert headers == {0: "# line 0x80000100", 2: "# line 0x80000140", 11: "# line 0x80000180"}
+    assert [row[:8] for row in lines if not row.startswith("#")] == [
+        f"{mem.base + a:08x}" for a in range(0x138, 0x188, 8)
+    ]
+
+
 def test_soundness_guard_trips_on_violation():
     mem = MemorySystem()
     addr = mem.base + 0x900
@@ -476,7 +500,8 @@ OPS = st.lists(
             st.integers(0, 1),
             st.integers(0, 0xFF),  # per-byte taints
         ),
-        st.tuples(st.just("load"), st.integers(0, 128 * 8 - 1), st.sampled_from([1, 2, 4, 8])),
+        st.tuples(st.just("load"), st.integers(0, 128 * 8 - 1), st.sampled_from([1, 2, 4, 8]), st.booleans()),
+        st.tuples(st.just("fetch"), st.integers(0, 128 * 8 - 1)),
         st.tuples(st.just("ctag_set"), st.integers(0, 128 * 8 - 1), st.integers(1, 64)),
         st.tuples(st.just("ctag_clr"), st.integers(0, 128 * 8 - 1), st.integers(1, 64)),
         st.tuples(st.just("flush")),
@@ -491,7 +516,9 @@ SPAN = 128 * 8  # the bytes OPS reaches
 
 def _apply(mem, op, page=0):
     """Apply one OPS step to the 4 KiB page `page` of mem's DRAM; a load
-    returns (value, tag, oracle bits)."""
+    returns (value, tag, oracle bits) and a fetch the fetched word. A
+    fetch flushes first: the icache is not coherent with dirty dcache
+    lines (see SELF_PATCH)."""
     base = mem.base + 4096 * page
     kind = op[0]
     if kind == "store":
@@ -501,10 +528,13 @@ def _apply(mem, op, page=0):
             taints = 0  # a register tag over-approximates its byte taints
         mem.store(base + offset - offset % width, width, value & ((1 << (8 * width)) - 1), tag, KEY, taints)
     elif kind == "load":
-        _, offset, width = op
+        _, offset, width, signed = op
         addr = base + offset - offset % width
-        value, tag = mem.load(addr, width, False, KEY)
+        value, tag = mem.load(addr, width, signed, KEY)
         return value, tag, mem.oracle_bits_for(addr, width)
+    elif kind == "fetch":
+        mem.flush_and_sync(KEY)
+        return mem.fetch(base + (op[1] & ~3), KEY)
     elif kind in ("ctag_set", "ctag_clr"):
         _, offset, length = op
         ctag = mem.ctag_set_range if kind == "ctag_set" else mem.ctag_clear_range
@@ -515,7 +545,9 @@ def _apply(mem, op, page=0):
 
 
 @given(ops=OPS)
-@example(ops=[("store", 8, 8, 2**64 - 1, 1, 0), ("store", 12, 4, 0, 0, 0), ("load", 8, 8)])  # a clean narrow store keeps the tag
+@example(ops=[("store", 8, 8, 2**64 - 1, 1, 0), ("store", 12, 4, 0, 0, 0), ("load", 8, 8, False)])  # a clean narrow store keeps the tag
+# sign bits high in a tagged word, read by signed loads and a fetch
+@example(ops=[("store", 8, 8, 0x80FF_FF80_8000_8080, 1, 0xFF), ("load", 15, 1, True), ("load", 12, 2, True), ("fetch", 12)])
 @settings(max_examples=120, deadline=None)
 def test_cached_matches_uncached(ops):
     cached = MemorySystem()
@@ -666,7 +698,7 @@ def test_mru_matches_plain_lru(ways, ops):
             line = cache.find(base)
             assert (line and line.base) == ref.find(base)
         elif op == "insert":
-            victim = cache.insert(_Line(base, bytearray(LINE), 0))
+            victim = cache.insert(_Line(base, [0] * 8, 0))
             assert (victim and victim.base) == ref.insert(base)
         else:
             cache.invalidate()
