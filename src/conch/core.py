@@ -222,7 +222,6 @@ class MachineState:
         "halted",
         "exit_code",
         "trap",
-        "tid",
         "key",
         "max_instret",
         "copy_words",
@@ -238,7 +237,6 @@ class MachineState:
         self.halted = False
         self.exit_code = 0
         self.trap: Optional[BaseException] = None
-        self.tid = 0
         self.key = key
         self.max_instret = None
         self.copy_words = 0

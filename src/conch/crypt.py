@@ -10,23 +10,27 @@ fuses with the linear layer after it into one table, as in the T-table
 form of AES (Daemen & Rijmen, The Design of Rijndael, 2002). Encryption:
 
   forward rounds   S then L, XOR L(k_i ^ t_i)                 5 tables
-  reflector        S then L, XOR k0; tau^-1, S^-1 then L^-1    2 tables
+  reflector        S then L, XOR k1; tau^-1, S^-1 then L^-1    2 tables
   backward rounds  S^-1 then L^-1, XOR k0 ^ c_i ^ alpha ^ t_i  4 tables
   last layer       S^-1, XOR k0 ^ alpha ^ w1 ^ t0              1 table
 
-with k_i = k0 ^ c_i for i = 1..4 and k_5 = w1 (the first table also
-applies the initial S layer); decryption mirrors it. The tweak schedule
-is linear too, so one packed table turns the tweak t0 into t1..t5 and
-L(t1)..L(t5) at once: 13 table applications per block, against 29 for
-one table per layer. The key-dependent terms come from a small bounded
-memo keyed by the key. CPython 3.11 on a 2 vCPU x86-64 box does one
+with k_i = k0 ^ c_i for i = 1..4, k_5 = w1 and k1 = k0 (the first table
+also applies the initial S layer). Decryption is the same circuit: QARMA
+is reflective, so decrypting under (w0, w1, k0, k1) is encrypting under
+the reflected key (w1, w0, k0 ^ alpha, M k1) (Avanzi, The QARMA Block
+Cipher Family, ToSC 2017, section 3), and only the key terms differ.
+The tweak schedule is linear too, so one packed table turns the tweak
+t0 into t1..t5 and L(t1)..L(t5) at once: 13 table applications per
+block, against 29 for one table per layer. The key-dependent terms come
+from a small bounded memo keyed by the key; the reflected key's M k0
+is L applied to tau^-1 k0. CPython 3.11 on a 2 vCPU x86-64 box does one
 encrypt or decrypt in 10-12 microseconds, against about 30-36 for the
 one-table-per-layer form.
 
 The tables are built by lookup and composition, not by running values
 through other tables. A linear table spans its images of the 64 unit
 vectors; L's come from one column of M each, and L^-1 = tau^-1 . L . tau^-1
-(M is involutory) and the reflector's linear layers are compositions of
+(M is involutory) and the reflector's linear layer are compositions of
 L's and tau^-1's tables. The tweak table iterates a one-round tweak table.
 Row j of an S-box layer has only byte j set, so entry b of a fused table
 is the one lookup lin[j][S(b)]. Importing the module builds the linear
@@ -34,12 +38,12 @@ tables and sigma1's (sigma0's and sigma2's on first use) in about 3 ms on
 the box above, and takes about 10 ms in all with cached bytecode.
 
 A BlockMemo holds the (key, tweak, plaintext) <-> ciphertext pairs the
-circuits computed, both ways, so a block requested again, or the
+circuit computed, both ways, so a block requested again, or the
 decrypt of a ciphertext an earlier encrypt produced, is a dict lookup. The
 memory engine makes one per simulated run (run_models shares one across
 its cycle models, which replay the same functional run). A hit is exact:
 QARMA is a permutation for each (key, tweak), and a pair exists only if
-a circuit computed it, so a ciphertext read under another key than it
+the circuit computed it, so a ciphertext read under another key than it
 was written with finds no pair and runs the real circuit. The memo stops
 taking pairs at MEMO_MAX_PAIRS; it never evicts.
 
@@ -177,10 +181,8 @@ def _byte_sbox(sig):
 _T_TAUI = _cellwise(lambda c, v: v << (60 - 4 * _TAU[c]))
 _T_L = _cellwise(lambda c, v: _mix(_TAU_INV[c], v))
 _T_LI = _compose(_T_TAUI, _T_L, _T_TAUI)
-# The reflector's linear layers: L^-1 . tau^-1 to encrypt, and
-# L^-1 . tau = tau^-1 . L to decrypt.
-_T_CENTRE_ENC = _compose(_T_LI, _T_TAUI)
-_T_CENTRE_DEC = _compose(_T_TAUI, _T_L)
+# The reflector's linear layer after S^-1: L^-1 . tau^-1.
+_T_CENTRE = _compose(_T_LI, _T_TAUI)
 # One round of the tweak schedule: shuffle h, then the LFSR on _OMEGA_CELLS.
 _T_TWEAK_ROUND = _cellwise(lambda c, v: (_lfsr(v) if _H_INV[c] in _OMEGA_CELLS else v) << (60 - 4 * _H_INV[c]))
 
@@ -205,15 +207,15 @@ _TABLES = {}
 
 
 def _sigma_tables(sigma):
-    """Build the per-S-box tables (L.S, L^-1.S^-1, the encrypt and decrypt
-    reflector layers, S^-1); sigma1's at import, the others on first use."""
+    """Build the per-S-box tables (L.S, L^-1.S^-1, the reflector layer
+    L^-1.tau^-1.S^-1, S^-1), which serve both directions; sigma1's at
+    import, the others on first use."""
     sb = _byte_sbox(SIGMA[sigma])
     sbi = _byte_sbox(_inv(SIGMA[sigma]))
     tabs = _TABLES[sigma] = (
         _fuse(sb, _T_L),
         _fuse(sbi, _T_LI),
-        _fuse(sbi, _T_CENTRE_ENC),
-        _fuse(sb, _T_CENTRE_DEC),
+        _fuse(sbi, _T_CENTRE),
         tuple(tuple([s << (8 * j) for s in sbi]) for j in range(8)),
     )
     return tabs
@@ -232,35 +234,36 @@ def _w1_of(w0):
 _KEYS = {}
 
 
-def _key_consts(key):
-    """Key-dependent terms of the encrypt and decrypt circuits, memoized
-    for the last _KEY_MEMO_MAX distinct keys."""
-    w0, k0 = key
-    w0 &= MASK64
-    k0 &= MASK64
-    w1 = _w1_of(w0)
+def _circuit_consts(w0, w1, k0, k1):
+    # The key terms of the circuit under whitening keys w0, w1, core key
+    # k0 and reflector key k1, in the order _cipher reads them.
     ka = k0 ^ _ALPHA
-    enc = (
+    return (
         w0 ^ k0,
         *(_ap(_T_L, k0 ^ _RC[i]) for i in (1, 2, 3, 4)),
         _ap(_T_L, w1),
-        k0,
+        k1,
         w0,
         *(ka ^ _RC[i] for i in (4, 3, 2, 1)),
         ka ^ w1,
     )
-    dec = (
-        w1 ^ ka,
-        *(_ap(_T_L, ka ^ _RC[i]) for i in (1, 2, 3, 4)),
-        _ap(_T_L, w0),
-        _ap(_T_LI, k0),
-        w1,
-        *(k0 ^ _RC[i] for i in (4, 3, 2, 1)),
-        k0 ^ w0,
+
+
+def _key_consts(key):
+    """Key terms of the circuit for encryption, under (w0, w1, k0, k0), and
+    for decryption, under the reflected key (w1, w0, k0 ^ alpha, M k0)
+    with M = L . tau^-1; memoized for the last _KEY_MEMO_MAX distinct keys."""
+    w0, k0 = key
+    w0 &= MASK64
+    k0 &= MASK64
+    w1 = _w1_of(w0)
+    consts = (
+        _circuit_consts(w0, w1, k0, k0),
+        _circuit_consts(w1, w0, k0 ^ _ALPHA, _ap(_T_L, _ap(_T_TAUI, k0))),
     )
     if len(_KEYS) >= _KEY_MEMO_MAX:
         del _KEYS[next(iter(_KEYS))]
-    _KEYS[key] = consts = (enc, dec)
+    _KEYS[key] = consts
     return consts
 
 
@@ -292,7 +295,7 @@ def qarma_encrypt(key, tweak, plaintext, sigma=1, memo=None):
     are masked to 64 bits. With a BlockMemo, a pair it holds is looked
     up and a computed one is added."""
     if memo is None or sigma != 1:
-        return _encrypt(key, tweak, plaintext, sigma)
+        return _cipher(key, tweak, plaintext, sigma, 0)
     tweak &= MASK64
     plaintext &= MASK64
     pairs = memo.keys.get(key)
@@ -300,7 +303,7 @@ def qarma_encrypt(key, tweak, plaintext, sigma=1, memo=None):
         ciphertext = pairs[0].get(tweak << 64 | plaintext)
         if ciphertext is not None:
             return ciphertext
-    ciphertext = _encrypt(key, tweak, plaintext, 1)
+    ciphertext = _cipher(key, tweak, plaintext, 1, 0)
     memo.add(key, tweak, plaintext, ciphertext)
     return ciphertext
 
@@ -308,7 +311,7 @@ def qarma_encrypt(key, tweak, plaintext, sigma=1, memo=None):
 def qarma_decrypt(key, tweak, ciphertext, sigma=1, memo=None):
     """Exact inverse of qarma_encrypt, memo included."""
     if memo is None or sigma != 1:
-        return _decrypt(key, tweak, ciphertext, sigma)
+        return _cipher(key, tweak, ciphertext, sigma, 1)
     tweak &= MASK64
     ciphertext &= MASK64
     pairs = memo.keys.get(key)
@@ -316,45 +319,25 @@ def qarma_decrypt(key, tweak, ciphertext, sigma=1, memo=None):
         plaintext = pairs[1].get(tweak << 64 | ciphertext)
         if plaintext is not None:
             return plaintext
-    plaintext = _decrypt(key, tweak, ciphertext, 1)
+    plaintext = _cipher(key, tweak, ciphertext, 1, 1)
     memo.add(key, tweak, plaintext, ciphertext)
     return plaintext
 
 
-def _encrypt(key, tweak, plaintext, sigma):
-    ls, lis, centre, _, si = _TABLES.get(sigma) or _sigma_tables(sigma)
-    kin, kl1, kl2, kl3, kl4, kl5, k0, w0, kb4, kb3, kb2, kb1, kout = (_KEYS.get(key) or _key_consts(key))[0]
+def _cipher(key, tweak, x, sigma, direction):
+    # direction 0 encrypts, 1 decrypts: the same circuit, other key terms.
+    ls, lis, centre, si = _TABLES.get(sigma) or _sigma_tables(sigma)
+    kin, kl1, kl2, kl3, kl4, kl5, k1, w0, kb4, kb3, kb2, kb1, kout = (_KEYS.get(key) or _key_consts(key))[direction]
     t0 = tweak & MASK64
     t1, t2, t3, t4, t5, tl1, tl2, tl3, tl4, tl5 = _UNPACK_TWEAK(_ap(_T_TWEAK, t0).to_bytes(80, "little"))
 
-    s = _ap(ls, (plaintext & MASK64) ^ kin ^ t0) ^ kl1 ^ tl1
+    s = _ap(ls, (x & MASK64) ^ kin ^ t0) ^ kl1 ^ tl1
     s = _ap(ls, s) ^ kl2 ^ tl2
     s = _ap(ls, s) ^ kl3 ^ tl3
     s = _ap(ls, s) ^ kl4 ^ tl4
     s = _ap(ls, s) ^ kl5 ^ tl5
-    # Reflector: L, XOR k1 (= k0), then tau^-1, S^-1 and L^-1 as one table.
-    s = _ap(centre, _ap(ls, s) ^ k0) ^ w0 ^ t5
-    s = _ap(lis, s) ^ kb4 ^ t4
-    s = _ap(lis, s) ^ kb3 ^ t3
-    s = _ap(lis, s) ^ kb2 ^ t2
-    s = _ap(lis, s) ^ kb1 ^ t1
-    return _ap(si, s) ^ kout ^ t0
-
-
-def _decrypt(key, tweak, ciphertext, sigma):
-    # the structural inverse of _encrypt, not the key-swapped forward circuit
-    ls, lis, _, centre, si = _TABLES.get(sigma) or _sigma_tables(sigma)
-    kin, kl1, kl2, kl3, kl4, kl5, lik0, w1, kb4, kb3, kb2, kb1, kout = (_KEYS.get(key) or _key_consts(key))[1]
-    t0 = tweak & MASK64
-    t1, t2, t3, t4, t5, tl1, tl2, tl3, tl4, tl5 = _UNPACK_TWEAK(_ap(_T_TWEAK, t0).to_bytes(80, "little"))
-
-    s = _ap(ls, (ciphertext & MASK64) ^ kin ^ t0) ^ kl1 ^ tl1
-    s = _ap(ls, s) ^ kl2 ^ tl2
-    s = _ap(ls, s) ^ kl3 ^ tl3
-    s = _ap(ls, s) ^ kl4 ^ tl4
-    s = _ap(ls, s) ^ kl5 ^ tl5
-    # Reflector: S, tau, XOR k0 and L^-1 as one table plus L^-1(k0).
-    s = _ap(lis, _ap(centre, s) ^ lik0) ^ w1 ^ t5
+    # Reflector: L, XOR k1, then tau^-1, S^-1 and L^-1 as one table.
+    s = _ap(centre, _ap(ls, s) ^ k1) ^ w0 ^ t5
     s = _ap(lis, s) ^ kb4 ^ t4
     s = _ap(lis, s) ^ kb3 ^ t3
     s = _ap(lis, s) ^ kb2 ^ t2

@@ -49,8 +49,7 @@ _GETRANDOM_MAX = 33_554_431  # Linux returns at most this many bytes per getrand
 
 
 class FileDesc:
-    def __init__(self, path, data, pos=0, sensitive=False):
-        self.path = path
+    def __init__(self, data, pos=0, sensitive=False):
         self.data = data
         self.pos = pos
         self.sensitive = sensitive
@@ -59,7 +58,6 @@ class FileDesc:
 class OsShim:
     def __init__(self, master_key, seed=0, fs=None, strict_write=False, thread_keys=None):
         self.master_key = master_key
-        self.seed = seed
         self.fs = {} if fs is None else fs
         self.strict_write = strict_write
         self.thread_keys = {} if thread_keys is None else thread_keys
@@ -68,7 +66,7 @@ class OsShim:
         self.stdout = bytearray()
         self.stderr = bytearray()
         self.leak_averted_bytes = 0
-        self.prng = random.Random(self.seed)
+        self.prng = random.Random(seed)
 
     def key_for(self, tid):
         key = self.thread_keys.get(tid)
@@ -149,11 +147,7 @@ class OsShim:
             return -ENOENT
         fd = self.next_fd
         self.next_fd += 1
-        self.fds[fd] = FileDesc(
-            path=path,
-            data=bytes(self.fs[path]),
-            sensitive=bool(flags & O_SENSITIVE),
-        )
+        self.fds[fd] = FileDesc(data=bytes(self.fs[path]), sensitive=bool(flags & O_SENSITIVE))
         return fd
 
     # read, write and getrandom return (result, guest accesses made)
@@ -216,6 +210,5 @@ class OsShim:
         if tid >= 1 << 16:
             return -EINVAL
         mem.flush_and_sync(st.key)
-        st.tid = tid
         st.key = self.key_for(tid)
         return 0

@@ -228,7 +228,6 @@ def simulate(
     asm.load_image(program, mem, st)
     master = generate_master_key(seed)
     shim = OsShim(master, seed=seed, fs=dict(fs or {}), strict_write=strict_write, thread_keys=thread_keys)
-    st.tid = 0
     st.key = shim.key_for(0)
     stop = run(st, mem, shim, ByteOracle() if with_oracle else None, max_instret)
     mem.flush_and_sync(st.key)

@@ -530,7 +530,7 @@ def test_any_word_raises_only_documented_errors(word, seed, a7, budget):
     mem = MemorySystem()
     mem.write_raw_init(mem.base, word.to_bytes(4, "little"))
     shim = OsShim(generate_master_key(0), fs={"f": b"x"})
-    shim.fds[3] = FileDesc(path="f", data=bytes(range(256)))
+    shim.fds[3] = FileDesc(data=bytes(range(256)))
     stt = MachineState(pc=mem.base, key=KEY)
     stt.regs[1:] = _random_regs(seed)
     stt.regs[17] = a7

@@ -35,20 +35,17 @@ def _outcome(r):
 @pytest.fixture
 def circuit_calls(monkeypatch):
     """(key, tweak, block) of every memory-engine call that reaches the
-    encrypt or decrypt circuit; thread-key derivation (tweak = tid) is
-    left out."""
+    circuit, by direction; thread-key derivation (tweak = tid) is left
+    out."""
     calls = {"enc": [], "dec": []}
+    circuit = crypt._cipher
 
-    def counting(kind, circuit):
-        def wrapped(key, tweak, block, sigma):
-            if tweak >= DRAM_BASE:
-                calls[kind].append((key, tweak, block))
-            return circuit(key, tweak, block, sigma)
+    def counting(key, tweak, block, sigma, direction):
+        if tweak >= DRAM_BASE:
+            calls["dec" if direction else "enc"].append((key, tweak, block))
+        return circuit(key, tweak, block, sigma, direction)
 
-        return wrapped
-
-    monkeypatch.setattr(crypt, "_encrypt", counting("enc", crypt._encrypt))
-    monkeypatch.setattr(crypt, "_decrypt", counting("dec", crypt._decrypt))
+    monkeypatch.setattr(crypt, "_cipher", counting)
     return calls
 
 

@@ -288,8 +288,7 @@ def test_thread_switch_changes_key_and_flushes():
     mem.store(addr, 8, 0x1234, 1, st.key)
     assert not mem.clean
     assert ecall(st, mem, shim, SYS_THREAD_SWITCH, 5) == 0
-    assert st.tid == 5
-    assert st.key != key0
+    assert st.key == shim.key_for(5) != key0
     assert mem.clean  # everything rests under the outgoing key
     # the other thread sees scrambled data, switching back restores it
     assert mem.load(addr, 8, False, st.key)[0] != 0x1234
@@ -301,7 +300,7 @@ def test_thread_switch_changes_key_and_flushes():
 def test_thread_switch_bad_tid():
     st, mem, shim = machine()
     assert ecall(st, mem, shim, SYS_THREAD_SWITCH, 1 << 16) == -EINVAL
-    assert st.tid == 0
+    assert st.key == shim.key_for(0)
 
 
 def test_registers_carry_across_switch():
@@ -385,8 +384,8 @@ def test_any_syscall_returns_a_value_or_errno_or_stops(a7, args, budget, strict_
     loads and stores as it charged to the budget."""
     st, mem, shim = machine(fs={"f": bytes(range(200))}, strict_write=strict_write)
     put_cstr(st, mem, _PATH, "f")
-    shim.fds[3] = FileDesc(path="f", data=bytes(range(200)))
-    shim.fds[4] = FileDesc(path="f", data=bytes(200), sensitive=True)
+    shim.fds[3] = FileDesc(data=bytes(range(200)))
+    shim.fds[4] = FileDesc(data=bytes(200), sensitive=True)
     shim.next_fd = 5
     mem.store(mem.base + 0x200, 8, 0x1234, 1, st.key)  # a tagged word for write to meet
     st.max_instret = budget
@@ -411,6 +410,6 @@ def test_any_syscall_returns_a_value_or_errno_or_stops(a7, args, budget, strict_
     elif a7 == SYS_GETRANDOM:
         assert ret <= args[1]
     elif a7 == SYS_OPENAT:
-        assert ret >= 5 and shim.fds[ret].path == "f"
+        assert ret >= 5 and shim.fds[ret].data == bytes(range(200))
     else:
-        assert a7 == SYS_THREAD_SWITCH and ret == 0 and st.tid == args[0]
+        assert a7 == SYS_THREAD_SWITCH and ret == 0 and st.key == shim.key_for(args[0])
