@@ -181,8 +181,12 @@ def _expand(mn, ops, addr, line, resolve):
         return [("addi", rd, _reg(ops[1], line), 0, 0)]
     if mn == "li":
         return _li_expansion(rd, _parse_int(ops[1], line), line)
-    delta = resolve(ops[1], line) - addr  # la: always auipc+addi
+    # la: auipc then addi, which reach delta in [-0x80000800, 0x7FFFF7FF]
+    delta = resolve(ops[1], line) - addr
     hi = (delta + 0x800) >> 12
+    lo, top = isa.imm_range("U")
+    if not lo <= hi << 12 <= top:
+        raise ImmediateOutOfRange(line, f"la target {addr + delta:#x} beyond auipc+addi reach of {addr:#x}")
     return [("auipc", rd, 0, 0, hi << 12), ("addi", rd, rd, 0, delta - (hi << 12))]
 
 
@@ -385,19 +389,18 @@ STACK_RESERVE = 64  # bytes left untouched above the initial stack pointer
 def load_image(program: Program, mem, st):
     """Copy segments into DRAM with tags cleared, set pc to the entry
     point, and point sp at the top of DRAM minus a small reserve."""
-    placed = []
-    for base, data, kind in program.segments:
+    # in (base, end) order, a segment overlaps one placed before it iff
+    # its base lies below the end of the one placed last, which ends furthest
+    last = (0, 0)
+    for base, data, kind in sorted(program.segments, key=lambda seg: (seg[0], seg[0] + len(seg[1]))):
         end = base + len(data)
         if base < mem.base or end > mem.base + mem.size:
             raise SegmentOutOfBounds(
                 f"segment [{base:#x}, {end:#x}) outside DRAM [{mem.base:#x}, {mem.base + mem.size:#x})"
             )
-        for pbase, pend in placed:
-            if base < pend and pbase < end:
-                raise SegmentOutOfBounds(
-                    f"segment [{base:#x}, {end:#x}) overlaps [{pbase:#x}, {pend:#x})"
-                )
-        placed.append((base, end))
+        if base < last[1]:
+            raise SegmentOutOfBounds(f"segment [{base:#x}, {end:#x}) overlaps [{last[0]:#x}, {last[1]:#x})")
+        last = (base, end)
         mem.write_raw_init(base, data)
     st.pc = program.entry
     sp = mem.base + mem.size - STACK_RESERVE

@@ -65,7 +65,7 @@ import mmap
 import struct
 
 from .crypt import BlockMemo, qarma_decrypt, qarma_encrypt
-from .isa import MASK64
+from .isa import MASK64, sext
 
 DRAM_BASE = 0x8000_0000
 DRAM_SIZE = 64 * 1024 * 1024
@@ -111,13 +111,6 @@ class Plane(mmap.mmap):
         return len(self) == len(other) and all(
             self[i : i + step] == other[i : i + step] for i in range(0, len(self), step)
         )
-
-
-def _extend(value, width, signed):
-    """The 64-bit register value of a width-byte load of value."""
-    if signed and value & (1 << (8 * width - 1)):
-        value -= 1 << (8 * width)
-    return value & MASK64
 
 
 class _Line:
@@ -253,18 +246,15 @@ class MemorySystem:
 
     def _oracle_set(self, base, length, on):
         """Set (on) or clear the oracle bits of bytes [base, base+length):
-        one slice write for the oracle bytes wholly inside, a mask for the
-        partial byte at either end."""
-        lo = base - self.base
-        hi = lo + length
-        first, last = -(-lo // 8), hi // 8  # oracle bytes [first, last) lie wholly inside
-        if first < last:
-            self.byte_oracle[first:last] = (b"\xff" if on else b"\x00") * (last - first)
-        for a, b in ((lo, min(hi, 8 * first)), (max(8 * first, 8 * last), hi)):
-            if a < b:
-                mask = ((1 << (b - a)) - 1) << (a & 7)
-                old = self.byte_oracle[a >> 3]
-                self.byte_oracle[a >> 3] = old | mask if on else old & ~mask
+        the oracle bytes the range touches, read as one int as
+        oracle_bits_for reads them, with a mask of length bits, shifted to
+        the range's first byte, ORed in or ANDed out, and written back."""
+        bi = base - self.base
+        lo, hi = bi >> 3, (bi + length + 7) >> 3
+        bits = int.from_bytes(self.byte_oracle[lo:hi], "little")
+        mask = ((1 << length) - 1) << (bi & 7)
+        bits = bits | mask if on else bits & ~mask
+        self.byte_oracle[lo:hi] = bits.to_bytes(hi - lo, "little")
 
     def oracle_bits_for(self, addr, width):
         """Oracle taint bits of bytes [addr, addr+width), bit k for byte
@@ -359,7 +349,7 @@ class MemorySystem:
         line = self._access(self.dcache, line_base, key)
         j = (addr - line_base) >> 3
         value = (line.words[j] >> (8 * (addr & 7))) & ((1 << (8 * width)) - 1)
-        return _extend(value, width, signed), (line.tags >> j) & 1
+        return sext(value, 8 * width) & MASK64 if signed else value, (line.tags >> j) & 1
 
     def store(self, addr, width, value, src_tag, key, taints=None):
         """Write-allocate write-back store. Full-word stores replace the

@@ -87,24 +87,22 @@ class OsShim:
             out.append(b)
         return None
 
-    @staticmethod
-    def _store_plan(addr, n):
+    def _charge_stores(self, st, addr, n):
         """The stores that copy n bytes to addr, as (width, byte offsets)
         runs: single bytes up to the first word boundary, whole words,
-        then single bytes."""
+        then single bytes. Charges them before any is made; returns the
+        plan and its number of stores."""
         head = min(n, -addr % 8)
         body = n - (n - head) % 8
-        return (1, range(head)), (8, range(head, body, 8)), (1, range(body, n))
-
-    def _charge_stores(self, st, addr, n):
-        """Charge the stores of _store_plan(addr, n) before any is made."""
-        stores = sum(len(offsets) for _, offsets in self._store_plan(addr, n))
+        plan = (1, range(head)), (8, range(head, body, 8)), (1, range(body, n))
+        stores = sum(len(offsets) for _, offsets in plan)
         st.charge_copy(stores)
-        return stores
+        return plan, stores
 
-    def _write_bytes(self, st, mem, addr, data, tag):
-        """Copy data into guest memory, tagged or not, by _store_plan."""
-        for width, offsets in self._store_plan(addr, len(data)):
+    def _write_bytes(self, st, mem, addr, data, tag, plan):
+        """Copy data into guest memory, tagged or not, by the plan
+        _charge_stores returned."""
+        for width, offsets in plan:
             taints = (1 << width) - 1 if tag else 0
             for i in offsets:
                 value = int.from_bytes(data[i : i + width], "little")
@@ -159,10 +157,10 @@ class OsShim:
         n = min(count, len(f.data) - f.pos)
         if n <= 0:
             return 0, 0
-        stores = self._charge_stores(st, buf, n)
+        plan, stores = self._charge_stores(st, buf, n)
         chunk = f.data[f.pos : f.pos + n]
         f.pos += n
-        self._write_bytes(st, mem, buf, chunk, 1 if f.sensitive else 0)
+        self._write_bytes(st, mem, buf, chunk, 1 if f.sensitive else 0, plan)
         return n, stores
 
     def sys_write(self, st, mem, fd, buf, count):
@@ -183,11 +181,9 @@ class OsShim:
             if tag:
                 if self.strict_write:
                     raise StrictWriteViolation(f"write of tagged word {w:#x}", st.pc)
-                rest = qarma_encrypt(st.key, w, value, memo=mem.memo).to_bytes(8, "little")
-                sink += rest[a - w : a - w + take]
+                value = qarma_encrypt(st.key, w, value, memo=mem.memo)  # its at-rest form
                 self.leak_averted_bytes += take
-            else:
-                sink += value.to_bytes(8, "little")[a - w : a - w + take]
+            sink += value.to_bytes(8, "little")[a - w : a - w + take]
             i += take
         return count, loads
 
@@ -198,8 +194,8 @@ class OsShim:
         count = min(count, _GETRANDOM_MAX)
         if buf < mem.base or buf + count > mem.base + mem.size:
             return -EFAULT, 0
-        stores = self._charge_stores(st, buf, count)
-        self._write_bytes(st, mem, buf, self.prng.randbytes(count), 1)
+        plan, stores = self._charge_stores(st, buf, count)
+        self._write_bytes(st, mem, buf, self.prng.randbytes(count), 1, plan)
         return count, stores
 
     def sys_thread_switch(self, st, mem, tid):

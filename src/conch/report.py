@@ -138,8 +138,9 @@ def price(vector, costs):
 # ---- statistics --------------------------------------------------------------
 
 
-# _BIT_BYTES[j] maps a byte to 0xFF if its bit j is set, else to 0x00
-_BIT_BYTES = [bytes(0xFF if b >> j & 1 else 0 for b in range(256)) for j in range(8)]
+# _WORD_MASKS[t]: the oracle mask of the eight words of tag byte t, byte j
+# 0xFF if bit j of t is set, else 0x00
+_WORD_MASKS = [bytes(0xFF if t >> j & 1 else 0 for j in range(8)) for t in range(256)]
 
 
 def compute_overtagging(mem):
@@ -150,11 +151,13 @@ def compute_overtagging(mem):
     Only the DRAM regions in mem.regions are scanned: outside them both
     planes are zero (see the mem module docstring). A region is 32 KiB
     of DRAM: 512 B of tag plane and 4 KiB of oracle plane. The taint
-    count passes once over a region's oracle bytes; the tag passes cover
-    only its tagged span, from the first to the last nonzero tag byte,
-    and the oracle bytes of those words. Zero bytes add nothing to any
-    count. So the cost follows the run's footprint and what it tagged,
-    not the size of DRAM."""
+    count passes once over a region's oracle bytes. The tag count covers
+    only its tagged span, from the first to the last nonzero tag byte;
+    each byte of the span maps through _WORD_MASKS to the mask of its
+    eight words' oracle bytes, and one AND of those masks with the
+    span's oracle bytes leaves the tainted bytes under tag. Zero bytes
+    add nothing to any count. So the cost follows the run's footprint
+    and what it tagged, not the size of DRAM."""
     words_tagged = tainted_under_tag = bytes_tainted = 0
     tag_span = 1 << (REGION_SHIFT - 6)  # one tag bit per 8-byte word
     oracle_span = 1 << (REGION_SHIFT - 3)  # one oracle byte per word
@@ -171,12 +174,8 @@ def compute_overtagging(mem):
         lo = len(tags) - len(tags.lstrip(b"\0"))
         tags, oracle = tags[lo:hi], oracle[8 * lo : 8 * hi]
         words_tagged += int.from_bytes(tags, "little").bit_count()
-        # per bit j, the words 8*t+j of the span: a byte that is 0xFF
-        # where tags[t] has bit j, ANDed with those words' oracle bytes
-        for j, spread in enumerate(_BIT_BYTES):
-            under_tag = int.from_bytes(tags.translate(spread), "little")
-            taints = int.from_bytes(oracle[j::8], "little")
-            tainted_under_tag += (under_tag & taints).bit_count()
+        under_tag = int.from_bytes(b"".join(map(_WORD_MASKS.__getitem__, tags)), "little")
+        tainted_under_tag += (under_tag & int.from_bytes(oracle, "little")).bit_count()
     overtagged = 8 * words_tagged - tainted_under_tag
     ratio = 100.0 * overtagged / (8 * words_tagged) if words_tagged else 0.0
     return {

@@ -8,7 +8,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conch import asm, isa
@@ -17,6 +17,7 @@ from conch.asm import (
     DuplicateLabel,
     ImmediateOutOfRange,
     MisalignedTarget,
+    Program,
     SegmentOutOfBounds,
     UndefinedLabel,
     UnknownMnemonic,
@@ -297,6 +298,27 @@ def test_immediate_range_edges(template, inside, outside):
             assemble(template.format(value))
 
 
+@pytest.mark.parametrize(
+    "org, target, inside",
+    [
+        (0x8000_0000, 0xFFFF_F7FF, True),  # delta 0x7FFFF7FF, the forward edge
+        (0x8000_0000, 0xFFFF_F800, False),
+        (0x1_0000_0000, 0x7FFF_F800, True),  # delta -0x80000800, the backward edge
+        (0x1_0000_0000, 0x7FFF_F7FF, False),
+        (0x8000_0000, 0x1_8000_0000, False),
+    ],
+)
+def test_la_reach(org, target, inside):
+    src = f".org {org:#x}\nla a0, {target:#x}\n"
+    if not inside:
+        with pytest.raises(ImmediateOutOfRange):
+            assemble(src)
+        return
+    auipc, addi = (_decode(w) for w in _words_of(assemble(src)))
+    assert (auipc.mnem, addi.mnem) == ("auipc", "addi")
+    assert (org + auipc.imm + addi.imm) & MASK64 == target
+
+
 _PSEUDO_OPERANDS = {"nop": "", "mv": "a0, a1", "j": "0", "ret": "", "li": "a0, 1", "la": "a0, 0"}
 
 
@@ -429,6 +451,44 @@ def test_load_image_rejects_overlap():
     mem = MemorySystem()
     with pytest.raises(SegmentOutOfBounds):
         load_image(program, mem, st=MachineState())
+
+
+def _overlaps_pairwise(spans):
+    """The reference rule load_image must reproduce: some two segments
+    share a byte, or an empty one lies strictly inside another."""
+    return any(b < pe and pb < e for i, (b, e) in enumerate(spans) for pb, pe in spans[:i])
+
+
+@given(st.lists(st.tuples(st.integers(0, 64), st.integers(0, 16)), max_size=12))
+@example([(0, 8), (8, 8)])  # adjacent
+@example([(4, 0), (0, 8)])  # empty, strictly inside
+@example([(0, 0), (0, 8)])  # empty, at the base of another
+@example([(8, 0), (0, 8)])  # empty, at the end of another
+@example([(0, 8), (0, 8)])  # equal
+@example([(0, 0), (0, 0)])  # empty and equal
+@example([(0, 32), (4, 4), (12, 4)])  # under one that ends further
+@settings(max_examples=300, deadline=None)
+def test_load_image_rejects_exactly_the_pairwise_overlaps(shape):
+    mem = MemorySystem(size=128)
+    segments = [(mem.base + off, bytes([i + 1]) * n, "data") for i, (off, n) in enumerate(shape)]
+    program = Program(segments, entry=mem.base)
+    if _overlaps_pairwise([(b, b + len(d)) for b, d, _ in segments]):
+        with pytest.raises(SegmentOutOfBounds, match="overlaps"):
+            load_image(program, mem, MachineState())
+        return
+    load_image(program, mem, MachineState())
+    expected = bytearray(128)
+    for base, data, _ in segments:
+        expected[base - mem.base : base - mem.base + len(data)] = data
+    assert mem.dram[:128] == bytes(expected)
+
+
+def test_load_image_checks_overlaps_in_n_log_n():
+    n = 20_000
+    program = Program([(asm.DATA_BASE + 8 * i, bytes(8), "data") for i in range(n)][::-1], entry=asm.DATA_BASE)
+    t0 = time.perf_counter()
+    load_image(program, MemorySystem(), MachineState())
+    assert time.perf_counter() - t0 < 2.0  # sorted, milliseconds; pairwise, over 10 s on a 2-vCPU host
 
 
 def test_load_image_sets_cpu_state():

@@ -424,6 +424,10 @@ ORACLE_SPAN = 256  # bytes of DRAM under test: 32 oracle bytes
 @example(initial=bytes(32), offset=5, length=6, on=True)  # two partial bytes, none whole
 @example(initial=b"\x5a" * 32, offset=3, length=250, on=False)  # both ends unaligned
 @example(initial=bytes(32), offset=8, length=16, on=True)  # both ends aligned
+@example(initial=b"\xff" * 32, offset=5, length=0, on=False)  # empty, unaligned
+@example(initial=bytes(32), offset=0, length=ORACLE_SPAN, on=True)  # the whole span
+@example(initial=b"\xa5" * 32, offset=ORACLE_SPAN - 13, length=13, on=False)  # ends on the last oracle byte
+@example(initial=b"\x5a" * 32, offset=ORACLE_SPAN - 13, length=13, on=True)  # the same, set
 @settings(max_examples=300, deadline=None)
 def test_oracle_set_matches_per_byte_rule(initial, offset, length, on):
     length = min(length, ORACLE_SPAN - offset)

@@ -212,7 +212,7 @@ def test_getrandom_outside_dram_is_efault():
 def test_getrandom_count_is_clamped_to_linux_maximum(monkeypatch):
     st, mem, shim = machine()
     copied = []
-    monkeypatch.setattr(shim, "_write_bytes", lambda st, mem, addr, data, tag: copied.append(len(data)) or 0)
+    monkeypatch.setattr(shim, "_write_bytes", lambda st, mem, addr, data, tag, plan: copied.append(len(data)) or 0)
     assert ecall(st, mem, shim, SYS_GETRANDOM, mem.base, 1 << 62, 0) == 33_554_431
     assert copied == [33_554_431]
 
