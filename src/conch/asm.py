@@ -2,15 +2,15 @@
 
 assemble() takes the source text. Grammar: one statement per line,
 `label:` definitions (instruction may follow on the same line), `#`
-comments, directives .text/.data/.org/.align/.byte/.half/.word/.dword/
-.asciz/.globl. Flat bare-metal layout: text defaults to TEXT_BASE, data
-to DATA_BASE, no relocation or linking.
+comments outside "..." strings, directives .text/.data/.org/.align/
+.byte/.half/.word/.dword/.asciz/.globl. Flat bare-metal layout: text
+defaults to TEXT_BASE, data to DATA_BASE, no relocation or linking.
 
 Pass one lays out every statement and collects the labels; pass two
-encodes each instruction and data directive into the space it took. A
-value of .byte, .half, .word or .dword is an integer literal or a label,
-and one of w bytes must lie in -2**(8w-1) <= v < 2**(8w): any value of
-that width, signed or not.
+encodes the statements of each chunk in order, each to the length pass
+one laid out for it. A value of .byte, .half, .word or .dword is an
+integer literal or a label, and one of w bytes must lie in
+-2**(8w-1) <= v < 2**(8w): any value of that width, signed or not.
 
 One table of operand fields per format (_OPERANDS) gives the syntax in
 both directions: the assembler parses each statement's operands by it,
@@ -76,21 +76,13 @@ _LABEL_RE = re.compile(r"^([A-Za-z_.][\w.$]*)\s*:\s*(.*)$")
 _MEMOP_RE = re.compile(r"^(-?[\w]*)\s*\(\s*(\w+)\s*\)$")
 
 
+# The code before the first '#' outside a double-quoted string, in which a
+# backslash escapes the next character; an unclosed string runs to the end.
+_CODE_RE = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*(?:"|\\?\Z))*', re.S)
+
+
 def _strip_comment(text):
-    # '#' starts a comment unless inside a double-quoted string, where a
-    # backslash escapes the character after it.
-    in_str = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_str and ch == "\\":
-            i += 1
-        elif ch == '"':
-            in_str = not in_str
-        elif ch == "#" and not in_str:
-            return text[:i].strip()
-        i += 1
-    return text.strip()
+    return _CODE_RE.match(text).group().strip()
 
 
 def _parse_int(tok, line):
@@ -111,30 +103,26 @@ def _split_ops(rest):
     return [p.strip() for p in rest.split(",")] if rest.strip() else []
 
 
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"'}
+# an escape, or a character wider than a byte; scanned left to right, so
+# the first fault in a string is the one reported
+_ESCAPE_RE = re.compile(r"\\(.?)|([^\x00-\xff])", re.S)
+
+
 def _parse_string(tok, line):
     tok = tok.strip()
     if len(tok) < 2 or tok[0] != '"' or tok[-1] != '"':
         raise AsmError(line, f"expected quoted string, got {tok!r}")
-    body = tok[1:-1]
-    out = bytearray()
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            i += 1
-            if i >= len(body):
-                raise AsmError(line, "dangling escape in string")
-            esc = body[i]
-            mapped = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, '"': 34}.get(esc)
-            if mapped is None:
-                raise AsmError(line, f"unsupported escape \\{esc}")
-            out.append(mapped)
-        elif ord(ch) > 0xFF:
-            raise AsmError(line, f"character {ch!r} does not fit in a byte")
-        else:
-            out.append(ord(ch))
-        i += 1
-    return bytes(out)
+
+    def unescape(m):
+        esc, wide = m.groups()
+        if wide:
+            raise AsmError(line, f"character {wide!r} does not fit in a byte")
+        if esc not in _ESCAPES:
+            raise AsmError(line, f"unsupported escape \\{esc}" if esc else "dangling escape in string")
+        return _ESCAPES[esc]
+
+    return _ESCAPE_RE.sub(unescape, tok[1:-1]).encode("latin-1")
 
 
 def _li_expansion(rd, value, line):
@@ -195,25 +183,21 @@ _WIDTHS = {".byte": 1, ".half": 2, ".word": 4, ".dword": 8}
 
 
 def assemble(source: str) -> Program:
-    """Two-pass assembly of source text: lay out every statement and
-    collect the symbols, then encode each one into the space it took."""
+    """Two-pass assembly of source text. Pass one lays out every statement
+    and collects the symbols; pass two encodes each chunk's statements in
+    order, each to the length pass one laid out for it."""
     symbols = {}
-    # (line, address, mnemonic or data directive, operands, chunk) of every
-    # statement pass two encodes
-    stmts = []
-    # (section, base, bytearray) chunks; a chunk starts at .text/.data/.org
+    # (section, base, statements) chunks; a chunk starts at .text/.data/.org
+    # or an .align gap. A statement is (line, address, mnemonic or
+    # directive, operands); the operands of an .asciz are its bytes.
     chunks = []
     section = "text"
     lc = {"text": TEXT_BASE, "data": DATA_BASE}
 
     def new_chunk():
-        chunks.append([section, lc[section], bytearray()])
+        chunks.append((section, lc[section], []))
 
     new_chunk()
-
-    def place(data):
-        chunks[-1][2].extend(data)
-        lc[section] += len(data)
 
     for line_no, raw in enumerate(source.splitlines(), 1):
         text = _strip_comment(raw)
@@ -236,6 +220,9 @@ def assemble(source: str) -> Program:
 
         if head in _WIDTHS:
             size = _WIDTHS[head] * len(ops)
+        elif head == ".asciz":
+            ops = _parse_string(rest, line_no) + b"\x00"
+            size = len(ops)
         elif head.startswith("."):
             if head == ".text":
                 section = "text"
@@ -255,8 +242,6 @@ def assemble(source: str) -> Program:
                     # The gap stays out of the image: DRAM reads as zero.
                     lc[section] += pad
                     new_chunk()
-            elif head == ".asciz":
-                place(_parse_string(rest, line_no) + b"\x00")
             elif head != ".globl":  # .globl is accepted; there is no linker
                 raise UnknownMnemonic(line_no, f"unknown directive {head}")
             continue
@@ -270,9 +255,8 @@ def assemble(source: str) -> Program:
             size = 4
         else:
             raise UnknownMnemonic(line_no, f"unknown mnemonic {head!r}")
-        # Reserve the statement's bytes; pass two encodes into them.
-        stmts.append((line_no, lc[section], head, ops, chunks[-1]))
-        place(bytes(size))
+        chunks[-1][2].append((line_no, lc[section], head, ops))
+        lc[section] += size
 
     # Pass two: every label is known, so each operand resolves.
     def resolve(tok, line):
@@ -283,17 +267,15 @@ def assemble(source: str) -> Program:
         except ValueError:
             raise UndefinedLabel(line, f"undefined label {tok!r}") from None
 
-    for line, addr, head, ops, (_, base, buf) in stmts:
+    def encode(line, addr, head, ops):
+        if head == ".asciz":
+            return ops
         if head in _WIDTHS:
-            data = b"".join(_data_value(head, resolve(tok, line), line) for tok in ops)
-        else:
-            data = b"".join(w.to_bytes(4, "little") for w in _encode(head, ops, addr, line, resolve))
-        off = addr - base
-        buf[off : off + len(data)] = data
+            return b"".join(_data_value(head, resolve(tok, line), line) for tok in ops)
+        return b"".join(w.to_bytes(4, "little") for w in _encode(head, ops, addr, line, resolve))
 
-    segments = [
-        (base, bytes(buf), sec) for sec, base, buf in chunks if len(buf) > 0
-    ]
+    images = [(base, b"".join(encode(*stmt) for stmt in stmts), sec) for sec, base, stmts in chunks]
+    segments = [seg for seg in images if seg[1]]
     entry = symbols.get("_start")
     if entry is None:
         text_bases = [b for b, _, k in segments if k == "text"]

@@ -167,7 +167,8 @@ def cmd_run(args):
             fh.write(emit_report(report, fmt="json"))
     sys.stdout.write(rendered)
     if report["stop_reason"] == "trap":
-        print(f"trap: {report['trap']}", file=sys.stderr)
+        pc = next(iter(results.values())).st.pc  # a trapping instruction leaves the pc at itself
+        print(f"trap at pc {pc:#x}: {report['trap']}", file=sys.stderr)
     return _stop_exit(report["stop_reason"])
 
 

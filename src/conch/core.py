@@ -21,8 +21,10 @@ closure with its operands, semantics and immediate bound in; every later
 fetch of that word calls the handler directly (threaded code, after Ertl
 and Gregg, "The Structure and Performance of Efficient Interpreters",
 JILP 2003). The word is the key, not the pc, so the memo never needs
-invalidating: a store into text changes the word that the next fetch
-returns.
+invalidating. A store into text reaches fetch only once the dcache line
+is written back and the icache line refilled (a thread switch's flush
+does both, as does evicting both lines); until then the icache returns
+the old word, as RISC-V does without fence.i.
 """
 
 from __future__ import annotations

@@ -528,6 +528,88 @@ def test_strip_comment(line, text):
     assert asm._strip_comment(line) == text
 
 
+# ---- the lexer against the character scanners it replaced ------------------------
+
+
+def _strip_comment_ref(text):
+    in_str = False
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if in_str and ch == "\\":
+            i += 1
+        elif ch == '"':
+            in_str = not in_str
+        elif ch == "#" and not in_str:
+            return text[:i].strip()
+        i += 1
+    return text.strip()
+
+
+def _parse_string_ref(tok, line):
+    tok = tok.strip()
+    if len(tok) < 2 or tok[0] != '"' or tok[-1] != '"':
+        raise AsmError(line, f"expected quoted string, got {tok!r}")
+    body = tok[1:-1]
+    out = bytearray()
+    i = 0
+    while i < len(body):
+        ch = body[i]
+        if ch == "\\":
+            i += 1
+            if i >= len(body):
+                raise AsmError(line, "dangling escape in string")
+            esc = body[i]
+            mapped = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, '"': 34}.get(esc)
+            if mapped is None:
+                raise AsmError(line, f"unsupported escape \\{esc}")
+            out.append(mapped)
+        elif ord(ch) > 0xFF:
+            raise AsmError(line, f"character {ch!r} does not fit in a byte")
+        else:
+            out.append(ord(ch))
+        i += 1
+    return bytes(out)
+
+
+def _lexed(parse, tok):
+    """parse's bytes for tok, or the message of the AsmError it raises."""
+    try:
+        return parse(tok, 3)
+    except AsmError as exc:
+        return str(exc)
+
+
+@given(st.text(st.sampled_from('"\\#, antrq0Z\u0101'), max_size=24))
+@example('abc "de')  # an unclosed string
+@example('"a\\')  # a trailing backslash inside a string
+@example('"a#b" # c')  # '#' inside a string
+@example('"\\"" # c')  # an escaped quote before '#'
+@example('"\u0101\\q"')  # a non-Latin-1 character before a bad escape
+@settings(max_examples=500, deadline=None)
+def test_lexer_matches_character_scanners(line):
+    """The comment regex keeps the code text the character loop kept, and
+    the escape scan gives the same bytes or the same first error."""
+    assert asm._strip_comment(line) == _strip_comment_ref(line)
+    for tok in (line, f'"{line}"'):
+        assert _lexed(asm._parse_string, tok) == _lexed(_parse_string_ref, tok)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['"\\' * 50_000, '.asciz "' + '\\"' * 50_000 + '"', ".asciz " + '"\\' * 50_000 + '"'],
+    ids=["pairs", "asciz-escaped-quotes", "asciz-pairs"],
+)
+def test_lexer_is_linear_on_long_quote_and_backslash_lines(line):
+    t0 = time.perf_counter()
+    assert asm._strip_comment(line) == line
+    try:
+        assemble(line)
+    except AsmError:
+        pass
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_string_rejects_characters_wider_than_a_byte():
     with pytest.raises(AsmError):
         assemble('.asciz "€"')

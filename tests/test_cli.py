@@ -148,6 +148,45 @@ def test_run_trap_exit_code(tmp_path, capsys):
     assert "trap" in err
 
 
+STRICT_WRITE_PROG = """
+    .org 0x80000000
+    la a1, buf
+    li a2, 8
+    ctag.set a1, a2
+    li a0, 1
+    li a7, 64
+trap_here:
+    ecall
+    .align 3
+buf:
+    .dword 0x41
+"""
+
+# an image whose entry lies outside DRAM, with a label on it
+ENTRY_ZERO_IMAGE = {"format": cli.IMAGE_FORMAT, "version": 1, "entry": 0, "segments": [], "symbols": {"trap_here": 0}}
+
+
+@pytest.mark.parametrize(
+    "source,flags",
+    [
+        pytest.param(".org 0x80000000\n    nop\ntrap_here:\n    ebreak\n", [], id="ebreak"),
+        pytest.param(
+            ".org 0x80000000\n    la t0, buf\ntrap_here:\n    ld t1, 1(t0)\n    .align 3\nbuf:\n    .dword 0\n",
+            [],
+            id="misaligned-load",
+        ),
+        pytest.param(".org 0x80000000\n    nop\ntrap_here:\n    .word 0\n", [], id="illegal-word"),
+        pytest.param(STRICT_WRITE_PROG, ["--strict-write"], id="strict-write"),
+        pytest.param(json.dumps(ENTRY_ZERO_IMAGE), [], id="entry-zero-image"),
+    ],
+)
+def test_trap_names_its_pc(tmp_path, capsys, source, flags):
+    src = write(tmp_path, "t.s", source)
+    assert main(["run", src, *flags]) == EXIT_TRAP
+    pc = cli.load_program(src).symbols["trap_here"]
+    assert capsys.readouterr().err.startswith(f"trap at pc {pc:#x}: ")
+
+
 @pytest.mark.parametrize("mnem", ["lh", "lw", "ld", "sh", "sw", "sd"])
 def test_misaligned_access_exit_code(tmp_path, capsys, mnem):
     src = write(tmp_path, "m.s", odd_access_program(mnem))

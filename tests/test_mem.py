@@ -628,6 +628,16 @@ def test_icache_lines_are_never_dirty(corpus, monkeypatch):
     assert (res.stop, res.st.exit_code) == ("exit", 7)
 
 
+def test_fetch_sees_a_store_into_text_only_after_a_refill():
+    """Without the thread switch's flush, the patch waits in a dirty dcache
+    line while the icache still holds the old word, so the instruction
+    runs as written: exit 1, not 7 (see the core module docstring)."""
+    source = "\n".join(ln for ln in SELF_PATCH.splitlines() if "5000" not in ln and "thread switch" not in ln)
+    assert source.count("ecall") == 1
+    res = simulate(source)
+    assert (res.stop, res.st.exit_code) == ("exit", 1)
+
+
 def test_clean_once_eviction_wrote_back_every_dirty_line():
     """clean reads the dcache's dirty bits: once eviction has written back
     a stored line, DRAM is at rest with no flush, and raw_dump shows what
