@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from . import asm
+from . import asm, isa
 from .asm import AsmError, SegmentOutOfBounds
 from .mem import DRAM_BASE, DRAM_SIZE, MODELS
 from .report import DEFAULT_MAX_INSTRET, build_report, emit_report, run_models, simulate
@@ -167,8 +167,11 @@ def cmd_run(args):
             fh.write(emit_report(report, fmt="json"))
     sys.stdout.write(rendered)
     if report["stop_reason"] == "trap":
-        pc = next(iter(results.values())).st.pc  # a trapping instruction leaves the pc at itself
+        res = next(iter(results.values()))
+        pc = res.st.pc  # a trapping instruction leaves the pc at itself
         print(f"trap at pc {pc:#x}: {report['trap']}", file=sys.stderr)
+        if res.trap_word is not None and isa.decode(res.trap_word):
+            print(f"  {pc:#x}: {asm.disassemble(res.trap_word)}", file=sys.stderr)
     return _stop_exit(report["stop_reason"])
 
 
@@ -226,8 +229,6 @@ def _check_threads(results, report):
     fails = []
     if report["exit_code"] != 0:
         fails.append("thread 1 read thread 0's plaintext (exit code 1)")
-    if report["stop_reason"] != "exit":
-        fails.append(f"demo stopped with {report['stop_reason']}")
     return fails
 
 
@@ -255,12 +256,7 @@ def cmd_demo(args):
         raise ValueError(f"unknown demo {args.name!r} (have: {', '.join(sorted(DEMOS))})")
     demo = DEMOS[args.name]
     source = read_source(os.path.join(os.path.dirname(__file__), "demos", f"{args.name}.s"))
-    results = run_models(
-        source,
-        seed=_seed_of(args),
-        fs=dict(demo["fs"]),
-        max_instret=DEFAULT_MAX_INSTRET,
-    )
+    results = run_models(source, seed=_seed_of(args), fs=demo["fs"])
     report = build_report(results, seed=_seed_of(args))
     print(f"demo {args.name}: {demo['blurb']}\n")
     sys.stdout.write(emit_report(report, fmt="text"))

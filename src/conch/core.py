@@ -16,7 +16,7 @@ here through a small duck-typed interface so the measured over-tagging is
 computed against the same instruction stream.
 
 step dispatches through one memo keyed by the fetched instruction word.
-The first fetch (or decode) of a word decodes it and builds a handler
+The first fetch of a word decodes it and builds a handler
 closure with its operands, semantics and immediate bound in; every later
 fetch of that word calls the handler directly (threaded code, after Ertl
 and Gregg, "The Structure and Performance of Efficient Interpreters",
@@ -29,7 +29,7 @@ the old word, as RISC-V does without fence.i.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import isa
 from .isa import MASK64, sext
@@ -63,34 +63,6 @@ class StrictWriteViolation(Trap):
 class BudgetExhausted(Exception):
     """A kernel-side copy or a ctag walk would overrun the instruction
     budget; the run stops with "budget", not with a trap."""
-
-
-class Instr(NamedTuple):
-    mnem: str
-    rd: int
-    rs1: int
-    rs2: int
-    imm: int  # sign-extended and ready to use; shamt for shifts
-
-
-# ---- decoder ---------------------------------------------------------------
-
-# isa.SPECS holds the encodings; this layer turns a decoded word into an
-# Instr, or a trap when no encoding matches.
-
-
-def _decode(word):
-    dec = isa.decode(word)
-    if dec is None:
-        raise IllegalInstruction(f"illegal instruction {word:#010x}")
-    mnem, _fmt, operands = dec
-    return Instr(mnem, *operands)
-
-
-def decode(word) -> Instr:
-    """Decode one 32-bit instruction word. Results are memoized in the
-    dispatch memo (see step), so decode(w) is decode(w)."""
-    return _entry(word)[2]
 
 
 # ---- ALU semantics ----------------------------------------------------------
@@ -195,20 +167,6 @@ _LOAD_INFO = {
     "lwu": (4, False),
 }
 _STORE_INFO = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
-
-# The CycleCosts field that prices one retired instruction, by mnemonic
-# (see report.counts). Loads and stores price nothing here: they are
-# priced per access from the memory system's counts, which kernel copies
-# add to. Every mnemonic not listed (ecall, ctag.*, lui, auipc and the
-# rest of the ALU) is priced as alu.
-PRICE_FIELD = {
-    **dict.fromkeys(("mul", "mulh", "mulhsu", "mulhu", "mulw"), "mul"),
-    **dict.fromkeys(("div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw"), "div"),
-    **dict.fromkeys(_BRANCH, "branch"),
-    "jal": "jump",
-    "jalr": "jump",
-    **dict.fromkeys([*_LOAD_INFO, *_STORE_INFO]),
-}
 
 # ---- machine state ----------------------------------------------------------
 
@@ -429,7 +387,7 @@ def _generic(ins):
 
 
 def _build(ins):
-    m = ins.mnem
+    m = ins[0]
     if m in _ALU:
         return _alu_reg(ins)
     if m in _ALU_IMM:
@@ -443,16 +401,18 @@ def _build(ins):
     return _generic(ins)
 
 
-# word -> (handler, mnemonic, Instr) for every legal word fetched or decoded
-# so far (see the module docstring)
+# word -> (handler, mnemonic) for every legal word fetched so far (see the
+# module docstring)
 _MEMO = {}
 
 
 def _entry(word):
-    entry = _MEMO.get(word)
-    if entry is None:
-        ins = _decode(word)
-        entry = _MEMO[word] = (_build(ins), ins.mnem, ins)
+    """Decode word and memoize its entry; an illegal word traps."""
+    dec = isa.decode(word)
+    if dec is None:
+        raise IllegalInstruction(f"illegal instruction {word:#010x}")
+    mnem, _fmt, operands = dec
+    entry = _MEMO[word] = (_build((mnem, *operands)), mnem)
     return entry
 
 
@@ -468,7 +428,7 @@ def step(st, mem, shim=None, oracle=None):
     entry = _MEMO.get(word)
     if entry is None:
         entry = _entry(word)
-    handler, m, _ = entry
+    handler, m = entry
     handler(st, mem, shim, oracle, pc)
     st.instret += 1
     hist = st.histogram

@@ -391,6 +391,15 @@ class MemorySystem:
             line = self._access(icache, line_base, key)
         return (line.words[(addr - line_base) >> 3] >> (8 * (addr & 4))) & 0xFFFFFFFF
 
+    def icache_word(self, addr):
+        """The instruction word at the 4-aligned addr as the icache holds
+        it, which is what fetch last returned there, or None if no resident
+        line holds addr. Counts nothing."""
+        line = self.icache.find(addr & ~(LINE - 1))
+        if line is None:
+            return None
+        return (line.words[(addr - line.base) >> 3] >> (8 * (addr & 4))) & 0xFFFFFFFF
+
     # ---- tag management ---------------------------------------------------
 
     def ctag_set_range(self, base, length, key, charge=None):

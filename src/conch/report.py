@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from . import asm
-from .core import PRICE_FIELD, MachineState, run
+from . import asm, isa
+from .core import MachineState, run
 from .crypt import BlockMemo, generate_master_key
 from .mem import MODELS, REGION_SHIFT, MemorySystem
 from .os_shim import OsShim
@@ -84,6 +84,27 @@ class CycleCosts(NamedTuple):
     tag_cache_hit: int = 1
 
 
+def _price_field(opcode, funct3, funct7):
+    """The CycleCosts field that prices one retired instruction of an
+    encoding class, or None for loads and stores: the memory system's
+    counts price them per access, kernel copies included. funct7 1 on
+    OP and OP-32 is the M extension, multiplies below funct3 4 and
+    divides and remainders from it."""
+    if opcode in (isa.OP_LOAD, isa.OP_STORE):
+        return None
+    if opcode == isa.OP_BRANCH:
+        return "branch"
+    if opcode in (isa.OP_JAL, isa.OP_JALR):
+        return "jump"
+    if opcode in (isa.OP_OP, isa.OP_OP32) and funct7 == 1:
+        return "mul" if funct3 < 4 else "div"
+    return "alu"
+
+
+# mnemonic -> the CycleCosts field of one retired instruction (see counts)
+PRICE_FIELD = {m: _price_field(*spec[1:]) for m, spec in isa.SPECS.items()}
+
+
 def mem_stats(mem, model):
     """The memory counters of model, out of the union of events mem
     counted. Baseline pays for no tag or cipher event, model A for one
@@ -109,12 +130,12 @@ def mem_stats(mem, model):
 
 def counts(st, mem, model):
     """The events model pays for in a run, keyed by the CycleCosts field
-    that prices each: retired instructions by class (core.PRICE_FIELD),
+    that prices each: retired instructions by class (PRICE_FIELD),
     mispredicted branches, loads and stores (kernel copies included), and
     mem_stats' DRAM data and tag accesses, cipher blocks and tag-cache hits."""
     n = dict.fromkeys(("alu", "mul", "div", "branch", "jump"), 0)
     for m, k in st.histogram.items():
-        field = PRICE_FIELD.get(m, "alu")
+        field = PRICE_FIELD[m]
         if field:
             n[field] += k
     ms = mem_stats(mem, model)
@@ -190,13 +211,14 @@ def compute_overtagging(mem):
 
 
 class SimResult:
-    def __init__(self, model, st, mem, shim, stop, costs):
+    def __init__(self, model, st, mem, shim, stop, costs, trap_word):
         self.model = model
         self.st = st
         self.mem = mem
         self.shim = shim
         self.stop = stop
         self.costs = costs
+        self.trap_word = trap_word  # the trapping instruction as fetched, if the icache held it
         self.cycles = price(counts(st, mem, model), costs)
 
 
@@ -229,9 +251,11 @@ def simulate(
     shim = OsShim(master, seed=seed, fs=dict(fs or {}), strict_write=strict_write, thread_keys=thread_keys)
     st.key = shim.key_for(0)
     stop = run(st, mem, shim, ByteOracle() if with_oracle else None, max_instret)
+    # read before the final flush drops the icache; DRAM may hold a newer word
+    trap_word = mem.icache_word(st.pc) if stop == "trap" and not st.pc & 3 else None
     mem.flush_and_sync(st.key)
     costs = CycleCosts(dram_access_latency=dram_latency)
-    return SimResult(model=model, st=st, mem=mem, shim=shim, stop=stop, costs=costs)
+    return SimResult(model=model, st=st, mem=mem, shim=shim, stop=stop, costs=costs, trap_word=trap_word)
 
 
 def run_models(source=None, *, program=None, models=MODELS, **kw):

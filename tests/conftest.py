@@ -2,16 +2,33 @@
 by the semantics-preservation and soundness suites. Each entry is
 (name, source, fs, expected_exit); expected_exit None means "don't care,
 but it must exit cleanly". Also the uncached reference memory that the
-cached hierarchy is checked against."""
+cached hierarchy is checked against. And Instr, the decoded form of a
+word the decoder tests compare."""
 
 import random
+from typing import NamedTuple
 
 import pytest
 
+from conch import isa
 from conch.cli import read_source
 from conch.crypt import qarma_decrypt, qarma_encrypt
 from conch.isa import MASK64
 from conch.mem import REGION_SHIFT, MemorySystem
+
+
+class Instr(NamedTuple):
+    mnem: str
+    rd: int
+    rs1: int
+    rs2: int
+    imm: int  # sign-extended and ready to use; shamt for shifts
+
+
+def decoded(word):
+    """isa.decode(word) as an Instr, or None for an illegal word."""
+    dec = isa.decode(word)
+    return None if dec is None else Instr(dec[0], *dec[2])
 
 
 class UncachedReference(MemorySystem):

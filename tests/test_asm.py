@@ -26,11 +26,11 @@ from conch.asm import (
     load_image,
 )
 from conch.cli import load_program, program_to_image
-from conch.core import IllegalInstruction, Instr, MachineState, _decode
+from conch.core import MachineState
 from conch.isa import MASK64
 from conch.mem import MemorySystem
 
-from conftest import build_corpus, grid_words
+from conftest import Instr, build_corpus, decoded, grid_words
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "golden_encodings.json").read_text())
 
@@ -82,11 +82,7 @@ _CTAG_REJECTS = [
 
 
 def _decodes(word):
-    try:
-        _decode(word)
-    except IllegalInstruction:
-        return False
-    return True
+    return decoded(word) is not None
 
 
 def _disassembles(word):
@@ -154,7 +150,7 @@ def test_every_mnemonic_assembles_decodes_and_disassembles_back(mnem):
     for _ in range(20):
         ops, expect = _random_operands(mnem, rng)
         (word,) = _words_of(assemble(f"{mnem} {ops}"))
-        assert _decode(word) == expect, (mnem, ops)
+        assert decoded(word) == expect, (mnem, ops)
         text = disassemble(word)
         assert _words_of(assemble(text)) == [word], text
 
@@ -169,7 +165,7 @@ _CTAG_WORDS = [
 
 
 def test_ctag_encodings():
-    assert [_decode(w) for w in _CTAG_WORDS] == [
+    assert [decoded(w) for w in _CTAG_WORDS] == [
         Instr("ctag.set", 0, 10, 11, 0),
         Instr("ctag.clr", 0, 10, 11, 0),
         Instr("ctag.rdt", 5, 10, 0, 0),
@@ -292,7 +288,7 @@ def test_immediate_range_edges(template, inside, outside):
     hi = template.startswith(("lui", "auipc"))
     for value in inside:
         (word,) = _words_of(assemble(template.format(value)))
-        assert _decode(word).imm == (isa.sext(value << 12, 32) if hi else value), value
+        assert decoded(word).imm == (isa.sext(value << 12, 32) if hi else value), value
     for value in outside:
         with pytest.raises(ImmediateOutOfRange):
             assemble(template.format(value))
@@ -314,7 +310,7 @@ def test_la_reach(org, target, inside):
         with pytest.raises(ImmediateOutOfRange):
             assemble(src)
         return
-    auipc, addi = (_decode(w) for w in _words_of(assemble(src)))
+    auipc, addi = (decoded(w) for w in _words_of(assemble(src)))
     assert (auipc.mnem, addi.mnem) == ("auipc", "addi")
     assert (org + auipc.imm + addi.imm) & MASK64 == target
 

@@ -7,6 +7,7 @@ only where it is on PATH."""
 
 import base64
 import contextlib
+import functools
 import importlib
 import io
 import json
@@ -25,8 +26,9 @@ from hypothesis import strategies as st
 import conch
 from conch import cli
 from conch.cli import EXIT_ASM, EXIT_BUDGET, EXIT_DEMO, EXIT_OK, EXIT_TRAP, main
+from conch.report import build_report, run_models, simulate
 
-from conftest import odd_access_program
+from conftest import demo_source, odd_access_program
 
 EXIT_PROG = """
     .org 0x80000000
@@ -167,24 +169,51 @@ ENTRY_ZERO_IMAGE = {"format": cli.IMAGE_FORMAT, "version": 1, "entry": 0, "segme
 
 
 @pytest.mark.parametrize(
-    "source,flags",
+    "source,flags,insn",
     [
-        pytest.param(".org 0x80000000\n    nop\ntrap_here:\n    ebreak\n", [], id="ebreak"),
+        pytest.param(".org 0x80000000\n    nop\ntrap_here:\n    ebreak\n", [], "ebreak", id="ebreak"),
         pytest.param(
             ".org 0x80000000\n    la t0, buf\ntrap_here:\n    ld t1, 1(t0)\n    .align 3\nbuf:\n    .dword 0\n",
             [],
+            "ld x6, 1(x5)",
             id="misaligned-load",
         ),
-        pytest.param(".org 0x80000000\n    nop\ntrap_here:\n    .word 0\n", [], id="illegal-word"),
-        pytest.param(STRICT_WRITE_PROG, ["--strict-write"], id="strict-write"),
-        pytest.param(json.dumps(ENTRY_ZERO_IMAGE), [], id="entry-zero-image"),
+        pytest.param(".org 0x80000000\n    nop\ntrap_here:\n    .word 0\n", [], None, id="illegal-word"),
+        pytest.param(STRICT_WRITE_PROG, ["--strict-write"], "ecall", id="strict-write"),
+        pytest.param(json.dumps(ENTRY_ZERO_IMAGE), [], None, id="entry-zero-image"),
     ],
 )
-def test_trap_names_its_pc(tmp_path, capsys, source, flags):
+def test_trap_names_its_pc(tmp_path, capsys, source, flags, insn):
+    """The trap line names the pc; a second line disassembles the word
+    fetched there, unless the fetch failed or the word does not decode."""
     src = write(tmp_path, "t.s", source)
     assert main(["run", src, *flags]) == EXIT_TRAP
     pc = cli.load_program(src).symbols["trap_here"]
-    assert capsys.readouterr().err.startswith(f"trap at pc {pc:#x}: ")
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"trap at pc {pc:#x}: ")
+    assert err[1:] == ([f"  {pc:#x}: {insn}"] if insn else [])
+
+
+# the sw puts addi x0, x0, 0 over the ebreak in the dcache, and nothing
+# writes that line back before the fetch of trap_here
+SELF_PATCH_PROG = """
+    .org 0x80000000
+    la t0, trap_here
+    li t1, 0x13
+    sw t1, 0(t0)
+trap_here:
+    ebreak
+"""
+
+
+def test_trap_names_the_word_fetched_not_the_word_in_dram(tmp_path, capsys):
+    src = write(tmp_path, "p.s", SELF_PATCH_PROG)
+    assert main(["run", src]) == EXIT_TRAP
+    pc = cli.load_program(src).symbols["trap_here"]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"trap at pc {pc:#x}: Breakpoint: ebreak at {pc:#x}", f"  {pc:#x}: ebreak"]
+    # after the final flush, DRAM holds the store's word at the pc
+    assert simulate(program=cli.load_program(src)).mem.raw_dump(pc, 4)[0] == (0x13).to_bytes(4, "little")
 
 
 @pytest.mark.parametrize("mnem", ["lh", "lw", "ld", "sh", "sw", "sd"])
@@ -510,6 +539,96 @@ def test_demo_unknown_name(capsys):
 
 def test_demo_failure_exit_code_is_distinct():
     assert EXIT_DEMO not in (EXIT_OK, EXIT_ASM, EXIT_TRAP, EXIT_BUDGET)
+
+
+def _put_stdout(at, data):
+    def doctor(results, report):
+        next(iter(results.values())).shim.stdout[at : at + len(data)] = data
+
+    return doctor
+
+
+def _put_report(path, value):
+    def doctor(results, report):
+        *outer, last = path
+        functools.reduce(dict.__getitem__, outer, report)[last] = value
+
+    return doctor
+
+
+@pytest.mark.parametrize(
+    "name,doctor,expect",
+    [
+        pytest.param(
+            "heartbleed",
+            _put_stdout(16, cli._HB_SECRET),
+            ["secret left the machine in plaintext", "over-read region was not protected"],
+            id="heartbleed-leak",
+        ),
+        pytest.param(
+            "heartbleed",
+            _put_stdout(0, bytes(16)),
+            ["request bytes did not echo back in plaintext"],
+            id="heartbleed-request",
+        ),
+        pytest.param(
+            "heartbleed",
+            _put_report(["leak_averted_bytes"], 0),
+            ["expected 32 leak-averted bytes, saw 0"],
+            id="heartbleed-averted",
+        ),
+        pytest.param(
+            "granularity",
+            _put_report(["tag_stats", "words_tagged_final"], 3),
+            ["expected 2 tagged words, saw 3"],
+            id="granularity-words",
+        ),
+        pytest.param(
+            "granularity",
+            _put_report(["tag_stats", "bytes_tainted_oracle_final"], 16),
+            ["expected 12 oracle bytes, saw 16"],
+            id="granularity-oracle",
+        ),
+        pytest.param(
+            "granularity",
+            _put_report(["tag_stats", "overtagged_bytes"], 0),
+            ["expected 4 over-tagged bytes, saw 0"],
+            id="granularity-overtag",
+        ),
+        pytest.param(
+            "threads",
+            _put_report(["exit_code"], 1),
+            ["thread 1 read thread 0's plaintext (exit code 1)"],
+            id="threads-exit",
+        ),
+    ],
+)
+def test_demo_check_fails_on_a_doctored_outcome(name, doctor, expect):
+    demo = cli.DEMOS[name]
+    results = run_models(demo_source(name), fs=demo["fs"])
+    report = build_report(results, seed=0)
+    assert demo["check"](results, report) == []
+    doctor(results, report)
+    assert demo["check"](results, report) == expect
+
+
+def test_demo_prints_one_failure_per_broken_property(monkeypatch, capsys):
+    def doctored(results, seed):
+        report = build_report(results, seed)
+        report["tag_stats"].update(words_tagged_final=3, overtagged_bytes=0)
+        return report
+
+    monkeypatch.setattr(cli, "build_report", doctored)
+    assert main(["demo", "granularity"]) == EXIT_DEMO
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL: expected 2 tagged words, saw 3", "FAIL: expected 4 over-tagged bytes, saw 0"]
+
+
+def test_demo_stopped_by_budget_fails_once(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_models", functools.partial(run_models, max_instret=5))
+    assert main(["demo", "threads"]) == EXIT_DEMO
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL: stopped by budget"]
 
 
 # ---- parsing ---------------------------------------------------------------------

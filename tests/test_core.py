@@ -14,20 +14,18 @@ from conch.core import (
     Breakpoint,
     BudgetExhausted,
     IllegalInstruction,
-    Instr,
     MachineState,
     MisalignedFetch,
     Trap,
-    decode,
     run,
     step,
 )
 from conch.crypt import BlockMemo, derive_thread_key, generate_master_key
 from conch.mem import DRAM_BASE, DRAM_SIZE, MODELS, MemAccessError, MemorySystem, MisalignedAccess
 from conch.os_shim import SYS_GETRANDOM, SYS_OPENAT, SYS_READ, SYS_THREAD_SWITCH, SYS_WRITE, FileDesc, OsShim
-from conch.report import ByteOracle, CycleCosts, counts, price, simulate
+from conch.report import PRICE_FIELD, ByteOracle, CycleCosts, counts, price, simulate
 
-from conftest import grid_words, odd_access_program
+from conftest import Instr, decoded, grid_words, odd_access_program
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 KEY = derive_thread_key(generate_master_key(0), 0)
@@ -51,14 +49,9 @@ def make_machine(words, data=(), memo=None):
 
 def test_decode_fields():
     w = isa.encode("add", 3, 4, 5)  # add x3, x4, x5
-    assert decode(w) == Instr("add", 3, 4, 5, 0)
+    assert decoded(w) == Instr("add", 3, 4, 5, 0)
     w = isa.encode("addi", 1, 2, imm=-7)
-    assert decode(w) == Instr("addi", 1, 2, 0, -7)
-
-
-def test_decode_is_memoized():
-    w = isa.encode("addi", 1, 2, imm=42)
-    assert decode(w) is decode(w)
+    assert decoded(w) == Instr("addi", 1, 2, 0, -7)
 
 
 @pytest.mark.parametrize(
@@ -76,8 +69,12 @@ def test_decode_is_memoized():
     ],
 )
 def test_decode_rejects(word):
-    with pytest.raises(IllegalInstruction):
-        core._decode(word)
+    """step traps on an illegal word, names it, and leaves the pc at it."""
+    stt, mem = make_machine([word])
+    with pytest.raises(IllegalInstruction) as exc:
+        step(stt, mem)
+    assert str(exc.value) == f"illegal instruction {word:#010x}"
+    assert stt.pc == mem.base
 
 
 # ---- reference: the opcode-chain decoder ------------------------------------------
@@ -175,13 +172,6 @@ def _ref_decode(word):
     return None
 
 
-def _decode_or_none(word):
-    try:
-        return core._decode(word)
-    except IllegalInstruction:
-        return None
-
-
 def test_spec_entries_match_disjoint_words():
     # Two entries overlap when their match values agree on the bits both
     # masks fix; then which one decodes a word would depend on order.
@@ -196,19 +186,19 @@ def test_spec_entries_match_disjoint_words():
 
 
 def test_decode_matches_reference_on_every_opcode_funct3_funct7():
-    diffs = [hex(w) for w in grid_words(2) if _decode_or_none(w) != _ref_decode(w)]
+    diffs = [hex(w) for w in grid_words(2) if decoded(w) != _ref_decode(w)]
     assert diffs == []
 
 
 @given(st.integers(0, (1 << 32) - 1))
 @settings(max_examples=500, deadline=None)
 def test_decode_matches_reference_on_any_word(word):
-    assert _decode_or_none(word) == _ref_decode(word)
+    assert decoded(word) == _ref_decode(word)
 
 
 def test_encode_inverts_decode_on_every_opcode_funct3_funct7():
-    decoded = [(w, isa.decode(w)) for w in grid_words(1)]
-    assert [hex(w) for w, dec in decoded if dec and isa.encode(dec[0], *dec[2]) != w] == []
+    pairs = [(w, isa.decode(w)) for w in grid_words(1)]
+    assert [hex(w) for w, dec in pairs if dec and isa.encode(dec[0], *dec[2]) != w] == []
 
 
 @given(st.integers(0, (1 << 32) - 1), st.sampled_from([e for g in isa._BY_OPCODE.values() for e in g]))
@@ -651,7 +641,7 @@ def _ref_price_field(m):
 
 def test_price_fields_match_reference():
     for m in isa.SPECS:
-        assert core.PRICE_FIELD.get(m, "alu") == _ref_price_field(m), m
+        assert PRICE_FIELD[m] == _ref_price_field(m), m
 
 
 class LoggingOracle(ByteOracle):
@@ -797,7 +787,7 @@ def test_dispatch_follows_a_store_into_text():
     stt, mem = make_machine(words)
     stt.regs[10] = mem.base
     stt.regs[11] = new
-    decode(words[1])  # the old word is in the memo
+    core._entry(words[1])  # the old word is in the memo
     step(stt, mem)
     mem.flush_and_sync(KEY)  # the store reaches DRAM and the icache refills
     step(stt, mem)
