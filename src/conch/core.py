@@ -16,15 +16,17 @@ here through a small duck-typed interface so the measured over-tagging is
 computed against the same instruction stream.
 
 step dispatches through one memo keyed by the fetched instruction word.
-The first fetch of a word decodes it and builds a handler
-closure with its operands, semantics and immediate bound in; every later
-fetch of that word calls the handler directly (threaded code, after Ertl
-and Gregg, "The Structure and Performance of Efficient Interpreters",
-JILP 2003). The word is the key, not the pc, so the memo never needs
-invalidating. A store into text reaches fetch only once the dcache line
-is written back and the icache line refilled (a thread switch's flush
-does both, as does evicting both lines); until then the icache returns
-the old word, as RISC-V does without fence.i.
+The first fetch of a word decodes it and builds a handler closure with
+its operands, semantics and immediate bound in. Handlers are built by
+encoding class: the opcode picks the builder, which reads widths,
+signedness and OP-IMM twins from isa.SPECS. Every later fetch of that
+word calls the handler directly (threaded code, after Ertl and Gregg,
+"The Structure and Performance of Efficient Interpreters", JILP 2003).
+The word is the key, not the pc, so the memo never needs invalidating. A
+store into text reaches fetch only once the dcache line is written back
+and the icache line refilled (a thread switch's flush does both, as does
+evicting both lines); until then the icache returns the old word, as
+RISC-V does without fence.i.
 """
 
 from __future__ import annotations
@@ -131,21 +133,9 @@ _ALU = {
     "remuw": lambda a, b: _w(a) if b & 0xFFFFFFFF == 0 else _w((a & 0xFFFFFFFF) % (b & 0xFFFFFFFF)),
 }
 
-_ALU_IMM = {
-    "addi": "add",
-    "slti": "slt",
-    "sltiu": "sltu",
-    "xori": "xor",
-    "ori": "or",
-    "andi": "and",
-    "slli": "sll",
-    "srli": "srl",
-    "srai": "sra",
-    "addiw": "addw",
-    "slliw": "sllw",
-    "srliw": "srlw",
-    "sraiw": "sraw",
-}
+# (opcode, funct3, funct7) -> mnemonic, and the OP twin of each OP-IMM opcode
+_BY_FIELDS = {spec[1:]: m for m, spec in isa.SPECS.items()}
+_OP_TWIN = {isa.OP_IMM: isa.OP_OP, isa.OP_IMM32: isa.OP_OP32}
 
 _BRANCH = {
     "beq": lambda a, b: a == b,
@@ -155,18 +145,6 @@ _BRANCH = {
     "bltu": lambda a, b: a < b,
     "bgeu": lambda a, b: a >= b,
 }
-
-# mnemonic -> (width, signed) and mnemonic -> width
-_LOAD_INFO = {
-    "lb": (1, True),
-    "lh": (2, True),
-    "lw": (4, True),
-    "ld": (8, True),
-    "lbu": (1, False),
-    "lhu": (2, False),
-    "lwu": (4, False),
-}
-_STORE_INFO = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 
 # ---- machine state ----------------------------------------------------------
 
@@ -219,7 +197,7 @@ class MachineState:
 
 # ---- execution ---------------------------------------------------------------
 
-# The builders of the dispatch memo's handlers, one per instruction class
+# The builders of the dispatch memo's handlers, one per encoding class
 # (see the module docstring). A handler executes the instruction on
 # (st, mem, shim, oracle, pc) and sets st.pc. It changes st.pc only after
 # every call that can raise, so a trapping instruction leaves the pc at
@@ -246,7 +224,11 @@ def _alu_reg(ins):
 
 def _alu_imm(ins):
     m, rd, rs1, _, imm = ins
-    fn = _ALU[_ALU_IMM[m]]
+    # OP-IMM (OP-IMM-32) runs the OP (OP-32) operation of the same funct3
+    # and funct7; I-format has funct7 0, and SHIFT64 holds funct7 >> 1
+    fmt, opcode, funct3, funct7 = isa.SPECS[m]
+    funct7 = 0 if fmt == "I" else funct7 << 1 if fmt == "SHIFT64" else funct7
+    fn = _ALU[_BY_FIELDS[_OP_TWIN[opcode], funct3, funct7]]
     imm &= MASK64
     src = (rs1,)
 
@@ -263,7 +245,8 @@ def _alu_imm(ins):
 
 def _load(ins):
     m, rd, rs1, _, imm = ins
-    width, signed = _LOAD_INFO[m]
+    funct3 = isa.SPECS[m][2]  # bit 2: zero-extend; bits 1-0: log2 width
+    width, signed = 1 << (funct3 & 3), funct3 < 4
 
     def load(st, mem, shim, oracle, pc):
         ea = (st.regs[rs1] + imm) & MASK64
@@ -280,7 +263,7 @@ def _load(ins):
 
 def _store(ins):
     m, _, rs1, rs2, imm = ins
-    width = _STORE_INFO[m]
+    width = 1 << isa.SPECS[m][2]  # funct3: log2 width
 
     def store(st, mem, shim, oracle, pc):
         ea = (st.regs[rs1] + imm) & MASK64
@@ -386,19 +369,16 @@ def _generic(ins):
     return upper
 
 
-def _build(ins):
-    m = ins[0]
-    if m in _ALU:
-        return _alu_reg(ins)
-    if m in _ALU_IMM:
-        return _alu_imm(ins)
-    if m in _LOAD_INFO:
-        return _load(ins)
-    if m in _STORE_INFO:
-        return _store(ins)
-    if m in _BRANCH:
-        return _branch(ins)
-    return _generic(ins)
+# opcode -> builder; every other opcode's handler comes from _generic
+_BUILDERS = {
+    isa.OP_OP: _alu_reg,
+    isa.OP_OP32: _alu_reg,
+    isa.OP_IMM: _alu_imm,
+    isa.OP_IMM32: _alu_imm,
+    isa.OP_LOAD: _load,
+    isa.OP_STORE: _store,
+    isa.OP_BRANCH: _branch,
+}
 
 
 # word -> (handler, mnemonic) for every legal word fetched so far (see the
@@ -412,7 +392,7 @@ def _entry(word):
     if dec is None:
         raise IllegalInstruction(f"illegal instruction {word:#010x}")
     mnem, _fmt, operands = dec
-    entry = _MEMO[word] = (_build((mnem, *operands)), mnem)
+    entry = _MEMO[word] = (_BUILDERS.get(word & 0x7F, _generic)((mnem, *operands)), mnem)
     return entry
 
 

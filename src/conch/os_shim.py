@@ -48,6 +48,13 @@ _PATH_MAX = 4096
 _GETRANDOM_MAX = 33_554_431  # Linux returns at most this many bytes per getrandom call
 
 
+def _in_dram(mem, addr, n):
+    """Whether the n-byte buffer at addr lies in DRAM. Each syscall asks
+    before it charges or makes an access; a buffer outside is -EFAULT, as
+    on Linux."""
+    return mem.base <= addr and addr + n <= mem.base + mem.size
+
+
 class FileDesc:
     def __init__(self, data, pos=0, sensitive=False):
         self.data = data
@@ -77,16 +84,6 @@ class OsShim:
 
     # ---- kernel-side memory helpers (counted like normal accesses) ----------
 
-    def _read_cstr(self, st, mem, addr):
-        out = bytearray()
-        for i in range(_PATH_MAX):
-            st.charge_copy(1)  # one word access per byte load
-            b, _ = mem.load((addr + i) & MASK64, 1, False, st.key)
-            if b == 0:
-                return out.decode("utf-8", "replace")
-            out.append(b)
-        return None
-
     def _charge_stores(self, st, addr, n):
         """The stores that copy n bytes to addr, as (width, byte offsets)
         runs: single bytes up to the first word boundary, whole words,
@@ -106,7 +103,7 @@ class OsShim:
             taints = (1 << width) - 1 if tag else 0
             for i in offsets:
                 value = int.from_bytes(data[i : i + width], "little")
-                mem.store((addr + i) & MASK64, width, value, tag, st.key, taints)
+                mem.store(addr + i, width, value, tag, st.key, taints)
 
     # ---- syscalls ------------------------------------------------------------
 
@@ -138,9 +135,20 @@ class OsShim:
             oracle.oracle_step("clear", 10, None)
 
     def sys_openat(self, st, mem, dirfd, path_ptr, flags):
-        path = self._read_cstr(st, mem, path_ptr)
-        if path is None:
+        """A path that leaves DRAM before its NUL is -EFAULT; the bytes
+        loaded up to there stay charged."""
+        path = bytearray()
+        for addr in range(path_ptr, path_ptr + _PATH_MAX):
+            if not _in_dram(mem, addr, 1):
+                return -EFAULT
+            st.charge_copy(1)  # one word access per byte load
+            b, _ = mem.load(addr, 1, False, st.key)
+            if b == 0:
+                break
+            path.append(b)
+        else:
             return -ENAMETOOLONG
+        path = path.decode("utf-8", "replace")
         if path not in self.fs:
             return -ENOENT
         fd = self.next_fd
@@ -157,6 +165,8 @@ class OsShim:
         n = min(count, len(f.data) - f.pos)
         if n <= 0:
             return 0, 0
+        if not _in_dram(mem, buf, n):
+            return -EFAULT, 0
         plan, stores = self._charge_stores(st, buf, n)
         chunk = f.data[f.pos : f.pos + n]
         f.pos += n
@@ -169,12 +179,14 @@ class OsShim:
         averted. Under strict mode that is a trap instead."""
         if fd not in (1, 2):
             return -EBADF, 0
+        if not _in_dram(mem, buf, count):
+            return -EFAULT, 0
         sink = self.stdout if fd == 1 else self.stderr
         loads = ((buf & 7) + count + 7) >> 3 if count else 0  # one per word touched
         st.charge_copy(loads)
         i = 0
         while i < count:
-            a = (buf + i) & MASK64
+            a = buf + i
             w = a & ~7
             value, tag = mem.load(w, 8, False, st.key)
             take = min(count - i, w + 8 - a)
@@ -190,9 +202,9 @@ class OsShim:
     def sys_getrandom(self, st, mem, buf, count, flags):
         """Randomness is sensitive by definition: the returned bytes land
         in memory tagged. Like Linux, one call returns at most
-        _GETRANDOM_MAX bytes; a buffer outside DRAM is -EFAULT."""
+        _GETRANDOM_MAX bytes."""
         count = min(count, _GETRANDOM_MAX)
-        if buf < mem.base or buf + count > mem.base + mem.size:
+        if not _in_dram(mem, buf, count):
             return -EFAULT, 0
         plan, stores = self._charge_stores(st, buf, count)
         self._write_bytes(st, mem, buf, self.prng.randbytes(count), 1, plan)

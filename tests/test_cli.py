@@ -239,26 +239,32 @@ def test_run_budget_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, stop",
     [
-        pytest.param("la a0, base; li a1, 1; slli a1, a1, 62; li a2, 0; li a7, 278", id="getrandom"),
-        pytest.param("li a0, 1; la a1, base; li a2, -1; li a7, 64", id="write"),
-        pytest.param("la a0, base; li a1, 1; slli a1, a1, 24; ctag.set a0, a1", id="ctag.set"),
+        pytest.param("la a0, base; li a1, 1; slli a1, a1, 62; li a2, 0; li a7, 278", "budget", id="getrandom"),
+        pytest.param("li a0, 1; la a1, base; li a2, 1; slli a2, a2, 24; li a7, 64", "budget", id="write"),
+        pytest.param("li a0, 1; la a1, base; li a2, -1; li a7, 64", "exit", id="write-past-dram"),
+        pytest.param("la a0, base; li a1, 1; slli a1, a1, 24; ctag.set a0, a1", "budget", id="ctag.set"),
     ],
 )
-def test_huge_kernel_copy_stops_on_budget(tmp_path, capsys, args):
-    # getrandom of 1<<62 bytes and write of 2**64 - 1 bytes, both at the base
-    # of DRAM, and a ctag.set of 16 MiB there: each copied word (each line
+def test_huge_kernel_copy_stops_on_budget(tmp_path, capsys, args, stop):
+    # getrandom of 1<<62 bytes and write of 16 MiB, both at the base of
+    # DRAM, and a ctag.set of 16 MiB there: each copied word (each line
     # the ctag walk visits) counts against --max-instret like an
-    # instruction, so the run stops instead of copying for minutes.
+    # instruction, so the run stops instead of copying for minutes. A
+    # write of 2**64 - 1 bytes there leaves DRAM, so it returns -EFAULT
+    # (exit code -14 & 0xFF) before anything is charged.
     lines = "".join(f"    {a.strip()}\n" for a in args.split(";"))
     src = write(tmp_path, "copy.s", f".org 0x80000000\nbase:\n{lines}    ecall\n    li a7, 93\n    ecall\n")
     t0 = time.perf_counter()
     code, report = run_json(capsys, ["run", src, "--max-instret", "1000"])
     assert time.perf_counter() - t0 < 5.0
-    assert code == EXIT_BUDGET
-    assert report["stop_reason"] == "budget"
+    assert report["stop_reason"] == stop
     assert report["instret"] < 1000
+    if stop == "budget":
+        assert code == EXIT_BUDGET
+    else:
+        assert code == EXIT_OK and report["exit_code"] == -14 & 0xFF
 
 
 @pytest.mark.parametrize("m", ["ctag.set", "ctag.clr"])

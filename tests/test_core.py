@@ -3,6 +3,7 @@ reference, traps, tag propagation, cycle accounting hooks, and the
 handler dispatch stepped against a frozen copy of the if/elif
 interpreter it replaced."""
 
+import inspect
 import random
 
 import pytest
@@ -535,6 +536,8 @@ def test_any_word_raises_only_documented_errors(word, seed, a7, budget):
 # A frozen copy of the mnemonic chain that the handler dispatch replaced.
 # It decodes with _ref_decode and computes with REF and its own tables, so
 # a change to the handlers or to core's tables cannot move both sides.
+# _REF_ALU_IMM, _REF_LOAD and _REF_STORE are the tables core listed before
+# its builders derived them from isa.SPECS by encoding class.
 
 _REF_ALU_IMM = {
     "addi": "add", "slti": "slt", "sltiu": "sltu", "xori": "xor", "ori": "or", "andi": "and",
@@ -642,6 +645,28 @@ def _ref_price_field(m):
 def test_price_fields_match_reference():
     for m in isa.SPECS:
         assert PRICE_FIELD[m] == _ref_price_field(m), m
+
+
+def test_builders_match_reference_tables():
+    """The builder _entry picks by opcode binds the width, signedness or
+    ALU operation the reference tables give, for every mnemonic."""
+    built = {"load": set(), "store": set(), "alu_imm": set()}
+    for m, (_, opcode, _, _) in isa.SPECS.items():
+        handler, mnem = core._entry(isa.encode(m, rd=1, rs1=2, rs2=3))
+        bound = inspect.getclosurevars(handler).nonlocals
+        assert mnem == m
+        if opcode == isa.OP_LOAD:
+            assert (bound["width"], bound["signed"]) == _REF_LOAD[m], m
+        elif opcode == isa.OP_STORE:
+            assert bound["width"] == _REF_STORE[m], m
+        elif opcode in (isa.OP_IMM, isa.OP_IMM32):
+            assert bound["fn"] is core._ALU[_REF_ALU_IMM[m]], m
+        elif opcode in (isa.OP_OP, isa.OP_OP32):
+            assert handler.__name__ == "alu_reg" and bound["fn"] is core._ALU[m], m
+        elif opcode == isa.OP_BRANCH:
+            assert handler.__name__ == "branch" and bound["cond"] is core._BRANCH[m], m
+        built.get(handler.__name__, set()).add(m)
+    assert built == {"load": set(_REF_LOAD), "store": set(_REF_STORE), "alu_imm": set(_REF_ALU_IMM)}
 
 
 class LoggingOracle(ByteOracle):

@@ -8,7 +8,7 @@ from hypothesis import strategies as hs
 
 from conch.core import BudgetExhausted, MachineState, StrictWriteViolation, Trap
 from conch.crypt import generate_master_key, qarma_encrypt
-from conch.mem import DRAM_BASE, DRAM_SIZE, MemAccessError, MemorySystem
+from conch.mem import DRAM_BASE, DRAM_SIZE, MemorySystem
 from conch.os_shim import (
     EBADF,
     EFAULT,
@@ -104,6 +104,7 @@ def test_read_honors_file_position_and_eof():
     assert ecall(st, mem, shim, SYS_READ, fd, buf, 6) == 6
     assert ecall(st, mem, shim, SYS_READ, fd, buf, 100) == 4  # short read
     assert ecall(st, mem, shim, SYS_READ, fd, buf, 8) == 0  # EOF
+    assert ecall(st, mem, shim, SYS_READ, fd, 0x10, 8) == 0  # nothing to copy, so no -EFAULT
     assert ecall(st, mem, shim, SYS_READ, 99, buf, 8) == -EBADF
 
 
@@ -203,7 +204,7 @@ def test_getrandom_outside_dram_is_efault():
     top = mem.base + mem.size
     for buf, count in [(0x10, 16), (top - 8, 16), (top, 1), (top - 64, 1 << 62)]:
         assert ecall(st, mem, shim, SYS_GETRANDOM, buf, count, 0) == -EFAULT
-    assert mem.clean and mem.dcache.misses == 0  # nothing was written
+    assert mem.clean and mem.dcache.misses == st.copy_words == 0  # nothing was written or charged
     # nor was any randomness drawn
     st2, mem2, shim2 = machine(seed=42)
     assert shim.prng.getstate() == shim2.prng.getstate()
@@ -215,6 +216,47 @@ def test_getrandom_count_is_clamped_to_linux_maximum(monkeypatch):
     monkeypatch.setattr(shim, "_write_bytes", lambda st, mem, addr, data, tag, plan: copied.append(len(data)) or 0)
     assert ecall(st, mem, shim, SYS_GETRANDOM, mem.base, 1 << 62, 0) == 33_554_431
     assert copied == [33_554_431]
+
+
+# ---- buffers outside DRAM ---------------------------------------------------------
+
+_TOP = DRAM_BASE + DRAM_SIZE
+
+
+@pytest.mark.parametrize(
+    "num, args",
+    [
+        pytest.param(SYS_OPENAT, (0, 0x10, 0), id="openat"),
+        pytest.param(SYS_OPENAT, (0, _TOP, 0), id="openat-top"),
+        pytest.param(SYS_READ, (3, 0x10, 16), id="read"),
+        pytest.param(SYS_READ, (3, _TOP - 8, 16), id="read-straddling"),
+        pytest.param(SYS_WRITE, (1, 0x10, 16), id="write"),
+        pytest.param(SYS_WRITE, (1, _TOP - 8, 16), id="write-straddling"),
+        pytest.param(SYS_WRITE, (1, DRAM_BASE, (1 << 64) - 1), id="write-huge"),
+    ],
+)
+def test_buffer_outside_dram_is_efault_and_charged_nothing(num, args):
+    # as on Linux, and as getrandom does (tested above): the call fails
+    # with -EFAULT instead of trapping, and nothing is charged, accessed,
+    # emitted or consumed
+    st, mem, shim = machine(fs={"f": b"x"})
+    shim.fds[3] = FileDesc(data=bytes(range(16)))
+    assert ecall(st, mem, shim, num, *args) == -EFAULT
+    assert st.copy_words == mem.loads == mem.stores == 0
+    assert shim.fds[3].pos == 0 and shim.next_fd == 3 and shim.stdout == b""
+
+
+def test_openat_path_running_out_of_dram_is_efault():
+    # the three bytes loaded before the path leaves DRAM stay charged
+    st, mem, shim = machine(fs={"ab": b"x"})
+    top = mem.base + mem.size
+    put_cstr(st, mem, top - 3, "ab")
+    mem.store(top - 1, 1, ord("c"), 0, st.key)
+    loads = mem.loads
+    assert ecall(st, mem, shim, SYS_OPENAT, 0, top - 3, 0) == -EFAULT
+    assert st.copy_words == mem.loads - loads == 3
+    mem.store(top - 1, 1, 0, 0, st.key)
+    assert ecall(st, mem, shim, SYS_OPENAT, 0, top - 3, 0) == 3
 
 
 # ---- copies count against the instruction budget --------------------------------
@@ -373,15 +415,21 @@ _ARG = hs.one_of(
 @example(SYS_WRITE, (1, DRAM_BASE + 0x1FC, 12), 2000, False)
 @example(SYS_WRITE, (2, DRAM_BASE + 0x200, 8), 2000, True)
 @example(SYS_GETRANDOM, (DRAM_BASE + 0x901, 24, 0), 2000, False)
+# and a buffer outside DRAM for each call that takes one
+@example(SYS_OPENAT, (0, 0x10, 0), 2000, False)
+@example(SYS_READ, (3, 0x10, 16), 2000, False)
+@example(SYS_WRITE, (1, 0x10, 16), 2000, False)
+@example(SYS_GETRANDOM, (0x10, 16, 0), 2000, False)
 @example(SYS_THREAD_SWITCH, (3, 0, 0), 2000, False)
 @example(SYS_EXIT, (0x105, 0, 0), 2000, False)
 @example(9999, (0, 0, 0), 2000, False)
 @settings(max_examples=400, deadline=None)
 def test_any_syscall_returns_a_value_or_errno_or_stops(a7, args, budget, strict_write):
     """A syscall with arbitrary arguments either leaves an errno or a
-    result in a0, or raises one of the exceptions run() turns into a
-    trap or a budget stop. One that returns made exactly as many guest
-    loads and stores as it charged to the budget."""
+    result in a0, or raises a Trap (a strict write) or a budget stop;
+    never a memory fault, since a buffer outside DRAM is -EFAULT. One
+    that returns made exactly as many guest loads and stores as it
+    charged to the budget."""
     st, mem, shim = machine(fs={"f": bytes(range(200))}, strict_write=strict_write)
     put_cstr(st, mem, _PATH, "f")
     shim.fds[3] = FileDesc(data=bytes(range(200)))
@@ -394,7 +442,7 @@ def test_any_syscall_returns_a_value_or_errno_or_stops(a7, args, budget, strict_
     accesses = mem.loads + mem.stores
     try:
         shim.handle_ecall(st, mem)
-    except (Trap, MemAccessError, BudgetExhausted):
+    except (Trap, BudgetExhausted):
         return
     assert mem.loads + mem.stores - accesses == st.copy_words
     if a7 == SYS_EXIT:

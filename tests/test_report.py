@@ -372,7 +372,7 @@ STOP_PROGRAMS = {
     # the trapping ebreak's fetch fills one line: one DRAM data access,
     # and in models A and B one DRAM tag access
     "ebreak": (".org 0x80000000\nebreak\n", None, "trap", {"baseline": 60, "a": 120, "b": 120}),
-    # la and li retire (3 alu); openat's _read_cstr loads 4 path bytes
+    # la and li retire (3 alu); openat loads 4 path bytes
     # before the fifth overruns the budget of 8. The text line and the
     # path's line both fill; model B's second tag lookup hits.
     "openat_budget": (
