@@ -39,11 +39,8 @@ from .mem import MemAccessError
 
 
 class Trap(Exception):
-    """Architectural trap that ends execution."""
-
-    def __init__(self, msg, pc=None):
-        super().__init__(msg)
-        self.pc = pc
+    """Architectural trap that ends execution. Its pc is st.pc: a
+    trapping instruction leaves the pc at itself."""
 
 
 class IllegalInstruction(Trap):
@@ -298,7 +295,7 @@ def _generic(ins):
 
         def ecall(st, mem, shim, oracle, pc):
             if shim is None:
-                raise Trap("ecall with no OS attached", pc)
+                raise Trap("ecall with no OS attached")
             shim.handle_ecall(st, mem, oracle)
             st.pc = pc + 4
 
@@ -307,7 +304,7 @@ def _generic(ins):
     if m == "ebreak":
 
         def ebreak(st, mem, shim, oracle, pc):
-            raise Breakpoint(f"ebreak at {pc:#x}", pc)
+            raise Breakpoint(f"ebreak at {pc:#x}")
 
         return ebreak
 
@@ -403,7 +400,7 @@ def step(st, mem, shim=None, oracle=None):
     work counted (see report.counts)."""
     pc = st.pc
     if pc & 3:
-        raise MisalignedFetch(f"pc {pc:#x}", pc)
+        raise MisalignedFetch(f"pc {pc:#x}")
     word = mem.fetch(pc, st.key)
     entry = _MEMO.get(word)
     if entry is None:

@@ -38,14 +38,15 @@ tables and sigma1's (sigma0's and sigma2's on first use) in about 3 ms on
 the box above, and takes about 10 ms in all with cached bytecode.
 
 A BlockMemo holds the (key, tweak, plaintext) <-> ciphertext pairs the
-circuit computed, both ways, so a block requested again, or the
-decrypt of a ciphertext an earlier encrypt produced, is a dict lookup. The
-memory engine makes one per simulated run (run_models shares one across
-its cycle models, which replay the same functional run). A hit is exact:
-QARMA is a permutation for each (key, tweak), and a pair exists only if
-the circuit computed it, so a ciphertext read under another key than it
-was written with finds no pair and runs the real circuit. The memo stops
-taking pairs at MEMO_MAX_PAIRS; it never evicts.
+circuit computed, both ways. One memoized path serves both directions,
+so a block requested again, or the inverse of a block computed in the
+other direction, is a dict lookup. The memory engine makes one per
+simulated run (run_models shares one across its cycle models, which
+replay the same functional run). A hit is exact: QARMA is a permutation
+for each (key, tweak), and a pair exists only if the circuit computed
+it, so a ciphertext read under another key than it was written with
+finds no pair and runs the real circuit. The memo stops taking pairs at
+MEMO_MAX_PAIRS; it never evicts.
 
 Keys are 128 bits, split into a whitening half w0 and a core half k0. The
 second whitening key w1 is derived as ror64(w0, 1) xor (w0 >> 63) and the
@@ -282,46 +283,37 @@ class BlockMemo:
         self.keys = {}
         self.size = 0
 
-    def add(self, key, tweak, plaintext, ciphertext):
-        if self.size < MEMO_MAX_PAIRS:
-            enc, dec = self.keys.setdefault(key, ({}, {}))
-            enc[tweak << 64 | plaintext] = ciphertext
-            dec[tweak << 64 | ciphertext] = plaintext
-            self.size += 1
-
 
 def qarma_encrypt(key, tweak, plaintext, sigma=1, memo=None):
     """Encrypt one 64-bit block under (key, tweak). Total function; inputs
     are masked to 64 bits. With a BlockMemo, a pair it holds is looked
     up and a computed one is added."""
-    if memo is None or sigma != 1:
-        return _cipher(key, tweak, plaintext, sigma, 0)
-    tweak &= MASK64
-    plaintext &= MASK64
-    pairs = memo.keys.get(key)
-    if pairs is not None:
-        ciphertext = pairs[0].get(tweak << 64 | plaintext)
-        if ciphertext is not None:
-            return ciphertext
-    ciphertext = _cipher(key, tweak, plaintext, 1, 0)
-    memo.add(key, tweak, plaintext, ciphertext)
-    return ciphertext
+    return _block(key, tweak, plaintext, sigma, memo, 0)
 
 
 def qarma_decrypt(key, tweak, ciphertext, sigma=1, memo=None):
     """Exact inverse of qarma_encrypt, memo included."""
+    return _block(key, tweak, ciphertext, sigma, memo, 1)
+
+
+def _block(key, tweak, x, sigma, memo, direction):
+    # The memoized path of both directions: a computed pair is stored
+    # both ways, so either direction answers a later call of the other.
     if memo is None or sigma != 1:
-        return _cipher(key, tweak, ciphertext, sigma, 1)
-    tweak &= MASK64
-    ciphertext &= MASK64
+        return _cipher(key, tweak, x, sigma, direction)
+    tweak, x = tweak & MASK64, x & MASK64
     pairs = memo.keys.get(key)
     if pairs is not None:
-        plaintext = pairs[1].get(tweak << 64 | ciphertext)
-        if plaintext is not None:
-            return plaintext
-    plaintext = _cipher(key, tweak, ciphertext, 1, 1)
-    memo.add(key, tweak, plaintext, ciphertext)
-    return plaintext
+        y = pairs[direction].get(tweak << 64 | x)
+        if y is not None:
+            return y
+    y = _cipher(key, tweak, x, 1, direction)
+    if memo.size < MEMO_MAX_PAIRS:
+        pairs = memo.keys.setdefault(key, ({}, {}))
+        pairs[direction][tweak << 64 | x] = y
+        pairs[1 - direction][tweak << 64 | y] = x
+        memo.size += 1
+    return y
 
 
 def _cipher(key, tweak, x, sigma, direction):

@@ -51,8 +51,9 @@ _GETRANDOM_MAX = 33_554_431  # Linux returns at most this many bytes per getrand
 def _in_dram(mem, addr, n):
     """Whether the n-byte buffer at addr lies in DRAM. Each syscall asks
     before it charges or makes an access; a buffer outside is -EFAULT, as
-    on Linux."""
-    return mem.base <= addr and addr + n <= mem.base + mem.size
+    on Linux. An empty buffer never faults, wherever it is: Linux's
+    access_ok accepts an empty range."""
+    return n == 0 or mem.base <= addr and addr + n <= mem.base + mem.size
 
 
 class FileDesc:
@@ -182,22 +183,19 @@ class OsShim:
         if not _in_dram(mem, buf, count):
             return -EFAULT, 0
         sink = self.stdout if fd == 1 else self.stderr
-        loads = ((buf & 7) + count + 7) >> 3 if count else 0  # one per word touched
-        st.charge_copy(loads)
-        i = 0
-        while i < count:
-            a = buf + i
-            w = a & ~7
+        end = buf + count
+        words = range(buf & ~7, end, 8) if count else ()  # one load per word touched
+        st.charge_copy(len(words))
+        for w in words:
             value, tag = mem.load(w, 8, False, st.key)
-            take = min(count - i, w + 8 - a)
+            lo, hi = max(buf - w, 0), min(end - w, 8)
             if tag:
                 if self.strict_write:
-                    raise StrictWriteViolation(f"write of tagged word {w:#x}", st.pc)
+                    raise StrictWriteViolation(f"write of tagged word {w:#x}")
                 value = qarma_encrypt(st.key, w, value, memo=mem.memo)  # its at-rest form
-                self.leak_averted_bytes += take
-            sink += value.to_bytes(8, "little")[a - w : a - w + take]
-            i += take
-        return count, loads
+                self.leak_averted_bytes += hi - lo
+            sink += value.to_bytes(8, "little")[lo:hi]
+        return count, len(words)
 
     def sys_getrandom(self, st, mem, buf, count, flags):
         """Randomness is sensitive by definition: the returned bytes land

@@ -264,7 +264,11 @@ def run_models(source=None, *, program=None, models=MODELS, **kw):
     in the canonical baseline/a/b order. The runs replay one functional
     run and differ only in pricing, so they share one fresh crypt.BlockMemo
     and one dict of thread keys: each block is enciphered and each key
-    derived once per call, not once per model."""
+    derived once per call, not once per model. An unknown or empty list
+    of models raises ValueError before anything is assembled."""
+    for m in models or ("",):  # an empty list is refused as model ''
+        if m not in MODELS:
+            raise ValueError(f"unknown model {m!r} (choose from {', '.join(MODELS)})")
     if program is None:
         program = asm.assemble(source)
     memo, thread_keys = BlockMemo(), {}

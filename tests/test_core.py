@@ -563,7 +563,7 @@ _M64 = (1 << 64) - 1
 def _ref_step(st, mem, shim=None, oracle=None):
     pc = st.pc
     if pc & 3:
-        raise MisalignedFetch(f"pc {pc:#x}", pc)
+        raise MisalignedFetch(f"pc {pc:#x}")
     word = mem.fetch(pc, st.key)
     ins = _ref_decode(word)
     if ins is None:
@@ -612,10 +612,10 @@ def _ref_step(st, mem, shim=None, oracle=None):
             oracle.oracle_step("clear", ins.rd, None)
     elif m == "ecall":
         if shim is None:
-            raise Trap("ecall with no OS attached", pc)
+            raise Trap("ecall with no OS attached")
         shim.handle_ecall(st, mem, oracle)
     elif m == "ebreak":
-        raise Breakpoint(f"ebreak at {pc:#x}", pc)
+        raise Breakpoint(f"ebreak at {pc:#x}")
     elif m == "ctag.set":
         mem.ctag_set_range(regs[ins.rs1], regs[ins.rs2], st.key)
     elif m == "ctag.clr":
@@ -704,11 +704,12 @@ def _state(stt, mem, oracle):
 
 
 def _try_step(step_fn, stt, mem, shim, oracle):
-    """None, or the exception one step raised as (type, message, pc)."""
+    """None, or the exception one step raised as (type, message); the pc
+    it left is compared through _state."""
     try:
         step_fn(stt, mem, shim, oracle)
     except (Trap, MemAccessError, BudgetExhausted) as exc:
-        return type(exc), str(exc), getattr(exc, "pc", None)
+        return type(exc), str(exc)
     return None
 
 

@@ -154,7 +154,7 @@ def test_wrong_key_fill_reaches_the_circuit(circuit_calls):
     assert res.mem.memo.keys[key1][1][slot << 64 | cipher] == s2
 
 
-def test_memo_is_exact_per_key_and_tweak():
+def test_memo_is_exact_per_key_and_tweak(circuit_calls):
     memo = BlockMemo()
     key_a, key_b = crypt.generate_master_key(1), crypt.generate_master_key(2)
     c = qarma_encrypt(key_a, 0x8000_0008, 1234, memo=memo)
@@ -166,3 +166,14 @@ def test_memo_is_exact_per_key_and_tweak():
     assert qarma_encrypt(key_a, 0x8000_0008, 1, sigma=2, memo=memo) == qarma_encrypt(key_a, 0x8000_0008, 1, sigma=2)
     enc, dec = _pairs(memo)
     assert len(enc) == len(dec) == memo.size == 3
+    # a block first computed by decryption answers the encryption of its
+    # plaintext without the circuit
+    p = qarma_decrypt(key_a, 0x8000_0018, 99, memo=memo)
+    circuit_calls["enc"].clear()
+    assert qarma_encrypt(key_a, 0x8000_0018, p, memo=memo) == 99
+    assert circuit_calls["enc"] == []
+    # bits above 64 of a tweak or block are masked, memo or not
+    high = 5 << 64
+    for tweak, block in ((0x8000_0008 | high, 1234), (0x8000_0008, 1234 | high)):
+        assert qarma_encrypt(key_a, tweak, block, memo=memo) == qarma_encrypt(key_a, tweak, block) == c
+        assert qarma_decrypt(key_a, tweak, block, memo=memo) == qarma_decrypt(key_a, tweak, block)

@@ -246,6 +246,24 @@ def test_buffer_outside_dram_is_efault_and_charged_nothing(num, args):
     assert shim.fds[3].pos == 0 and shim.next_fd == 3 and shim.stdout == b""
 
 
+@pytest.mark.parametrize(
+    "num, args",
+    [
+        pytest.param(SYS_WRITE, (1, 0x10, 0), id="write"),
+        pytest.param(SYS_WRITE, (1, _TOP + 3, 0), id="write-top"),
+        pytest.param(SYS_GETRANDOM, (0x10, 0, 0), id="getrandom"),
+        pytest.param(SYS_GETRANDOM, (_TOP + 3, 0, 0), id="getrandom-top"),
+    ],
+)
+def test_empty_buffer_anywhere_is_not_a_fault(num, args):
+    # as on Linux, whose access_ok accepts an empty range: the call
+    # returns 0, and nothing is charged, accessed, emitted or drawn
+    st, mem, shim = machine(seed=42)
+    assert ecall(st, mem, shim, num, *args) == 0
+    assert st.copy_words == mem.loads == mem.stores == 0
+    assert shim.stdout == b"" and shim.prng.getstate() == machine(seed=42)[2].prng.getstate()
+
+
 def test_openat_path_running_out_of_dram_is_efault():
     # the three bytes loaded before the path leaves DRAM stay charged
     st, mem, shim = machine(fs={"ab": b"x"})

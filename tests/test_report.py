@@ -300,6 +300,33 @@ def test_run_models_subset():
     assert list(results) == ["baseline"]
 
 
+@pytest.mark.parametrize("models", [("x",), ("baseline", "x"), ()])
+def test_run_models_refuses_unknown_or_no_models(models, monkeypatch):
+    # refused before anything is assembled or run
+    monkeypatch.setattr(report.asm, "assemble", None)
+    monkeypatch.setattr(report, "simulate", None)
+    with pytest.raises(ValueError, match=r"unknown model '(x)?' \(choose from baseline, a, b\)"):
+        run_models(PROG, models=models, seed=0)
+
+
+@pytest.mark.parametrize("field", ["exit_code", "stdout"])
+def test_run_models_names_both_models_that_diverge(field, monkeypatch):
+    simulate_one = report.simulate
+
+    def skewed(**kw):
+        res = simulate_one(**kw)
+        if kw["model"] == "b":
+            if field == "exit_code":
+                res.st.exit_code += 1
+            else:
+                res.shim.stdout += b"!"
+        return res
+
+    monkeypatch.setattr(report, "simulate", skewed)
+    with pytest.raises(RuntimeError, match="diverged architecturally: baseline vs b"):
+        run_models(PROG, seed=0)
+
+
 def _assert_cached_matches_uncached(monkeypatch, source, **kw):
     """Run source through simulate on MemorySystem and on the uncached
     reference, with one seed, fs and oracle; both runs end flushed. They
