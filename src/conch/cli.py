@@ -19,8 +19,9 @@ import sys
 
 from . import asm, isa
 from .asm import AsmError, SegmentOutOfBounds
+from .core import DEFAULT_MAX_INSTRET
 from .mem import DRAM_BASE, DRAM_SIZE
-from .report import DEFAULT_MAX_INSTRET, build_report, emit_report, run_models, simulate
+from .report import build_report, emit_report, run_models, simulate
 
 EXIT_OK = 0
 EXIT_ASM = 2
@@ -93,7 +94,6 @@ def _add_run_options(p):
     p.add_argument("--map", action="append", metavar="VIRT=HOSTPATH", help="mount a host file at a virtual path")
     p.add_argument("--stream", action="append", metavar="VIRT=HEX", help="mount literal hex bytes at a virtual path")
     p.add_argument("--max-instret", type=int, default=DEFAULT_MAX_INSTRET)
-    p.add_argument("--dram-latency", type=int, default=60)
     p.add_argument("--strict-write", action="store_true", help="trap on write() of tagged data")
 
 
@@ -119,17 +119,15 @@ def _fs_of(args):
     return fs
 
 
-def _sim_kwargs(args):
-    for flag, value in (("--dram-latency", args.dram_latency), ("--max-instret", args.max_instret)):
+def _sim_kwargs(args, **numeric):
+    """simulate's keywords for a run command line. numeric holds the
+    command's own numeric options; they and --max-instret must not be
+    negative."""
+    numeric["max_instret"] = args.max_instret
+    for name, value in numeric.items():
         if value < 0:
-            raise ValueError(f"{flag} must not be negative, got {value}")
-    return dict(
-        seed=_seed_of(args),
-        fs=_fs_of(args),
-        max_instret=args.max_instret,
-        dram_latency=args.dram_latency,
-        strict_write=args.strict_write,
-    )
+            raise ValueError(f"--{name.replace('_', '-')} must not be negative, got {value}")
+    return dict(seed=_seed_of(args), fs=_fs_of(args), strict_write=args.strict_write, **numeric)
 
 
 def _stop_exit(stop):
@@ -156,7 +154,7 @@ def cmd_asm(args):
 def cmd_run(args):
     program = load_program(args.source)
     models = tuple(m.strip() for m in args.models.split(","))
-    results = run_models(program=program, models=models, **_sim_kwargs(args))
+    results = run_models(program=program, models=models, **_sim_kwargs(args, dram_latency=args.dram_latency))
     report = build_report(results, seed=_seed_of(args))
     rendered = emit_report(report, fmt=args.format)
     if args.report:
@@ -283,6 +281,7 @@ def _run_arguments(p):
     p.add_argument("--models", default="baseline,a,b", help="comma-separated subset of baseline,a,b")
     p.add_argument("--report", metavar="PATH", help="also write the JSON report here")
     p.add_argument("--format", choices=("json", "text"), default="json")
+    p.add_argument("--dram-latency", type=int, default=60)
     _add_run_options(p)
     p.set_defaults(fn=cmd_run)
 

@@ -22,20 +22,25 @@ encoding class: the opcode picks the builder, which reads widths,
 signedness and OP-IMM twins from isa.SPECS. Every later fetch of that
 word calls the handler directly (threaded code, after Ertl and Gregg,
 "The Structure and Performance of Efficient Interpreters", JILP 2003).
-The word is the key, not the pc, so the memo never needs invalidating. A
-store into text reaches fetch only once the dcache line is written back
-and the icache line refilled (a thread switch's flush does both, as does
-evicting both lines); until then the icache returns the old word, as
-RISC-V does without fence.i.
+The memo is an LRU cache of 65,536 words (32-40 MiB full on CPython
+3.11), as QEMU bounds its translation cache; an evicted word is decoded
+again on its next fetch. The word is the key, not the pc, so the memo
+never needs invalidating. A store into text reaches fetch only once the
+dcache line is written back and the icache line refilled (a thread
+switch's flush does both, as does evicting both lines); until then the
+icache returns the old word, as RISC-V does without fence.i.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from . import isa
 from .isa import MASK64, sext
 from .mem import MemAccessError
+
+DEFAULT_MAX_INSTRET = 100_000_000  # retired instructions plus kernel-copied words
 
 
 class Trap(Exception):
@@ -173,7 +178,7 @@ class MachineState:
         self.exit_code = 0
         self.trap: Optional[BaseException] = None
         self.key = key
-        self.max_instret = None
+        self.max_instret = DEFAULT_MAX_INSTRET
         self.copy_words = 0
 
     def write_reg(self, rd, value, tag):
@@ -187,7 +192,7 @@ class MachineState:
         instructions and copied words share. A copy that, with the
         instruction making it, would overrun the budget raises
         BudgetExhausted before it starts."""
-        if self.max_instret is not None and self.instret + 1 + self.copy_words + words > self.max_instret:
+        if self.instret + 1 + self.copy_words + words > self.max_instret:
             raise BudgetExhausted(f"copy of {words} words at pc {self.pc:#x} overruns the budget")
         self.copy_words += words
 
@@ -378,19 +383,14 @@ _BUILDERS = {
 }
 
 
-# word -> (handler, mnemonic) for every legal word fetched so far (see the
-# module docstring)
-_MEMO = {}
-
-
+@functools.lru_cache(maxsize=1 << 16)
 def _entry(word):
-    """Decode word and memoize its entry; an illegal word traps."""
+    """The memo's (handler, mnemonic) for word; an illegal word traps."""
     dec = isa.decode(word)
     if dec is None:
         raise IllegalInstruction(f"illegal instruction {word:#010x}")
     mnem, _fmt, operands = dec
-    entry = _MEMO[word] = (_BUILDERS.get(word & 0x7F, _generic)((mnem, *operands)), mnem)
-    return entry
+    return _BUILDERS.get(word & 0x7F, _generic)((mnem, *operands)), mnem
 
 
 def step(st, mem, shim=None, oracle=None):
@@ -401,18 +401,14 @@ def step(st, mem, shim=None, oracle=None):
     pc = st.pc
     if pc & 3:
         raise MisalignedFetch(f"pc {pc:#x}")
-    word = mem.fetch(pc, st.key)
-    entry = _MEMO.get(word)
-    if entry is None:
-        entry = _entry(word)
-    handler, m = entry
+    handler, m = _entry(mem.fetch(pc, st.key))
     handler(st, mem, shim, oracle, pc)
     st.instret += 1
     hist = st.histogram
     hist[m] = hist.get(m, 0) + 1
 
 
-def run(st, mem, shim=None, oracle=None, max_instret=None):
+def run(st, mem, shim=None, oracle=None, max_instret=DEFAULT_MAX_INSTRET):
     """Run to completion. Returns a stop reason: "exit" (the program
     called exit), "budget" (max_instret spent on retired instructions and
     kernel-copied words), or "trap" with the exception recorded on
@@ -420,7 +416,7 @@ def run(st, mem, shim=None, oracle=None, max_instret=None):
     st.max_instret = max_instret
     try:
         while not st.halted:
-            if max_instret is not None and st.instret + st.copy_words >= max_instret:
+            if st.instret + st.copy_words >= max_instret:
                 return "budget"
             step(st, mem, shim, oracle)
     except BudgetExhausted:

@@ -22,7 +22,7 @@ Cipher Family, ToSC 2017, section 3), and only the key terms differ.
 The tweak schedule is linear too, so one packed table turns the tweak
 t0 into t1..t5 and L(t1)..L(t5) at once: 13 table applications per
 block, against 29 for one table per layer. The key-dependent terms come
-from a small bounded memo keyed by the key; the reflected key's M k0
+from an LRU cache of the last _KEY_MEMO_MAX keys; the reflected key's M k0
 is L applied to tau^-1 k0. CPython 3.11 on a 2 vCPU x86-64 box does one
 encrypt or decrypt in 10-12 microseconds, against about 30-36 for the
 one-table-per-layer form.
@@ -58,6 +58,7 @@ model, not a hardened implementation.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import NamedTuple
 
@@ -204,22 +205,19 @@ _T_TWEAK = _linear_table([_tweak_terms(1 << k) for k in range(64)])
 _UNPACK_TWEAK = struct.Struct("<10Q").unpack
 
 
-_TABLES = {}
-
-
+@functools.cache
 def _sigma_tables(sigma):
-    """Build the per-S-box tables (L.S, L^-1.S^-1, the reflector layer
-    L^-1.tau^-1.S^-1, S^-1), which serve both directions; sigma1's at
-    import, the others on first use."""
+    """The per-S-box tables (L.S, L^-1.S^-1, the reflector layer
+    L^-1.tau^-1.S^-1, S^-1), which serve both directions, built once
+    each: sigma1's at import, the others on first use."""
     sb = _byte_sbox(SIGMA[sigma])
     sbi = _byte_sbox(_inv(SIGMA[sigma]))
-    tabs = _TABLES[sigma] = (
+    return (
         _fuse(sb, _T_L),
         _fuse(sbi, _T_LI),
         _fuse(sbi, _T_CENTRE),
         tuple(tuple([s << (8 * j) for s in sbi]) for j in range(8)),
     )
-    return tabs
 
 
 _sigma_tables(1)
@@ -230,9 +228,6 @@ _sigma_tables(1)
 
 def _w1_of(w0):
     return (((w0 >> 1) | (w0 << 63)) ^ (w0 >> 63)) & MASK64
-
-
-_KEYS = {}
 
 
 def _circuit_consts(w0, w1, k0, k1):
@@ -250,22 +245,20 @@ def _circuit_consts(w0, w1, k0, k1):
     )
 
 
+@functools.lru_cache(maxsize=_KEY_MEMO_MAX)
 def _key_consts(key):
     """Key terms of the circuit for encryption, under (w0, w1, k0, k0), and
     for decryption, under the reflected key (w1, w0, k0 ^ alpha, M k0)
-    with M = L . tau^-1; memoized for the last _KEY_MEMO_MAX distinct keys."""
+    with M = L . tau^-1; an LRU cache keeps them for the last
+    _KEY_MEMO_MAX distinct keys."""
     w0, k0 = key
     w0 &= MASK64
     k0 &= MASK64
     w1 = _w1_of(w0)
-    consts = (
+    return (
         _circuit_consts(w0, w1, k0, k0),
         _circuit_consts(w1, w0, k0 ^ _ALPHA, _ap(_T_L, _ap(_T_TAUI, k0))),
     )
-    if len(_KEYS) >= _KEY_MEMO_MAX:
-        del _KEYS[next(iter(_KEYS))]
-    _KEYS[key] = consts
-    return consts
 
 
 # ---- block operations --------------------------------------------------------
@@ -318,8 +311,8 @@ def _block(key, tweak, x, sigma, memo, direction):
 
 def _cipher(key, tweak, x, sigma, direction):
     # direction 0 encrypts, 1 decrypts: the same circuit, other key terms.
-    ls, lis, centre, si = _TABLES.get(sigma) or _sigma_tables(sigma)
-    kin, kl1, kl2, kl3, kl4, kl5, k1, w0, kb4, kb3, kb2, kb1, kout = (_KEYS.get(key) or _key_consts(key))[direction]
+    ls, lis, centre, si = _sigma_tables(sigma)
+    kin, kl1, kl2, kl3, kl4, kl5, k1, w0, kb4, kb3, kb2, kb1, kout = _key_consts(key)[direction]
     t0 = tweak & MASK64
     t1, t2, t3, t4, t5, tl1, tl2, tl3, tl4, tl5 = _UNPACK_TWEAK(_ap(_T_TWEAK, t0).to_bytes(80, "little"))
 

@@ -172,17 +172,16 @@ class CacheModel:
 
 
 class MemorySystem:
-    def __init__(self, size=DRAM_SIZE, dcache=(32 * 1024, 8), tag_cache=(4 * 1024, 8), memo=None):
-        assert size % LINE == 0
+    def __init__(self, dcache=(32 * 1024, 8), tag_cache=(4 * 1024, 8), memo=None):
         self.base = DRAM_BASE
-        self.size = size
+        self.size = DRAM_SIZE
         # the blocks enciphered so far; MemorySystems replaying one run
         # may share it
         self.memo = BlockMemo() if memo is None else memo
 
-        self.dram = Plane(size)
-        self.tag_bits = Plane(size // 64)  # 1 bit per word = 1/64 of data
-        self.byte_oracle = Plane(size // 8)  # 1 bit per byte
+        self.dram = Plane(DRAM_SIZE)
+        self.tag_bits = Plane(DRAM_SIZE // 64)  # 1 bit per word = 1/64 of data
+        self.byte_oracle = Plane(DRAM_SIZE // 8)  # 1 bit per byte
         self.regions = set()  # DRAM regions reached: off >> REGION_SHIFT
 
         self.dcache = CacheModel(*dcache)

@@ -24,12 +24,10 @@ import json
 from typing import NamedTuple
 
 from . import asm, isa
-from .core import MachineState, run
+from .core import DEFAULT_MAX_INSTRET, MachineState, run
 from .crypt import BlockMemo, generate_master_key
 from .mem import MODELS, REGION_SHIFT, MemorySystem
 from .os_shim import OsShim
-
-DEFAULT_MAX_INSTRET = 100_000_000
 
 
 class ByteOracle:

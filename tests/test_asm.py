@@ -465,7 +465,7 @@ def _overlaps_pairwise(spans):
 @example([(0, 32), (4, 4), (12, 4)])  # under one that ends further
 @settings(max_examples=300, deadline=None)
 def test_load_image_rejects_exactly_the_pairwise_overlaps(shape):
-    mem = MemorySystem(size=128)
+    mem = MemorySystem()
     segments = [(mem.base + off, bytes([i + 1]) * n, "data") for i, (off, n) in enumerate(shape)]
     program = Program(segments, entry=mem.base)
     if _overlaps_pairwise([(b, b + len(d)) for b, d, _ in segments]):

@@ -24,7 +24,7 @@ from conch.core import (
 from conch.crypt import BlockMemo, derive_thread_key, generate_master_key
 from conch.mem import DRAM_BASE, DRAM_SIZE, MODELS, MemAccessError, MemorySystem, MisalignedAccess
 from conch.os_shim import SYS_GETRANDOM, SYS_OPENAT, SYS_READ, SYS_THREAD_SWITCH, SYS_WRITE, FileDesc, OsShim
-from conch.report import PRICE_FIELD, ByteOracle, CycleCosts, counts, price, simulate
+from conch.report import PRICE_FIELD, ByteOracle, CycleCosts, build_report, counts, emit_report, price, simulate
 
 from conftest import Instr, decoded, grid_words, odd_access_program
 
@@ -818,3 +818,58 @@ def test_dispatch_follows_a_store_into_text():
     mem.flush_and_sync(KEY)  # the store reaches DRAM and the icache refills
     step(stt, mem)
     assert stt.regs[6] == 7
+
+
+def test_dispatch_memo_is_bounded_and_rebuilds_an_evicted_word():
+    """The memo keeps the most recently fetched words; an evicted word is
+    decoded again on its next fetch, to the same mnemonic and behaviour."""
+    maxsize = core._entry.cache_info().maxsize
+    assert maxsize == 1 << 16
+    words = [isa.encode("lui", rd=5, imm=(i + 1) << 12) for i in range(maxsize + 1000)]
+    try:
+        first = core._entry(words[0])
+        for w in words:
+            core._entry(w)
+        info = core._entry.cache_info()
+        assert info.currsize == maxsize
+        again = core._entry(words[0])
+        assert core._entry.cache_info().misses == info.misses + 1  # evicted, so decoded again
+    finally:
+        core._entry.cache_clear()
+    assert again is not first and again[1] == first[1] == "lui"
+    effects = []
+    for handler, _ in (first, again):
+        stt = MachineState(pc=DRAM_BASE)
+        stt.reg_tags[5] = 1
+        handler(stt, None, None, None, DRAM_BASE)
+        effects.append((stt.regs[5], stt.reg_tags[5], stt.pc))
+    assert effects == [(0x1000, 0, DRAM_BASE + 4)] * 2
+
+
+# Each pass adds 0x1000 to the lui word at slot, stores it into text and
+# switches threads, whose flush makes the icache fetch the new word: one
+# new dispatch memo entry per 8 instructions.
+SELF_REWRITING = """
+.org 0x80000000
+la s0, slot
+lw s1, 0(s0)
+li s2, 0x1000
+loop: add s1, s1, s2
+sw s1, 0(s0)
+li a0, 0
+li a7, 5000
+ecall
+slot: lui t0, 0
+j loop
+"""
+
+
+def test_self_rewriting_guest_reads_the_same_with_a_cold_memo():
+    reports = []
+    for _ in range(2):
+        res = simulate(SELF_REWRITING, max_instret=100_000)
+        assert res.stop == "budget"
+        assert core._entry.cache_info().currsize >= 100_000 // 8
+        reports.append(emit_report(build_report({"baseline": res}, seed=0)))
+        core._entry.cache_clear()
+    assert reports[0] == reports[1]

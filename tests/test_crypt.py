@@ -441,16 +441,17 @@ def test_matches_reference_many_keys(seed, sigma):
 def test_key_memo_is_bounded():
     for i in range(10_000):
         qarma_encrypt(Key128(i, ~i & MASK64), i, i)
-    assert len(crypt._KEYS) <= crypt._KEY_MEMO_MAX
-    assert len(crypt._KEYS) == crypt._KEY_MEMO_MAX
+    info = crypt._key_consts.cache_info()
+    assert info.maxsize == crypt._KEY_MEMO_MAX
+    assert info.currsize == crypt._KEY_MEMO_MAX
 
 
 def test_import_builds_only_the_default_sbox_tables():
     pkg_root = str(Path(conch.__file__).resolve().parents[1])
-    probe = "import sys; sys.path.insert(0, sys.argv[1]); import conch.crypt as c; print(sorted(c._TABLES))"
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import conch.crypt as c; print(c._sigma_tables.cache_info().currsize)"
     proc = subprocess.run([sys.executable, "-c", probe, pkg_root], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[1]"
+    assert proc.stdout.strip() == "1"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -410,7 +410,9 @@ def _oracle_set_per_byte(oracle, bi, length, on):
             oracle[idx >> 3] &= ~(1 << (idx & 7)) & 0xFF
 
 
-ORACLE_SPAN = 256  # bytes of DRAM under test: 32 oracle bytes
+# bytes of DRAM under test: 32 oracle bytes. The tests compare these and
+# the 32 oracle bytes after them, which must stay clear.
+ORACLE_SPAN = 256
 
 
 @given(
@@ -431,12 +433,12 @@ ORACLE_SPAN = 256  # bytes of DRAM under test: 32 oracle bytes
 @settings(max_examples=300, deadline=None)
 def test_oracle_set_matches_per_byte_rule(initial, offset, length, on):
     length = min(length, ORACLE_SPAN - offset)
-    mem = MemorySystem(size=ORACLE_SPAN)
-    mem.byte_oracle[:] = initial
-    expected = bytearray(initial)
+    mem = MemorySystem()
+    mem.byte_oracle[: len(initial)] = initial
+    expected = bytearray(initial) + bytes(ORACLE_SPAN // 8)
     _oracle_set_per_byte(expected, offset, length, on)
     mem._oracle_set(mem.base + offset, length, on)
-    assert bytes(mem.byte_oracle) == bytes(expected)
+    assert mem.byte_oracle[: len(expected)] == expected
 
 
 def _oracle_update_per_byte(oracle, bi, width, taints):
@@ -468,13 +470,13 @@ def _oracle_bits_per_byte(oracle, bi, width):
 )
 @settings(max_examples=50, deadline=None)
 def test_oracle_update_matches_per_byte_rule(width, initial, slot, taints):
-    mem = MemorySystem(size=ORACLE_SPAN)
+    mem = MemorySystem()
     for offset in range(8 * slot, 8 * slot + 8, width):  # every aligned offset in the word
-        mem.byte_oracle[:] = initial
-        expected = bytearray(initial)
+        mem.byte_oracle[: len(initial)] = initial
+        expected = bytearray(initial) + bytes(ORACLE_SPAN // 8)
         _oracle_update_per_byte(expected, offset, width, taints)
         mem._oracle_update(mem.base + offset, width, taints)
-        assert bytes(mem.byte_oracle) == bytes(expected)
+        assert mem.byte_oracle[: len(expected)] == expected
 
 
 @given(
@@ -487,8 +489,8 @@ def test_oracle_update_matches_per_byte_rule(width, initial, slot, taints):
 @settings(max_examples=300, deadline=None)
 def test_oracle_bits_for_matches_per_byte_rule(initial, offset, width):
     width = min(width, ORACLE_SPAN - offset)
-    mem = MemorySystem(size=ORACLE_SPAN)
-    mem.byte_oracle[:] = initial
+    mem = MemorySystem()
+    mem.byte_oracle[: len(initial)] = initial
     assert mem.oracle_bits_for(mem.base + offset, width) == _oracle_bits_per_byte(initial, offset, width)
 
 

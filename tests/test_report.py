@@ -398,13 +398,13 @@ def _counted_price(r):
 STOP_PROGRAMS = {
     # the trapping ebreak's fetch fills one line: one DRAM data access,
     # and in models A and B one DRAM tag access
-    "ebreak": (".org 0x80000000\nebreak\n", None, "trap", {"baseline": 60, "a": 120, "b": 120}),
+    "ebreak": (".org 0x80000000\nebreak\n", {}, "trap", {"baseline": 60, "a": 120, "b": 120}),
     # la and li retire (3 alu); openat loads 4 path bytes
     # before the fifth overruns the budget of 8. The text line and the
     # path's line both fill; model B's second tag lookup hits.
     "openat_budget": (
         ".org 0x80000000\nla a1, path\nli a7, 56\necall\n.org 0x80000800\npath:\n.asciz \"abcdefgh\"\n",
-        8,
+        {"max_instret": 8},
         "budget",
         {"baseline": 131, "a": 251, "b": 192},
     ),
@@ -414,7 +414,7 @@ STOP_PROGRAMS = {
 @pytest.mark.parametrize("name", sorted(STOP_PROGRAMS))
 def test_stopped_runs_price_their_partial_work(name):
     source, budget, stop, expected = STOP_PROGRAMS[name]
-    results = run_models(source, seed=0, max_instret=budget)
+    results = run_models(source, seed=0, **budget)
     assert {r.stop for r in results.values()} == {stop}
     assert {m: r.cycles for m, r in results.items()} == {m: _counted_price(r) for m, r in results.items()}
     assert build_report(results, seed=0)["cycles"] == {
