@@ -2,15 +2,4 @@
 taint propagation, and transparent tweakable-cipher encryption of tagged
 words at the cache-DRAM boundary."""
 
-from .crypt import Key128, qarma_encrypt, qarma_decrypt, generate_master_key, derive_thread_key
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Key128",
-    "qarma_encrypt",
-    "qarma_decrypt",
-    "generate_master_key",
-    "derive_thread_key",
-    "__version__",
-]

@@ -21,7 +21,7 @@ from . import asm, isa
 from .asm import AsmError, SegmentOutOfBounds
 from .core import DEFAULT_MAX_INSTRET
 from .mem import DRAM_BASE, DRAM_SIZE
-from .report import build_report, emit_report, run_models, simulate
+from .report import CycleCosts, build_report, emit_report, run_models, simulate
 
 EXIT_OK = 0
 EXIT_ASM = 2
@@ -281,7 +281,7 @@ def _run_arguments(p):
     p.add_argument("--models", default="baseline,a,b", help="comma-separated subset of baseline,a,b")
     p.add_argument("--report", metavar="PATH", help="also write the JSON report here")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--dram-latency", type=int, default=60)
+    p.add_argument("--dram-latency", type=int, default=CycleCosts().dram_access_latency)
     _add_run_options(p)
     p.set_defaults(fn=cmd_run)
 

@@ -408,12 +408,12 @@ def step(st, mem, shim=None, oracle=None):
     hist[m] = hist.get(m, 0) + 1
 
 
-def run(st, mem, shim=None, oracle=None, max_instret=DEFAULT_MAX_INSTRET):
+def run(st, mem, shim=None, oracle=None):
     """Run to completion. Returns a stop reason: "exit" (the program
-    called exit), "budget" (max_instret spent on retired instructions and
-    kernel-copied words), or "trap" with the exception recorded on
+    called exit), "budget" (st.max_instret spent on retired instructions
+    and kernel-copied words), or "trap" with the exception recorded on
     st.trap."""
-    st.max_instret = max_instret
+    max_instret = st.max_instret
     try:
         while not st.halted:
             if st.instret + st.copy_words >= max_instret:

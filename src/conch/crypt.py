@@ -41,12 +41,13 @@ A BlockMemo holds the (key, tweak, plaintext) <-> ciphertext pairs the
 circuit computed, both ways. One memoized path serves both directions,
 so a block requested again, or the inverse of a block computed in the
 other direction, is a dict lookup. The memory engine makes one per
-simulated run (run_models shares one across its cycle models, which
-replay the same functional run). A hit is exact: QARMA is a permutation
-for each (key, tweak), and a pair exists only if the circuit computed
-it, so a ciphertext read under another key than it was written with
-finds no pair and runs the real circuit. The memo stops taking pairs at
-MEMO_MAX_PAIRS; it never evicts.
+simulated run, which derives its thread keys through it too (run_models
+shares one across its cycle models, which replay the same functional
+run). A hit is exact: QARMA is a permutation for each (key, tweak), and
+a pair exists only if the circuit computed it, so a ciphertext read
+under another key than it was written with finds no pair and runs the
+real circuit. The memo stops taking pairs at MEMO_MAX_PAIRS; it never
+evicts.
 
 Keys are 128 bits, split into a whitening half w0 and a core half k0. The
 second whitening key w1 is derived as ror64(w0, 1) xor (w0 >> 63) and the
@@ -64,9 +65,9 @@ from typing import NamedTuple
 
 MASK64 = (1 << 64) - 1
 
-# Inner S-boxes. sigma1 is the default used by the memory engine; sigma0
-# and sigma2 exist so the published vectors for all three variants can be
-# checked. sigma0 and sigma1 are involutions, sigma2 is not.
+# Inner S-boxes. The engine uses sigma1; _cipher takes any, so the
+# published vectors of all three variants can be checked. sigma0 and
+# sigma1 are involutions, sigma2 is not.
 SIGMA = (
     (0x0, 0xE, 0x2, 0xA, 0x9, 0xF, 0x8, 0xB, 0x6, 0x4, 0x3, 0x7, 0xD, 0xC, 0x1, 0x5),
     (0xA, 0xD, 0xE, 0x6, 0xF, 0x7, 0x3, 0x5, 0x9, 0x8, 0x0, 0xC, 0xB, 0x1, 0x2, 0x4),
@@ -265,10 +266,10 @@ def _key_consts(key):
 
 
 class BlockMemo:
-    """The blocks one run has enciphered under sigma1. keys maps a key to
-    a pair of dicts: enc maps tweak << 64 | plaintext to the ciphertext,
-    dec maps tweak << 64 | ciphertext to the plaintext. size counts the
-    pairs; each is in both dicts."""
+    """The blocks one run has enciphered. keys maps a key to a pair of
+    dicts: enc maps tweak << 64 | plaintext to the ciphertext, dec maps
+    tweak << 64 | ciphertext to the plaintext. size counts the pairs;
+    each is in both dicts."""
 
     __slots__ = ("keys", "size")
 
@@ -277,23 +278,23 @@ class BlockMemo:
         self.size = 0
 
 
-def qarma_encrypt(key, tweak, plaintext, sigma=1, memo=None):
-    """Encrypt one 64-bit block under (key, tweak). Total function; inputs
-    are masked to 64 bits. With a BlockMemo, a pair it holds is looked
-    up and a computed one is added."""
-    return _block(key, tweak, plaintext, sigma, memo, 0)
+def qarma_encrypt(key, tweak, plaintext, memo=None):
+    """Encrypt one 64-bit block under (key, tweak) with sigma1. Total
+    function; inputs are masked to 64 bits. With a BlockMemo, a pair it
+    holds is looked up and a computed one is added."""
+    return _block(key, tweak, plaintext, memo, 0)
 
 
-def qarma_decrypt(key, tweak, ciphertext, sigma=1, memo=None):
+def qarma_decrypt(key, tweak, ciphertext, memo=None):
     """Exact inverse of qarma_encrypt, memo included."""
-    return _block(key, tweak, ciphertext, sigma, memo, 1)
+    return _block(key, tweak, ciphertext, memo, 1)
 
 
-def _block(key, tweak, x, sigma, memo, direction):
+def _block(key, tweak, x, memo, direction):
     # The memoized path of both directions: a computed pair is stored
     # both ways, so either direction answers a later call of the other.
-    if memo is None or sigma != 1:
-        return _cipher(key, tweak, x, sigma, direction)
+    if memo is None:
+        return _cipher(key, tweak, x, 1, direction)
     tweak, x = tweak & MASK64, x & MASK64
     pairs = memo.keys.get(key)
     if pairs is not None:
@@ -349,11 +350,12 @@ def generate_master_key(seed):
     return Key128(w0, k0)
 
 
-def derive_thread_key(master, tid):
+def derive_thread_key(master, tid, memo=None):
     """Per-thread key: two cipher calls under the master key with the
-    thread id as tweak and fixed distinct plaintext constants."""
+    thread id as tweak and fixed distinct plaintext constants, through
+    memo if one is given."""
     if tid < 0:
         raise ValueError("tid must be non-negative")
-    w0 = qarma_encrypt(master, tid, 0xA5A5A5A5A5A5A5A5)
-    k0 = qarma_encrypt(master, tid, 0x5A5A5A5A5A5A5A5A)
+    w0 = qarma_encrypt(master, tid, 0xA5A5A5A5A5A5A5A5, memo=memo)
+    k0 = qarma_encrypt(master, tid, 0x5A5A5A5A5A5A5A5A, memo=memo)
     return Key128(w0, k0)

@@ -13,11 +13,11 @@ one instruction (see MachineState.charge_copy), so no single ecall can do
 unbounded host work.
 
 The filesystem is a dict of virtual paths to bytes. Thread keys are
-derived lazily from the master key and cached in thread_keys, which
-run_models shares across its models (they have one master key), so each
-key is derived once per call. Switching threads flushes all dirty state
-under the outgoing key first, so nothing of thread A rests in DRAM under
-thread B's key.
+derived lazily from the master key, through the run's block memo, and
+cached in thread_keys. The models of one run_models call share that
+memo, so each key's two cipher blocks reach the circuit once per call.
+Switching threads flushes all dirty state under the outgoing key first,
+so nothing of thread A rests in DRAM under thread B's key.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ class FileDesc:
 
 
 class OsShim:
-    def __init__(self, master_key, seed=0, fs=None, strict_write=False, thread_keys=None):
+    def __init__(self, master_key, seed=0, fs=None, strict_write=False):
         self.master_key = master_key
         self.fs = {} if fs is None else fs
         self.strict_write = strict_write
-        self.thread_keys = {} if thread_keys is None else thread_keys
+        self.thread_keys = {}
         self.fds = {}
         self.next_fd = 3
         self.stdout = bytearray()
@@ -76,10 +76,11 @@ class OsShim:
         self.leak_averted_bytes = 0
         self.prng = random.Random(seed)
 
-    def key_for(self, tid):
+    def key_for(self, tid, memo=None):
+        """Thread tid's key, derived through memo on first use."""
         key = self.thread_keys.get(tid)
         if key is None:
-            key = derive_thread_key(self.master_key, tid)
+            key = derive_thread_key(self.master_key, tid, memo)
             self.thread_keys[tid] = key
         return key
 
@@ -216,5 +217,5 @@ class OsShim:
         if tid >= 1 << 16:
             return -EINVAL
         mem.flush_and_sync(st.key)
-        st.key = self.key_for(tid)
+        st.key = self.key_for(tid, mem.memo)
         return 0

@@ -226,29 +226,29 @@ def simulate(
     program=None,
     model="baseline",
     seed=0,
-    dram_latency=60,
+    dram_latency=CycleCosts().dram_access_latency,
     max_instret=DEFAULT_MAX_INSTRET,
     strict_write=False,
     fs=None,
     with_oracle=True,
     memo=None,
-    thread_keys=None,
 ):
     """Assemble (if needed), load, and run one program, then price its
     counts under one cycle model. The final flush under the active key is
     part of the run, so DRAM ends at rest. dram_latency is the price of
-    one DRAM access. memo is the crypt.BlockMemo the run enciphers
-    through, and thread_keys the dict of tid -> key the OS shim derives
-    into (for this seed's master key); by default fresh ones."""
+    one DRAM access, and max_instret the budget run reads from st. memo
+    is the crypt.BlockMemo the run enciphers and derives its thread keys
+    through; by default a fresh one."""
     if program is None:
         program = asm.assemble(source)
     mem = MemorySystem(memo=memo)
     st = MachineState()
+    st.max_instret = max_instret
     asm.load_image(program, mem, st)
     master = generate_master_key(seed)
-    shim = OsShim(master, seed=seed, fs=dict(fs or {}), strict_write=strict_write, thread_keys=thread_keys)
-    st.key = shim.key_for(0)
-    stop = run(st, mem, shim, ByteOracle() if with_oracle else None, max_instret)
+    shim = OsShim(master, seed=seed, fs=dict(fs or {}), strict_write=strict_write)
+    st.key = shim.key_for(0, mem.memo)
+    stop = run(st, mem, shim, ByteOracle() if with_oracle else None)
     # read before the final flush drops the icache; DRAM may hold a newer word
     trap_word = mem.icache_word(st.pc) if stop == "trap" and not st.pc & 3 else None
     mem.flush_and_sync(st.key)
@@ -260,20 +260,20 @@ def run_models(source=None, *, program=None, models=MODELS, **kw):
     """Run the same program once per requested model and cross-check that
     the runs agree on everything architectural. Returns {model: SimResult}
     in the canonical baseline/a/b order. The runs replay one functional
-    run and differ only in pricing, so they share one fresh crypt.BlockMemo
-    and one dict of thread keys: each block is enciphered and each key
-    derived once per call, not once per model. An unknown or empty list
-    of models raises ValueError before anything is assembled."""
+    run and differ only in pricing, so they share one fresh
+    crypt.BlockMemo: each block, thread-key derivations included, reaches
+    the circuit once per call, not once per model. An unknown or empty
+    list of models raises ValueError before anything is assembled."""
     for m in models or ("",):  # an empty list is refused as model ''
         if m not in MODELS:
             raise ValueError(f"unknown model {m!r} (choose from {', '.join(MODELS)})")
     if program is None:
         program = asm.assemble(source)
-    memo, thread_keys = BlockMemo(), {}
+    memo = BlockMemo()
     results = {}
     for model in MODELS:
         if model in models:
-            results[model] = simulate(program=program, model=model, memo=memo, thread_keys=thread_keys, **kw)
+            results[model] = simulate(program=program, model=model, memo=memo, **kw)
     vals = list(results.values())
     first = vals[0]
     for other in vals[1:]:

@@ -9,12 +9,18 @@ import random
 from typing import NamedTuple
 
 import pytest
+from hypothesis import Phase, settings
 
 from conch import isa
 from conch.cli import read_source
 from conch.crypt import qarma_decrypt, qarma_encrypt
 from conch.isa import MASK64
 from conch.mem import REGION_SHIFT, MemorySystem
+
+# tests/mutants.py runs its tests under this profile: a property test that
+# fails on a planted defect reports its first failing example, unshrunk,
+# and leaves nothing in the example database
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate), database=None)
 
 
 class Instr(NamedTuple):

@@ -124,7 +124,19 @@ def test_run_model_subset_and_bad_model(tmp_path, capsys):
     code, report = run_json(capsys, ["run", src, "--models", "baseline"])
     assert code == EXIT_OK
     assert report["cycles"]["model_a"] is None
-    assert main(["run", src, "--models", "fast"]) == EXIT_ASM
+    assert main(["run", src, "--models", "z"]) == EXIT_ASM
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("conch: unknown model 'z'")
+
+
+def test_dram_latency_changes_only_cycles_and_overhead(tmp_path, capsys):
+    src = write(tmp_path, "threads.s", demo_source("threads"))
+    _, default = run_json(capsys, ["run", src, "--seed", "3"])
+    _, free = run_json(capsys, ["run", src, "--seed", "3", "--dram-latency", "0"])
+    priced = [{k: r.pop(k) for k in ("cycles", "overhead")} for r in (default, free)]
+    assert default == free
+    assert all(priced[0]["cycles"][m] > priced[1]["cycles"][m] for m in priced[0]["cycles"])
 
 
 def test_run_report_file_matches_stdout(tmp_path, capsys):
@@ -519,7 +531,7 @@ def test_dump_bad_range(tmp_path, capsys):
     assert main(["dump", src, "--range", "123"]) == EXIT_ASM
 
 
-@pytest.mark.parametrize("span", ["0:16", "0x80000000:-8"])
+@pytest.mark.parametrize("span", ["0:16", "0x80000000:-8", "0x83fffff8:16"])
 def test_dump_range_outside_dram(tmp_path, capsys, span):
     src = write(tmp_path, "p.s", EXIT_PROG)
     assert main(["dump", src, "--range", span]) == EXIT_ASM
@@ -690,6 +702,11 @@ def _parse_exit(parse, argv, capsys):
 @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=" ".join)
 def test_lean_parse_matches_full_parser(argv):
     assert cli.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def test_help_lists_every_command(capsys):
+    code, out, _ = _parse_exit(main, ["-h"], capsys)
+    assert code == 0 and "{asm,run,dump,demo}" in out
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))

@@ -384,13 +384,23 @@ def test_ecall_without_shim_traps():
 def test_run_budget():
     jal_self = isa.encode("jal")
     stt, mem = make_machine([jal_self])
-    assert run(stt, mem, max_instret=50) == "budget"
+    stt.max_instret = 50
+    assert run(stt, mem) == "budget"
     assert stt.instret == 50
+
+
+def test_run_budget_stops_a_program_before_its_end():
+    # the budget, not the ebreak, ends this run
+    stt, mem = make_machine([0x13, 0x13, 0x13, isa.encode("ebreak")])
+    stt.max_instret = 2
+    assert run(stt, mem) == "budget"
+    assert stt.instret == 2 and not stt.halted
 
 
 def test_histogram_counts():
     stt, mem = make_machine([0x13, 0x13, isa.encode("jal", imm=-8)])
-    run(stt, mem, max_instret=9)
+    stt.max_instret = 9
+    run(stt, mem)
     assert stt.histogram["addi"] == 6
     assert stt.histogram["jal"] == 3
 

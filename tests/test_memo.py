@@ -1,12 +1,12 @@
 """The per-run block memo (crypt.BlockMemo): the cycle models of one
 run_models call share it, so each (key, tweak, block) is enciphered
-once per call; they share the derived thread keys the same way. It must change nothing a run reports or leaves behind:
-every check here compares against runs without it or against the bare
-circuit."""
+once per call, the blocks that derive thread keys included. It must
+change nothing a run reports or leaves behind: every check here
+compares against runs without it or against the bare circuit."""
 
 import pytest
 
-from conch import asm, crypt, os_shim
+from conch import asm, crypt
 from conch.crypt import BlockMemo, qarma_decrypt, qarma_encrypt
 from conch.isa import MASK64
 from conch.mem import DRAM_BASE
@@ -34,14 +34,16 @@ def _outcome(r):
 
 @pytest.fixture
 def circuit_calls(monkeypatch):
-    """(key, tweak, block) of every memory-engine call that reaches the
-    circuit, by direction; thread-key derivation (tweak = tid) is left
-    out."""
-    calls = {"enc": [], "dec": []}
+    """(key, tweak, block) of every call that reaches the circuit: the
+    memory engine's by direction, and thread-key derivations (tweak =
+    tid, below DRAM) under "key"."""
+    calls = {"enc": [], "dec": [], "key": []}
     circuit = crypt._cipher
 
     def counting(key, tweak, block, sigma, direction):
-        if tweak >= DRAM_BASE:
+        if tweak < DRAM_BASE:
+            calls["key"].append((key, tweak, block))
+        else:
             calls["dec" if direction else "enc"].append((key, tweak, block))
         return circuit(key, tweak, block, sigma, direction)
 
@@ -105,23 +107,18 @@ def test_models_of_one_call_share_one_memo(circuit_calls):
     assert fused == len(circuit_calls["enc"]) + len(circuit_calls["dec"]) > 0
 
 
-def test_models_of_one_call_derive_each_thread_key_once(monkeypatch):
-    # criterion 8's program switches from thread 0 to thread 1 and back
-    derived = []
-
-    def counting(master, tid):
-        derived.append(tid)
-        return crypt.derive_thread_key(master, tid)
-
-    monkeypatch.setattr(os_shim, "derive_thread_key", counting)
+def test_models_of_one_call_derive_each_thread_key_once(circuit_calls):
+    # criterion 8's program switches from thread 0 to thread 1 and back:
+    # two keys of two blocks each, derived through the shared memo
     program = asm.assemble(SWITCHBACK_PROG)
     for _ in range(2):  # the next call derives its keys afresh
-        derived.clear()
+        circuit_calls["key"].clear()
         results = run_models(program=program, seed=0)
-        assert sorted(derived) == [0, 1]
-        assert len({id(r.shim.thread_keys) for r in results.values()}) == 1
-    master = results["b"].shim.master_key
-    assert results["b"].shim.thread_keys == {tid: crypt.derive_thread_key(master, tid) for tid in (0, 1)}
+        master = results["b"].shim.master_key
+        blocks = [(master, tid, p) for tid in (0, 1) for p in (0xA5A5A5A5A5A5A5A5, 0x5A5A5A5A5A5A5A5A)]
+        assert sorted(circuit_calls["key"]) == sorted(blocks)
+    for r in results.values():
+        assert r.shim.thread_keys == {tid: crypt.derive_thread_key(master, tid) for tid in (0, 1)}
 
 
 @pytest.mark.parametrize("run", [run_models, simulate], ids=["run_models", "simulate"])
@@ -136,7 +133,8 @@ def test_each_call_starts_with_an_empty_memo(run, circuit_calls):
         counts.append((len(circuit_calls["enc"]), len(circuit_calls["dec"])))
     assert counts[0] == counts[1] and sum(counts[0]) > 0
     memos = res.values() if isinstance(res, dict) else [res]
-    assert all(len(_pairs(r.mem.memo)[0]) == sum(counts[1]) for r in memos)
+    # the memo also holds the two blocks that derive each thread key
+    assert all(len(_pairs(r.mem.memo)[0]) == sum(counts[1]) + 2 * len(r.shim.thread_keys) for r in memos)
 
 
 def test_wrong_key_fill_reaches_the_circuit(circuit_calls):
@@ -162,8 +160,6 @@ def test_memo_is_exact_per_key_and_tweak(circuit_calls):
     # same ciphertext under another key or tweak is a different block
     assert qarma_decrypt(key_b, 0x8000_0008, c, memo=memo) == qarma_decrypt(key_b, 0x8000_0008, c)
     assert qarma_decrypt(key_a, 0x8000_0010, c, memo=memo) == qarma_decrypt(key_a, 0x8000_0010, c)
-    # other S-boxes bypass the memo
-    assert qarma_encrypt(key_a, 0x8000_0008, 1, sigma=2, memo=memo) == qarma_encrypt(key_a, 0x8000_0008, 1, sigma=2)
     enc, dec = _pairs(memo)
     assert len(enc) == len(dec) == memo.size == 3
     # a block first computed by decryption answers the encryption of its
