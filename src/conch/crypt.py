@@ -34,8 +34,8 @@ vectors; L's come from one column of M each, and L^-1 = tau^-1 . L . tau^-1
 L's and tau^-1's tables. The tweak table iterates a one-round tweak table.
 Row j of an S-box layer has only byte j set, so entry b of a fused table
 is the one lookup lin[j][S(b)]. Importing the module builds the linear
-tables and sigma1's (sigma0's and sigma2's on first use) in about 3 ms on
-the box above, and takes about 10 ms in all with cached bytecode.
+tables and the S-box's in about 3 ms on the box above, and takes about
+10 ms in all with cached bytecode.
 
 A BlockMemo holds the (key, tweak, plaintext) <-> ciphertext pairs the
 circuit computed, both ways. One memoized path serves both directions,
@@ -65,14 +65,8 @@ from typing import NamedTuple
 
 MASK64 = (1 << 64) - 1
 
-# Inner S-boxes. The engine uses sigma1; _cipher takes any, so the
-# published vectors of all three variants can be checked. sigma0 and
-# sigma1 are involutions, sigma2 is not.
-SIGMA = (
-    (0x0, 0xE, 0x2, 0xA, 0x9, 0xF, 0x8, 0xB, 0x6, 0x4, 0x3, 0x7, 0xD, 0xC, 0x1, 0x5),
-    (0xA, 0xD, 0xE, 0x6, 0xF, 0x7, 0x3, 0x5, 0x9, 0x8, 0x0, 0xC, 0xB, 0x1, 0x2, 0x4),
-    (0xB, 0x6, 0x8, 0xF, 0xC, 0x0, 0x9, 0xE, 0x3, 0x7, 0x4, 0x5, 0xD, 0x2, 0x1, 0xA),
-)
+# The inner S-box, sigma1 of the three QARMA-64 variants: an involution.
+SIGMA = (0xA, 0xD, 0xE, 0x6, 0xF, 0x7, 0x3, 0x5, 0x9, 0x8, 0x0, 0xC, 0xB, 0x1, 0x2, 0x4)
 
 # Cell shuffle (gather: out[i] = in[TAU[i]]) and the tweak cell shuffle.
 _TAU = (0, 11, 6, 13, 10, 1, 12, 7, 5, 14, 3, 8, 15, 4, 9, 2)
@@ -206,22 +200,13 @@ _T_TWEAK = _linear_table([_tweak_terms(1 << k) for k in range(64)])
 _UNPACK_TWEAK = struct.Struct("<10Q").unpack
 
 
-@functools.cache
-def _sigma_tables(sigma):
-    """The per-S-box tables (L.S, L^-1.S^-1, the reflector layer
-    L^-1.tau^-1.S^-1, S^-1), which serve both directions, built once
-    each: sigma1's at import, the others on first use."""
-    sb = _byte_sbox(SIGMA[sigma])
-    sbi = _byte_sbox(_inv(SIGMA[sigma]))
-    return (
-        _fuse(sb, _T_L),
-        _fuse(sbi, _T_LI),
-        _fuse(sbi, _T_CENTRE),
-        tuple(tuple([s << (8 * j) for s in sbi]) for j in range(8)),
-    )
-
-
-_sigma_tables(1)
+# The S-box tables, which serve both directions: L.S, L^-1.S^-1, the
+# reflector layer L^-1.tau^-1.S^-1, and S^-1.
+_SBI = _byte_sbox(_inv(SIGMA))
+_T_LS = _fuse(_byte_sbox(SIGMA), _T_L)
+_T_LISI = _fuse(_SBI, _T_LI)
+_T_CENTRE_SI = _fuse(_SBI, _T_CENTRE)
+_T_SI = tuple(tuple([s << (8 * j) for s in _SBI]) for j in range(8))
 
 
 # ---- per-key round constants ------------------------------------------------
@@ -294,14 +279,14 @@ def _block(key, tweak, x, memo, direction):
     # The memoized path of both directions: a computed pair is stored
     # both ways, so either direction answers a later call of the other.
     if memo is None:
-        return _cipher(key, tweak, x, 1, direction)
+        return _cipher(key, tweak, x, direction)
     tweak, x = tweak & MASK64, x & MASK64
     pairs = memo.keys.get(key)
     if pairs is not None:
         y = pairs[direction].get(tweak << 64 | x)
         if y is not None:
             return y
-    y = _cipher(key, tweak, x, 1, direction)
+    y = _cipher(key, tweak, x, direction)
     if memo.size < MEMO_MAX_PAIRS:
         pairs = memo.keys.setdefault(key, ({}, {}))
         pairs[direction][tweak << 64 | x] = y
@@ -310,9 +295,9 @@ def _block(key, tweak, x, memo, direction):
     return y
 
 
-def _cipher(key, tweak, x, sigma, direction):
+def _cipher(key, tweak, x, direction):
     # direction 0 encrypts, 1 decrypts: the same circuit, other key terms.
-    ls, lis, centre, si = _sigma_tables(sigma)
+    ls, lis, centre, si = _T_LS, _T_LISI, _T_CENTRE_SI, _T_SI
     kin, kl1, kl2, kl3, kl4, kl5, k1, w0, kb4, kb3, kb2, kb1, kout = _key_consts(key)[direction]
     t0 = tweak & MASK64
     t1, t2, t3, t4, t5, tl1, tl2, tl3, tl4, tl5 = _UNPACK_TWEAK(_ap(_T_TWEAK, t0).to_bytes(80, "little"))

@@ -38,17 +38,19 @@ MisalignedAccess, which the interpreter turns into a trap), so a data
 access always lies inside one 8-byte word and one cache line: it reads or
 writes one tag bit and one oracle byte.
 
-DRAM, the tag bitmap and the byte oracle are Planes: anonymous private
-mappings that read as zero and that the OS commits one page at a time on
-first write, so a run pays only for the memory its program touches.
+DRAM, the tag bitmap and the byte oracle are planes: bare anonymous
+private mappings (which compare by identity) that read as zero and that
+the OS commits one page at a time on first write, so a run pays only for
+the memory its program touches.
 
 Bookkeeping scales with that footprint too, not with DRAM size or cache
 geometry. MemorySystem.regions holds the indices (offset >> REGION_SHIFT)
 of the 32 KiB DRAM regions the run has reached; one region is 512 B of
 the tag plane and 4 KiB of the oracle plane. A region is recorded in
-_fill, which every access goes through to reach a line. So every nonzero
-byte of tag_bits and byte_oracle lies in a recorded region, and the
-over-tagging statistics scan only those, each over its tagged span.
+_fill, which every access goes through to reach a line. So every plane
+write after image loading lands in a recorded region: two memories that
+loaded one image differ only there, and the over-tagging statistics scan
+only those regions, each over its tagged span.
 Likewise CacheModel.sets holds only the non-empty sets (a set fills only
 through CacheModel.insert), so a flush walks only resident lines.
 
@@ -95,22 +97,11 @@ class SoundnessViolation(AssertionError):
     oracle: an oracle-tainted word untagged. Must never happen."""
 
 
-class Plane(mmap.mmap):
-    """A zero-filled byte array of fixed size, committed lazily by the OS.
-    Unlike a bare mmap, == compares contents, not identity."""
-
-    def __new__(cls, size):
-        # private: a page that is only read maps the zero page; the
-        # default MAP_SHARED would commit a page on its first read too
-        return super().__new__(cls, -1, size, flags=mmap.MAP_PRIVATE)
-
-    def __eq__(self, other):
-        if not isinstance(other, (bytes, bytearray, mmap.mmap)):
-            return NotImplemented
-        step = 1 << 20
-        return len(self) == len(other) and all(
-            self[i : i + step] == other[i : i + step] for i in range(0, len(self), step)
-        )
+def _plane(size):
+    """A zero-filled byte array of fixed size, committed lazily by the OS."""
+    # private: a page that is only read maps the zero page; the default
+    # MAP_SHARED would commit a page on its first read too
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
 
 class _Line:
@@ -179,9 +170,9 @@ class MemorySystem:
         # may share it
         self.memo = BlockMemo() if memo is None else memo
 
-        self.dram = Plane(DRAM_SIZE)
-        self.tag_bits = Plane(DRAM_SIZE // 64)  # 1 bit per word = 1/64 of data
-        self.byte_oracle = Plane(DRAM_SIZE // 8)  # 1 bit per byte
+        self.dram = _plane(DRAM_SIZE)
+        self.tag_bits = _plane(DRAM_SIZE // 64)  # 1 bit per word = 1/64 of data
+        self.byte_oracle = _plane(DRAM_SIZE // 8)  # 1 bit per byte
         self.regions = set()  # DRAM regions reached: off >> REGION_SHIFT
 
         self.dcache = CacheModel(*dcache)

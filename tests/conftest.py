@@ -2,8 +2,9 @@
 by the semantics-preservation and soundness suites. Each entry is
 (name, source, fs, expected_exit); expected_exit None means "don't care,
 but it must exit cleanly". Also the uncached reference memory that the
-cached hierarchy is checked against. And Instr, the decoded form of a
-word the decoder tests compare."""
+cached hierarchy is checked against, and plane_diff, which compares two
+memories' planes. And Instr, the decoded form of a word the decoder
+tests compare."""
 
 import random
 from typing import NamedTuple
@@ -15,7 +16,7 @@ from conch import isa
 from conch.cli import read_source
 from conch.crypt import qarma_decrypt, qarma_encrypt
 from conch.isa import MASK64
-from conch.mem import REGION_SHIFT, MemorySystem
+from conch.mem import DRAM_SIZE, REGION_SHIFT, MemorySystem
 
 # tests/mutants.py runs its tests under this profile: a property test that
 # fails on a planted defect reports its first failing example, unshrunk,
@@ -35,6 +36,22 @@ def decoded(word):
     """isa.decode(word) as an Instr, or None for an illegal word."""
     dec = isa.decode(word)
     return None if dec is None else Instr(dec[0], *dec[2])
+
+
+def plane_diff(a, b):
+    """The first (plane, region) whose bytes differ between memories a and
+    b, or None. Every plane write after load_image lands in a region its
+    writer recorded, so for two memories that loaded one image this
+    compares every byte that can differ. It takes the union of the
+    regions: the uncached reference records one region per word it
+    touches, the cached memory one per line it fills."""
+    for plane in ("dram", "tag_bits", "byte_oracle"):
+        pa, pb = getattr(a, plane), getattr(b, plane)
+        span = len(pa) * (1 << REGION_SHIFT) // DRAM_SIZE  # one region's bytes
+        for r in sorted(a.regions | b.regions):
+            if pa[r * span : (r + 1) * span] != pb[r * span : (r + 1) * span]:
+                return plane, r
+    return None
 
 
 class UncachedReference(MemorySystem):

@@ -49,7 +49,11 @@ MUTANTS = (
         "mem.py",
         "tag = src_tag if width == 8 else (line.tags >> j) & 1 | src_tag",
         "tag = src_tag",
-        ("tests/test_mem.py::test_partial_store_retains_tag", "tests/test_core.py::test_dispatch_matches_reference_on_random_sequences"),
+        (
+            "tests/test_mem.py::test_partial_store_retains_tag",
+            "tests/test_core.py::test_dispatch_matches_reference_on_random_sequences",
+            "tests/test_acceptance.py::test_criterion_04_soundness",
+        ),
     ),
     Mutant(
         "model A is charged no tag DRAM accesses",
@@ -106,6 +110,34 @@ MUTANTS = (
         "max_instret = st.max_instret",
         "max_instret = DEFAULT_MAX_INSTRET",
         ("tests/test_core.py::test_run_budget_stops_a_program_before_its_end",),
+    ),
+    Mutant(
+        "counts prices every model with model B's memory counters",
+        "report.py",
+        "ms = mem_stats(mem, model)",
+        'ms = mem_stats(mem, "b")',
+        ("tests/test_goldens.py",),
+    ),
+    Mutant(
+        "decryption runs the encryption key terms",
+        "crypt.py",
+        "_key_consts(key)[direction]",
+        "_key_consts(key)[0]",
+        ("tests/test_acceptance.py::test_criterion_01_cipher_conformance",),
+    ),
+    Mutant(
+        "a writeback leaves tagged words in plaintext",
+        "mem.py",
+        "words = self._transcode(line.base, line.words, line.tags, key, qarma_encrypt)",
+        "words = line.words",
+        ("tests/test_report.py::test_cached_matches_uncached_on_corpus",),
+    ),
+    Mutant(
+        "planes are shared mappings",
+        "mem.py",
+        "mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)",
+        "mmap.mmap(-1, size)",
+        ("tests/test_mem.py::test_fresh_planes_cost_no_rss_until_written",),
     ),
 )
 

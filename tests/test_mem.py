@@ -7,6 +7,9 @@ the MRU line against a plain LRU, model B's tag cache against a frozen
 copy of its hand-written LRU, and each model's share of the counted
 events against frozen per-model memories."""
 
+import mmap
+import os
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,20 +19,21 @@ from conch.core import MachineState
 from conch.crypt import derive_thread_key, generate_master_key, qarma_decrypt, qarma_encrypt
 from conch.mem import (
     DRAM_BASE,
+    DRAM_SIZE,
     LINE,
     MODELS,
+    REGION_SHIFT,
     CacheModel,
     MemAccessError,
     MemorySystem,
     MisalignedAccess,
     OutOfBoundsAccess,
-    Plane,
     SoundnessViolation,
     _Line,
 )
 from conch.report import counts, mem_stats, simulate
 
-from conftest import UncachedReference
+from conftest import UncachedReference, plane_diff
 
 KEY = derive_thread_key(generate_master_key(3), 0)
 KEY2 = derive_thread_key(generate_master_key(3), 1)
@@ -383,20 +387,37 @@ def test_unknown_model_raises():
 @pytest.mark.parametrize("plane", ["dram", "tag_bits", "byte_oracle"])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_planes_compare_by_content(plane, where):
+    # plane_diff, through which the differential tests compare memories,
+    # finds one differing byte anywhere in a plane, once either memory
+    # has recorded its region
     a, b = MemorySystem(), MemorySystem()
-    for name in ("dram", "tag_bits", "byte_oracle"):
-        assert getattr(a, name) is not getattr(b, name)
-        assert getattr(a, name) == getattr(b, name)
     pa, pb = getattr(a, plane), getattr(b, plane)
     i = {"first": 0, "middle": len(pa) // 2 + 3, "last": len(pa) - 1}[where]
+    region = (i * DRAM_SIZE // len(pa)) >> REGION_SHIFT
     pa[i] = 0x40
-    assert pa != pb and not pa == pb
+    assert plane_diff(a, b) is None  # no region recorded: nothing compared
+    b.regions.add(region)
+    assert plane_diff(a, b) == plane_diff(b, a) == (plane, region)
     pb[i] = 0x40
-    assert pa == pb
-    assert pa == bytes(pb) and bytes(pa) == pb
-    with pytest.raises(TypeError):
-        hash(pa)
-    assert Plane(1 << 20) != Plane(2 << 20)  # equal prefix, different size
+    assert plane_diff(a, b) is None
+
+
+def _statm_resident_bytes():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * mmap.PAGESIZE
+
+
+def test_fresh_planes_cost_no_rss_until_written():
+    # a private mapping maps the zero page on a read; a shared one, or a
+    # bytearray, would commit all three planes (73 MiB), and peak RSS with them
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("no /proc/self/statm")
+    mem = MemorySystem()
+    before = _statm_resident_bytes()
+    for plane in (mem.dram, mem.tag_bits, mem.byte_oracle):
+        for i in range(0, len(plane), mmap.PAGESIZE):
+            plane[i]
+    assert _statm_resident_bytes() - before < 1 << 20
 
 
 def _oracle_set_per_byte(oracle, bi, length, on):
