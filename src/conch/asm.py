@@ -28,9 +28,9 @@ import re
 
 from . import isa
 from .isa import sext
-from .mem import DRAM_SIZE
+from .mem import DRAM_BASE, DRAM_END, DRAM_SIZE, in_dram
 
-TEXT_BASE = 0x8000_0000
+TEXT_BASE = DRAM_BASE
 DATA_BASE = 0x8010_0000
 MAX_ALIGN = DRAM_SIZE.bit_length() - 1  # largest n with 2**n <= DRAM_SIZE
 
@@ -72,7 +72,7 @@ class Program:
         self.symbols = {} if symbols is None else symbols
 
 
-_LABEL_RE = re.compile(r"^([A-Za-z_.][\w.$]*)\s*:\s*(.*)$")
+_LABEL_RE = re.compile(r"([A-Za-z_.][\w.$]*)\s*:\s*")
 _MEMOP_RE = re.compile(r"^(-?[\w]*)\s*\(\s*(\w+)\s*\)$")
 
 
@@ -201,19 +201,17 @@ def assemble(source: str) -> Program:
 
     for line_no, raw in enumerate(source.splitlines(), 1):
         text = _strip_comment(raw)
-        if not text:
-            continue
-        m = _LABEL_RE.match(text)
-        while m and m.group(1) not in isa.SPECS and not m.group(1).startswith("."):
-            if m.group(1) in symbols:
-                raise DuplicateLabel(line_no, f"label {m.group(1)!r} already defined")
-            symbols[m.group(1)] = lc[section]
-            text = m.group(2).strip()
-            m = _LABEL_RE.match(text)
-        if not text:
+        # the labels that open the line, each matched where the last ended
+        pos = 0
+        while (m := _LABEL_RE.match(text, pos)) and m[1] not in isa.SPECS and not m[1].startswith("."):
+            if m[1] in symbols:
+                raise DuplicateLabel(line_no, f"label {m[1]!r} already defined")
+            symbols[m[1]] = lc[section]
+            pos = m.end()
+        if pos == len(text):
             continue
 
-        parts = text.split(None, 1)
+        parts = text[pos:].split(None, 1)
         head = parts[0].lower()
         rest = parts[1] if len(parts) > 1 else ""
         ops = _split_ops(rest)
@@ -376,17 +374,14 @@ def load_image(program: Program, mem, st):
     last = (0, 0)
     for base, data, kind in sorted(program.segments, key=lambda seg: (seg[0], seg[0] + len(seg[1]))):
         end = base + len(data)
-        if base < mem.base or end > mem.base + mem.size:
-            raise SegmentOutOfBounds(
-                f"segment [{base:#x}, {end:#x}) outside DRAM [{mem.base:#x}, {mem.base + mem.size:#x})"
-            )
+        if not in_dram(base, len(data)):
+            raise SegmentOutOfBounds(f"segment [{base:#x}, {end:#x}) outside DRAM [{DRAM_BASE:#x}, {DRAM_END:#x})")
         if base < last[1]:
             raise SegmentOutOfBounds(f"segment [{base:#x}, {end:#x}) overlaps [{last[0]:#x}, {last[1]:#x})")
         last = (base, end)
         mem.write_raw_init(base, data)
     st.pc = program.entry
-    sp = mem.base + mem.size - STACK_RESERVE
-    st.regs[2] = sp & ~0xF
+    st.regs[2] = (DRAM_END - STACK_RESERVE) & ~0xF
     st.reg_tags[2] = 0
 
 

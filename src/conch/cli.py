@@ -20,8 +20,8 @@ import sys
 from . import asm, isa
 from .asm import AsmError, SegmentOutOfBounds
 from .core import DEFAULT_MAX_INSTRET
-from .mem import DRAM_BASE, DRAM_SIZE
-from .report import CycleCosts, build_report, emit_report, run_models, simulate
+from .mem import DRAM_BASE, DRAM_END, in_dram
+from .report import MODELS, CycleCosts, build_report, emit_report, run_models, simulate
 
 EXIT_OK = 0
 EXIT_ASM = 2
@@ -177,10 +177,8 @@ def cmd_dump(args):
         addr, length = int(addr_s, 0), int(len_s, 0)
     except ValueError:
         raise ValueError(f"--range wants ADDR:LEN, got {args.range!r}")
-    if length <= 0 or addr < DRAM_BASE or addr + length > DRAM_BASE + DRAM_SIZE:
-        raise ValueError(
-            f"--range {args.range!r} is not a non-empty span of DRAM [{DRAM_BASE:#x}, {DRAM_BASE + DRAM_SIZE:#x})"
-        )
+    if length <= 0 or not in_dram(addr, length):
+        raise ValueError(f"--range {args.range!r} is not a non-empty span of DRAM [{DRAM_BASE:#x}, {DRAM_END:#x})")
     res = simulate(program=program, model="baseline", **_sim_kwargs(args))
     sys.stdout.write(res.mem.format_dump(addr, length))
     return _stop_exit(res.stop)
@@ -278,7 +276,7 @@ def _asm_arguments(p):
 
 def _run_arguments(p):
     p.add_argument("source", help="assembly source or conch image")
-    p.add_argument("--models", default="baseline,a,b", help="comma-separated subset of baseline,a,b")
+    p.add_argument("--models", default=",".join(MODELS), help=f"comma-separated subset of {','.join(MODELS)}")
     p.add_argument("--report", metavar="PATH", help="also write the JSON report here")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--dram-latency", type=int, default=CycleCosts().dram_access_latency)

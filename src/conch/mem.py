@@ -33,6 +33,9 @@ the store paths and by the tag-management instructions and has no effect
 on simulated behavior. Every store checks it: a store that leaves an
 oracle-tainted word untagged raises SoundnessViolation.
 
+DRAM spans [DRAM_BASE, DRAM_END), and in_dram is its one bound: memory
+accesses, syscall buffers, image segments and dump ranges all ask it.
+
 Every load and store is naturally aligned (a misaligned one raises
 MisalignedAccess, which the interpreter turns into a trap), so a data
 access always lies inside one 8-byte word and one cache line: it reads or
@@ -71,6 +74,7 @@ from .isa import MASK64, sext
 
 DRAM_BASE = 0x8000_0000
 DRAM_SIZE = 64 * 1024 * 1024
+DRAM_END = DRAM_BASE + DRAM_SIZE
 LINE = 64
 WORDS_PER_LINE = LINE // 8
 REGION_SHIFT = 15  # a 32 KiB DRAM region: 512 B of tag plane, 4 KiB of oracle plane
@@ -78,6 +82,11 @@ REGION_SHIFT = 15  # a 32 KiB DRAM region: 512 B of tag plane, 4 KiB of oracle p
 MODELS = ("baseline", "a", "b")  # the cycle models report.counts tells apart
 
 _LINE_WORDS = struct.Struct("<8Q")  # a line's bytes in DRAM, as its eight words
+
+
+def in_dram(addr, n):
+    """Whether the n bytes from addr lie in DRAM."""
+    return DRAM_BASE <= addr and addr + n <= DRAM_END
 
 
 class MemAccessError(Exception):
@@ -164,8 +173,6 @@ class CacheModel:
 
 class MemorySystem:
     def __init__(self, dcache=(32 * 1024, 8), tag_cache=(4 * 1024, 8), memo=None):
-        self.base = DRAM_BASE
-        self.size = DRAM_SIZE
         # the blocks enciphered so far; MemorySystems replaying one run
         # may share it
         self.memo = BlockMemo() if memo is None else memo
@@ -208,28 +215,28 @@ class MemorySystem:
     # ---- raw DRAM helpers -------------------------------------------------
 
     def _check_range(self, addr, length):
-        if addr < self.base or addr + length > self.base + self.size:
+        if not in_dram(addr, length):
             raise OutOfBoundsAccess(f"[{addr:#x}, {addr + length:#x}) outside DRAM")
 
     def write_raw_init(self, addr, data):
         """Image loading: place bytes directly, tags cleared."""
         self._check_range(addr, len(data))
-        off = addr - self.base
+        off = addr - DRAM_BASE
         self.dram[off : off + len(data)] = data
 
     def word_tag(self, addr):
-        wi = (addr - self.base) >> 3
+        wi = (addr - DRAM_BASE) >> 3
         return (self.tag_bits[wi >> 3] >> (wi & 7)) & 1
 
     def oracle_word(self, addr):
         """The 8 oracle taint bits of the word containing addr."""
-        wi = (addr - self.base) >> 3
+        wi = (addr - DRAM_BASE) >> 3
         return self.byte_oracle[wi]
 
     def _oracle_update(self, addr, width, taints):
         # taints: int with bit k = taint of the k-th written byte; an
         # aligned access lies inside one oracle byte
-        bi = addr - self.base
+        bi = addr - DRAM_BASE
         mask = ((1 << width) - 1) << (bi & 7)
         old = self.byte_oracle[bi >> 3]
         self.byte_oracle[bi >> 3] = old & ~mask | (taints << (bi & 7)) & mask
@@ -239,7 +246,7 @@ class MemorySystem:
         the oracle bytes the range touches, read as one int as
         oracle_bits_for reads them, with a mask of length bits, shifted to
         the range's first byte, ORed in or ANDed out, and written back."""
-        bi = base - self.base
+        bi = base - DRAM_BASE
         lo, hi = bi >> 3, (bi + length + 7) >> 3
         bits = int.from_bytes(self.byte_oracle[lo:hi], "little")
         mask = ((1 << length) - 1) << (bi & 7)
@@ -249,7 +256,7 @@ class MemorySystem:
     def oracle_bits_for(self, addr, width):
         """Oracle taint bits of bytes [addr, addr+width), bit k for byte
         addr+k; the span need not be aligned."""
-        bi = addr - self.base
+        bi = addr - DRAM_BASE
         bits = int.from_bytes(self.byte_oracle[bi >> 3 : (bi + width + 7) >> 3], "little")
         return (bits >> (bi & 7)) & ((1 << width) - 1)
 
@@ -294,7 +301,7 @@ class MemorySystem:
         return words
 
     def _writeback_line(self, line, key):
-        off = line.base - self.base
+        off = line.base - DRAM_BASE
         self.dram_data_accesses += 1
         self._tag_access(line.base, write=True)
         words = self._transcode(line.base, line.words, line.tags, key, qarma_encrypt)
@@ -303,7 +310,7 @@ class MemorySystem:
         line.dirty = False
 
     def _fill(self, cache, line_base, key):
-        off = line_base - self.base
+        off = line_base - DRAM_BASE
         self.regions.add(off >> REGION_SHIFT)
         self.dram_data_accesses += 1
         self._tag_access(line_base, write=False)
@@ -364,7 +371,7 @@ class MemorySystem:
         line.tags = line.tags & ~(1 << j) | tag << j
         line.dirty = True
         self._oracle_update(addr, width, taints)
-        if not tag and self.byte_oracle[(addr - self.base) >> 3]:
+        if not tag and self.byte_oracle[(addr - DRAM_BASE) >> 3]:
             raise SoundnessViolation(f"store left word {addr & ~7:#x} under-tagged")
 
     def fetch(self, addr, key):
@@ -460,7 +467,7 @@ class MemorySystem:
         if not self.clean:
             raise RuntimeError("raw_dump requires flush_and_sync first")
         self._check_range(start, length)
-        off = start - self.base
+        off = start - DRAM_BASE
         data = bytes(self.dram[off : off + length])
         tags = []
         for w in range(start & ~7, start + length, 8):

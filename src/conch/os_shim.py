@@ -27,6 +27,7 @@ import random
 from .core import StrictWriteViolation
 from .crypt import derive_thread_key, qarma_encrypt
 from .isa import MASK64
+from .mem import in_dram
 
 SYS_OPENAT = 56
 SYS_READ = 63
@@ -48,12 +49,11 @@ _PATH_MAX = 4096
 _GETRANDOM_MAX = 33_554_431  # Linux returns at most this many bytes per getrandom call
 
 
-def _in_dram(mem, addr, n):
-    """Whether the n-byte buffer at addr lies in DRAM. Each syscall asks
-    before it charges or makes an access; a buffer outside is -EFAULT, as
-    on Linux. An empty buffer never faults, wherever it is: Linux's
-    access_ok accepts an empty range."""
-    return n == 0 or mem.base <= addr and addr + n <= mem.base + mem.size
+def _in_dram(addr, n):
+    """Whether the n-byte buffer at addr lies in DRAM, asked before a
+    syscall charges or accesses it: a buffer outside is -EFAULT, and an
+    empty one never faults, wherever it is, as with Linux's access_ok."""
+    return n == 0 or in_dram(addr, n)
 
 
 class FileDesc:
@@ -141,7 +141,7 @@ class OsShim:
         loaded up to there stay charged."""
         path = bytearray()
         for addr in range(path_ptr, path_ptr + _PATH_MAX):
-            if not _in_dram(mem, addr, 1):
+            if not _in_dram(addr, 1):
                 return -EFAULT
             st.charge_copy(1)  # one word access per byte load
             b, _ = mem.load(addr, 1, False, st.key)
@@ -167,7 +167,7 @@ class OsShim:
         n = min(count, len(f.data) - f.pos)
         if n <= 0:
             return 0, 0
-        if not _in_dram(mem, buf, n):
+        if not _in_dram(buf, n):
             return -EFAULT, 0
         plan, stores = self._charge_stores(st, buf, n)
         chunk = f.data[f.pos : f.pos + n]
@@ -181,7 +181,7 @@ class OsShim:
         averted. Under strict mode that is a trap instead."""
         if fd not in (1, 2):
             return -EBADF, 0
-        if not _in_dram(mem, buf, count):
+        if not _in_dram(buf, count):
             return -EFAULT, 0
         sink = self.stdout if fd == 1 else self.stderr
         end = buf + count
@@ -203,7 +203,7 @@ class OsShim:
         in memory tagged. Like Linux, one call returns at most
         _GETRANDOM_MAX bytes."""
         count = min(count, _GETRANDOM_MAX)
-        if not _in_dram(mem, buf, count):
+        if not _in_dram(buf, count):
             return -EFAULT, 0
         plan, stores = self._charge_stores(st, buf, count)
         self._write_bytes(st, mem, buf, self.prng.randbytes(count), 1, plan)

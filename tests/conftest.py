@@ -16,7 +16,7 @@ from conch import isa
 from conch.cli import read_source
 from conch.crypt import qarma_decrypt, qarma_encrypt
 from conch.isa import MASK64
-from conch.mem import DRAM_SIZE, REGION_SHIFT, MemorySystem
+from conch.mem import DRAM_BASE, DRAM_SIZE, REGION_SHIFT, MemorySystem
 
 # tests/mutants.py runs its tests under this profile: a property test that
 # fails on a planted defect reports its first failing example, unshrunk,
@@ -63,7 +63,7 @@ class UncachedReference(MemorySystem):
     event; a ctag walk is charged one access per word it changes."""
 
     def _word_at_rest(self, word_addr, key):
-        off = word_addr - self.base
+        off = word_addr - DRAM_BASE
         self.regions.add(off >> REGION_SHIFT)
         raw = int.from_bytes(self.dram[off : off + 8], "little")
         if self.word_tag(word_addr):
@@ -71,7 +71,7 @@ class UncachedReference(MemorySystem):
         return raw
 
     def _set_word_at_rest(self, word_addr, value, tag, key):
-        off = word_addr - self.base
+        off = word_addr - DRAM_BASE
         wi = off >> 3
         if tag:
             raw = qarma_encrypt(key, word_addr, value, memo=self.memo)

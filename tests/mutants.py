@@ -139,6 +139,16 @@ MUTANTS = (
         "mmap.mmap(-1, size)",
         ("tests/test_mem.py::test_fresh_planes_cost_no_rss_until_written",),
     ),
+    Mutant(
+        "DRAM's bound refuses its last byte",
+        "mem.py",
+        "addr + n <= DRAM_END",
+        "addr + n < DRAM_END",
+        (
+            "tests/test_mem.py::test_dram_ends_at_dram_end_for_every_caller",
+            "tests/test_os.py::test_openat_path_running_out_of_dram_is_efault",
+        ),
+    ),
 )
 
 

@@ -9,14 +9,13 @@ import random
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conch import asm
 from conch.cli import main
 from conch.core import MachineState, run
 from conch.crypt import Key128, generate_master_key, qarma_decrypt, qarma_encrypt
-from conch.mem import MODELS, MemorySystem
+from conch.mem import MODELS, REGION_SHIFT, MemorySystem
 from conch.os_shim import OsShim
 from conch.report import ByteOracle, build_report, compute_overtagging, emit_report, run_models, simulate
 
@@ -200,6 +199,10 @@ word:
 """
 
 
+def _popcount(buf):
+    return int.from_bytes(buf, "little").bit_count()
+
+
 @criterion(4, "soundness, no under-tagging")
 def test_criterion_04_soundness(corpus):
     for name, source, fs, expected_exit in [*corpus, ("narrow_into_tagged", NARROW_INTO_TAGGED, {}, 0)]:
@@ -218,15 +221,18 @@ def test_criterion_04_soundness(corpus):
         assert st.exit_code == expected_exit, f"{name}: exit {st.exit_code}"
         assert not oracle.violations, f"{name}: {oracle.violations[:3]}"
         mem.flush_and_sync(st.key)
-        # final global sweep over all of memory
-        tags = np.unpackbits(np.frombuffer(mem.tag_bits, np.uint8), bitorder="little")
-        tainted = (
-            np.unpackbits(np.frombuffer(mem.byte_oracle, np.uint8), bitorder="little")
-            .reshape(-1, 8)
-            .any(axis=1)
-        )
-        bad = tainted & (tags == 0)
-        assert not bad.any(), f"{name}: {int(bad.sum())} under-tagged words"
+        # final sweep over all of memory: every set tag or oracle bit lies
+        # in a recorded region, and no region holds a tainted untagged word
+        words = 1 << (REGION_SHIFT - 3)  # a region's words: a tag bit and an oracle byte each
+        for plane, span in ((mem.tag_bits, words // 8), (mem.byte_oracle, words)):
+            in_regions = sum(_popcount(plane[r * span : (r + 1) * span]) for r in mem.regions)
+            assert _popcount(plane) == in_regions, f"{name}: a bit set outside the recorded regions"
+        bad = 0
+        for r in mem.regions:
+            tags = int.from_bytes(mem.tag_bits[r * words // 8 : (r + 1) * words // 8], "little")
+            tainted = sum(1 << k for k, b in enumerate(mem.byte_oracle[r * words : (r + 1) * words]) if b)
+            bad += (tainted & ~tags).bit_count()
+        assert not bad, f"{name}: {bad} under-tagged words"
     # the last program run, NARROW_INTO_TAGGED, left its word tagged
     assert mem.word_tag(program.symbols["word"]) == 1
 

@@ -28,7 +28,7 @@ from conch.asm import (
 from conch.cli import load_program, program_to_image
 from conch.core import MachineState
 from conch.isa import MASK64
-from conch.mem import MemorySystem
+from conch.mem import DRAM_BASE, DRAM_END, MemorySystem
 
 from conftest import Instr, build_corpus, decoded, grid_words
 
@@ -466,8 +466,8 @@ def _overlaps_pairwise(spans):
 @settings(max_examples=300, deadline=None)
 def test_load_image_rejects_exactly_the_pairwise_overlaps(shape):
     mem = MemorySystem()
-    segments = [(mem.base + off, bytes([i + 1]) * n, "data") for i, (off, n) in enumerate(shape)]
-    program = Program(segments, entry=mem.base)
+    segments = [(DRAM_BASE + off, bytes([i + 1]) * n, "data") for i, (off, n) in enumerate(shape)]
+    program = Program(segments, entry=DRAM_BASE)
     if _overlaps_pairwise([(b, b + len(d)) for b, d, _ in segments]):
         with pytest.raises(SegmentOutOfBounds, match="overlaps"):
             load_image(program, mem, MachineState())
@@ -475,7 +475,7 @@ def test_load_image_rejects_exactly_the_pairwise_overlaps(shape):
     load_image(program, mem, MachineState())
     expected = bytearray(128)
     for base, data, _ in segments:
-        expected[base - mem.base : base - mem.base + len(data)] = data
+        expected[base - DRAM_BASE : base - DRAM_BASE + len(data)] = data
     assert mem.dram[:128] == bytes(expected)
 
 
@@ -494,7 +494,7 @@ def test_load_image_sets_cpu_state():
     load_image(program, mem, st)
     assert st.pc == program.entry
     assert st.regs[2] % 16 == 0
-    assert mem.base < st.regs[2] < mem.base + mem.size
+    assert DRAM_BASE < st.regs[2] < DRAM_END
 
 
 @pytest.mark.parametrize(
@@ -604,6 +604,16 @@ def test_lexer_is_linear_on_long_quote_and_backslash_lines(line):
     except AsmError:
         pass
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_label_chain_is_linear():
+    # each label is matched where the one before it ended, so the rest of
+    # the line is never copied per label
+    n = 100_000
+    t0 = time.perf_counter()
+    program = assemble("".join(f"l{i}: " for i in range(n)) + "nop\n")
+    assert time.perf_counter() - t0 < 1.0
+    assert len(program.symbols) == n and set(program.symbols.values()) == {asm.TEXT_BASE}
 
 
 def test_string_rejects_characters_wider_than_a_byte():

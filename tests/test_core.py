@@ -22,7 +22,7 @@ from conch.core import (
     step,
 )
 from conch.crypt import BlockMemo, derive_thread_key, generate_master_key
-from conch.mem import DRAM_BASE, DRAM_SIZE, MODELS, MemAccessError, MemorySystem, MisalignedAccess
+from conch.mem import DRAM_BASE, DRAM_END, MODELS, MemAccessError, MemorySystem, MisalignedAccess
 from conch.os_shim import SYS_GETRANDOM, SYS_OPENAT, SYS_READ, SYS_THREAD_SWITCH, SYS_WRITE, FileDesc, OsShim
 from conch.report import PRICE_FIELD, ByteOracle, CycleCosts, build_report, counts, emit_report, price, simulate
 
@@ -37,11 +37,11 @@ def make_machine(words, data=(), memo=None):
     (state, mem) ready to step; mem enciphers through memo if given."""
     mem = MemorySystem(memo=memo)
     blob = b"".join(w.to_bytes(4, "little") for w in words)
-    mem.write_raw_init(mem.base, blob)
+    mem.write_raw_init(DRAM_BASE, blob)
     for addr, value in data:
         mem.write_raw_init(addr, value.to_bytes(8, "little"))
-    stt = MachineState(pc=mem.base, key=KEY)
-    stt.regs[2] = mem.base + mem.size - 64
+    stt = MachineState(pc=DRAM_BASE, key=KEY)
+    stt.regs[2] = DRAM_END - 64
     return stt, mem
 
 
@@ -75,7 +75,7 @@ def test_decode_rejects(word):
     with pytest.raises(IllegalInstruction) as exc:
         step(stt, mem)
     assert str(exc.value) == f"illegal instruction {word:#010x}"
-    assert stt.pc == mem.base
+    assert stt.pc == DRAM_BASE
 
 
 # ---- reference: the opcode-chain decoder ------------------------------------------
@@ -323,12 +323,12 @@ def test_branch_and_prediction_costs():
     beq = isa.encode("beq", imm=8)
     stt, mem = make_machine([beq, 0, 0])
     step(stt, mem)
-    assert stt.pc == mem.base + 8
+    assert stt.pc == DRAM_BASE + 8
     assert stt.mispredicts == 1
 
     stt2, mem2 = make_machine([isa.encode("bne", imm=8), 0, 0])  # bne: not taken
     step(stt2, mem2)
-    assert stt2.pc == mem2.base + 4
+    assert stt2.pc == DRAM_BASE + 4
     assert stt2.mispredicts == 0
     costs = CycleCosts()
     taken, not_taken = (price(counts(t, m, "baseline"), costs) for t, m in ((stt, mem), (stt2, mem2)))
@@ -339,16 +339,16 @@ def test_jal_jalr_link_and_target():
     jal = isa.encode("jal", 1, imm=12)
     stt, mem = make_machine([jal, 0, 0, isa.encode("jalr", 5, 1, imm=1)])
     step(stt, mem)
-    assert stt.pc == mem.base + 12
-    assert stt.regs[1] == mem.base + 4 and stt.reg_tags[1] == 0
+    assert stt.pc == DRAM_BASE + 12
+    assert stt.regs[1] == DRAM_BASE + 4 and stt.reg_tags[1] == 0
     step(stt, mem)  # jalr x5, 1(x1): odd target bit cleared
-    assert stt.pc == mem.base + 4
-    assert stt.regs[5] == mem.base + 16
+    assert stt.pc == DRAM_BASE + 4
+    assert stt.regs[5] == DRAM_BASE + 16
 
 
 def test_misaligned_fetch_traps():
     stt, mem = make_machine([0x13])
-    stt.pc = mem.base + 2
+    stt.pc = DRAM_BASE + 2
     with pytest.raises(MisalignedFetch):
         step(stt, mem)
 
@@ -408,7 +408,7 @@ def test_histogram_counts():
 @pytest.mark.parametrize("m", ["ctag.set", "ctag.clr"])
 def test_ctag_walk_is_charged_against_the_budget(m):
     stt, mem = make_machine([isa.encode(m, rs1=10, rs2=11)])
-    stt.regs[10], stt.regs[11] = mem.base + 8, 130
+    stt.regs[10], stt.regs[11] = DRAM_BASE + 8, 130
     step(stt, mem)
     assert stt.copy_words == 3  # [base+8, base+138) overlaps lines 0, 1 and 2
 
@@ -416,13 +416,13 @@ def test_ctag_walk_is_charged_against_the_budget(m):
 def test_ctag_walk_over_budget_stops_before_walking():
     # a 16 MiB ctag.set would walk 262,144 lines; the budget stops it first
     stt, mem = make_machine([isa.encode("ctag.set", rs1=10, rs2=11)])
-    stt.regs[10], stt.regs[11] = mem.base + 0x1000, 16 << 20
+    stt.regs[10], stt.regs[11] = DRAM_BASE + 0x1000, 16 << 20
     stt.max_instret = 1000
     with pytest.raises(BudgetExhausted):
         step(stt, mem)
     assert stt.copy_words == 0 and stt.instret == 0
     assert mem.dcache.hits == mem.dcache.misses == 0
-    assert mem.word_tag(mem.base + 0x1000) == 0
+    assert mem.word_tag(DRAM_BASE + 0x1000) == 0
 
 
 # ---- tags through the machine ------------------------------------------------
@@ -442,7 +442,7 @@ def test_propagate_tag_rules():
     ]
     for word, tag in x5_tagged:
         stt, mem = make_machine([word])
-        stt.regs[5] = mem.base + 0x1000  # the jalr target, the ctag.rdt address
+        stt.regs[5] = DRAM_BASE + 0x1000  # the jalr target, the ctag.rdt address
         stt.reg_tags[5] = 1
         stt.reg_tags[7] = 1 - tag  # the step must overwrite it
         step(stt, mem)
@@ -466,7 +466,7 @@ def test_load_store_tag_flow():
     sd = isa.encode("sd", rs1=10, rs2=5)
     ld = isa.encode("ld", 6, 10)
     stt, mem = make_machine([sd, ld])
-    stt.regs[10] = mem.base + 0x1000
+    stt.regs[10] = DRAM_BASE + 0x1000
     stt.regs[5] = 0xABCD
     stt.reg_tags[5] = 1
     step(stt, mem)
@@ -474,17 +474,17 @@ def test_load_store_tag_flow():
     assert stt.regs[6] == 0xABCD
     assert stt.reg_tags[6] == 1
     before = _mem_counters(mem)
-    assert mem.ctag_read(mem.base + 0x1000) == 1
+    assert mem.ctag_read(DRAM_BASE + 0x1000) == 1
     assert _mem_counters(mem) == before  # resident: the lookup counts nothing
     mem.flush_and_sync(KEY)
-    assert mem.word_tag(mem.base + 0x1000) == 1  # and now at rest too
+    assert mem.word_tag(DRAM_BASE + 0x1000) == 1  # and now at rest too
 
 
 def test_ctag_rdt_reads_but_never_taints():
     rdt = isa.encode("ctag.rdt", 6, 10)
     stt, mem = make_machine([rdt])
-    stt.regs[10] = mem.base + 0x2000
-    mem.ctag_set_range(mem.base + 0x2000, 8, KEY)
+    stt.regs[10] = DRAM_BASE + 0x2000
+    mem.ctag_set_range(DRAM_BASE + 0x2000, 8, KEY)
     step(stt, mem)
     assert stt.regs[6] == 1
     assert stt.reg_tags[6] == 0
@@ -510,7 +510,7 @@ def _random_regs(seed):
     """31 register values, each a random 64-bit word, a DRAM address or a
     small count, so that operands reach DRAM and syscalls succeed too."""
     rng = random.Random(seed)
-    ranges = [(0, (1 << 64) - 1), (DRAM_BASE, DRAM_BASE + DRAM_SIZE - 1), (0, 4096)]
+    ranges = [(0, (1 << 64) - 1), (DRAM_BASE, DRAM_END - 1), (0, 4096)]
     return [rng.randint(*rng.choice(ranges)) for _ in range(31)]
 
 
@@ -529,10 +529,10 @@ def test_any_word_raises_only_documented_errors(word, seed, a7, budget):
     """One step of an arbitrary word, with arbitrary registers, fails only
     with the exceptions run() turns into a trap or a budget stop."""
     mem = MemorySystem()
-    mem.write_raw_init(mem.base, word.to_bytes(4, "little"))
+    mem.write_raw_init(DRAM_BASE, word.to_bytes(4, "little"))
     shim = OsShim(generate_master_key(0), fs={"f": b"x"})
     shim.fds[3] = FileDesc(data=bytes(range(256)))
-    stt = MachineState(pc=mem.base, key=KEY)
+    stt = MachineState(pc=DRAM_BASE, key=KEY)
     stt.regs[1:] = _random_regs(seed)
     stt.regs[17] = a7
     stt.max_instret = budget
@@ -821,7 +821,7 @@ def test_dispatch_follows_a_store_into_text():
     new = isa.encode("addi", 6, imm=7)
     words = [isa.encode("sw", rs1=10, rs2=11, imm=4), isa.encode("addi", 6, imm=1)]
     stt, mem = make_machine(words)
-    stt.regs[10] = mem.base
+    stt.regs[10] = DRAM_BASE
     stt.regs[11] = new
     core._entry(words[1])  # the old word is in the memo
     step(stt, mem)

@@ -444,13 +444,14 @@ def test_import_builds_only_the_default_sbox_tables():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # A fresh interpreter without site, since pytest itself loads both.
+    # A fresh interpreter without site, since pytest itself loads both;
+    # -B because -I ignores PYTHONDONTWRITEBYTECODE.
     pkg_root = str(Path(conch.__file__).resolve().parents[1])
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import conch.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    cmd = [sys.executable, "-I", "-S", "-c", probe, pkg_root]
+    cmd = [sys.executable, "-I", "-S", "-B", "-c", probe, pkg_root]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()

@@ -15,10 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conch import isa
+from conch.asm import Program, SegmentOutOfBounds, load_image
+from conch.cli import EXIT_OK, main
 from conch.core import MachineState
 from conch.crypt import derive_thread_key, generate_master_key, qarma_decrypt, qarma_encrypt
 from conch.mem import (
     DRAM_BASE,
+    DRAM_END,
     DRAM_SIZE,
     LINE,
     MODELS,
@@ -31,6 +34,7 @@ from conch.mem import (
     SoundnessViolation,
     _Line,
 )
+from conch.os_shim import EFAULT
 from conch.report import counts, mem_stats, simulate
 
 from conftest import UncachedReference, plane_diff
@@ -45,7 +49,7 @@ KEY2 = derive_thread_key(generate_master_key(3), 1)
 @pytest.mark.parametrize("width,value", [(1, 0xA5), (2, 0xBEEF), (4, 0xDEADBEEF), (8, 0x0123456789ABCDEF)])
 def test_store_load_roundtrip(width, value):
     mem = MemorySystem()
-    addr = mem.base + 0x100
+    addr = DRAM_BASE + 0x100
     mem.store(addr, width, value, 0, KEY)
     got, tag = mem.load(addr, width, False, KEY)
     assert got == value
@@ -54,7 +58,7 @@ def test_store_load_roundtrip(width, value):
 
 def test_signed_load_extends():
     mem = MemorySystem()
-    addr = mem.base + 0x40
+    addr = DRAM_BASE + 0x40
     mem.store(addr, 1, 0x80, 0, KEY)
     got, _ = mem.load(addr, 1, True, KEY)
     assert got == 0xFFFFFFFFFFFFFF80
@@ -64,7 +68,7 @@ def test_signed_load_extends():
 
 def test_little_endian_byte_order():
     mem = MemorySystem()
-    addr = mem.base + 0x200
+    addr = DRAM_BASE + 0x200
     mem.store(addr, 8, 0x0807060504030201, 0, KEY)
     for i in range(8):
         b, _ = mem.load(addr + i, 1, False, KEY)
@@ -74,17 +78,73 @@ def test_little_endian_byte_order():
 def test_misaligned_access_raises():
     mem = MemorySystem()
     with pytest.raises(MisalignedAccess):
-        mem.load(mem.base + 1, 4, False, KEY)
+        mem.load(DRAM_BASE + 1, 4, False, KEY)
     with pytest.raises(MisalignedAccess):
-        mem.store(mem.base + 3, 8, 0, 0, KEY)
+        mem.store(DRAM_BASE + 3, 8, 0, 0, KEY)
 
 
 def test_bounds_checked():
     mem = MemorySystem()
     with pytest.raises(OutOfBoundsAccess):
-        mem.load(mem.base - 8, 8, False, KEY)
+        mem.load(DRAM_BASE - 8, 8, False, KEY)
     with pytest.raises(OutOfBoundsAccess):
-        mem.load(mem.base + mem.size - 4, 8, False, KEY)
+        mem.load(DRAM_END - 4, 8, False, KEY)
+
+
+# ---- DRAM's one bound: every caller of in_dram -----------------------------------
+# Each caller is given the n bytes from addr and answers "ok" or how it
+# refused them.
+
+
+def _guest(insn):
+    """A guest `insn` on the byte at addr: it runs, or it traps."""
+
+    def caller(addr, n, tmp_path):
+        res = simulate(f"la a1, {addr}\n{insn}\nli a7, 93\necall\n")
+        return "ok" if res.stop == "exit" else res.stop
+
+    return caller
+
+
+def _syscall(addr, n, tmp_path):
+    """write(1, addr, n) from the guest: n, or -EFAULT."""
+    res = simulate(f"li a0, 1\nla a1, {addr}\nli a2, {n}\nli a7, 64\necall\nmv s0, a0\nli a7, 93\necall\n")
+    ret = res.st.regs[8]
+    if ret == -EFAULT & isa.MASK64:
+        return "-EFAULT"
+    return "ok" if ret == n and len(res.shim.stdout) == n else ret
+
+
+def _image(addr, n, tmp_path):
+    try:
+        load_image(Program([(addr, bytes(n), "data")], entry=DRAM_BASE), MemorySystem(), MachineState())
+    except SegmentOutOfBounds:
+        return "SegmentOutOfBounds"
+    return "ok"
+
+
+def _dump(addr, n, tmp_path):
+    src = tmp_path / "p.s"
+    src.write_text("li a7, 93\necall\n")
+    code = main(["dump", str(src), "--range", f"{addr:#x}:{n}"])
+    return "ok" if code == EXIT_OK else f"exit {code}"
+
+
+@pytest.mark.parametrize(
+    "caller, n, refusal",
+    [
+        pytest.param(_guest("lb a0, 0(a1)"), 1, "trap", id="load"),
+        pytest.param(_guest("sb a1, 0(a1)"), 1, "trap", id="store"),
+        pytest.param(_syscall, 16, "-EFAULT", id="syscall"),
+        pytest.param(_image, 16, "SegmentOutOfBounds", id="load_image"),
+        pytest.param(_dump, 16, "exit 2", id="dump"),
+    ],
+)
+def test_dram_ends_at_dram_end_for_every_caller(caller, n, refusal, tmp_path):
+    # the n bytes that end at DRAM_END are DRAM; shifted one byte up, they
+    # hold one byte past it
+    assert caller(DRAM_END - n, n, tmp_path) == "ok"
+    assert caller(DRAM_END - n + 1, n, tmp_path) == refusal
 
 
 # ---- tags at the word level -----------------------------------------------------
@@ -92,7 +152,7 @@ def test_bounds_checked():
 
 def test_full_word_store_replaces_tag():
     mem = MemorySystem()
-    addr = mem.base + 0x300
+    addr = DRAM_BASE + 0x300
     mem.store(addr, 8, 1, 1, KEY)
     assert mem.load(addr, 8, False, KEY)[1] == 1
     mem.store(addr, 8, 2, 0, KEY)  # full store with clean source untags
@@ -101,7 +161,7 @@ def test_full_word_store_replaces_tag():
 
 def test_partial_store_retains_tag():
     mem = MemorySystem()
-    addr = mem.base + 0x308
+    addr = DRAM_BASE + 0x308
     mem.store(addr, 8, 0xFFFFFFFFFFFFFFFF, 1, KEY)
     mem.store(addr, 2, 0xAAAA, 0, KEY)  # clean halfword into tagged word
     value, tag = mem.load(addr, 8, False, KEY)
@@ -117,7 +177,7 @@ MEMORIES = pytest.mark.parametrize("memory", [MemorySystem, UncachedReference], 
 @pytest.mark.parametrize("width", [1, 2, 4])
 def test_partial_store_retains_tag_each_width(width, memory):
     mem = memory()
-    addr = mem.base + 0x308
+    addr = DRAM_BASE + 0x308
     mem.store(addr, 8, 0xFFFFFFFFFFFFFFFF, 1, KEY)
     mem.store(addr + 8 - width, width, 0, 0, KEY)  # clean sub-word store into the tagged word's top
     value, tag = mem.load(addr, 8, False, KEY)
@@ -127,14 +187,14 @@ def test_partial_store_retains_tag_each_width(width, memory):
 
 def test_partial_tagged_store_taints_word():
     mem = MemorySystem()
-    addr = mem.base + 0x310
+    addr = DRAM_BASE + 0x310
     mem.store(addr, 1, 0x55, 1, KEY)
     assert mem.load(addr, 8, False, KEY)[1] == 1
 
 
 def test_ctag_set_covers_straddled_words():
     mem = MemorySystem()
-    base = mem.base + 0x400
+    base = DRAM_BASE + 0x400
     mem.ctag_set_range(base + 4, 8, KEY)  # touches words 0 and 1
     assert mem.load(base, 8, False, KEY)[1] == 1
     assert mem.load(base + 8, 8, False, KEY)[1] == 1
@@ -147,7 +207,7 @@ def test_ctag_set_covers_straddled_words():
 
 def test_ctag_clear_only_full_words():
     mem = MemorySystem()
-    base = mem.base + 0x480
+    base = DRAM_BASE + 0x480
     mem.ctag_set_range(base, 24, KEY)
     mem.ctag_clear_range(base, 12, KEY)  # word 0 fully inside, word 1 partial
     assert mem.load(base, 8, False, KEY)[1] == 0
@@ -159,7 +219,7 @@ def test_ctag_clear_only_full_words():
 @MEMORIES
 def test_ctag_clear_keeps_partial_words_at_both_ends(memory):
     mem = memory()
-    base = mem.base + 0x4C0
+    base = DRAM_BASE + 0x4C0
     mem.ctag_set_range(base, 24, KEY)
     mem.ctag_clear_range(base + 4, 16, KEY)  # word 0 and word 2 partial, word 1 inside
     assert [mem.load(base + 8 * i, 8, False, KEY)[1] for i in range(3)] == [1, 0, 1]
@@ -168,7 +228,7 @@ def test_ctag_clear_keeps_partial_words_at_both_ends(memory):
 
 def test_ctag_read_modes():
     mem = MemorySystem()
-    addr = mem.base + 0x500
+    addr = DRAM_BASE + 0x500
     mem.ctag_set_range(addr, 8, KEY)
     misses = mem.tagcache_misses
     assert mem.ctag_read(addr) == 1  # line resident from the set walk
@@ -184,10 +244,10 @@ def test_ctag_read_modes():
 
 def test_tagged_word_rests_encrypted():
     mem = MemorySystem()
-    addr = mem.base + 0x600
+    addr = DRAM_BASE + 0x600
     mem.store(addr, 8, 0xCAFEBABE, 1, KEY)
     mem.flush_and_sync(KEY)
-    raw = int.from_bytes(mem.dram[addr - mem.base : addr - mem.base + 8], "little")
+    raw = int.from_bytes(mem.dram[addr - DRAM_BASE : addr - DRAM_BASE + 8], "little")
     assert raw != 0xCAFEBABE
     assert raw == qarma_encrypt(KEY, addr, 0xCAFEBABE)
     assert qarma_decrypt(KEY, addr, raw) == 0xCAFEBABE
@@ -197,16 +257,16 @@ def test_tagged_word_rests_encrypted():
 
 def test_untagged_word_rests_plain():
     mem = MemorySystem()
-    addr = mem.base + 0x608
+    addr = DRAM_BASE + 0x608
     mem.store(addr, 8, 0xCAFEBABE, 0, KEY)
     mem.flush_and_sync(KEY)
-    raw = int.from_bytes(mem.dram[addr - mem.base : addr - mem.base + 8], "little")
+    raw = int.from_bytes(mem.dram[addr - DRAM_BASE : addr - DRAM_BASE + 8], "little")
     assert raw == 0xCAFEBABE
 
 
 def test_wrong_key_scrambles():
     mem = MemorySystem()
-    addr = mem.base + 0x700
+    addr = DRAM_BASE + 0x700
     mem.store(addr, 8, 0x1234, 1, KEY)
     mem.flush_and_sync(KEY)
     got, tag = mem.load(addr, 8, False, KEY2)
@@ -219,12 +279,12 @@ def test_at_rest_invariant_full_scan():
     mem = MemorySystem()
     stored = {}  # word address -> (value, tag)
     for i in range(200):
-        addr = mem.base + 0x800 + 8 * i
+        addr = DRAM_BASE + 0x800 + 8 * i
         stored[addr] = (i * 0x9E3779B97F4A7C15 % 2**64, int(i % 3 == 0))
         mem.store(addr, 8, *stored[addr], KEY)
     mem.flush_and_sync(KEY)
     for addr, (value, tag) in stored.items():
-        raw = int.from_bytes(mem.dram[addr - mem.base : addr - mem.base + 8], "little")
+        raw = int.from_bytes(mem.dram[addr - DRAM_BASE : addr - DRAM_BASE + 8], "little")
         assert mem.word_tag(addr) == tag
         assert raw == (qarma_encrypt(KEY, addr, value) if tag else value)
     # and no tag bit is set beyond the tagged words stored
@@ -237,10 +297,10 @@ def test_eviction_pressure_preserves_data():
     mem = MemorySystem()
     lines = 3 * (32 * 1024 // 64)
     for i in range(lines):
-        addr = mem.base + 0x10000 + 64 * i
+        addr = DRAM_BASE + 0x10000 + 64 * i
         mem.store(addr, 8, i, i % 2, KEY)
     for i in range(lines):
-        addr = mem.base + 0x10000 + 64 * i
+        addr = DRAM_BASE + 0x10000 + 64 * i
         value, tag = mem.load(addr, 8, False, KEY)
         assert value == i
         assert tag == i % 2
@@ -248,20 +308,20 @@ def test_eviction_pressure_preserves_data():
 
 def test_raw_dump_requires_clean_caches():
     mem = MemorySystem()
-    mem.store(mem.base, 8, 1, 0, KEY)
+    mem.store(DRAM_BASE, 8, 1, 0, KEY)
     with pytest.raises(RuntimeError):
-        mem.raw_dump(mem.base, 16)
+        mem.raw_dump(DRAM_BASE, 16)
     mem.flush_and_sync(KEY)
-    data, tags = mem.raw_dump(mem.base, 16)
+    data, tags = mem.raw_dump(DRAM_BASE, 16)
     assert data[:8] == (1).to_bytes(8, "little")
     assert tags == [0, 0]
 
 
 def test_format_dump_shape():
     mem = MemorySystem()
-    mem.store(mem.base, 8, 0xAB, 1, KEY)
+    mem.store(DRAM_BASE, 8, 0xAB, 1, KEY)
     mem.flush_and_sync(KEY)
-    text = mem.format_dump(mem.base, 16)
+    text = mem.format_dump(DRAM_BASE, 16)
     lines = text.splitlines()
     assert lines[0].startswith("# line 0x80000000")
     word0 = int.from_bytes(mem.dram[0:8], "little")
@@ -273,8 +333,8 @@ def test_format_dump_puts_each_byte_at_its_offset_in_its_word():
     """A range that starts inside a word shows its bytes where they lie;
     the bytes before it read 00, as the tail past its end does."""
     mem = MemorySystem()
-    mem.write_raw_init(mem.base + 0x100, (0x1122334455667788).to_bytes(8, "little"))
-    assert mem.format_dump(mem.base + 0x103, 8).splitlines() == [
+    mem.write_raw_init(DRAM_BASE + 0x100, (0x1122334455667788).to_bytes(8, "little"))
+    assert mem.format_dump(DRAM_BASE + 0x103, 8).splitlines() == [
         "# line 0x80000100",
         "80000100: 1122334455000000 0",
         "80000108: 0000000000000000 0",
@@ -285,17 +345,17 @@ def test_format_dump_heads_each_line():
     """A range that starts inside a line gets a header above its first row
     and above every row that starts a line."""
     mem = MemorySystem()
-    lines = mem.format_dump(mem.base + 0x138, 80).splitlines()
+    lines = mem.format_dump(DRAM_BASE + 0x138, 80).splitlines()
     headers = {i: row for i, row in enumerate(lines) if row.startswith("#")}
     assert headers == {0: "# line 0x80000100", 2: "# line 0x80000140", 11: "# line 0x80000180"}
     assert [row[:8] for row in lines if not row.startswith("#")] == [
-        f"{mem.base + a:08x}" for a in range(0x138, 0x188, 8)
+        f"{DRAM_BASE + a:08x}" for a in range(0x138, 0x188, 8)
     ]
 
 
 def test_soundness_guard_trips_on_violation():
     mem = MemorySystem()
-    addr = mem.base + 0x900
+    addr = DRAM_BASE + 0x900
     mem.store(addr, 8, 7, 1, KEY)
     # force an inconsistent oracle state behind the API's back
     with pytest.raises(SoundnessViolation):
@@ -309,7 +369,7 @@ def test_soundness_guard_trips_on_violation():
 
 def test_baseline_charges_no_tag_or_cipher_work():
     mem = MemorySystem()
-    addr = mem.base + 0x1000
+    addr = DRAM_BASE + 0x1000
     mem.store(addr, 8, 42, 1, KEY)
     mem.flush_and_sync(KEY)
     mem.load(addr, 8, False, KEY)
@@ -324,7 +384,7 @@ def test_baseline_charges_no_tag_or_cipher_work():
 
 def test_model_a_counts_tag_traffic_per_line_event():
     mem = MemorySystem()
-    addr = mem.base + 0x2000
+    addr = DRAM_BASE + 0x2000
     mem.store(addr, 8, 1, 1, KEY)  # miss: one fill
     assert mem_stats(mem, "a")["dram_tag_accesses"] == 1
     mem.flush_and_sync(KEY)  # one dirty writeback
@@ -340,7 +400,7 @@ def test_model_b_tag_cache_filters():
     mem = MemorySystem()
     # 64 consecutive lines share one 4 KiB tag line
     for i in range(64):
-        mem.load(mem.base + 64 * i, 8, False, KEY)
+        mem.load(DRAM_BASE + 64 * i, 8, False, KEY)
     stats = mem_stats(mem, "b")
     assert stats["tagcache_misses"] == 1
     assert stats["tagcache_hits"] == 63
@@ -352,7 +412,7 @@ def test_model_b_dirty_tag_eviction_costs_one_more():
     # single-entry tag cache makes the victim deterministic
     mem = MemorySystem(tag_cache=(64, 1))
     counted = []
-    for line_base, write in [(mem.base, True), (mem.base + 4096, False), (mem.base + 8192, False)]:
+    for line_base, write in [(DRAM_BASE, True), (DRAM_BASE + 4096, False), (DRAM_BASE + 8192, False)]:
         before = mem_stats(mem, "b")["dram_tag_accesses"]
         mem._tag_access(line_base, write)
         counted.append(mem_stats(mem, "b")["dram_tag_accesses"] - before)
@@ -362,7 +422,7 @@ def test_model_b_dirty_tag_eviction_costs_one_more():
 
 def test_cipher_latency_charged_per_tagged_word():
     mem = MemorySystem()
-    addr = mem.base + 0x3000
+    addr = DRAM_BASE + 0x3000
     mem.ctag_set_range(addr, 64, KEY)  # whole line tagged
     fields = ("dram_data_accesses", "dram_tag_accesses", "cipher_blocks")
     before = [mem_stats(mem, "a")[f] for f in fields]
@@ -458,7 +518,7 @@ def test_oracle_set_matches_per_byte_rule(initial, offset, length, on):
     mem.byte_oracle[: len(initial)] = initial
     expected = bytearray(initial) + bytes(ORACLE_SPAN // 8)
     _oracle_set_per_byte(expected, offset, length, on)
-    mem._oracle_set(mem.base + offset, length, on)
+    mem._oracle_set(DRAM_BASE + offset, length, on)
     assert mem.byte_oracle[: len(expected)] == expected
 
 
@@ -496,7 +556,7 @@ def test_oracle_update_matches_per_byte_rule(width, initial, slot, taints):
         mem.byte_oracle[: len(initial)] = initial
         expected = bytearray(initial) + bytes(ORACLE_SPAN // 8)
         _oracle_update_per_byte(expected, offset, width, taints)
-        mem._oracle_update(mem.base + offset, width, taints)
+        mem._oracle_update(DRAM_BASE + offset, width, taints)
         assert mem.byte_oracle[: len(expected)] == expected
 
 
@@ -512,7 +572,7 @@ def test_oracle_bits_for_matches_per_byte_rule(initial, offset, width):
     width = min(width, ORACLE_SPAN - offset)
     mem = MemorySystem()
     mem.byte_oracle[: len(initial)] = initial
-    assert mem.oracle_bits_for(mem.base + offset, width) == _oracle_bits_per_byte(initial, offset, width)
+    assert mem.oracle_bits_for(DRAM_BASE + offset, width) == _oracle_bits_per_byte(initial, offset, width)
 
 
 # ---- differential: cached vs the uncached reference ------------------------------
@@ -546,7 +606,7 @@ def _apply(mem, op, page=0):
     returns (value, tag, oracle bits) and a fetch the fetched word. A
     fetch flushes first: the icache is not coherent with dirty dcache
     lines (see SELF_PATCH)."""
-    base = mem.base + 4096 * page
+    base = DRAM_BASE + 4096 * page
     kind = op[0]
     if kind == "store":
         _, offset, width, value, tag, taints = op
@@ -666,7 +726,7 @@ def test_clean_once_eviction_wrote_back_every_dirty_line():
     a stored line, DRAM is at rest with no flush, and raw_dump shows what
     flush_and_sync leaves."""
     mem = MemorySystem()
-    addr = mem.base + 0x3008
+    addr = DRAM_BASE + 0x3008
     mem.store(addr, 8, 0x1234, 1, KEY)
     mem.store(addr + 8, 4, 0x56, 0, KEY)
     assert not mem.clean
@@ -810,7 +870,7 @@ def test_tag_cache_matches_reference(tag_cache, runs):
     n_sets = len(ref.sets)
     for run in runs:
         for k, s, line, write in run:
-            line_base = mem.base + 4096 * (k * n_sets + s) + LINE * line
+            line_base = DRAM_BASE + 4096 * (k * n_sets + s) + LINE * line
             before = _tag_counts(mem, ref)
             mem._tag_access(line_base, write)
             ref.access(line_base, write)

@@ -8,7 +8,7 @@ from hypothesis import strategies as hs
 
 from conch.core import BudgetExhausted, MachineState, StrictWriteViolation, Trap
 from conch.crypt import generate_master_key, qarma_encrypt
-from conch.mem import DRAM_BASE, DRAM_SIZE, MemorySystem
+from conch.mem import DRAM_BASE, DRAM_END, MemorySystem
 from conch.os_shim import (
     EBADF,
     EFAULT,
@@ -34,7 +34,7 @@ MASTER = generate_master_key(7)
 def machine(seed=0, fs=None, strict_write=False):
     mem = MemorySystem()
     shim = OsShim(master_key=MASTER, seed=seed, fs=fs or {}, strict_write=strict_write)
-    st = MachineState(pc=mem.base, key=shim.key_for(0))
+    st = MachineState(pc=DRAM_BASE, key=shim.key_for(0))
     return st, mem, shim
 
 
@@ -58,25 +58,25 @@ def ecall(st, mem, shim, num, *args):
 
 def test_openat_unknown_path_is_enoent():
     st, mem, shim = machine(fs={"config": b"hello"})
-    put_cstr(st, mem, mem.base + 0x100, "missing")
-    assert ecall(st, mem, shim, SYS_OPENAT, 0, mem.base + 0x100, 0) == -ENOENT
+    put_cstr(st, mem, DRAM_BASE + 0x100, "missing")
+    assert ecall(st, mem, shim, SYS_OPENAT, 0, DRAM_BASE + 0x100, 0) == -ENOENT
 
 
 def test_openat_returns_fresh_fds():
     st, mem, shim = machine(fs={"a": b"1", "b": b"2"})
-    put_cstr(st, mem, mem.base + 0x100, "a")
-    put_cstr(st, mem, mem.base + 0x120, "b")
-    fd1 = ecall(st, mem, shim, SYS_OPENAT, 0, mem.base + 0x100, 0)
-    fd2 = ecall(st, mem, shim, SYS_OPENAT, 0, mem.base + 0x120, 0)
+    put_cstr(st, mem, DRAM_BASE + 0x100, "a")
+    put_cstr(st, mem, DRAM_BASE + 0x120, "b")
+    fd1 = ecall(st, mem, shim, SYS_OPENAT, 0, DRAM_BASE + 0x100, 0)
+    fd2 = ecall(st, mem, shim, SYS_OPENAT, 0, DRAM_BASE + 0x120, 0)
     assert fd1 == 3 and fd2 == 4
     assert not shim.fds[fd1].sensitive
 
 
 def test_read_plain_file_is_untagged():
     st, mem, shim = machine(fs={"f": bytes(range(16))})
-    put_cstr(st, mem, mem.base + 0x100, "f")
-    fd = ecall(st, mem, shim, SYS_OPENAT, 0, mem.base + 0x100, 0)
-    buf = mem.base + 0x200
+    put_cstr(st, mem, DRAM_BASE + 0x100, "f")
+    fd = ecall(st, mem, shim, SYS_OPENAT, 0, DRAM_BASE + 0x100, 0)
+    buf = DRAM_BASE + 0x200
     assert ecall(st, mem, shim, SYS_READ, fd, buf, 16) == 16
     value, tag = mem.load(buf, 8, False, st.key)
     assert value == 0x0706050403020100
@@ -85,10 +85,10 @@ def test_read_plain_file_is_untagged():
 
 def test_read_sensitive_file_arrives_tagged():
     st, mem, shim = machine(fs={"secret": b"ABCDEFGH"})
-    put_cstr(st, mem, mem.base + 0x100, "secret")
-    fd = ecall(st, mem, shim, SYS_OPENAT, 0, mem.base + 0x100, O_SENSITIVE)
+    put_cstr(st, mem, DRAM_BASE + 0x100, "secret")
+    fd = ecall(st, mem, shim, SYS_OPENAT, 0, DRAM_BASE + 0x100, O_SENSITIVE)
     assert shim.fds[fd].sensitive
-    buf = mem.base + 0x200
+    buf = DRAM_BASE + 0x200
     assert ecall(st, mem, shim, SYS_READ, fd, buf, 8) == 8
     value, tag = mem.load(buf, 8, False, st.key)
     assert value == int.from_bytes(b"ABCDEFGH", "little")
@@ -98,9 +98,9 @@ def test_read_sensitive_file_arrives_tagged():
 
 def test_read_honors_file_position_and_eof():
     st, mem, shim = machine(fs={"f": b"0123456789"})
-    put_cstr(st, mem, mem.base + 0x100, "f")
-    fd = ecall(st, mem, shim, SYS_OPENAT, 0, mem.base + 0x100, 0)
-    buf = mem.base + 0x200
+    put_cstr(st, mem, DRAM_BASE + 0x100, "f")
+    fd = ecall(st, mem, shim, SYS_OPENAT, 0, DRAM_BASE + 0x100, 0)
+    buf = DRAM_BASE + 0x200
     assert ecall(st, mem, shim, SYS_READ, fd, buf, 6) == 6
     assert ecall(st, mem, shim, SYS_READ, fd, buf, 100) == 4  # short read
     assert ecall(st, mem, shim, SYS_READ, fd, buf, 8) == 0  # EOF
@@ -113,7 +113,7 @@ def test_read_honors_file_position_and_eof():
 
 def test_write_plain_goes_out_verbatim():
     st, mem, shim = machine()
-    buf = mem.base + 0x300
+    buf = DRAM_BASE + 0x300
     for i, b in enumerate(b"hello world!"):
         mem.store(buf + i, 1, b, 0, st.key)
     assert ecall(st, mem, shim, SYS_WRITE, 1, buf, 12) == 12
@@ -123,7 +123,7 @@ def test_write_plain_goes_out_verbatim():
 
 def test_write_to_stderr_and_bad_fd():
     st, mem, shim = machine()
-    buf = mem.base + 0x300
+    buf = DRAM_BASE + 0x300
     mem.store(buf, 1, ord("x"), 0, st.key)
     assert ecall(st, mem, shim, SYS_WRITE, 2, buf, 1) == 1
     assert bytes(shim.stderr) == b"x"
@@ -132,7 +132,7 @@ def test_write_to_stderr_and_bad_fd():
 
 def test_write_tagged_emits_at_rest_ciphertext():
     st, mem, shim = machine()
-    buf = mem.base + 0x400
+    buf = DRAM_BASE + 0x400
     secret = 0x00554E4D4C4B4A49  # "IJKLMNU\0"
     mem.store(buf, 8, secret, 1, st.key)
     assert ecall(st, mem, shim, SYS_WRITE, 1, buf, 8) == 8
@@ -144,7 +144,7 @@ def test_write_tagged_emits_at_rest_ciphertext():
 
 def test_write_mixed_counts_only_tagged_bytes():
     st, mem, shim = machine()
-    buf = mem.base + 0x400
+    buf = DRAM_BASE + 0x400
     mem.store(buf, 8, int.from_bytes(b"plainpla", "little"), 0, st.key)
     mem.store(buf + 8, 8, int.from_bytes(b"SECRET!!", "little"), 1, st.key)
     assert ecall(st, mem, shim, SYS_WRITE, 1, buf, 12) == 12
@@ -156,7 +156,7 @@ def test_write_mixed_counts_only_tagged_bytes():
 
 def test_write_unaligned_slice_of_tagged_word():
     st, mem, shim = machine()
-    buf = mem.base + 0x410
+    buf = DRAM_BASE + 0x410
     word = int.from_bytes(b"abcdefgh", "little")
     mem.store(buf, 8, word, 1, st.key)
     assert ecall(st, mem, shim, SYS_WRITE, 1, buf + 3, 2) == 2
@@ -167,7 +167,7 @@ def test_write_unaligned_slice_of_tagged_word():
 
 def test_strict_write_raises():
     st, mem, shim = machine(strict_write=True)
-    buf = mem.base + 0x400
+    buf = DRAM_BASE + 0x400
     mem.store(buf, 8, 0xDEAD, 1, st.key)
     st.regs[10:13] = [1, buf, 8]
     st.regs[17] = SYS_WRITE
@@ -180,7 +180,7 @@ def test_strict_write_raises():
 
 def test_getrandom_is_tagged_and_seeded():
     st, mem, shim = machine(seed=42)
-    buf = mem.base + 0x500
+    buf = DRAM_BASE + 0x500
     assert ecall(st, mem, shim, SYS_GETRANDOM, buf, 16, 0) == 16
     v1, t1 = mem.load(buf, 8, False, st.key)
     v2, t2 = mem.load(buf + 8, 8, False, st.key)
@@ -188,21 +188,20 @@ def test_getrandom_is_tagged_and_seeded():
     assert mem.oracle_bits_for(buf, 16) == 0xFFFF
 
     st2, mem2, shim2 = machine(seed=42)
-    buf2 = mem2.base + 0x500
+    buf2 = DRAM_BASE + 0x500
     ecall(st2, mem2, shim2, SYS_GETRANDOM, buf2, 16, 0)
     assert mem2.load(buf2, 8, False, st2.key)[0] == v1
     assert mem2.load(buf2 + 8, 8, False, st2.key)[0] == v2
 
     st3, mem3, shim3 = machine(seed=43)
-    buf3 = mem3.base + 0x500
+    buf3 = DRAM_BASE + 0x500
     ecall(st3, mem3, shim3, SYS_GETRANDOM, buf3, 16, 0)
     assert (mem3.load(buf3, 8, False, st3.key)[0], mem3.load(buf3 + 8, 8, False, st3.key)[0]) != (v1, v2)
 
 
 def test_getrandom_outside_dram_is_efault():
     st, mem, shim = machine(seed=42)
-    top = mem.base + mem.size
-    for buf, count in [(0x10, 16), (top - 8, 16), (top, 1), (top - 64, 1 << 62)]:
+    for buf, count in [(0x10, 16), (DRAM_END - 8, 16), (DRAM_END, 1), (DRAM_END - 64, 1 << 62)]:
         assert ecall(st, mem, shim, SYS_GETRANDOM, buf, count, 0) == -EFAULT
     assert mem.clean and mem.dcache.misses == st.copy_words == 0  # nothing was written or charged
     # nor was any randomness drawn
@@ -214,24 +213,22 @@ def test_getrandom_count_is_clamped_to_linux_maximum(monkeypatch):
     st, mem, shim = machine()
     copied = []
     monkeypatch.setattr(shim, "_write_bytes", lambda st, mem, addr, data, tag, plan: copied.append(len(data)) or 0)
-    assert ecall(st, mem, shim, SYS_GETRANDOM, mem.base, 1 << 62, 0) == 33_554_431
+    assert ecall(st, mem, shim, SYS_GETRANDOM, DRAM_BASE, 1 << 62, 0) == 33_554_431
     assert copied == [33_554_431]
 
 
 # ---- buffers outside DRAM ---------------------------------------------------------
-
-_TOP = DRAM_BASE + DRAM_SIZE
 
 
 @pytest.mark.parametrize(
     "num, args",
     [
         pytest.param(SYS_OPENAT, (0, 0x10, 0), id="openat"),
-        pytest.param(SYS_OPENAT, (0, _TOP, 0), id="openat-top"),
+        pytest.param(SYS_OPENAT, (0, DRAM_END, 0), id="openat-top"),
         pytest.param(SYS_READ, (3, 0x10, 16), id="read"),
-        pytest.param(SYS_READ, (3, _TOP - 8, 16), id="read-straddling"),
+        pytest.param(SYS_READ, (3, DRAM_END - 8, 16), id="read-straddling"),
         pytest.param(SYS_WRITE, (1, 0x10, 16), id="write"),
-        pytest.param(SYS_WRITE, (1, _TOP - 8, 16), id="write-straddling"),
+        pytest.param(SYS_WRITE, (1, DRAM_END - 8, 16), id="write-straddling"),
         pytest.param(SYS_WRITE, (1, DRAM_BASE, (1 << 64) - 1), id="write-huge"),
     ],
 )
@@ -250,9 +247,9 @@ def test_buffer_outside_dram_is_efault_and_charged_nothing(num, args):
     "num, args",
     [
         pytest.param(SYS_WRITE, (1, 0x10, 0), id="write"),
-        pytest.param(SYS_WRITE, (1, _TOP + 3, 0), id="write-top"),
+        pytest.param(SYS_WRITE, (1, DRAM_END + 3, 0), id="write-top"),
         pytest.param(SYS_GETRANDOM, (0x10, 0, 0), id="getrandom"),
-        pytest.param(SYS_GETRANDOM, (_TOP + 3, 0, 0), id="getrandom-top"),
+        pytest.param(SYS_GETRANDOM, (DRAM_END + 3, 0, 0), id="getrandom-top"),
     ],
 )
 def test_empty_buffer_anywhere_is_not_a_fault(num, args):
@@ -267,14 +264,13 @@ def test_empty_buffer_anywhere_is_not_a_fault(num, args):
 def test_openat_path_running_out_of_dram_is_efault():
     # the three bytes loaded before the path leaves DRAM stay charged
     st, mem, shim = machine(fs={"ab": b"x"})
-    top = mem.base + mem.size
-    put_cstr(st, mem, top - 3, "ab")
-    mem.store(top - 1, 1, ord("c"), 0, st.key)
+    put_cstr(st, mem, DRAM_END - 3, "ab")
+    mem.store(DRAM_END - 1, 1, ord("c"), 0, st.key)
     loads = mem.loads
-    assert ecall(st, mem, shim, SYS_OPENAT, 0, top - 3, 0) == -EFAULT
+    assert ecall(st, mem, shim, SYS_OPENAT, 0, DRAM_END - 3, 0) == -EFAULT
     assert st.copy_words == mem.loads - loads == 3
-    mem.store(top - 1, 1, 0, 0, st.key)
-    assert ecall(st, mem, shim, SYS_OPENAT, 0, top - 3, 0) == 3
+    mem.store(DRAM_END - 1, 1, 0, 0, st.key)
+    assert ecall(st, mem, shim, SYS_OPENAT, 0, DRAM_END - 3, 0) == 3
 
 
 # ---- copies count against the instruction budget --------------------------------
@@ -285,7 +281,7 @@ def test_openat_path_running_out_of_dram_is_efault():
 def test_copy_charge_is_the_word_accesses_made(monkeypatch, offset, count):
     st, mem, shim = machine(fs={"f": bytes(range(100))})
     fd = ecall(st, mem, shim, SYS_OPENAT, 0, put_path(st, mem), 0)
-    buf = mem.base + 0x800 + offset
+    buf = DRAM_BASE + 0x800 + offset
     accesses = []
     for name in ("load", "store"):
         real = getattr(mem, name)
@@ -297,13 +293,13 @@ def test_copy_charge_is_the_word_accesses_made(monkeypatch, offset, count):
 
 
 def put_path(st, mem):
-    put_cstr(st, mem, mem.base + 0x100, "f")
-    return mem.base + 0x100
+    put_cstr(st, mem, DRAM_BASE + 0x100, "f")
+    return DRAM_BASE + 0x100
 
 
 def test_copy_that_overruns_budget_does_not_start():
     st, mem, shim = machine(seed=42)
-    buf = mem.base + 0x500
+    buf = DRAM_BASE + 0x500
     st.max_instret = 10
     # nine words, plus the ecall itself: exactly the budget
     assert ecall(st, mem, shim, SYS_GETRANDOM, buf, 72, 0) == 72
@@ -344,7 +340,7 @@ buf:
 def test_thread_switch_changes_key_and_flushes():
     st, mem, shim = machine()
     key0 = st.key
-    addr = mem.base + 0x600
+    addr = DRAM_BASE + 0x600
     mem.store(addr, 8, 0x1234, 1, st.key)
     assert not mem.clean
     assert ecall(st, mem, shim, SYS_THREAD_SWITCH, 5) == 0
@@ -390,16 +386,16 @@ def test_exit_halts_with_code():
 def test_syscall_result_register_is_untagged():
     st, mem, shim = machine(fs={"secret": b"S" * 8})
     st.reg_tags[10] = 1  # stale taint on a0 must not survive the call
-    put_cstr(st, mem, mem.base + 0x100, "secret")
-    fd = ecall(st, mem, shim, SYS_OPENAT, 0, mem.base + 0x100, O_SENSITIVE)
+    put_cstr(st, mem, DRAM_BASE + 0x100, "secret")
+    fd = ecall(st, mem, shim, SYS_OPENAT, 0, DRAM_BASE + 0x100, O_SENSITIVE)
     assert st.reg_tags[10] == 0
-    ecall(st, mem, shim, SYS_READ, fd, mem.base + 0x200, 8)
+    ecall(st, mem, shim, SYS_READ, fd, DRAM_BASE + 0x200, 8)
     assert st.reg_tags[10] == 0
 
 
 def test_path_without_terminator_is_nametoolong():
     st, mem, shim = machine(fs={"f": b"x"})
-    base = mem.base + 0x1000
+    base = DRAM_BASE + 0x1000
     for i in range(0, 8192, 8):
         mem.store(base + i, 8, 0x4141414141414141, 0, st.key)
     ret = ecall(st, mem, shim, SYS_OPENAT, 0, base, 0)
@@ -412,7 +408,7 @@ _SYSCALLS = [SYS_OPENAT, SYS_READ, SYS_WRITE, SYS_EXIT, SYS_GETRANDOM, SYS_THREA
 _PATH = DRAM_BASE + 0x100
 _ARG = hs.one_of(
     hs.integers(0, (1 << 64) - 1),
-    hs.integers(DRAM_BASE - 64, DRAM_BASE + DRAM_SIZE + 64),
+    hs.integers(DRAM_BASE - 64, DRAM_END + 64),
     hs.integers(0, 8),  # fds, short counts and small tids
     hs.integers(0, 1 << 17),
     hs.just(_PATH),
@@ -453,7 +449,7 @@ def test_any_syscall_returns_a_value_or_errno_or_stops(a7, args, budget, strict_
     shim.fds[3] = FileDesc(data=bytes(range(200)))
     shim.fds[4] = FileDesc(data=bytes(200), sensitive=True)
     shim.next_fd = 5
-    mem.store(mem.base + 0x200, 8, 0x1234, 1, st.key)  # a tagged word for write to meet
+    mem.store(DRAM_BASE + 0x200, 8, 0x1234, 1, st.key)  # a tagged word for write to meet
     st.max_instret = budget
     st.regs[10:13] = args
     st.regs[17] = a7

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conch import report
 from conch.crypt import derive_thread_key, generate_master_key
-from conch.mem import DRAM_SIZE, REGION_SHIFT, MemorySystem
+from conch.mem import DRAM_BASE, DRAM_SIZE, REGION_SHIFT, MemorySystem
 from conch.report import (
     ByteOracle,
     build_report,
@@ -78,7 +78,7 @@ def test_store_taints_masks_width():
 
 def test_overtagging_counts_partial_words():
     mem = MemorySystem()
-    a = mem.base + 0x100
+    a = DRAM_BASE + 0x100
     mem.ctag_set_range(a, 4, KEY)  # one word, 4 of 8 bytes tainted
     mem.ctag_set_range(a + 8, 8, KEY)  # one word fully tainted
     mem.flush_and_sync(KEY)
@@ -138,7 +138,7 @@ def test_overtagging_matches_numpy_at_chunk_edges():
     # edge words are the first and last words of the first two and the
     # last two regions of DRAM.
     mem = MemorySystem()
-    n_words = mem.size // 8
+    n_words = DRAM_SIZE // 8
     region_words = 1 << (REGION_SHIFT - 3)
     rng = random.Random(5)
     words = {0, region_words - 1, region_words, 2 * region_words - 1}
