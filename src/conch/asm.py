@@ -12,7 +12,7 @@ one laid out for it. A value of .byte, .half, .word or .dword is an
 integer literal or a label, and one of w bytes must lie in
 -2**(8w-1) <= v < 2**(8w): any value of that width, signed or not.
 
-One table of operand fields per format (_OPERANDS) gives the syntax in
+isa.FORMATS, each format's operands in source order, gives the syntax in
 both directions: the assembler parses each statement's operands by it,
 checking immediates against isa.imm_range(), and disassemble() renders
 decoded words by it. Every word is packed by isa.encode().
@@ -125,11 +125,13 @@ def _parse_string(tok, line):
     return _ESCAPE_RE.sub(unescape, tok[1:-1]).encode("latin-1")
 
 
-def _li_expansion(rd, value, line):
+def _li_expansion(rd, tok, line):
     # Deterministic: addi for 12-bit, lui(+addi) for the 32-bit signed
     # range. Anything wider must come from memory (.dword plus ld).
-    if value >= 1 << 63:
-        value -= 1 << 64
+    value = _parse_int(tok, line)
+    if not -(1 << 63) <= value < 1 << 64:
+        raise ImmediateOutOfRange(line, f"li value {tok} does not fit in 64 bits")
+    value = sext(value, 64)
     lo, hi = isa.imm_range("I")
     if lo <= value <= hi:
         return [("addi", rd, 0, 0, value)]
@@ -168,7 +170,7 @@ def _expand(mn, ops, addr, line, resolve):
     if mn == "mv":
         return [("addi", rd, _reg(ops[1], line), 0, 0)]
     if mn == "li":
-        return _li_expansion(rd, _parse_int(ops[1], line), line)
+        return _li_expansion(rd, ops[1], line)
     # la: auipc then addi, which reach delta in [-0x80000800, 0x7FFFF7FF]
     delta = resolve(ops[1], line) - addr
     hi = (delta + 0x800) >> 12
@@ -292,26 +294,9 @@ def _data_value(head, value, line):
     return (value & ((1 << bits) - 1)).to_bytes(bits // 8, "little")
 
 
-# Operand fields of each format in source order: a register field, "imm"
-# for an immediate, "mem" for imm(rs1), "off" for a branch or jump target
-# (a label or a byte offset) and "hi" for the upper 20 bits of lui and
-# auipc. The assembler parses them and disassemble() renders them.
-_OPERANDS = {
-    "R": ("rd", "rs1", "rs2"),
-    "I": ("rd", "rs1", "imm"),
-    "S": ("rs2", "mem"),
-    "B": ("rs1", "rs2", "off"),
-    "U": ("rd", "hi"),
-    "J": ("rd", "off"),
-    "SHIFT64": ("rd", "rs1", "imm"),
-    "SHIFT32": ("rd", "rs1", "imm"),
-    "SYS": (),
-    "CTAG": ("rs1", "rs2"),
-    "CTAGRD": ("rd", "rs1"),
-}
-# mnemonic -> its operand fields; loads and jalr take rd, imm(rs1)
+# mnemonic -> its operands in source order; loads and jalr take rd, imm(rs1)
 _SYNTAX = {
-    mn: ("rd", "mem") if opcode in (isa.OP_LOAD, isa.OP_JALR) else _OPERANDS[fmt]
+    mn: ("rd", "mem") if opcode in (isa.OP_LOAD, isa.OP_JALR) else isa.FORMATS[fmt][0]
     for mn, (fmt, opcode, _, _) in isa.SPECS.items()
 }
 
@@ -344,7 +329,7 @@ def _encode(mn, ops, addr, line, resolve):
     fields = _SYNTAX[mn]
     operands = {"rd": 0, "rs1": 0, "rs2": 0, "imm": 0}
     if mn == "jalr" and len(ops) == 3:
-        fields = _OPERANDS["I"]
+        fields = isa.FORMATS["I"][0]
     elif mn == "jal" and len(ops) == 1:
         fields, operands["rd"] = ("off",), 1  # jal label links ra
     if len(ops) != len(fields):

@@ -62,7 +62,7 @@ def image_to_program(doc):
         raise ValueError("image needs a 64-bit entry address and a list of segments")
     segments = []
     for i, seg in enumerate(segs):
-        if not (isinstance(seg, dict) and isinstance(seg.get("base"), int) and isinstance(seg.get("data"), str)):
+        if not (isinstance(seg, dict) and type(seg.get("base")) is int and isinstance(seg.get("data"), str)):
             raise ValueError(f"image segment {i} needs an integer base and base64 data")
         segments.append((seg["base"], base64.b64decode(seg["data"], validate=True), seg.get("kind", "data")))
     return asm.Program(segments=segments, entry=entry, symbols=doc.get("symbols", {}))

@@ -227,10 +227,9 @@ def _alu_reg(ins):
 def _alu_imm(ins):
     m, rd, rs1, _, imm = ins
     # OP-IMM (OP-IMM-32) runs the OP (OP-32) operation of the same funct3
-    # and funct7; I-format has funct7 0, and SHIFT64 holds funct7 >> 1
-    fmt, opcode, funct3, funct7 = isa.SPECS[m]
-    funct7 = 0 if fmt == "I" else funct7 << 1 if fmt == "SHIFT64" else funct7
-    fn = _ALU[_BY_FIELDS[_OP_TWIN[opcode], funct3, funct7]]
+    # and funct7, which an I-format entry leaves None for 0
+    _, opcode, funct3, funct7 = isa.SPECS[m]
+    fn = _ALU[_BY_FIELDS[_OP_TWIN[opcode], funct3, funct7 or 0]]
     imm &= MASK64
     src = (rs1,)
 

@@ -4,9 +4,9 @@ Covers RV64I base, the M extension, ecall/ebreak, and the custom tag
 management group on the custom-0 opcode. Encodings follow the standard
 R/I/S/B/U/J formats; the tag group is R-format with funct7=0.
 
-SPECS is the only table of encodings, and _FORMATS the only description
-of each format's operand fields. Everything that reads or writes a word is
-built on both, and there is no per-format packer:
+SPECS is the only table of encodings, and FORMATS the one operand table:
+each format's operands in source order and their fields in the word. All
+that reads or writes a word is built on both; there is no per-format packer:
 - decode() matches words against the (mask, match) pair each SPECS entry
   yields, as riscv-opcodes derives Spike's decoder; the interpreter and
   the disassembler read instructions through it.
@@ -35,7 +35,7 @@ OP_CUSTOM0 = 0b0001011  # tag management group
 
 # mnemonic -> (format, opcode, funct3, funct7)
 # format is one of R, I, S, B, U, J, SHIFT64, SHIFT32, SYS, CTAG, CTAGRD.
-# SHIFT64 keeps funct6 in funct7's place and SYS its 12-bit immediate.
+# funct7 is bits 31:25, except that SYS keeps its 12-bit immediate there.
 SPECS = {
     "lui": ("U", OP_LUI, None, None),
     "auipc": ("U", OP_AUIPC, None, None),
@@ -64,9 +64,9 @@ SPECS = {
     "xori": ("I", OP_IMM, 0b100, None),
     "ori": ("I", OP_IMM, 0b110, None),
     "andi": ("I", OP_IMM, 0b111, None),
-    "slli": ("SHIFT64", OP_IMM, 0b001, 0b000000),
-    "srli": ("SHIFT64", OP_IMM, 0b101, 0b000000),
-    "srai": ("SHIFT64", OP_IMM, 0b101, 0b010000),
+    "slli": ("SHIFT64", OP_IMM, 0b001, 0b0000000),
+    "srli": ("SHIFT64", OP_IMM, 0b101, 0b0000000),
+    "srai": ("SHIFT64", OP_IMM, 0b101, 0b0100000),
     "addiw": ("I", OP_IMM32, 0b000, None),
     "slliw": ("SHIFT32", OP_IMM32, 0b001, 0b0000000),
     "srliw": ("SHIFT32", OP_IMM32, 0b101, 0b0000000),
@@ -128,31 +128,34 @@ def sext(value, bits):
     return value
 
 
-# Operand fields of each format, described as riscv-opcodes' arg_lut
-# describes them: the register fields it uses, then its immediate as
-# (word bit, width, immediate bit) slices and the width the immediate is
-# sign-extended from (0: unsigned). Every bit outside these fields is fixed
-# by the mnemonic. CTAG is ctag.set/ctag.clr rs1, rs2; CTAGRD is ctag.rdt
-# rd, rs1. encode(), decode() and imm_range() read this table.
-_FORMATS = {
+# The operands of each format, as riscv-opcodes' arg_lut describes them:
+# in source order, a register field, "imm" (an immediate), "mem" (imm(rs1)),
+# "off" (a branch or jump target: a label or a byte offset) or "hi" (the
+# upper 20 bits of lui and auipc); then the immediate's (word bit, width,
+# immediate bit) slices and its sign-extension width (0: unsigned). Every
+# other bit is fixed by the mnemonic. CTAG is ctag.set/ctag.clr rs1, rs2;
+# CTAGRD is ctag.rdt rd, rs1. isa and the assembler's syntax read this table.
+FORMATS = {
     "R": (("rd", "rs1", "rs2"), (), 0),
-    "I": (("rd", "rs1"), ((20, 12, 0),), 12),
-    "S": (("rs1", "rs2"), ((7, 5, 0), (25, 7, 5)), 12),
-    "B": (("rs1", "rs2"), ((8, 4, 1), (25, 6, 5), (7, 1, 11), (31, 1, 12)), 13),
-    "U": (("rd",), ((12, 20, 12),), 32),
-    "J": (("rd",), ((21, 10, 1), (20, 1, 11), (12, 8, 12), (31, 1, 20)), 21),
-    "SHIFT64": (("rd", "rs1"), ((20, 6, 0),), 0),
-    "SHIFT32": (("rd", "rs1"), ((20, 5, 0),), 0),
+    "I": (("rd", "rs1", "imm"), ((20, 12, 0),), 12),
+    "S": (("rs2", "mem"), ((7, 5, 0), (25, 7, 5)), 12),
+    "B": (("rs1", "rs2", "off"), ((8, 4, 1), (25, 6, 5), (7, 1, 11), (31, 1, 12)), 13),
+    "U": (("rd", "hi"), ((12, 20, 12),), 32),
+    "J": (("rd", "off"), ((21, 10, 1), (20, 1, 11), (12, 8, 12), (31, 1, 20)), 21),
+    "SHIFT64": (("rd", "rs1", "imm"), ((20, 6, 0),), 0),
+    "SHIFT32": (("rd", "rs1", "imm"), ((20, 5, 0),), 0),
     "SYS": ((), (), 0),
     "CTAG": (("rs1", "rs2"), (), 0),
     "CTAGRD": (("rd", "rs1"), (), 0),
 }
 _REG_SHIFT = {"rd": 7, "rs1": 15, "rs2": 20}
+# format -> the register fields it packs; "mem" holds rs1
+_REGS = {fmt: {"rs1" if op == "mem" else op for op in ops} & _REG_SHIFT.keys() for fmt, (ops, _, _) in FORMATS.items()}
 
 
 def _operand_bits(fmt):
-    regs, slices, _ = _FORMATS[fmt]
-    bits = sum(0x1F << _REG_SHIFT[r] for r in regs)
+    _, slices, _ = FORMATS[fmt]
+    bits = sum(0x1F << _REG_SHIFT[r] for r in _REGS[fmt])
     for at, width, _ in slices:
         bits |= ((1 << width) - 1) << at
     return bits
@@ -161,8 +164,8 @@ def _operand_bits(fmt):
 def _operands(fmt, word):
     """(rd, rs1, rs2, imm) of a word in the given format; a field the
     format does not use reads 0, and imm is the shift amount for shifts."""
-    regs, slices, sign = _FORMATS[fmt]
-    rd, rs1, rs2 = ((word >> shift) & 0x1F if r in regs else 0 for r, shift in _REG_SHIFT.items())
+    _, slices, sign = FORMATS[fmt]
+    rd, rs1, rs2 = ((word >> shift) & 0x1F if r in _REGS[fmt] else 0 for r, shift in _REG_SHIFT.items())
     imm = 0
     for at, width, to in slices:
         imm |= ((word >> at) & ((1 << width) - 1)) << to
@@ -175,14 +178,14 @@ def _operands(fmt, word):
 _MATCH = {}
 _BY_OPCODE = {}
 for _mnem, (_fmt, _opcode, _f3, _f7) in SPECS.items():
-    _MATCH[_mnem] = _opcode | (_f3 or 0) << 12 | (_f7 or 0) << {"SHIFT64": 26, "SYS": 20}.get(_fmt, 25)
+    _MATCH[_mnem] = _opcode | (_f3 or 0) << 12 | (_f7 or 0) << (20 if _fmt == "SYS" else 25)
     _BY_OPCODE.setdefault(_opcode, []).append((~_operand_bits(_fmt) & 0xFFFFFFFF, _MATCH[_mnem], _mnem, _fmt))
 
 
 def imm_range(fmt):
     """(lowest, highest) immediate of `fmt` as decode() returns it: the
     span of its sign width, or of its field width if it is unsigned."""
-    _, slices, sign = _FORMATS[fmt]
+    _, slices, sign = FORMATS[fmt]
     if sign:
         return -(1 << (sign - 1)), (1 << (sign - 1)) - 1
     return 0, (1 << sum(width for _, width, _ in slices)) - 1
@@ -191,12 +194,12 @@ def imm_range(fmt):
 def encode(mnem, rd=0, rs1=0, rs2=0, imm=0):
     """The word for `mnem` with the given operands, imm as decode()
     returns it; the inverse of decode() for operands in range."""
-    regs, slices, _ = _FORMATS[SPECS[mnem][0]]
+    fmt = SPECS[mnem][0]
     word = _MATCH[mnem]
     for r, value in zip(_REG_SHIFT, (rd, rs1, rs2)):
-        if r in regs:
+        if r in _REGS[fmt]:
             word |= value << _REG_SHIFT[r]
-    for at, width, to in slices:
+    for at, width, to in FORMATS[fmt][1]:
         word |= ((imm >> to) & ((1 << width) - 1)) << at
     return word
 

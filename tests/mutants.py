@@ -149,6 +149,16 @@ MUTANTS = (
             "tests/test_os.py::test_openat_path_running_out_of_dram_is_efault",
         ),
     ),
+    Mutant(
+        "a memory operand's base register is not packed",
+        "isa.py",
+        '{"rs1" if op == "mem" else op for',
+        "{op for",
+        (
+            "tests/test_asm.py::test_every_mnemonic_assembles_decodes_and_disassembles_back",
+            "tests/test_asm.py::test_program_images_match_golden",
+        ),
+    ),
 )
 
 

@@ -199,6 +199,13 @@ def test_li_out_of_range():
         assemble("li a0, 0x1122334455667788")
 
 
+@pytest.mark.parametrize("literal", ["0x10000000000000005", "0x1ffffffffffffffff", "-0x8000000000000001"])
+def test_li_refuses_a_literal_wider_than_64_bits(literal):
+    # not wrapped to its low 64 bits: 0x10000000000000005 would load 5
+    with pytest.raises(ImmediateOutOfRange, match=f"li value {literal} "):
+        assemble(f"li a0, {literal}")
+
+
 def test_li_runtime_values():
     # spot-check the lui+addi fixup actually produces the constant
     from conch.report import simulate

@@ -444,6 +444,14 @@ def test_malformed_image_exit_code(tmp_path, capsys, doc):
     assert err.startswith("conch: ")
 
 
+def test_image_segment_base_is_typed_like_the_entry(tmp_path, capsys):
+    # True is an int to isinstance(), but no more a base than an entry
+    doc = {"format": "conch-image", "entry": 0x80000000, "segments": [{"base": True, "data": ""}]}
+    img = write(tmp_path, "bad.json", json.dumps(doc))
+    assert main(["run", img]) == EXIT_ASM
+    assert capsys.readouterr().err == "conch: image segment 0 needs an integer base and base64 data\n"
+
+
 @pytest.mark.parametrize("entry", [0, (1 << 64) - 4])
 def test_image_entry_outside_dram_traps(tmp_path, capsys, entry):
     # a 64-bit entry is a well-formed image; fetching outside DRAM traps
