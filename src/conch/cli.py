@@ -90,17 +90,11 @@ def load_program(path):
 
 
 def _add_run_options(p):
-    p.add_argument("--seed", type=int, default=None, help="PRNG/key seed (default: $CONCH_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="PRNG/key seed (default 0)")
     p.add_argument("--map", action="append", metavar="VIRT=HOSTPATH", help="mount a host file at a virtual path")
     p.add_argument("--stream", action="append", metavar="VIRT=HEX", help="mount literal hex bytes at a virtual path")
     p.add_argument("--max-instret", type=int, default=DEFAULT_MAX_INSTRET)
     p.add_argument("--strict-write", action="store_true", help="trap on write() of tagged data")
-
-
-def _seed_of(args):
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("CONCH_SEED", "0"), 0)
 
 
 def _fs_of(args):
@@ -127,7 +121,7 @@ def _sim_kwargs(args, **numeric):
     for name, value in numeric.items():
         if value < 0:
             raise ValueError(f"--{name.replace('_', '-')} must not be negative, got {value}")
-    return dict(seed=_seed_of(args), fs=_fs_of(args), strict_write=args.strict_write, **numeric)
+    return dict(seed=args.seed, fs=_fs_of(args), strict_write=args.strict_write, **numeric)
 
 
 def _stop_exit(stop):
@@ -155,7 +149,7 @@ def cmd_run(args):
     program = load_program(args.source)
     models = tuple(m.strip() for m in args.models.split(","))
     results = run_models(program=program, models=models, **_sim_kwargs(args, dram_latency=args.dram_latency))
-    report = build_report(results, seed=_seed_of(args))
+    report = build_report(results)
     rendered = emit_report(report, fmt=args.format)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -249,8 +243,8 @@ def cmd_demo(args):
         raise ValueError(f"unknown demo {args.name!r} (have: {', '.join(sorted(DEMOS))})")
     demo = DEMOS[args.name]
     source = read_source(os.path.join(os.path.dirname(__file__), "demos", f"{args.name}.s"))
-    results = run_models(source, seed=_seed_of(args), fs=demo["fs"])
-    report = build_report(results, seed=_seed_of(args))
+    results = run_models(source, seed=args.seed, fs=demo["fs"])
+    report = build_report(results)
     print(f"demo {args.name}: {demo['blurb']}\n")
     sys.stdout.write(emit_report(report, fmt="text"))
     fails = demo["check"](results, report)
@@ -293,7 +287,7 @@ def _dump_arguments(p):
 
 def _demo_arguments(p):
     p.add_argument("name", help=", ".join(sorted(DEMOS)))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="PRNG/key seed (default 0)")
     p.set_defaults(fn=cmd_demo)
 
 

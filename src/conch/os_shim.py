@@ -102,10 +102,9 @@ class OsShim:
         """Copy data into guest memory, tagged or not, by the plan
         _charge_stores returned."""
         for width, offsets in plan:
-            taints = (1 << width) - 1 if tag else 0
             for i in offsets:
                 value = int.from_bytes(data[i : i + width], "little")
-                mem.store(addr + i, width, value, tag, st.key, taints)
+                mem.store(addr + i, width, value, tag, st.key)
 
     # ---- syscalls ------------------------------------------------------------
 
@@ -164,9 +163,7 @@ class OsShim:
         f = self.fds.get(fd)
         if f is None:
             return -EBADF, 0
-        n = min(count, len(f.data) - f.pos)
-        if n <= 0:
-            return 0, 0
+        n = min(count, len(f.data) - f.pos)  # at EOF 0: the copy then charges and stores nothing
         if not _in_dram(buf, n):
             return -EFAULT, 0
         plan, stores = self._charge_stores(st, buf, n)

@@ -52,7 +52,7 @@ class ByteOracle:
         elif event == "load":
             bits, width, signed = info
             vec = bits
-            if signed and width < 8 and (bits >> (width - 1)) & 1:
+            if signed and (bits >> (width - 1)) & 1:
                 vec |= 0xFF ^ ((1 << width) - 1)
         else:  # clear
             vec = 0
@@ -209,8 +209,9 @@ def compute_overtagging(mem):
 
 
 class SimResult:
-    def __init__(self, model, st, mem, shim, stop, costs, trap_word):
+    def __init__(self, model, seed, st, mem, shim, stop, costs, trap_word):
         self.model = model
+        self.seed = seed  # of the master key and the kernel's PRNG
         self.st = st
         self.mem = mem
         self.shim = shim
@@ -253,7 +254,7 @@ def simulate(
     trap_word = mem.icache_word(st.pc) if stop == "trap" and not st.pc & 3 else None
     mem.flush_and_sync(st.key)
     costs = CycleCosts(dram_access_latency=dram_latency)
-    return SimResult(model=model, st=st, mem=mem, shim=shim, stop=stop, costs=costs, trap_word=trap_word)
+    return SimResult(model=model, seed=seed, st=st, mem=mem, shim=shim, stop=stop, costs=costs, trap_word=trap_word)
 
 
 def run_models(source=None, *, program=None, models=MODELS, **kw):
@@ -295,9 +296,10 @@ def run_models(source=None, *, program=None, models=MODELS, **kw):
 # ---- the report -----------------------------------------------------------------
 
 
-def build_report(results, seed):
+def build_report(results):
     """Assemble the RunReport dict from per-model results. Functional
-    fields come from any run (they are identical); cost fields are per
+    fields, the seed among them, come from any run (they are identical:
+    run_models gives every model the same seed); cost fields are per
     model; memory statistics are mem_stats of the most detailed model
     present. The over-tag extra-cycles figure prices that model's cipher
     work on words that carried no tainted byte at all when they crossed
@@ -328,7 +330,7 @@ def build_report(results, seed):
         "tag_stats": tag_stats,
         "mem_stats": mem_stats(mem, detailed.model),
         "leak_averted_bytes": any_r.shim.leak_averted_bytes,
-        "seed": seed,
+        "seed": any_r.seed,
         "exit_code": any_r.st.exit_code,
         "stop_reason": any_r.stop,
     }

@@ -7,13 +7,14 @@ memories' planes. And Instr, the decoded form of a word the decoder
 tests compare."""
 
 import random
+from importlib import resources
 from typing import NamedTuple
 
 import pytest
 from hypothesis import Phase, settings
 
 from conch import isa
-from conch.cli import read_source
+from conch.cli import DEMOS, read_source
 from conch.crypt import qarma_decrypt, qarma_encrypt
 from conch.isa import MASK64
 from conch.mem import DRAM_BASE, DRAM_SIZE, REGION_SHIFT, MemorySystem
@@ -421,10 +422,6 @@ out:
     .dword 0
 """
 
-_HB_REQUEST = b"GET heartbeat 48"
-_HB_SECRET = b"pk.live_9f27c55e31d04a8b77aa0312"
-
-
 def odd_access_program(mnem):
     """One guest access of the given mnemonic at an odd address, then exit 0."""
     return f"""
@@ -460,13 +457,17 @@ def grid_words(per_triple):
                     yield (f7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | op
 
 
-def demo_source(name):
-    from importlib import resources
+def demo_path(name):
+    """The path of a bundled demo's source, as `conch demo NAME` runs it."""
+    return str(resources.files("conch") / "demos" / f"{name}.s")
 
-    return read_source(resources.files("conch") / "demos" / f"{name}.s")
+
+def demo_source(name):
+    return read_source(demo_path(name))
 
 
 def build_corpus():
+    """The corpus; each demo runs with the inputs `conch demo` gives it."""
     corpus = [
         ("alu_mix", ALU_MIX, {}, 0),
         ("fib", FIB, {}, 0),
@@ -475,10 +476,8 @@ def build_corpus():
         ("sort", SORT, {}, 0),
         ("clear_flow", CLEAR_FLOW, {}, 0),
         ("io_plain", IO_PLAIN, {"input": bytes(range(64))}, 0),
-        ("demo_heartbleed", demo_source("heartbleed"), {"request": _HB_REQUEST, "secret": _HB_SECRET}, 0),
-        ("demo_granularity", demo_source("granularity"), {}, 0),
-        ("demo_threads", demo_source("threads"), {}, 0),
     ]
+    corpus += [(f"demo_{name}", demo_source(name), demo["fs"], 0) for name, demo in DEMOS.items()]
     return corpus
 
 

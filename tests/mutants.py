@@ -159,6 +159,20 @@ MUTANTS = (
             "tests/test_asm.py::test_program_images_match_golden",
         ),
     ),
+    Mutant(
+        "a zero-length ctag walks a line",
+        "mem.py",
+        "        if length == 0:\n            return\n",
+        "",
+        ("tests/test_core.py::test_zero_length_ctag_does_nothing",),
+    ),
+    Mutant(
+        "a trap at a pc no word starts at names a word",
+        "report.py",
+        'stop == "trap" and not st.pc & 3',
+        'stop == "trap" or not st.pc & 3',
+        ("tests/test_cli.py::test_trap_names_its_pc",),
+    ),
 )
 
 

@@ -12,20 +12,20 @@ from pathlib import Path
 import pytest
 
 from conch import asm
-from conch.cli import main
+from conch.cli import DEMOS, main
 from conch.core import MachineState, run
 from conch.crypt import Key128, generate_master_key, qarma_decrypt, qarma_encrypt
 from conch.mem import MODELS, REGION_SHIFT, MemorySystem
 from conch.os_shim import OsShim
 from conch.report import ByteOracle, build_report, compute_overtagging, emit_report, run_models, simulate
 
-from conftest import demo_source, plane_diff
+from conftest import demo_path, demo_source, plane_diff
 
 MIB = 1024 * 1024
 GOLDENS = Path(__file__).parent / "data" / "goldens"
 
-_HB_REQUEST = b"GET heartbeat 48"
-_HB_SECRET = b"pk.live_9f27c55e31d04a8b77aa0312"
+# the heartbleed demo's inputs, as `conch demo heartbleed` mounts them
+HB_FS = DEMOS["heartbleed"]["fs"]
 
 
 def criterion(num, name):
@@ -94,14 +94,15 @@ def test_criterion_02_confidentiality_end_to_end():
         program=program,
         model="b",
         seed=0,
-        fs={"request": _HB_REQUEST, "secret": _HB_SECRET},
+        fs=HB_FS,
     )
     assert res.stop == "exit" and res.st.exit_code == 0
 
     out = bytes(res.shim.stdout)
-    assert out[:16] == _HB_REQUEST  # the legitimate reply is plaintext
-    assert _HB_SECRET not in out  # zero occurrences in the wire output
-    assert res.mem.dram.find(_HB_SECRET) == -1  # zero occurrences in all of DRAM
+    secret = HB_FS["secret"]
+    assert out[:16] == HB_FS["request"]  # the legitimate reply is plaintext
+    assert secret not in out  # zero occurrences in the wire output
+    assert res.mem.dram.find(secret) == -1  # zero occurrences in all of DRAM
 
     # the owning thread's key plus per-word address tweaks recover it exactly
     buf = program.symbols["buf"]
@@ -111,7 +112,7 @@ def test_criterion_02_confidentiality_end_to_end():
         raw, tags = res.mem.raw_dump(w, 8)
         assert tags == [1]
         recovered += qarma_decrypt(key, w, int.from_bytes(raw, "little")).to_bytes(8, "little")
-    assert recovered == _HB_SECRET
+    assert recovered == secret
 
 
 TWEAK_PROG = """
@@ -320,7 +321,7 @@ def test_criterion_06_overhead_ordering():
     # its seed-0 report is pinned byte for byte (regenerate with
     # tests/test_goldens.py)
     golden = (GOLDENS / "report_stream512k.json").read_bytes().decode("utf-8")
-    assert emit_report(build_report(results, seed=0), fmt="json") == golden
+    assert emit_report(build_report(results), fmt="json") == golden
 
 
 PURITY_PROG = """
@@ -533,8 +534,7 @@ buf:
 
 
 @criterion(10, "determinism")
-def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("CONCH_SEED", raising=False)
+def test_criterion_10_determinism(tmp_path, capsys):
     src = tmp_path / "flow.s"
     src.write_text(CLEAR_FLOW)
     rep_a = tmp_path / "a.json"
@@ -550,18 +550,9 @@ def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
     assert json.loads(first)["seed"] == 11
 
     # and the same through an input file mount
-    reader = tmp_path / "reader.s"
-    reader.write_text(demo_source("heartbleed"))
-    argv = [
-        "run",
-        str(reader),
-        "--seed",
-        "3",
-        "--stream",
-        f"request={_HB_REQUEST.hex()}",
-        "--stream",
-        f"secret={_HB_SECRET.hex()}",
-    ]
+    argv = ["run", demo_path("heartbleed"), "--seed", "3"]
+    for virt, content in HB_FS.items():
+        argv += ["--stream", f"{virt}={content.hex()}"]
     assert main(argv) == 0
     one = capsys.readouterr().out
     assert main(argv) == 0

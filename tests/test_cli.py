@@ -82,11 +82,6 @@ buf:
 """
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("CONCH_SEED", raising=False)
-
-
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -176,6 +171,19 @@ buf:
     .dword 0x41
 """
 
+# a jump to pc 0x8000000e, where no instruction starts; the word an
+# icache read there would return (0x8000000c's, 0x13) decodes as nop, so
+# a disassembly line printed for it would show
+MISALIGNED_FETCH_PROG = """
+    .org 0x80000000
+    auipc t0, 0
+    addi t0, t0, 14
+    jalr zero, 0(t0)
+    .half 0x13
+trap_here:
+    .half 0
+"""
+
 # an image whose entry lies outside DRAM, with a label on it
 ENTRY_ZERO_IMAGE = {"format": cli.IMAGE_FORMAT, "version": 1, "entry": 0, "segments": [], "symbols": {"trap_here": 0}}
 
@@ -193,6 +201,7 @@ ENTRY_ZERO_IMAGE = {"format": cli.IMAGE_FORMAT, "version": 1, "entry": 0, "segme
         pytest.param(".org 0x80000000\n    nop\ntrap_here:\n    .word 0\n", [], None, id="illegal-word"),
         pytest.param(STRICT_WRITE_PROG, ["--strict-write"], "ecall", id="strict-write"),
         pytest.param(json.dumps(ENTRY_ZERO_IMAGE), [], None, id="entry-zero-image"),
+        pytest.param(MISALIGNED_FETCH_PROG, [], None, id="misaligned-fetch"),
     ],
 )
 def test_trap_names_its_pc(tmp_path, capsys, source, flags, insn):
@@ -351,14 +360,16 @@ def test_segment_outside_dram_exit_code(tmp_path, capsys):
 
 
 def test_seed_flag_and_env(tmp_path, capsys, monkeypatch):
+    # --seed is the only seed: a seed variable left in the environment
+    # changes nothing, in a run or a demo
+    monkeypatch.setenv("CONCH_SEED", "17")
     src = write(tmp_path, "p.s", EXIT_PROG)
     _, report = run_json(capsys, ["run", src])
     assert report["seed"] == 0
-    monkeypatch.setenv("CONCH_SEED", "17")
-    _, report = run_json(capsys, ["run", src])
-    assert report["seed"] == 17
-    _, report = run_json(capsys, ["run", src, "--seed", "3"])  # flag wins
+    _, report = run_json(capsys, ["run", src, "--seed", "3"])
     assert report["seed"] == 3
+    assert main(["demo", "threads"]) == EXIT_OK
+    assert "seed               0" in capsys.readouterr().out.splitlines()
 
 
 def test_stream_mounts_bytes(tmp_path, capsys):
@@ -631,15 +642,15 @@ def _put_report(path, value):
 def test_demo_check_fails_on_a_doctored_outcome(name, doctor, expect):
     demo = cli.DEMOS[name]
     results = run_models(demo_source(name), fs=demo["fs"])
-    report = build_report(results, seed=0)
+    report = build_report(results)
     assert demo["check"](results, report) == []
     doctor(results, report)
     assert demo["check"](results, report) == expect
 
 
 def test_demo_prints_one_failure_per_broken_property(monkeypatch, capsys):
-    def doctored(results, seed):
-        report = build_report(results, seed)
+    def doctored(results):
+        report = build_report(results)
         report["tag_stats"].update(words_tagged_final=3, overtagged_bytes=0)
         return report
 

@@ -24,7 +24,7 @@ from conch.core import (
 from conch.crypt import BlockMemo, derive_thread_key, generate_master_key
 from conch.mem import DRAM_BASE, DRAM_END, MODELS, MemAccessError, MemorySystem, MisalignedAccess
 from conch.os_shim import SYS_GETRANDOM, SYS_OPENAT, SYS_READ, SYS_THREAD_SWITCH, SYS_WRITE, FileDesc, OsShim
-from conch.report import PRICE_FIELD, ByteOracle, CycleCosts, build_report, counts, emit_report, price, simulate
+from conch.report import PRICE_FIELD, ByteOracle, CycleCosts, build_report, counts, emit_report, mem_stats, price, simulate
 
 from conftest import Instr, decoded, grid_words, odd_access_program
 
@@ -423,6 +423,36 @@ def test_ctag_walk_over_budget_stops_before_walking():
     assert stt.copy_words == 0 and stt.instret == 0
     assert mem.dcache.hits == mem.dcache.misses == 0
     assert mem.word_tag(DRAM_BASE + 0x1000) == 0
+
+
+ZERO_CTAG_PROG = """
+    .org 0x80000000
+    la   a0, buf
+    {addr}
+    {insn}
+    li   a0, 0
+    li   a7, 93
+    ecall
+    .align 3
+buf:
+    .dword 0x1122334455667788
+"""
+
+
+@pytest.mark.parametrize("m", ["ctag.set", "ctag.clr"])
+@pytest.mark.parametrize("addr", ["addi a0, a0, 3", "li a0, 0x10"], ids=["unaligned", "outside-dram"])
+def test_zero_length_ctag_does_nothing(m, addr):
+    # an empty range, wherever it starts, walks no line, charges no copy
+    # and tags no word: each model counts what a nop in its place counts
+    program = asm.assemble(ZERO_CTAG_PROG.format(addr=addr, insn=f"{m} a0, zero"))
+    reference = asm.assemble(ZERO_CTAG_PROG.format(addr=addr, insn="nop"))
+    for model in MODELS:
+        res = simulate(program=program, model=model)
+        nop = simulate(program=reference, model=model)
+        assert res.stop == "exit" and res.st.copy_words == 0
+        assert counts(res.st, res.mem, model) == counts(nop.st, nop.mem, model)
+        assert mem_stats(res.mem, model) == mem_stats(nop.mem, model)
+        assert res.mem.word_tag(program.symbols["buf"]) == 0
 
 
 # ---- tags through the machine ------------------------------------------------
@@ -880,6 +910,6 @@ def test_self_rewriting_guest_reads_the_same_with_a_cold_memo():
         res = simulate(SELF_REWRITING, max_instret=100_000)
         assert res.stop == "budget"
         assert core._entry.cache_info().currsize >= 100_000 // 8
-        reports.append(emit_report(build_report({"baseline": res}, seed=0)))
+        reports.append(emit_report(build_report({"baseline": res})))
         core._entry.cache_clear()
     assert reports[0] == reports[1]

@@ -21,39 +21,34 @@ import contextlib
 import io
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from conch import asm
-from conch.cli import DEMOS, EXIT_OK, main, read_source
+from conch.cli import DEMOS, EXIT_OK, main
 from conch.report import CycleCosts, build_report, counts, emit_report, price, run_models
 
-from conftest import build_corpus
+from conftest import build_corpus, demo_path, demo_source
 
 GOLDENS = Path(__file__).parent / "data" / "goldens"
 PRICED = Path(__file__).parent / "data" / "priced_cycles.json"
 SEED = 0
 
 
-def _demo_path(name):
-    return str(resources.files("conch") / "demos" / f"{name}.s")
-
-
 def report_text(source, fs):
     results = run_models(source, seed=SEED, fs=fs)
-    return emit_report(build_report(results, seed=SEED), fmt="json")
+    return emit_report(build_report(results), fmt="json")
 
 
 def dump_text(name):
     """`conch dump` over the demo's data, from its lowest to its highest
     data address (an .align gap splits it into segments), with the demo's
     inputs mounted as streams."""
-    program = asm.assemble(read_source(_demo_path(name)))
+    program = asm.assemble(demo_source(name))
     spans = [(b, b + len(d)) for b, d, kind in program.segments if kind == "data"]
     base, end = min(lo for lo, _ in spans), max(hi for _, hi in spans)
-    argv = ["dump", _demo_path(name), "--seed", str(SEED), "--range", f"{base:#x}:{end - base}"]
+    argv = ["dump", demo_path(name), "--seed", str(SEED), "--range", f"{base:#x}:{end - base}"]
     for virt, content in DEMOS[name]["fs"].items():
         argv += ["--stream", f"{virt}={content.hex()}"]
     out = io.StringIO()
@@ -74,14 +69,6 @@ def all_goldens():
 
 def _golden(filename):
     return (GOLDENS / filename).read_bytes().decode("utf-8")
-
-
-def test_corpus_demos_use_the_demo_inputs():
-    corpus = {name: (source, fs) for name, source, fs, _ in build_corpus()}
-    for name, demo in DEMOS.items():
-        source, fs = corpus[f"demo_{name}"]
-        assert source == read_source(_demo_path(name))
-        assert fs == demo["fs"]
 
 
 @pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f, _ in build_corpus()])

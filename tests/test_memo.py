@@ -62,7 +62,7 @@ def test_memo_changes_nothing(name, source, fs, monkeypatch):
     with_memo = run_models(program=program, seed=0, fs=fs)
     monkeypatch.setattr(crypt, "MEMO_MAX_PAIRS", 0)
     without = run_models(program=program, seed=0, fs=fs)
-    assert emit_report(build_report(with_memo, seed=0)) == emit_report(build_report(without, seed=0))
+    assert emit_report(build_report(with_memo)) == emit_report(build_report(without))
     labels = ("cycles", "cipher_blocks", "stdout")
     for model in without:
         for label, a, b in zip(labels, _outcome(with_memo[model]), _outcome(without[model])):
@@ -91,7 +91,7 @@ def test_small_cap_is_never_exceeded(name, cap, monkeypatch):
     results = run_models(source, seed=0, fs=fs)
     enc, dec = _pairs(results["b"].mem.memo)
     assert len(enc) == len(dec) == cap
-    text = emit_report(build_report(results, seed=0), fmt="json")
+    text = emit_report(build_report(results), fmt="json")
     assert text == (GOLDENS / f"report_{name}.json").read_bytes().decode("utf-8")
 
 

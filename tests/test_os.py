@@ -103,8 +103,12 @@ def test_read_honors_file_position_and_eof():
     buf = DRAM_BASE + 0x200
     assert ecall(st, mem, shim, SYS_READ, fd, buf, 6) == 6
     assert ecall(st, mem, shim, SYS_READ, fd, buf, 100) == 4  # short read
+    before = st.copy_words, mem.loads, mem.stores, shim.prng.getstate()
     assert ecall(st, mem, shim, SYS_READ, fd, buf, 8) == 0  # EOF
     assert ecall(st, mem, shim, SYS_READ, fd, 0x10, 8) == 0  # nothing to copy, so no -EFAULT
+    # a read at EOF charges, accesses and draws nothing, and stays at EOF
+    assert (st.copy_words, mem.loads, mem.stores, shim.prng.getstate()) == before
+    assert shim.fds[fd].pos == 10
     assert ecall(st, mem, shim, SYS_READ, 99, buf, 8) == -EBADF
 
 

@@ -102,7 +102,7 @@ def test_overtag_cycle_attribution():
     results = run_models(STREAM64K, seed=0)
     blocks = results["b"].mem.overtag_cipher_blocks
     assert blocks > 0
-    rep = build_report(results, seed=0)
+    rep = build_report(results)
     assert rep["tag_stats"]["overtag_extra_cycles_pct"] == round(100.0 * 4 * blocks / rep["cycles"]["baseline"], 4)
 
 
@@ -416,7 +416,7 @@ def test_stopped_runs_price_their_partial_work(name):
     results = run_models(source, seed=0, **budget)
     assert {r.stop for r in results.values()} == {stop}
     assert {m: r.cycles for m, r in results.items()} == {m: _counted_price(r) for m, r in results.items()}
-    assert build_report(results, seed=0)["cycles"] == {
+    assert build_report(results)["cycles"] == {
         "baseline": expected["baseline"], "model_a": expected["a"], "model_b": expected["b"]
     }
 
@@ -426,8 +426,8 @@ def test_stopped_runs_price_their_partial_work(name):
 
 def test_build_report_shape_and_stability():
     results = run_models(PROG, seed=9)
-    rep1 = build_report(results, seed=9)
-    rep2 = build_report(run_models(PROG, seed=9), seed=9)
+    rep1 = build_report(results)
+    rep2 = build_report(run_models(PROG, seed=9))
     assert rep1 == rep2
     assert emit_report(rep1) == emit_report(rep2)
     assert rep1["seed"] == 9
@@ -441,7 +441,7 @@ def test_build_report_shape_and_stability():
 
 def test_report_partial_models():
     results = run_models(PROG, models=("b",), seed=0)
-    rep = build_report(results, seed=0)
+    rep = build_report(results)
     assert rep["cycles"]["baseline"] is None
     assert rep["cycles"]["model_a"] is None
     assert rep["overhead"]["model_b_pct"] is None  # no baseline to compare
@@ -462,7 +462,7 @@ SINGLE_MODEL_REPORTS = {
 
 @pytest.mark.parametrize("model", list(SINGLE_MODEL_REPORTS))
 def test_report_single_model_mem_stats(model):
-    rep = build_report(run_models(PROG, models=(model,), seed=0), seed=0)
+    rep = build_report(run_models(PROG, models=(model,), seed=0))
     cycles, stats = SINGLE_MODEL_REPORTS[model]
     label = {"baseline": "baseline", "a": "model_a", "b": "model_b"}[model]
     assert rep["cycles"] == {k: cycles if k == label else None for k in ("baseline", "model_a", "model_b")}
@@ -471,7 +471,7 @@ def test_report_single_model_mem_stats(model):
 
 def test_emit_text_format():
     results = run_models(PROG, seed=0)
-    rep = build_report(results, seed=0)
+    rep = build_report(results)
     text = emit_report(rep, fmt="text")
     assert "cycles baseline" in text
     assert "overhead A" in text
@@ -488,6 +488,6 @@ def test_trap_is_reported():
     """
     r = simulate(bad, model="baseline")
     assert r.stop == "trap"
-    rep = build_report({"baseline": r}, seed=0)
+    rep = build_report({"baseline": r})
     assert rep["stop_reason"] == "trap"
     assert "trap" in rep
