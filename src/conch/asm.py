@@ -72,7 +72,7 @@ class Program:
         self.symbols = {} if symbols is None else symbols
 
 
-_LABEL_RE = re.compile(r"([A-Za-z_.][\w.$]*)\s*:\s*")
+_LABEL_RE = re.compile(r"([A-Za-z_][\w.$]*)\s*:\s*")
 _MEMOP_RE = re.compile(r"^(-?[\w]*)\s*\(\s*(\w+)\s*\)$")
 
 
@@ -205,7 +205,7 @@ def assemble(source: str) -> Program:
         text = _strip_comment(raw)
         # the labels that open the line, each matched where the last ended
         pos = 0
-        while (m := _LABEL_RE.match(text, pos)) and m[1] not in isa.SPECS and not m[1].startswith("."):
+        while (m := _LABEL_RE.match(text, pos)) and m[1] not in isa.SPECS:
             if m[1] in symbols:
                 raise DuplicateLabel(line_no, f"label {m[1]!r} already defined")
             symbols[m[1]] = lc[section]

@@ -86,11 +86,11 @@ def _div_trunc(a, b):
 
 
 def _div(a, b):
+    # INT64_MIN / -1 needs no case of its own: the quotient 2**63 masks
+    # back to INT64_MIN and the remainder is 0, as RISC-V defines them
     sa, sb = _s64(a), _s64(b)
     if sb == 0:
         return MASK64
-    if sa == -(1 << 63) and sb == -1:
-        return a
     return _div_trunc(sa, sb) & MASK64
 
 
@@ -98,8 +98,6 @@ def _rem(a, b):
     sa, sb = _s64(a), _s64(b)
     if sb == 0:
         return a
-    if sa == -(1 << 63) and sb == -1:
-        return 0
     return (sa - _div_trunc(sa, sb) * sb) & MASK64
 
 
@@ -181,11 +179,6 @@ class MachineState:
         self.max_instret = DEFAULT_MAX_INSTRET
         self.copy_words = 0
 
-    def write_reg(self, rd, value, tag):
-        if rd:
-            self.regs[rd] = value & MASK64
-            self.reg_tags[rd] = tag
-
     def charge_copy(self, words):
         """Count a kernel-side copy (or a ctag walk) of `words` word
         accesses against the instruction budget, which retired
@@ -198,6 +191,18 @@ class MachineState:
 
 
 # ---- execution ---------------------------------------------------------------
+
+
+def write_untagged(st, oracle, rd, value):
+    """Write a result no register data flows into (a link, lui/auipc,
+    ctag.rdt, an ecall's a0): the value masked to 64 bits, tag 0, and a
+    cleared oracle vector. Writes to x0 are dropped."""
+    if rd:
+        st.regs[rd] = value & MASK64
+        st.reg_tags[rd] = 0
+    if oracle:
+        oracle.oracle_step("clear", rd, None)
+
 
 # The builders of the dispatch memo's handlers, one per encoding class
 # (see the module docstring). A handler executes the instruction on
@@ -330,9 +335,7 @@ def _generic(ins):
     if m == "ctag.rdt":
 
         def ctag_rdt(st, mem, shim, oracle, pc):
-            st.write_reg(rd, mem.ctag_read(st.regs[rs1]), 0)
-            if oracle:
-                oracle.oracle_step("clear", rd, None)
+            write_untagged(st, oracle, rd, mem.ctag_read(st.regs[rs1]))
             st.pc = pc + 4
 
         return ctag_rdt
@@ -340,9 +343,7 @@ def _generic(ins):
     if m == "jal":
 
         def jal(st, mem, shim, oracle, pc):
-            st.write_reg(rd, pc + 4, 0)
-            if oracle:
-                oracle.oracle_step("clear", rd, None)
+            write_untagged(st, oracle, rd, pc + 4)
             st.pc = (pc + imm) & MASK64
 
         return jal
@@ -351,9 +352,7 @@ def _generic(ins):
 
         def jalr(st, mem, shim, oracle, pc):
             target = (st.regs[rs1] + imm) & MASK64 & ~1
-            st.write_reg(rd, pc + 4, 0)
-            if oracle:
-                oracle.oracle_step("clear", rd, None)
+            write_untagged(st, oracle, rd, pc + 4)
             st.pc = target
 
         return jalr
@@ -362,9 +361,7 @@ def _generic(ins):
     pc_relative = m == "auipc"
 
     def upper(st, mem, shim, oracle, pc):
-        st.write_reg(rd, pc + imm if pc_relative else imm, 0)
-        if oracle:
-            oracle.oracle_step("clear", rd, None)
+        write_untagged(st, oracle, rd, pc + imm if pc_relative else imm)
         st.pc = pc + 4
 
     return upper

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-from .core import StrictWriteViolation
+from .core import StrictWriteViolation, write_untagged
 from .crypt import derive_thread_key, qarma_encrypt
 from .isa import MASK64
 from .mem import in_dram
@@ -66,7 +66,7 @@ class FileDesc:
 class OsShim:
     def __init__(self, master_key, seed=0, fs=None, strict_write=False):
         self.master_key = master_key
-        self.fs = {} if fs is None else fs
+        self.fs = dict(fs or {})
         self.strict_write = strict_write
         self.thread_keys = {}
         self.fds = {}
@@ -131,9 +131,7 @@ class OsShim:
         else:
             ret = -ENOSYS
 
-        st.write_reg(10, ret & MASK64, 0)
-        if oracle:
-            oracle.oracle_step("clear", 10, None)
+        write_untagged(st, oracle, 10, ret)
 
     def sys_openat(self, st, mem, dirfd, path_ptr, flags):
         """A path that leaves DRAM before its NUL is -EFAULT; the bytes

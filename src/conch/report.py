@@ -188,8 +188,6 @@ def compute_overtagging(mem):
         # tag bytes lo..hi-1 hold every tag bit; oracle bytes 8*lo..8*hi-1
         # belong to their words
         hi = len(tags.rstrip(b"\0"))
-        if not hi:
-            continue
         lo = len(tags) - len(tags.lstrip(b"\0"))
         tags, oracle = tags[lo:hi], oracle[8 * lo : 8 * hi]
         words_tagged += int.from_bytes(tags, "little").bit_count()
@@ -239,7 +237,10 @@ def simulate(
     part of the run, so DRAM ends at rest. dram_latency is the price of
     one DRAM access, and max_instret the budget run reads from st. memo
     is the crypt.BlockMemo the run enciphers and derives its thread keys
-    through; by default a fresh one."""
+    through; by default a fresh one. A seed outside [0, 2**64) raises
+    ValueError: the key and the kernel's PRNG would reduce it differently."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if program is None:
         program = asm.assemble(source)
     mem = MemorySystem(memo=memo)
@@ -247,7 +248,7 @@ def simulate(
     st.max_instret = max_instret
     asm.load_image(program, mem, st)
     master = generate_master_key(seed)
-    shim = OsShim(master, seed=seed, fs=dict(fs or {}), strict_write=strict_write)
+    shim = OsShim(master, seed=seed, fs=fs, strict_write=strict_write)
     st.key = shim.key_for(0, mem.memo)
     stop = run(st, mem, shim, ByteOracle() if with_oracle else None)
     # read before the final flush drops the icache; DRAM may hold a newer word

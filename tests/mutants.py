@@ -18,21 +18,46 @@ killed when at least one test fails. A control run first runs every named
 test on an unpatched copy, where all must pass. The exit status is 0 only
 if the control passes and every mutant applies and is killed. It is not
 part of Tier-1.
+
+The sweep generates mutants instead of naming them:
+
+    python tests/mutants.py --sweep                     # every module
+    python tests/mutants.py --sweep src/conch/core.py   # the named ones
+
+Two operator families run over each module. The clause family forces
+each single-line if, while or ternary test to False and drops each
+operand of each single-line and/or. The operator family, at the first
+match of each operator on a code line, turns `+= x` into `+= 0` and
+swaps < with <=, > with >= and `and` with `or`. Each mutant runs the
+whole Tier-1 with -x under the same profile and seed, two at a time,
+after an unpatched control run that must pass. A mutant is killed when
+a test fails, when the patched tree does not import, when pytest ends
+in an error, or when the run hangs past SWEEP_TIMEOUT_S (or three times
+the control's time, if longer). A survivor must be listed in EQUIVALENT, with the reason no
+input can tell it from the original; the sweep fails on an unlisted
+survivor and on a listed entry that no longer survives.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import time
+import tokenize
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 600  # per mutant; a mutant still running then is not killed
+SWEEP_TIMEOUT_S = 120  # per swept mutant; one still running then hangs, so is killed
+SWEEP_JOBS = 2  # swept mutants run at a time
 
 
 class Mutant(NamedTuple):
@@ -41,6 +66,16 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple  # pytest node ids that should kill it
+
+    def apply(self, conch):
+        """Patch the copy of src/conch at conch; the old text must occur
+        exactly once."""
+        path = conch / self.file
+        text = path.read_text(encoding="utf-8")
+        found = text.count(self.old)
+        if found != 1:
+            raise ValueError(f"{self.name}: old text occurs {found} times in {self.file}")
+        path.write_text(text.replace(self.old, self.new), encoding="utf-8")
 
 
 MUTANTS = (
@@ -173,50 +208,223 @@ MUTANTS = (
         'stop == "trap" or not st.pc & 3',
         ("tests/test_cli.py::test_trap_names_its_pc",),
     ),
+    Mutant(
+        "simulate runs without the byte oracle",
+        "report.py",
+        "stop = run(st, mem, shim, ByteOracle() if with_oracle else None)",
+        "stop = run(st, mem, shim, None)",
+        ("tests/test_report.py::test_simulate_runs_the_register_oracle",),
+    ),
+    Mutant(
+        "ctag.rdt leaves its old oracle taint",
+        "core.py",
+        "write_untagged(st, oracle, rd, mem.ctag_read(st.regs[rs1]))",
+        "st.regs[rd], st.reg_tags[rd] = mem.ctag_read(st.regs[rs1]), 0",
+        ("tests/test_report.py::test_ctag_rdt_and_an_ecall_clear_the_oracle_taint_of_their_result",),
+    ),
 )
 
 
-def apply(mutant, src):
-    """Patch the copy of src/ at src; the old text must occur exactly once."""
-    path = src / "conch" / mutant.file
-    text = path.read_text(encoding="utf-8")
-    found = text.count(mutant.old)
-    if found != 1:
-        raise ValueError(f"{mutant.name}: old text occurs {found} times in {mutant.file}")
-    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+class Equivalent(NamedTuple):
+    """A swept mutant that no input can tell from the original."""
+
+    file: str  # under src/conch
+    text: str  # the mutated line, stripped
+    op: str  # the operator, as Site.op names it
+    reason: str
 
 
-def verdict(tests, mutant=None):
-    """"killed" (a test failed), "survived", "timeout" or "error: ..." for
-    tests run against a copy of src/, patched by mutant if one is given."""
+EQUIVALENT = (
+    Equivalent(
+        "core.py",
+        "return q if (a < 0) == (b < 0) else -q",
+        "< -> <=",
+        "when a is 0, q is 0, and -0 is 0",
+    ),
+    Equivalent(
+        "mem.py",
+        "if mru is not None and mru.base == line_base:",
+        "mru is not None and mru.base == line_base -> False",
+        "a fast path: mru is first in its set, so the walk finds it there and reorders nothing",
+    ),
+    Equivalent(
+        "mem.py",
+        "if line is not None and line.base == line_base:",
+        "line is not None and line.base == line_base -> False",
+        "a fast path: a resident line lies in DRAM, so the range check passes, and _access "
+        "finds icache.mru through find and counts the same hit",
+    ),
+)
+
+
+class Site(NamedTuple):
+    """One generated mutant: line lineno of file (under src/conch), which
+    reads text once stripped, rewritten to new by operator op."""
+
+    file: str
+    lineno: int
+    text: str
+    op: str
+    new: str
+
+    @property
+    def name(self):
+        return f"{self.file}:{self.lineno}: {self.op}"
+
+    def apply(self, conch):
+        path = conch / self.file
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[self.lineno - 1] = self.new
+        path.write_text("".join(lines), encoding="utf-8")
+
+
+_SWAP = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "and": "or", "or": "and"}
+
+
+def sites(file):
+    """The clause and operator mutants of src/conch/file, in line order."""
+    source = (ROOT / "src" / "conch" / file).read_text(encoding="utf-8")
+    lines = source.splitlines(keepends=True)
+    found = {}
+
+    def add(lineno, start, end, repl, op):
+        # start and end are character columns of line lineno
+        line = lines[lineno - 1]
+        new = line[:start] + repl + line[end:]
+        found.setdefault((lineno, new), (start, Site(file, lineno, line.strip(), op, new)))
+
+    def span(node):
+        """node's character columns, if it lies on one line."""
+        if node.lineno != node.end_lineno:
+            return None
+        raw = lines[node.lineno - 1].encode("utf-8")  # ast counts UTF-8 bytes
+        return len(raw[: node.col_offset].decode("utf-8")), len(raw[: node.end_col_offset].decode("utf-8"))
+
+    def text(node):
+        start, end = span(node)
+        return lines[node.lineno - 1][start:end]
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp)) and span(node.test):
+            add(node.test.lineno, *span(node.test), "False", f"{text(node.test)} -> False")
+        elif isinstance(node, ast.BoolOp) and span(node):
+            word = " and " if isinstance(node.op, ast.And) else " or "
+            for dropped in node.values:
+                kept = word.join(f"({text(v)})" for v in node.values if v is not dropped)
+                add(node.lineno, *span(node), f"({kept})", f"drop {text(dropped)}")
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add) and span(node):
+            if not (isinstance(node.value, ast.Constant) and node.value.value == 0):
+                add(node.lineno, *span(node.value), "0", f"+= {text(node.value)} -> += 0")
+    first = set()  # (line, operator): only the first match on a line
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in (tokenize.OP, tokenize.NAME) and tok.string in _SWAP and (tok.start[0], tok.string) not in first:
+            first.add((tok.start[0], tok.string))
+            add(tok.start[0], tok.start[1], tok.end[1], _SWAP[tok.string], f"{tok.string} -> {_SWAP[tok.string]}")
+    ordered = [site for _, (_, site) in sorted(found.items(), key=lambda kv: (kv[0][0], kv[1][0]))]
+    # the second and later mutants that read alike (same line text, same
+    # operator) are told apart by their rank
+    seen = {}
+    for i, site in enumerate(ordered):
+        n = seen[site.text, site.op] = seen.get((site.text, site.op), 0) + 1
+        if n > 1:
+            ordered[i] = site._replace(op=f"{site.op} #{n}")
+    return ordered
+
+
+def verdict(tests, mutant=None, timeout=TIMEOUT_S):
+    """(outcome, detail) for tests run against a copy of src/, patched by
+    mutant if one is given. outcome is "killed" (a test failed),
+    "survived", "timeout", "no import" (the patched tree does not import)
+    or "error" (pytest exited otherwise)."""
     with tempfile.TemporaryDirectory(prefix="conch-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         if mutant:
-            apply(mutant, src)
+            mutant.apply(src / "conch")
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
         probe = subprocess.run(
             [sys.executable, "-c", "import conch.cli, conch.report"], cwd=ROOT, env=env, capture_output=True, text=True
         )
         if probe.returncode:
-            return "error: the patched tree does not import\n" + probe.stderr
+            return "no import", probe.stderr
         cmd = [
             sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             "--hypothesis-profile=mutants", "--hypothesis-seed=0", *tests,
         ]
+        # a session of its own, so a hung run is killed with its children
+        proc = subprocess.Popen(
+            cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
+        )
         try:
-            proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+            out, err = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
-            return "timeout"
+            return "timeout", ""
+        finally:
+            if proc.returncode is None:  # hung, or this run was interrupted
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
     if proc.returncode == 1:  # pytest: some test failed
-        return "killed"
+        return "killed", ""
     if proc.returncode == 0:
-        return "survived"
-    return f"error: pytest exited {proc.returncode}\n" + proc.stdout[-2000:] + proc.stderr[-2000:]
+        return "survived", ""
+    return "error", f"pytest exited {proc.returncode}\n" + out[-2000:] + err[-2000:]
+
+
+def sweep(files):
+    """Run every clause and operator mutant of files (under src/conch)
+    against Tier-1; 0 if each survivor is listed in EQUIVALENT and each
+    entry of EQUIVALENT for these files still survives."""
+    chosen = [s for f in files for s in sites(f)]
+    t0 = time.monotonic()
+    control, detail = verdict(["tests"])
+    elapsed = time.monotonic() - t0
+    print(f"{'passed' if control == 'survived' else control:<10} {elapsed:6.1f} s  (control: Tier-1, no mutant)", flush=True)
+    if control != "survived":
+        print(detail, file=sys.stderr)
+        return 1
+    timeout = max(SWEEP_TIMEOUT_S, 3 * elapsed)
+    listed = {(e.file, e.text, e.op): e for e in EQUIVALENT if e.file in files}
+    matched, unlisted = set(), []
+    tally = {f: dict.fromkeys(("mutants", "killed", "equivalent", "survived"), 0) for f in files}
+
+    def one(site):
+        t = time.monotonic()
+        return site, *verdict(["tests"], site, timeout), time.monotonic() - t
+
+    with ThreadPoolExecutor(SWEEP_JOBS) as pool:
+        for site, outcome, detail, secs in pool.map(one, chosen):
+            key = (site.file, site.text, site.op)
+            tally[site.file]["mutants"] += 1
+            if outcome != "survived":
+                label, kind = {"killed": "killed", "timeout": "hung"}.get(outcome, outcome), "killed"
+            elif key in listed:
+                label = kind = "equivalent"
+                matched.add(key)
+            else:
+                label, kind = "SURVIVED", "survived"
+                unlisted.append(site)
+            tally[site.file][kind] += 1
+            print(f"{label:<10} {secs:6.1f} s  {site.name}  | {site.text}", flush=True)
+    for f, t in tally.items():
+        print(f"{f}: {t['mutants']} mutants, {t['killed']} killed, {t['equivalent']} equivalent, {t['survived']} survived")
+    for site in unlisted:
+        print(f"unlisted survivor: {site.name}  | {site.text}")
+    stale = [e for key, e in listed.items() if key not in matched]
+    for e in stale:
+        print(f"stale EQUIVALENT entry (no surviving mutant): {e.file}: {e.op}  | {e.text}")
+    return 1 if unlisted or stale else 0
 
 
 def main(argv=None):
-    names = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--sweep"]:
+        swept = sorted(p.name for p in (ROOT / "src" / "conch").glob("*.py"))
+        files = [Path(f).name for f in args[1:]] or swept
+        if set(files) - set(swept):
+            print(f"not a module of src/conch: {sorted(set(files) - set(swept))}", file=sys.stderr)
+            return 2
+        return sweep(files)
+    names = args
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
@@ -226,18 +434,20 @@ def main(argv=None):
     # the planted defect's doing
     tests = sorted({t for m in chosen for t in m.tests})
     t0 = time.monotonic()
-    control = verdict(tests)
+    control, detail = verdict(tests)
     control = {"survived": "passed", "killed": "FAILED"}.get(control, control)
     print(f"{control:<8} {time.monotonic() - t0:6.1f} s  (control: the named tests, no mutant)", flush=True)
     bad = control != "passed"
     for mutant in chosen:
         t0 = time.monotonic()
         try:
-            result = verdict(mutant.tests, mutant)
+            result, detail = verdict(mutant.tests, mutant)
         except ValueError as exc:
-            result = f"error: {exc}"
+            result, detail = "error", str(exc)
         bad += result != "killed"
         print(f"{result:<8} {time.monotonic() - t0:6.1f} s  {mutant.name}", flush=True)
+        if detail:
+            print(detail, flush=True)
     return 1 if bad else 0
 
 

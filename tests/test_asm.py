@@ -197,9 +197,14 @@ def test_li_expansions():
 def test_li_out_of_range():
     with pytest.raises(ImmediateOutOfRange):
         assemble("li a0, 0x1122334455667788")
+    # the least 64-bit value fits in 64 bits but not in lui+addi
+    with pytest.raises(ImmediateOutOfRange, match="32-bit signed range"):
+        assemble("li a0, -0x8000000000000000")
 
 
-@pytest.mark.parametrize("literal", ["0x10000000000000005", "0x1ffffffffffffffff", "-0x8000000000000001"])
+@pytest.mark.parametrize(
+    "literal", ["0x10000000000000000", "0x10000000000000005", "0x1ffffffffffffffff", "-0x8000000000000001"]
+)
 def test_li_refuses_a_literal_wider_than_64_bits(literal):
     # not wrapped to its low 64 bits: 0x10000000000000005 would load 5
     with pytest.raises(ImmediateOutOfRange, match=f"li value {literal} "):
@@ -263,12 +268,42 @@ def test_unknown_mnemonic_reports_line():
     assert "2" in str(ei.value)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (".foo", "unknown directive .foo"),
+        (".L1: nop", "unknown directive .l1:"),  # a label does not start with a dot
+        ("add: nop", "unknown mnemonic 'add:'"),  # nor is it a mnemonic
+    ],
+)
+def test_unknown_directives_and_mnemonic_labels_are_refused(line, message):
+    with pytest.raises(UnknownMnemonic, match=f"line 1: {message}"):
+        assemble(line)
+
+
+def test_jal_with_one_operand_links_ra():
+    (word,) = _words_of(assemble("jal 8"))
+    assert decoded(word) == Instr("jal", 1, 0, 0, 8)
+    with pytest.raises(AsmError, match="beq expects 3 operands, got 1"):
+        assemble("beq 8")
+
+
+def test_memory_operand_syntax():
+    assert _words_of(assemble("ld a0, (a1)")) == _words_of(assemble("ld a0, 0(a1)"))
+    with pytest.raises(AsmError, match="expected imm\\(reg\\) operand, got 'a1'"):
+        assemble("ld a0, a1")
+
+
 def test_branch_range_and_alignment():
     near = "beq x0, x0, target\n.org 0x80000800\ntarget: nop\n"
     assemble(near)  # +2 KiB, inside the 13-bit span
     too_far = near.replace("0x80000800", "0x80001000")
     with pytest.raises(ImmediateOutOfRange):
         assemble(too_far)  # +4 KiB is one past the max
+    with pytest.raises(MisalignedTarget):
+        assemble("beq a0, a1, 2")  # even, but not a word boundary
+    with pytest.raises(MisalignedTarget):
+        assemble(".byte 0\nbeq a0, a1, 3\n")  # a word boundary, but odd
 
 
 _HI = (-(1 << 19), 0xFFFFF), (-(1 << 19) - 1, 1 << 20)  # signed or unsigned 20 bits
@@ -370,6 +405,13 @@ c:
     assert data[5:8] == bytes(3)  # the .align gap reads as zero
 
 
+@pytest.mark.parametrize("n", [0, 26])
+def test_align_bounds_are_inclusive(n):
+    # 2**26 bytes is all of DRAM, and its base is aligned to it
+    assert asm.MAX_ALIGN == 26
+    assert assemble(f".align {n}\nx: nop\n").symbols["x"] == DRAM_BASE
+
+
 # data directive -> its width in bytes
 _DATA_WIDTHS = {".byte": 1, ".half": 2, ".word": 4, ".dword": 8}
 
@@ -439,6 +481,11 @@ def test_entry_rules():
     assert p.entry == p.symbols["_start"]
     q = assemble("nop\nnop\n")
     assert q.entry == asm.TEXT_BASE
+    # with no _start, the lowest text segment
+    assert assemble(".org 0x80000100\nnop\n").entry == 0x80000100
+    with pytest.raises(MisalignedTarget, match="entry point 0x80000002"):
+        assemble(".org 0x80000002\n_start:\n")
+    assert Program(segments=[], entry=0).symbols == {}
 
 
 def test_load_image_rejects_out_of_range():

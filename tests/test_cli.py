@@ -372,6 +372,41 @@ def test_seed_flag_and_env(tmp_path, capsys, monkeypatch):
     assert "seed               0" in capsys.readouterr().out.splitlines()
 
 
+_SEED_COMMANDS = {
+    "run": ["run", "{src}"],
+    "dump": ["dump", "{src}", "--range", "0x80000000:8"],
+    "demo": ["demo", "threads"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SEED_COMMANDS))
+@pytest.mark.parametrize("seed", [-5, 1 << 64])
+def test_seed_outside_64_bits_is_rejected(tmp_path, capsys, command, seed):
+    # the key would take such a seed mod 2**64 and the kernel's PRNG its
+    # absolute value: a key and a stream that no seed in range pairs
+    src = write(tmp_path, "p.s", EXIT_PROG)
+    argv = [a.format(src=src) for a in _SEED_COMMANDS[command]]
+    assert main([*argv, "--seed", str(seed)]) == EXIT_ASM
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"conch: seed must lie in [0, 2**64), got {seed}\n"
+
+
+@pytest.mark.parametrize("command", list(_SEED_COMMANDS))
+def test_largest_seed_runs(tmp_path, capsys, command):
+    src = write(tmp_path, "p.s", EXIT_PROG)
+    argv = [a.format(src=src) for a in _SEED_COMMANDS[command]]
+    assert main([*argv, "--seed", str((1 << 64) - 1)]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_simulate_refuses_a_seed_outside_64_bits():
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed must lie"):
+            simulate(EXIT_PROG, seed=seed)
+    assert simulate(EXIT_PROG, seed=(1 << 64) - 1).stop == "exit"
+
+
 def test_stream_mounts_bytes(tmp_path, capsys):
     src = write(tmp_path, "r.s", READER_PROG)
     code, report = run_json(capsys, ["run", src, "--stream", "input=2a00000000000000"])
@@ -390,7 +425,9 @@ def test_map_mounts_host_file(tmp_path, capsys):
 
 def test_bad_map_spec(tmp_path, capsys):
     src = write(tmp_path, "p.s", EXIT_PROG)
-    assert main(["run", src, "--map", "nonsense"]) == EXIT_ASM
+    for flag, wants in (("--map", "VIRT=HOSTPATH"), ("--stream", "VIRT=HEX")):
+        assert main(["run", src, flag, "a"]) == EXIT_ASM
+        assert capsys.readouterr().err == f"conch: {flag} wants {wants}, got 'a'\n"
 
 
 def test_negative_dram_latency_is_rejected(tmp_path, capsys):
@@ -443,6 +480,12 @@ def test_image_round_trip_is_equivalent(tmp_path, capsys):
         {"format": "conch-image", "entry": 1 << 65, "segments": []},
         # segment data that is not base64
         {"format": "conch-image", "entry": 0x80000000, "segments": [{"base": 0x80000000, "data": "@@@"}]},
+        # the first entry past 64 bits
+        {"format": "conch-image", "entry": 1 << 64, "segments": []},
+        # an otherwise valid image in another format
+        {"format": "other", "entry": 0x80000000, "segments": []},
+        # segment data that is not a string
+        {"format": "conch-image", "entry": 0x80000000, "segments": [{"base": 0x80000000, "data": 123}]},
         # JSON nested deeper than the parser recurses (a document as text)
         '{"format": ' + "[" * 200_000 + "]" * 200_000 + "}",
     ],
@@ -461,6 +504,11 @@ def test_image_segment_base_is_typed_like_the_entry(tmp_path, capsys):
     img = write(tmp_path, "bad.json", json.dumps(doc))
     assert main(["run", img]) == EXIT_ASM
     assert capsys.readouterr().err == "conch: image segment 0 needs an integer base and base64 data\n"
+
+
+def test_image_to_program_refuses_a_document_that_is_not_an_object():
+    with pytest.raises(ValueError, match="not a conch image file"):
+        cli.image_to_program([])
 
 
 @pytest.mark.parametrize("entry", [0, (1 << 64) - 4])
@@ -550,7 +598,7 @@ def test_dump_bad_range(tmp_path, capsys):
     assert main(["dump", src, "--range", "123"]) == EXIT_ASM
 
 
-@pytest.mark.parametrize("span", ["0:16", "0x80000000:-8", "0x83fffff8:16"])
+@pytest.mark.parametrize("span", ["0:16", "0x80000000:-8", "0x80000000:0", "0x83fffff8:16"])
 def test_dump_range_outside_dram(tmp_path, capsys, span):
     src = write(tmp_path, "p.s", EXIT_PROG)
     assert main(["dump", src, "--range", span]) == EXIT_ASM

@@ -297,6 +297,10 @@ def test_alu_matches_reference(a, b, mnem):
     [
         ("div", 1 << 63, (1 << 64) - 1),  # INT64_MIN / -1
         ("rem", 1 << 63, (1 << 64) - 1),
+        ("div", 5, (1 << 64) - 1),  # 5 / -1: a divisor of -1 alone
+        ("rem", 5, (1 << 64) - 1),
+        ("divw", 5, 0xFFFFFFFF),
+        ("remw", 5, 0xFFFFFFFF),
         ("div", 5, 0),
         ("rem", 5, 0),
         ("divw", 0x80000000, 0xFFFFFFFF),
@@ -333,6 +337,26 @@ def test_branch_and_prediction_costs():
     costs = CycleCosts()
     taken, not_taken = (price(counts(t, m, "baseline"), costs) for t, m in ((stt, mem), (stt2, mem2)))
     assert taken == not_taken + costs.mispredict
+
+
+@pytest.mark.parametrize(
+    "mnem, taken",
+    [("beq", True), ("bne", False), ("blt", False), ("bge", True), ("bltu", False), ("bgeu", True)],
+)
+@pytest.mark.parametrize("value", [0, 5, 1 << 63])
+def test_branches_on_equal_operands(mnem, taken, value):
+    stt, mem = make_machine([isa.encode(mnem, rs1=5, rs2=6, imm=8)])
+    stt.regs[5] = stt.regs[6] = value
+    step(stt, mem)
+    assert stt.pc == DRAM_BASE + (8 if taken else 4)
+
+
+def test_not_taken_branch_to_itself_is_predicted():
+    # offset 0 is not backward, so the static predictor says not taken
+    stt, mem = make_machine([isa.encode("bne", rs1=0, rs2=0, imm=0)])
+    step(stt, mem)
+    assert stt.pc == DRAM_BASE + 4
+    assert stt.mispredicts == 0
 
 
 def test_jal_jalr_link_and_target():
@@ -600,6 +624,12 @@ _REF_STORE = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 _M64 = (1 << 64) - 1
 
 
+def _ref_write(st, rd, value, tag):
+    if rd:
+        st.regs[rd] = value & _M64
+        st.reg_tags[rd] = tag
+
+
 def _ref_step(st, mem, shim=None, oracle=None):
     pc = st.pc
     if pc & 3:
@@ -614,18 +644,18 @@ def _ref_step(st, mem, shim=None, oracle=None):
     next_pc = pc + 4
 
     if m in REF:
-        st.write_reg(ins.rd, REF[m](regs[ins.rs1], regs[ins.rs2]), tags[ins.rs1] | tags[ins.rs2])
+        _ref_write(st, ins.rd, REF[m](regs[ins.rs1], regs[ins.rs2]), tags[ins.rs1] | tags[ins.rs2])
         if oracle:
             oracle.oracle_step("alu", ins.rd, (ins.rs1, ins.rs2))
     elif m in _REF_ALU_IMM:
-        st.write_reg(ins.rd, REF[_REF_ALU_IMM[m]](regs[ins.rs1], ins.imm & _M64), tags[ins.rs1])
+        _ref_write(st, ins.rd, REF[_REF_ALU_IMM[m]](regs[ins.rs1], ins.imm & _M64), tags[ins.rs1])
         if oracle:
             oracle.oracle_step("alu", ins.rd, (ins.rs1,))
     elif m in _REF_LOAD:
         width, signed = _REF_LOAD[m]
         ea = (regs[ins.rs1] + ins.imm) & _M64
         value, tag = mem.load(ea, width, signed, st.key)
-        st.write_reg(ins.rd, value, tag)
+        _ref_write(st, ins.rd, value, tag)
         if oracle:
             oracle.oracle_step("load", ins.rd, (mem.oracle_bits_for(ea, width), width, signed))
     elif m in _REF_STORE:
@@ -643,7 +673,7 @@ def _ref_step(st, mem, shim=None, oracle=None):
         if m == "jalr":
             target = (regs[ins.rs1] + ins.imm) & _M64 & ~1
         value = ins.imm if m == "lui" else pc + ins.imm if m == "auipc" else next_pc
-        st.write_reg(ins.rd, value, 0)
+        _ref_write(st, ins.rd, value, 0)
         if m == "jal":
             next_pc = (pc + ins.imm) & _M64
         elif m == "jalr":
@@ -661,7 +691,7 @@ def _ref_step(st, mem, shim=None, oracle=None):
     elif m == "ctag.clr":
         mem.ctag_clear_range(regs[ins.rs1], regs[ins.rs2], st.key)
     else:  # ctag.rdt
-        st.write_reg(ins.rd, mem.ctag_read(regs[ins.rs1]), 0)
+        _ref_write(st, ins.rd, mem.ctag_read(regs[ins.rs1]), 0)
         if oracle:
             oracle.oracle_step("clear", ins.rd, None)
 

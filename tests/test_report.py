@@ -43,6 +43,8 @@ def test_load_positional():
     o = ByteOracle()
     o.oracle_step("load", 3, (0b0101, 4, False))
     assert o.reg[3] == 0b0101
+    o.oracle_step("load", 4, (0b1000, 4, False))  # unsigned: no fill from the top byte
+    assert o.reg[4] == 0b1000
 
 
 def test_load_sign_fill_from_top_byte():
@@ -61,6 +63,8 @@ def test_clear_event_and_x0():
     o.oracle_step("clear", 9, None)
     assert o.reg[9] == 0
     o.oracle_step("alu", 0, (9,))  # writes to x0 are dropped
+    assert o.reg[0] == 0
+    o.oracle_step("load", 0, (0xFF, 8, False))
     assert o.reg[0] == 0
 
 
@@ -284,6 +288,75 @@ def test_simulate_runs_and_flushes():
     assert r.st.exit_code == 0
     assert r.mem.clean  # final flush is part of the run
     assert r.cycles > 0
+    assert r.trap_word is None  # though the icache holds the word at the final pc
+
+
+# getrandom fills 4 bytes of a zeroed word, which is then copied whole
+ORACLE_COPY = """
+    .text
+_start:
+    la   s0, buf
+    mv   a0, s0
+    li   a1, 4
+    li   a2, 0
+    li   a7, 278
+    ecall
+    ld   t0, 0(s0)
+    sd   t0, 8(s0)
+    li   a0, 0
+    li   a7, 93
+    ecall
+    .data
+    .align 3
+buf:
+    .dword 0, 0
+"""
+
+
+def test_simulate_runs_the_register_oracle():
+    # the register oracle carries the 4 loaded tainted bytes to the copy;
+    # with no oracle, a store of a tagged register taints all 8 bytes
+    stats = compute_overtagging(simulate(ORACLE_COPY).mem)
+    assert (stats["bytes_tainted_oracle_final"], stats["overtagged_bytes"]) == (8, 8)
+    stats = compute_overtagging(simulate(ORACLE_COPY, with_oracle=False).mem)
+    assert (stats["bytes_tainted_oracle_final"], stats["overtagged_bytes"]) == (12, 4)
+
+
+# t0 and a0 load 8 tainted bytes; then ctag.rdt overwrites t0 and an
+# unknown syscall a0, with results no register data flows into, and both
+# are stored over clean words
+UNTAGGED_WRITES = """
+    .text
+_start:
+    la   s0, buf
+    mv   a0, s0
+    li   a1, 8
+    li   a2, 0
+    li   a7, 278
+    ecall
+    ld   t0, 0(s0)
+    ld   a0, 0(s0)
+    ctag.rdt t0, s0
+    li   a7, 999
+    ecall
+    sd   t0, 8(s0)
+    sd   a0, 16(s0)
+    li   a0, 0
+    li   a7, 93
+    ecall
+    .data
+    .align 3
+buf:
+    .dword 0, 0, 0
+"""
+
+
+def test_ctag_rdt_and_an_ecall_clear_the_oracle_taint_of_their_result():
+    r = simulate(UNTAGGED_WRITES)  # a tainted untagged store would raise SoundnessViolation
+    assert r.stop == "exit"
+    assert r.st.regs[5] == 1  # t0 read buf's tag
+    stats = compute_overtagging(r.mem)
+    assert stats["bytes_tainted_oracle_final"] == 8  # buf's own bytes only
 
 
 def test_run_models_order_and_agreement():
@@ -439,6 +512,11 @@ def test_build_report_shape_and_stability():
     assert "key" not in str(rep1).lower()
 
 
+def test_baseline_only_report_prices_no_overtag_cycles():
+    assert build_report(run_models(PROG, models=("baseline",)))["tag_stats"]["overtag_extra_cycles_pct"] is None
+    assert build_report(run_models(PROG, models=("baseline", "a")))["tag_stats"]["overtag_extra_cycles_pct"] == 0.0
+
+
 def test_report_partial_models():
     results = run_models(PROG, models=("b",), seed=0)
     rep = build_report(results)
@@ -475,7 +553,11 @@ def test_emit_text_format():
     text = emit_report(rep, fmt="text")
     assert "cycles baseline" in text
     assert "overhead A" in text
+    assert "overhead B" in text
+    assert "over-tag cycles    0.0% of baseline" in text.splitlines()
     assert "leak averted" in text
+    text = emit_report(build_report(run_models(PROG, models=("baseline",))), fmt="text")
+    assert "overhead" not in text and "over-tag cycles" not in text
     with pytest.raises(ValueError):
         emit_report(rep, fmt="yaml")
 
