@@ -5,6 +5,8 @@ assemble() takes the source text. Grammar: one statement per line,
 comments outside "..." strings, directives .text/.data/.org/.align/
 .byte/.half/.word/.dword/.asciz/.globl. Flat bare-metal layout: text
 defaults to TEXT_BASE, data to DATA_BASE, no relocation or linking.
+An instruction must start at a multiple of 4: after data in .text,
+`.align 2` brings the next one there.
 
 Pass one lays out every statement and collects the labels; pass two
 encodes the statements of each chunk in order, each to the length pass
@@ -245,16 +247,18 @@ def assemble(source: str) -> Program:
             elif head != ".globl":  # .globl is accepted; there is no linker
                 raise UnknownMnemonic(line_no, f"unknown directive {head}")
             continue
+        elif head not in _PSEUDOS and head not in isa.SPECS:
+            raise UnknownMnemonic(line_no, f"unknown mnemonic {head!r}")
+        elif lc[section] % 4:
+            raise AsmError(line_no, f"{head} at {lc[section]:#x} not 4-byte aligned")
         elif head in _PSEUDOS:
             # Layout needs only the length, which no label changes, so every
-            # label reads as the nearest aligned address: a jump to it
+            # label reads as the statement's own address: a jump to it
             # fails here only if it fails for every target.
             here = lc[section]
-            size = 4 * len(_expand(head, ops, here, line_no, lambda tok, line: here - here % 4))
-        elif head in isa.SPECS:
-            size = 4
+            size = 4 * len(_expand(head, ops, here, line_no, lambda tok, line: here))
         else:
-            raise UnknownMnemonic(line_no, f"unknown mnemonic {head!r}")
+            size = 4
         chunks[-1][2].append((line_no, lc[section], head, ops))
         lc[section] += size
 
@@ -317,7 +321,7 @@ def _immediate(mn, kind, tok, addr, line, resolve):
         lo, hi = lo >> 12, (hi - lo) >> 12
     if not lo <= imm <= hi:
         raise ImmediateOutOfRange(line, f"{mn} immediate {imm} out of range {lo}..{hi}")
-    if kind == "off" and (imm % 2 or (addr + imm) % 4):
+    if kind == "off" and imm % 4:
         raise MisalignedTarget(line, f"{mn} target {addr + imm:#x} not 4-byte aligned")
     return imm << 12 if kind == "hi" else imm
 

@@ -222,6 +222,18 @@ MUTANTS = (
         "st.regs[rd], st.reg_tags[rd] = mem.ctag_read(st.regs[rs1]), 0",
         ("tests/test_report.py::test_ctag_rdt_and_an_ecall_clear_the_oracle_taint_of_their_result",),
     ),
+    Mutant(
+        "the over-tag span drops the oracle bytes of its first tag byte",
+        "report.py",
+        "oracle[8 * lo : 8 * hi]",
+        "oracle[8 * lo + 8 : 8 * hi]",
+        (
+            "tests/test_report.py::test_overtagging_matches_whole_plane_scan_at_chunk_edges",
+            "tests/test_report.py::test_overtagging_scans_the_tagged_span_exactly",
+            "tests/test_report.py::test_overtagging_matches_whole_plane_scan_on_sparse_regions",
+            "tests/test_report.py::test_set_bits_lie_in_recorded_regions",
+        ),
+    ),
 )
 
 

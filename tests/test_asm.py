@@ -302,8 +302,10 @@ def test_branch_range_and_alignment():
         assemble(too_far)  # +4 KiB is one past the max
     with pytest.raises(MisalignedTarget):
         assemble("beq a0, a1, 2")  # even, but not a word boundary
-    with pytest.raises(MisalignedTarget):
-        assemble(".byte 0\nbeq a0, a1, 3\n")  # a word boundary, but odd
+    # an instruction after one data byte is refused where it lies, before
+    # its operands are read
+    with pytest.raises(AsmError, match=r"^line 2: beq at 0x80000001 not 4-byte aligned$"):
+        assemble(".byte 0\nbeq a0, a1, 3\n")
 
 
 _HI = (-(1 << 19), 0xFFFFF), (-(1 << 19) - 1, 1 << 20)  # signed or unsigned 20 bits

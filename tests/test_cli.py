@@ -356,6 +356,17 @@ def test_segment_outside_dram_exit_code(tmp_path, capsys):
     assert err.startswith("conch: ") and "outside DRAM" in err
 
 
+@pytest.mark.parametrize("first", ["li a0, 0", "addi a0, x0, 0"])
+def test_misaligned_instruction_exit_code(tmp_path, capsys, first):
+    # no fetch reaches an instruction at an odd address, so it is refused
+    # at assembly instead of trapping at its first fetch
+    src = write(tmp_path, "odd.s", f"    .text\n    .byte 0\n    {first}\n    li a7, 93\n    ecall\n")
+    assert main(["run", src]) == EXIT_ASM
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"conch: line 3: {first.split()[0]} at 0x80000001 not 4-byte aligned\n"
+
+
 # ---- seeds and the filesystem ------------------------------------------------
 
 
@@ -856,11 +867,26 @@ def test_asm_reads_source_as_utf8_under_the_c_locale(tmp_path):
 
 
 def test_cli_import_leaves_numpy_unloaded():
+    # A finder ahead of every other one fails any import of numpy and
+    # records it, so an import of numpy is caught whether or not numpy
+    # is installed, even one whose ImportError the importer swallows.
     pkg_root = str(Path(conch.__file__).resolve().parents[1])
-    probe = "import sys; sys.path.insert(0, sys.argv[1]); import conch.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys\n"
+        "tried = []\n"
+        "class NoNumpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'numpy':\n"
+        "            tried.append(name)\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoNumpy())\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import conch.cli\n"
+        "print(tried, 'numpy' in sys.modules)\n"
+    )
     proc = subprocess.run([sys.executable, "-c", probe, pkg_root], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[] False"
 
 
 @pytest.mark.skipif(shutil.which("conch") is None, reason="conch console script not installed")

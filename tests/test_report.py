@@ -123,20 +123,39 @@ def test_ctag_set_eviction_is_not_overtag_work():
     assert res.mem.overtag_cipher_blocks == 0
 
 
-def _overtagging_numpy(mem):
-    """The counts computed independently over both planes whole."""
-    np = pytest.importorskip("numpy")
-    tags = np.unpackbits(np.frombuffer(mem.tag_bits, dtype=np.uint8), bitorder="little").astype(bool)
-    popcount = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
-    taint_counts = popcount[np.frombuffer(mem.byte_oracle, dtype=np.uint8)]  # per word
-    return {
-        "words_tagged_final": int(tags.sum()),
-        "bytes_tainted_oracle_final": int(taint_counts.sum(dtype=np.int64)),
-        "overtagged_bytes": int((8 - taint_counts[tags]).sum(dtype=np.int64)),
+PAGE = 4096
+
+
+def _set_bits(plane):
+    """The index of every set bit of plane, bit i of byte j being 8*j + i,
+    in order. Each 4 KiB page is compared with a zero page, and only the
+    pages that differ are walked."""
+    zero = bytes(PAGE)
+    for base in range(0, len(plane), PAGE):
+        page = plane[base : base + PAGE]
+        if page != zero:
+            for j, byte in enumerate(page, base):
+                if byte:
+                    yield from (8 * j + i for i in range(8) if byte >> i & 1)
+
+
+def _whole_plane_scan(mem):
+    """The tag statistics from their definitions over both planes whole,
+    and the DRAM regions that hold a set bit of either; mem.regions is not
+    read. Bit w of tag_bits is word w's tag, and bit b of byte_oracle is
+    the taint of DRAM byte b, so byte_oracle[w] holds word w's taints."""
+    tagged = list(_set_bits(mem.tag_bits))
+    tainted = list(_set_bits(mem.byte_oracle))
+    stats = {
+        "words_tagged_final": len(tagged),
+        "bytes_tainted_oracle_final": len(tainted),
+        "overtagged_bytes": sum(8 - bin(mem.byte_oracle[w]).count("1") for w in tagged),
     }
+    regions = {8 * w >> REGION_SHIFT for w in tagged} | {b >> REGION_SHIFT for b in tainted}
+    return stats, regions
 
 
-def test_overtagging_matches_numpy_at_chunk_edges():
+def test_overtagging_matches_whole_plane_scan_at_chunk_edges():
     # The planes are written directly, so the test records the region of
     # each word it writes, as the memory system's access paths do; the
     # edge words are the first and last words of the first two and the
@@ -154,7 +173,7 @@ def test_overtagging_matches_numpy_at_chunk_edges():
         mem.byte_oracle[w] = rng.choice([0, 0xFF, 0x0F, 0x81, rng.randrange(256)])
         mem.regions.add(8 * w >> REGION_SHIFT)
     stats = compute_overtagging(mem)
-    expected = _overtagging_numpy(mem)
+    expected, _ = _whole_plane_scan(mem)
     assert expected["words_tagged_final"] > 100 and expected["overtagged_bytes"] > 0
     assert {k: stats[k] for k in expected} == expected
 
@@ -201,7 +220,7 @@ def test_overtagging_scans_the_tagged_span_exactly():
     for w, (tagged, taints) in words.items():
         _plant(mem, w, tagged, taints)
     stats = compute_overtagging(mem)
-    expected = _overtagging_numpy(mem)
+    expected, _ = _whole_plane_scan(mem)
     assert expected == _definition(words)
     assert {k: stats[k] for k in expected} == expected
 
@@ -225,7 +244,7 @@ _EDGE_OFFSETS = [0, 1, 7, 8, 63, 64, REGION_WORDS - 65, REGION_WORDS - 9, REGION
     )
 )
 @settings(max_examples=20, deadline=None)
-def test_overtagging_matches_numpy_on_sparse_regions(regions):
+def test_overtagging_matches_whole_plane_scan_on_sparse_regions(regions):
     mem = MemorySystem()
     words = {}
     for r, offsets in regions:
@@ -234,18 +253,9 @@ def test_overtagging_matches_numpy_on_sparse_regions(regions):
             words[r * REGION_WORDS + off] = (tagged, taints)
             _plant(mem, r * REGION_WORDS + off, tagged, taints)
     stats = compute_overtagging(mem)
-    expected = _overtagging_numpy(mem)
+    expected, _ = _whole_plane_scan(mem)
     assert expected == _definition(words)
     assert {k: stats[k] for k in expected} == expected
-
-
-def _regions_holding_set_bits(mem):
-    """The DRAM regions in which tag_bits or byte_oracle has a nonzero byte."""
-    np = pytest.importorskip("numpy")
-    found = set()
-    for plane, shift in ((mem.tag_bits, REGION_SHIFT - 6), (mem.byte_oracle, REGION_SHIFT - 3)):
-        found |= set((np.flatnonzero(np.frombuffer(plane, dtype=np.uint8)) >> shift).tolist())
-    return found
 
 
 @pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=f"{n}-cached") for n, s, f, _ in build_corpus()])
@@ -254,9 +264,9 @@ def test_set_bits_lie_in_recorded_regions(name, source, fs):
     recorded, so the region-only statistics equal a scan of whole planes.
     The corpus holds the three demos with the inputs `conch demo` uses."""
     mem = simulate(source, model="b", seed=0, fs=fs).mem
-    assert _regions_holding_set_bits(mem) <= mem.regions
+    expected, regions = _whole_plane_scan(mem)
+    assert regions <= mem.regions
     stats = compute_overtagging(mem)
-    expected = _overtagging_numpy(mem)
     assert {k: stats[k] for k in expected} == expected
 
 
