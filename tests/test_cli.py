@@ -498,7 +498,7 @@ def test_image_round_trip_is_equivalent(tmp_path, capsys):
         # segment data that is not a string
         {"format": "conch-image", "entry": 0x80000000, "segments": [{"base": 0x80000000, "data": 123}]},
         # JSON nested deeper than the parser recurses (a document as text)
-        '{"format": ' + "[" * 200_000 + "]" * 200_000 + "}",
+        pytest.param('{"format": ' + "[" * 200_000 + "]" * 200_000 + "}", id="nested-200000"),
     ],
 )
 def test_malformed_image_exit_code(tmp_path, capsys, doc):

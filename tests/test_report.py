@@ -392,17 +392,22 @@ def test_run_models_refuses_unknown_or_no_models(models, monkeypatch):
         run_models(PROG, models=models, seed=0)
 
 
-@pytest.mark.parametrize("field", ["exit_code", "stdout"])
+@pytest.mark.parametrize("field", ["exit_code", "stdout", "regs", "reg_tags", "instret", "stop"])
 def test_run_models_names_both_models_that_diverge(field, monkeypatch):
+    # model b's result differs from the others' in one compared field
     simulate_one = report.simulate
 
     def skewed(**kw):
         res = simulate_one(**kw)
         if kw["model"] == "b":
-            if field == "exit_code":
-                res.st.exit_code += 1
-            else:
+            if field in ("regs", "reg_tags"):
+                getattr(res.st, field)[5] ^= 1
+            elif field == "stdout":
                 res.shim.stdout += b"!"
+            elif field == "stop":
+                res.stop = "trap"
+            else:
+                setattr(res.st, field, getattr(res.st, field) + 1)
         return res
 
     monkeypatch.setattr(report, "simulate", skewed)
