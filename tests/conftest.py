@@ -19,10 +19,16 @@ from conch.crypt import qarma_decrypt, qarma_encrypt
 from conch.isa import MASK64
 from conch.mem import DRAM_BASE, DRAM_SIZE, REGION_SHIFT, MemorySystem
 
+# every property test runs without a per-example deadline: one example can
+# run the simulator, or walk megabytes of tags, for longer than the default
+settings.register_profile("conch", deadline=None)
+settings.load_profile("conch")
 # tests/mutants.py runs its tests under this profile: a property test that
 # fails on a planted defect reports its first failing example, unshrunk,
 # and leaves nothing in the example database
-settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate), database=None)
+settings.register_profile(
+    "mutants", parent=settings.get_profile("conch"), phases=(Phase.explicit, Phase.generate), database=None
+)
 
 
 class Instr(NamedTuple):

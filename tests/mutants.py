@@ -1,54 +1,41 @@
 """The mutation gate: each check must still catch the defect it exists
-for. Every mutant below plants one defect in a copy of src/ by replacing
-an old text, which must occur exactly once in its file, with a new text,
-and names the tests that should fail on it. A refactor that moves a
-patched line updates its mutant, which shows that the check still bites.
+for. A mutant plants one defect in a copy of src/ and runs tests on it;
+it is killed when one of them fails. Run from the repository root:
 
-Run from the repository root:
-
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
-
-For each mutant the runner copies src/ to a temporary directory, applies
-the patch, checks that the patched tree imports, and runs the named tests
-against it with -x under the "mutants" Hypothesis profile (no shrink
-phase, no example database; see conftest.py), so a failing property test
-reports its first failing example instead of shrinking it. A mutant is
-killed when at least one test fails. A control run first runs every named
-test on an unpatched copy, where all must pass. The exit status is 0 only
-if the control passes and every mutant applies and is killed. It is not
-part of Tier-1.
-
-The sweep generates mutants instead of naming them:
-
+    python tests/mutants.py                             # the named mutants
+    python tests/mutants.py NAME ...                    # some of them
     python tests/mutants.py --sweep                     # every module
     python tests/mutants.py --sweep src/conch/core.py   # the named ones
 
-Two operator families run over each module. The clause family forces
-each single-line if, while or ternary test to False, drops each operand
-of each single-line and/or, and writes True (in an and) or False (in an
-or) over each one-line operand of an and/or that spans lines. The
-operator family, at the first match of each operator on a code line,
-turns `+= x` into `+= 0` and swaps < with <=, > with >= and `and` with
-`or`.
+A named mutant (MUTANTS) replaces an old text, which must occur once in
+its file, with a new one, and names the tests that should fail; a
+refactor that moves a patched line updates the mutant. The sweep
+generates mutants, and runs the named mutants of its modules too. Its
+clause family forces each single-line if, while or ternary test to
+False, drops each operand of each single-line and/or, and writes True
+(in an and) or False (in an or) over each one-line operand of an and/or
+that spans lines. Its operator family, at the first match of each
+operator on a code line, turns `+= x` into `+= 0` and swaps < with <=,
+> with >= and `and` with `or`.
 
-The control runs Tier-1 once on an unpatched copy, under the same
-profile and seed as the mutants and under a sys.settrace tracer; it must
-pass. It maps each test to the src/conch lines it ran (see traced). A
-line run at import, or anywhere outside a test, counts as reached by
-every test. The map is rebuilt by every sweep. Each mutant then runs,
-with -x, two at a time, only the tests that reached its line, the
-fastest first, named by node id on pytest's command line; a mutant on
-a line no test reaches has no test to fail, so it survives. A mutant
-is killed when a test fails, when the patched tree does not import,
-when pytest ends in an error, or when the run hangs past
-SWEEP_TIMEOUT_S (or the traced control's time, if longer). A survivor
-must be listed in EQUIVALENT, with the reason no input can tell it from
-the original; the sweep fails on an unlisted survivor and on a listed
-entry that no longer survives. A test that runs conch in a child
-process reaches, to the tracer, only the lines its own process runs.
-All ten modules took about 13 minutes on 2 vCPU (CPython 3.11), the
-traced control included.
+First a control runs on an unpatched copy and must pass: the named
+tests, or with --sweep all of Tier-1 under a sys.settrace tracer that
+maps each test to the src/conch lines it ran (see traced). Then every
+mutant runs in one pool of os.cpu_count() workers, each in a fresh
+pytest with -x under the "mutants" Hypothesis profile (see conftest.py)
+and seed 0. A named mutant runs its named tests. A swept mutant runs the
+tests that reached its line, the fastest first: every test if the line
+runs at import or outside any test, except that a mutant in a lambda's
+body counts only the tests that ran the lambda; none if no test reached
+it, so it survives. A mutant still running after HANG_S, or after the
+control's time if longer, has hung. A patched tree that does not import
+stops pytest at conftest.py, an error. A named mutant that survives,
+hangs or errs fails the gate; a swept one that hangs or errs is killed,
+and one that survives must be listed in EQUIVALENT with the reason no
+input can tell it from the original. A listed entry that no longer
+survives fails the sweep too. None of this is part of Tier-1. All ten
+modules took about 13 minutes on 2 vCPU (CPython 3.11), the traced
+control included.
 """
 
 from __future__ import annotations
@@ -70,9 +57,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-TIMEOUT_S = 600  # per mutant; a mutant still running then is not killed
-SWEEP_TIMEOUT_S = 120  # per swept mutant; one still running then hangs, so is killed
-SWEEP_JOBS = 2  # swept mutants run at a time
+TIMEOUT_S = 600  # per control; a control still running then fails
+HANG_S = 120  # per mutant, or its control's time if longer; one still running then has hung
 
 
 class Mutant(NamedTuple):
@@ -103,6 +89,7 @@ MUTANTS = (
             "tests/test_mem.py::test_partial_store_retains_tag",
             "tests/test_core.py::test_dispatch_matches_reference_on_random_sequences",
             "tests/test_acceptance.py::test_criterion_04_soundness",
+            "tests/test_channels.py::test_a_straight_line_program_shows_one_view_for_two_secrets",
         ),
     ),
     Mutant(
@@ -124,7 +111,7 @@ MUTANTS = (
         "core.py",
         "st.reg_tags[rd] = st.reg_tags[rs1]",
         "st.reg_tags[rd] = 0",
-        ("tests/test_acceptance.py::test_criterion_04_soundness",),
+        ("tests/test_acceptance.py::test_criterion_04_soundness", "tests/test_channels.py::test_a_straight_line_program_shows_one_view_for_two_secrets"),
     ),
     Mutant(
         "write() emits tagged words in plaintext",
@@ -286,13 +273,15 @@ EQUIVALENT = (
 
 class Site(NamedTuple):
     """One generated mutant: line lineno of file (under src/conch), which
-    reads text once stripped, rewritten to new by operator op."""
+    reads text once stripped, rewritten to new by operator op, inside a
+    lambda's body or not."""
 
     file: str
     lineno: int
     text: str
     op: str
     new: str
+    in_lambda: bool = False
 
     @property
     def name(self):
@@ -312,26 +301,38 @@ def sites(file):
     """The clause and operator mutants of src/conch/file, in line order."""
     source = (ROOT / "src" / "conch" / file).read_text(encoding="utf-8")
     lines = source.splitlines(keepends=True)
+    tree = ast.parse(source)
     found = {}
+
+    def col(lineno, offset):
+        """The character column of UTF-8 byte offset on line lineno, as ast
+        counts them."""
+        return len(lines[lineno - 1].encode("utf-8")[:offset].decode("utf-8"))
+
+    # (line, column) where each lambda's body starts and ends
+    bodies = [
+        ((b.lineno, col(b.lineno, b.col_offset)), (b.end_lineno, col(b.end_lineno, b.end_col_offset)))
+        for b in (node.body for node in ast.walk(tree) if isinstance(node, ast.Lambda))
+    ]
 
     def add(lineno, start, end, repl, op):
         # start and end are character columns of line lineno
         line = lines[lineno - 1]
         new = line[:start] + repl + line[end:]
-        found.setdefault((lineno, new), (start, Site(file, lineno, line.strip(), op, new)))
+        in_lambda = any(lo <= (lineno, start) and (lineno, end) <= hi for lo, hi in bodies)
+        found.setdefault((lineno, new), (start, Site(file, lineno, line.strip(), op, new, in_lambda)))
 
     def span(node):
         """node's character columns, if it lies on one line."""
         if node.lineno != node.end_lineno:
             return None
-        raw = lines[node.lineno - 1].encode("utf-8")  # ast counts UTF-8 bytes
-        return len(raw[: node.col_offset].decode("utf-8")), len(raw[: node.end_col_offset].decode("utf-8"))
+        return col(node.lineno, node.col_offset), col(node.lineno, node.end_col_offset)
 
     def text(node):
         start, end = span(node)
         return lines[node.lineno - 1][start:end]
 
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.If, ast.While, ast.IfExp)) and span(node.test):
             add(node.test.lineno, *span(node.test), "False", f"{text(node.test)} -> False")
         elif isinstance(node, ast.BoolOp) and span(node):
@@ -372,11 +373,13 @@ def traced(out, args):
     """Run pytest on args in this process under a sys.settrace line
     tracer, write the reach map to out as JSON and return pytest's exit
     status. The map holds, for each test's node id, the src/conch lines
-    ("file:line") run while that test was set up, run or torn down; under
-    IMPORT, first, the lines run outside any test (collection imports
-    every module) and by a module's own code. The tests follow in the
-    order of their traced time, the fastest first, so that a mutant meets
-    a cheap test that kills it before a slow one (as PIT orders them)."""
+    ("file:line", or "file<lambda>:line" for a lambda's body) run while
+    that test was set up, run or torn down; under IMPORT, first, the lines
+    run outside any test (collection imports every module) and by a
+    module's own code; a test that runs conch in a child process reaches
+    only the lines its own process runs. The tests follow in the order of
+    their traced time, the fastest first, so that a mutant meets a cheap
+    test that kills it before a slow one (as PIT orders them)."""
     import pytest
 
     pkg = importlib.util.find_spec("conch").submodule_search_locations[0] + os.sep
@@ -388,6 +391,8 @@ def traced(out, args):
         if not code.co_filename.startswith(pkg):
             return None
         name = code.co_filename[len(pkg) :]
+        if code.co_name == "<lambda>":  # its body, not the line that defines it
+            name += code.co_name
         add = (reach[IMPORT] if code.co_name == "<module>" else current[0]).setdefault(name, set()).add
         add(frame.f_lineno)
 
@@ -420,10 +425,10 @@ def traced(out, args):
 
 
 def selection(reach, site):
-    """The node ids of the tests that reach site's line, in the map's
-    order: every test if the line runs at import, none if no test runs
-    it."""
-    line = f"{site.file}:{site.lineno}"
+    """The node ids of the tests that reach site's line (for a site in a
+    lambda's body, that run the lambda on it), in the map's order: every
+    test if the line runs at import, none if no test runs it."""
+    line = f"{site.file}{'<lambda>' if site.in_lambda else ''}:{site.lineno}"
     everyone = line in reach[IMPORT]
     return [test for test, lines in reach.items() if test != IMPORT and (everyone or line in lines)]
 
@@ -431,10 +436,10 @@ def selection(reach, site):
 def verdict(tests, mutant=None, timeout=TIMEOUT_S, reach_to=None):
     """(outcome, detail) for tests run against a copy of src/, patched by
     mutant if one is given. outcome is "killed" (a test failed),
-    "survived" (every test passed, or there was none to run), "timeout",
-    "no import" (the patched tree does not import) or "error" (pytest
-    exited otherwise). With reach_to, a path, the run is traced and
-    writes its reach map there (see traced)."""
+    "survived" (every test passed, or there was none to run), "timeout"
+    or "error" (pytest exited otherwise; a patched tree that does not
+    import stops it at conftest.py with exit 4). With reach_to, a path,
+    the run is traced and writes its reach map there (see traced)."""
     if not tests:
         return "survived", "no test reaches the mutated line"
     with tempfile.TemporaryDirectory(prefix="conch-mutant-") as tmp:
@@ -443,11 +448,6 @@ def verdict(tests, mutant=None, timeout=TIMEOUT_S, reach_to=None):
         if mutant:
             mutant.apply(src / "conch")
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-        probe = subprocess.run(
-            [sys.executable, "-c", "import conch.cli, conch.report"], cwd=ROOT, env=env, capture_output=True, text=True
-        )
-        if probe.returncode:
-            return "no import", probe.stderr
         args = ["-x", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=mutants", "--hypothesis-seed=0", *tests]
         if reach_to is None:
             cmd = [sys.executable, "-m", "pytest", *args]
@@ -474,90 +474,84 @@ def verdict(tests, mutant=None, timeout=TIMEOUT_S, reach_to=None):
     return "error", f"pytest exited {proc.returncode}\n" + out[-2000:] + err[-2000:]
 
 
-def sweep(files):
-    """Run every clause and operator mutant of files (under src/conch)
-    against the tests that reach its line; 0 if each survivor is listed
-    in EQUIVALENT and each entry of EQUIVALENT for these files still
-    survives."""
-    chosen = [s for f in files for s in sites(f)]
-    with tempfile.TemporaryDirectory(prefix="conch-reach-") as tmp:
-        t0 = time.monotonic()
-        control, detail = verdict(["tests"], reach_to=Path(tmp) / "reach.json")
-        elapsed = time.monotonic() - t0
-        print(f"{'passed' if control == 'survived' else control:<10} {elapsed:6.1f} s  (control: Tier-1 traced, no mutant)", flush=True)
-        if control != "survived":
-            print(detail, file=sys.stderr)
-            return 1
-        reach = json.loads((Path(tmp) / "reach.json").read_text(encoding="utf-8"))
-    reach = {test: set(lines) for test, lines in reach.items()}
-    timeout = max(SWEEP_TIMEOUT_S, elapsed)
-    listed = {(e.file, e.text, e.op): e for e in EQUIVALENT if e.file in files}
-    matched, unlisted = set(), []
-    tally = {f: dict.fromkeys(("mutants", "killed", "equivalent", "survived"), 0) for f in files}
+def mutate(named, files, reach, timeout):
+    """Run the named mutants, each against its own tests, and the swept
+    mutants of files (under src/conch), each against the tests that reach
+    its line, in one pool; a run past timeout has hung. 0 if each named
+    mutant is killed, each swept survivor is listed in EQUIVALENT and each
+    entry of EQUIVALENT for files still survives."""
+    jobs = [(m, m.tests) for m in named] + [(s, selection(reach, s)) for f in files for s in sites(f)]
+    listed = {(e.file, e.text, e.op) for e in EQUIVALENT if e.file in files}
+    tally = {f: dict.fromkeys(("killed", "equivalent", "survived"), 0) for f in files}
+    failed = []
 
-    def one(site):
+    def one(job):
+        mutant, tests = job
         t = time.monotonic()
-        tests = selection(reach, site)
-        return site, len(tests), *verdict(tests, site, timeout), time.monotonic() - t
+        try:
+            outcome, detail = verdict(tests, mutant, timeout)
+        except ValueError as exc:  # a named mutant's old text is gone
+            outcome, detail = "error", str(exc)
+        return mutant, len(tests), outcome, detail, time.monotonic() - t
 
-    with ThreadPoolExecutor(SWEEP_JOBS) as pool:
-        for site, n, outcome, detail, secs in pool.map(one, chosen):
-            key = (site.file, site.text, site.op)
-            tally[site.file]["mutants"] += 1
-            if outcome != "survived":
-                label, kind = {"killed": "killed", "timeout": "hung"}.get(outcome, outcome), "killed"
-            elif key in listed:
-                label = kind = "equivalent"
-                matched.add(key)
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for mutant, n, outcome, detail, secs in pool.map(one, jobs):
+            label = {"timeout": "hung"}.get(outcome, outcome)
+            if isinstance(mutant, Mutant):
+                ok = outcome == "killed"  # a hang or an error fails it
             else:
-                label, kind = "SURVIVED", "survived"
-                unlisted.append(site)
-            tally[site.file][kind] += 1
-            print(f"{label:<10} {secs:6.1f} s {n:4d} tests  {site.name}  | {site.text}", flush=True)
+                key = (mutant.file, mutant.text, mutant.op)
+                if outcome == "survived" and key in listed:
+                    label = "equivalent"
+                    listed.remove(key)
+                ok = label != "survived"
+                tally[mutant.file]["killed" if outcome != "survived" else label] += 1
+            if not ok:
+                label = label.upper()
+                failed.append(f"{label}: {mutant.name}")
+            line = f"  | {mutant.text}" if isinstance(mutant, Site) else ""
+            print(f"{label:<10} {secs:6.1f} s {n:4d} tests  {mutant.name}{line}", flush=True)
+            if detail and not ok:
+                print(detail, flush=True)
     for f, t in tally.items():
-        print(f"{f}: {t['mutants']} mutants, {t['killed']} killed, {t['equivalent']} equivalent, {t['survived']} survived")
-    for site in unlisted:
-        print(f"unlisted survivor: {site.name}  | {site.text}")
-    stale = [e for key, e in listed.items() if key not in matched]
-    for e in stale:
-        print(f"stale EQUIVALENT entry (no surviving mutant): {e.file}: {e.op}  | {e.text}")
-    return 1 if unlisted or stale else 0
+        print(f"{f}: {sum(t.values())} mutants, {t['killed']} killed, {t['equivalent']} equivalent, {t['survived']} survived")
+    failed += [f"stale EQUIVALENT entry (no surviving mutant): {f}: {op}  | {text}" for f, text, op in sorted(listed)]
+    for line in failed:
+        print(line)
+    return 1 if failed else 0
 
 
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if args[:1] == ["--sweep"]:
-        swept = sorted(p.name for p in (ROOT / "src" / "conch").glob("*.py"))
-        files = [Path(f).name for f in args[1:]] or swept
-        if set(files) - set(swept):
-            print(f"not a module of src/conch: {sorted(set(files) - set(swept))}", file=sys.stderr)
-            return 2
-        return sweep(files)
-    names = args
-    unknown = set(names) - {m.name for m in MUTANTS}
+        modules = sorted(p.name for p in (ROOT / "src" / "conch").glob("*.py"))
+        files = [Path(f).name for f in args[1:]] or modules
+        unknown = set(files) - set(modules)
+        named = [m for m in MUTANTS if m.file in files]
+    else:
+        files, unknown = [], set(args) - {m.name for m in MUTANTS}
+        named = [m for m in MUTANTS if not args or m.name in args]
     if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        print(f"no such mutant or module of src/conch: {sorted(unknown)}", file=sys.stderr)
         return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    # the control: unpatched, every named test passes, so a kill below is
-    # the planted defect's doing
-    tests = sorted({t for m in chosen for t in m.tests})
-    t0 = time.monotonic()
-    control, detail = verdict(tests)
-    control = {"survived": "passed", "killed": "FAILED"}.get(control, control)
-    print(f"{control:<8} {time.monotonic() - t0:6.1f} s  (control: the named tests, no mutant)", flush=True)
-    bad = control != "passed"
-    for mutant in chosen:
+    # the control: unpatched, every test passes, so a kill below is the
+    # planted defect's doing; with --sweep it runs Tier-1, every named test
+    # among it, and maps what each test reaches
+    with tempfile.TemporaryDirectory(prefix="conch-reach-") as tmp:
+        reach_to = Path(tmp) / "reach.json" if files else None
         t0 = time.monotonic()
-        try:
-            result, detail = verdict(mutant.tests, mutant)
-        except ValueError as exc:
-            result, detail = "error", str(exc)
-        bad += result != "killed"
-        print(f"{result:<8} {time.monotonic() - t0:6.1f} s  {mutant.name}", flush=True)
-        if detail:
-            print(detail, flush=True)
-    return 1 if bad else 0
+        control, detail = verdict(["tests"] if files else sorted({t for m in named for t in m.tests}), reach_to=reach_to)
+        elapsed = time.monotonic() - t0
+        status = {"survived": "passed", "killed": "FAILED"}.get(control, control)
+        what = "Tier-1 traced" if files else "the named tests"
+        print(f"{status:<10} {elapsed:6.1f} s  (control: {what}, no mutant)", flush=True)
+        if control != "survived":
+            print(detail, file=sys.stderr)
+            return 1
+        reach = None
+        if files:
+            reach = {test: set(lines) for test, lines in json.loads(reach_to.read_text(encoding="utf-8")).items()}
+    return mutate(named, files, reach, max(HANG_S, elapsed))
 
 
 if __name__ == "__main__":

@@ -105,7 +105,7 @@ def test_disassemble_agrees_with_decode_on_every_opcode_funct3_funct7():
 
 
 @given(st.integers(0, (1 << 32) - 1))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_disassemble_agrees_with_decode_on_any_word(word):
     assert _disassembles(word) == _decodes(word)
 
@@ -519,7 +519,7 @@ def _overlaps_pairwise(spans):
 @example([(0, 8), (0, 8)])  # equal
 @example([(0, 0), (0, 0)])  # empty and equal
 @example([(0, 32), (4, 4), (12, 4)])  # under one that ends further
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_load_image_rejects_exactly_the_pairwise_overlaps(shape):
     mem = MemorySystem()
     segments = [(DRAM_BASE + off, bytes([i + 1]) * n, "data") for i, (off, n) in enumerate(shape)]
@@ -638,7 +638,7 @@ def _lexed(parse, tok):
 @example('"a#b" # c')  # '#' inside a string
 @example('"\\"" # c')  # an escaped quote before '#'
 @example('"\u0101\\q"')  # a non-Latin-1 character before a bad escape
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 def test_lexer_matches_character_scanners(line):
     """The comment regex keeps the code text the character loop kept, and
     the escape scan gives the same bytes or the same first error."""
@@ -695,7 +695,7 @@ _LINE = st.builds(
 
 
 @given(st.lists(_LINE, max_size=8).map("\n".join))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_any_source_raises_only_asm_error(text):
     try:
         assemble(text)

@@ -573,7 +573,7 @@ _IMAGE = st.one_of(
 
 
 @given(_IMAGE)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_any_image_document_exits_with_a_documented_code(doc):
     with tempfile.TemporaryDirectory() as tmp:
         img = os.path.join(tmp, "img.json")

@@ -192,7 +192,7 @@ def test_decode_matches_reference_on_every_opcode_funct3_funct7():
 
 
 @given(st.integers(0, (1 << 32) - 1))
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 def test_decode_matches_reference_on_any_word(word):
     assert decoded(word) == _ref_decode(word)
 
@@ -203,7 +203,7 @@ def test_encode_inverts_decode_on_every_opcode_funct3_funct7():
 
 
 @given(st.integers(0, (1 << 32) - 1), st.sampled_from([e for g in isa._BY_OPCODE.values() for e in g]))
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 def test_encode_inverts_decode_on_any_word(word, entry):
     # the word as drawn, and the word with entry's fixed bits put over it
     mask, match, mnem, _ = entry
@@ -287,7 +287,7 @@ REF = {
 
 
 @given(a=U64, b=U64, mnem=st.sampled_from(sorted(REF)))
-@settings(max_examples=800, deadline=None)
+@settings(max_examples=800)
 def test_alu_matches_reference(a, b, mnem):
     assert core._ALU[mnem](a, b) == REF[mnem](a, b), mnem
 
@@ -578,7 +578,7 @@ def _random_regs(seed):
     a7=st.one_of(st.sampled_from([SYS_OPENAT, SYS_READ, SYS_WRITE, SYS_GETRANDOM, SYS_THREAD_SWITCH]), U64),
     budget=st.integers(1, 1000),
 )
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_any_word_raises_only_documented_errors(word, seed, a7, budget):
     """One step of an arbitrary word, with arbitrary registers, fails only
     with the exceptions run() turns into a trap or a budget stop."""
@@ -852,7 +852,7 @@ _VALUE = st.one_of(
     tagged=st.lists(st.booleans(), min_size=5, max_size=5),
     tag_data=st.booleans(),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_dispatch_matches_reference_on_random_sequences(words, values, tagged, tag_data):
     """Short runs of instructions drawn from isa.SPECS, with no OS: equal
     state after every step, or the same exception with equal state. Both

@@ -58,7 +58,7 @@ def test_sigma_involutions():
 
 
 @given(w0=U64, k0=U64, tweak=U64, pt=U64)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_roundtrip(w0, k0, tweak, pt):
     key = Key128(w0, k0)
     ct = qarma_encrypt(key, tweak, pt)
@@ -385,7 +385,7 @@ def test_reference_matches_published_vectors():
 @example(w0=1 << 63, k0=VEC_K0, tweak=VEC_T, value=VEC_P)  # _w1_of carries w0's top bit, the only one set
 @example(w0=VEC_W0, k0=crypt._ALPHA, tweak=VEC_T, value=VEC_P)  # the reflected core key k0 ^ alpha is 0
 @example(w0=VEC_W0, k0=0, tweak=VEC_T, value=VEC_P)  # the core key is 0
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_matches_reference_random_keys(w0, k0, tweak, value):
     check_both_directions(Key128(w0, k0), tweak, value)
 
@@ -397,7 +397,7 @@ def test_matches_reference_random_keys(w0, k0, tweak, value):
         max_size=40,
     )
 )
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_matches_reference_fixed_key_repeated_tweaks(calls):
     key = Key128(VEC_W0, VEC_K0)
     for tweak, value in calls:
@@ -405,7 +405,7 @@ def test_matches_reference_fixed_key_repeated_tweaks(calls):
 
 
 @given(seed=U64)
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_matches_reference_many_keys(seed):
     # Keys that share one half with the previous key, more of them than the
     # memo keeps, visited twice so the second pass recomputes evicted ones.

@@ -511,7 +511,7 @@ ORACLE_SPAN = 256
 @example(initial=bytes(32), offset=0, length=ORACLE_SPAN, on=True)  # the whole span
 @example(initial=b"\xa5" * 32, offset=ORACLE_SPAN - 13, length=13, on=False)  # ends on the last oracle byte
 @example(initial=b"\x5a" * 32, offset=ORACLE_SPAN - 13, length=13, on=True)  # the same, set
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_oracle_set_matches_per_byte_rule(initial, offset, length, on):
     length = min(length, ORACLE_SPAN - offset)
     mem = MemorySystem()
@@ -549,7 +549,7 @@ def _oracle_bits_per_byte(oracle, bi, width):
     slot=st.integers(0, ORACLE_SPAN // 8 - 1),
     taints=st.integers(0, 0xFF),
 )
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_oracle_update_matches_per_byte_rule(width, initial, slot, taints):
     mem = MemorySystem()
     for offset in range(8 * slot, 8 * slot + 8, width):  # every aligned offset in the word
@@ -567,7 +567,7 @@ def test_oracle_update_matches_per_byte_rule(width, initial, slot, taints):
 )
 @example(initial=b"\x0f\xf0" * 16, offset=4, width=8)  # the two halves of a straddled pair
 @example(initial=b"\xa5" * 32, offset=ORACLE_SPAN - 1, width=1)  # the last byte
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_oracle_bits_for_matches_per_byte_rule(initial, offset, width):
     width = min(width, ORACLE_SPAN - offset)
     mem = MemorySystem()
@@ -635,7 +635,7 @@ def _apply(mem, op, page=0):
 @example(ops=[("store", 8, 8, 2**64 - 1, 1, 0), ("store", 12, 4, 0, 0, 0), ("load", 8, 8, False)])  # a clean narrow store keeps the tag
 # sign bits high in a tagged word, read by signed loads and a fetch
 @example(ops=[("store", 8, 8, 0x80FF_FF80_8000_8080, 1, 0xFF), ("load", 15, 1, True), ("load", 12, 2, True), ("fetch", 12)])
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_cached_matches_uncached(ops):
     cached = MemorySystem()
     flat = UncachedReference()
@@ -651,7 +651,7 @@ def test_cached_matches_uncached(ops):
 # in the order the ops first touch them, which is seldom ascending.
 @pytest.mark.parametrize("dcache", [(1024, 2), (1024, 1)], ids=["8x2", "16x1"])
 @given(ops=OPS)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_live_sets_track_resident_lines(dcache, ops):
     mem = MemorySystem(dcache=dcache)
     for op in ops:
@@ -784,7 +784,7 @@ class _LruReference:
 @pytest.mark.parametrize("ways", [1, 2])
 @given(ops=st.lists(st.tuples(st.sampled_from(["find", "insert", "invalidate"]), st.integers(0, 5)), max_size=60))
 @example(ops=[("insert", 0), ("insert", 2), ("find", 0)])  # a hit behind the MRU line
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_mru_matches_plain_lru(ways, ops):
     # 6 lines over 2 sets, so sets fill, evict and hit
     cache = CacheModel(2 * ways * LINE, ways)
@@ -863,7 +863,7 @@ TAG_RUNS = st.lists(
 @pytest.mark.parametrize("tag_cache", [(4096, 8), (64, 1)], ids=["8x8", "1x1"])
 @given(runs=TAG_RUNS)
 @example(runs=[[(k, 0, 0, True) for k in range(9)]])  # a dirty victim in the default geometry
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_tag_cache_matches_reference(tag_cache, runs):
     mem = MemorySystem(tag_cache=tag_cache)
     ref = _TagCacheReference(*tag_cache)
@@ -954,7 +954,7 @@ GEOMETRIES = {"default": {}, "small": {"dcache": (1024, 2), "tag_cache": (64, 1)
 
 @pytest.mark.parametrize("geometry", list(GEOMETRIES))
 @given(ops=OPS, pages=st.lists(st.integers(0, 16), min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_each_model_counts_its_share_of_the_union(geometry, ops, pages):
     mem = MemorySystem(**GEOMETRIES[geometry])
     refs = {m: _PerModelMemory(m, **GEOMETRIES[geometry]) for m in MODELS}

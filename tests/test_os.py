@@ -441,7 +441,7 @@ _ARG = hs.one_of(
 @example(SYS_THREAD_SWITCH, (3, 0, 0), 2000, False)
 @example(SYS_EXIT, (0x105, 0, 0), 2000, False)
 @example(9999, (0, 0, 0), 2000, False)
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_any_syscall_returns_a_value_or_errno_or_stops(a7, args, budget, strict_write):
     """A syscall with arbitrary arguments either leaves an errno or a
     result in a0, or raises a Trap (a strict write) or a budget stop;

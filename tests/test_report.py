@@ -243,7 +243,7 @@ _EDGE_OFFSETS = [0, 1, 7, 8, 63, 64, REGION_WORDS - 65, REGION_WORDS - 9, REGION
         unique_by=lambda r: r[0],
     )
 )
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_overtagging_matches_whole_plane_scan_on_sparse_regions(regions):
     mem = MemorySystem()
     words = {}
