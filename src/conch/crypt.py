@@ -63,7 +63,7 @@ import functools
 import struct
 from typing import NamedTuple
 
-MASK64 = (1 << 64) - 1
+from .isa import MASK64
 
 # The inner S-box, sigma1 of the three QARMA-64 variants: an involution.
 SIGMA = (0xA, 0xD, 0xE, 0x6, 0xF, 0x7, 0x3, 0x5, 0x9, 0x8, 0x0, 0xC, 0xB, 0x1, 0x2, 0x4)

@@ -717,7 +717,7 @@ BENCH_PROGRAMS = pathlib.Path(__file__).parents[1] / "bench" / "programs"
 def program_sources():
     """{name: source} of every checked-in program: the corpus, the three
     demos among it, and bench/programs/*.s."""
-    sources = {name: source for name, source, _, _ in build_corpus()}
+    sources = {name: source for name, source, _ in build_corpus()}
     for path in sorted(BENCH_PROGRAMS.glob("*.s")):
         sources[f"bench_{path.stem}"] = path.read_bytes().decode("utf-8")
     return sources

@@ -250,7 +250,11 @@ def test_run_budget_exit_code(tmp_path, capsys):
         "loop.s",
         """
         .org 0x80000000
-        loop: j loop
+        li t0, 100
+        loop: addi t0, t0, -1
+        bne t0, zero, loop
+        li a7, 93
+        ecall
         """,
     )
     code, report = run_json(capsys, ["run", src, "--max-instret", "100"])

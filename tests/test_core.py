@@ -26,7 +26,7 @@ from conch.mem import DRAM_BASE, DRAM_END, MODELS, MemAccessError, MemorySystem,
 from conch.os_shim import SYS_GETRANDOM, SYS_OPENAT, SYS_READ, SYS_THREAD_SWITCH, SYS_WRITE, FileDesc, OsShim
 from conch.report import PRICE_FIELD, ByteOracle, CycleCosts, build_report, counts, emit_report, mem_stats, price, simulate
 
-from conftest import Instr, decoded, grid_words, odd_access_program
+from conftest import Instr, decoded, grid_words, mem_counters, odd_access_program
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 KEY = derive_thread_key(generate_master_key(0), 0)
@@ -406,11 +406,24 @@ def test_ecall_without_shim_traps():
 
 
 def test_run_budget():
-    jal_self = isa.encode("jal")
-    stt, mem = make_machine([jal_self])
+    # a loop of 200 instructions, then a trap: the budget stops it first
+    countdown = [isa.encode("addi", rd=5, rs1=5, imm=-1), isa.encode("bne", rs1=5, imm=-4), isa.encode("ebreak")]
+    stt, mem = make_machine(countdown)
+    stt.regs[5] = 100
     stt.max_instret = 50
     assert run(stt, mem) == "budget"
     assert stt.instret == 50
+
+
+def test_a_copy_past_the_budget_raises_and_charges_nothing():
+    stt = MachineState(pc=DRAM_BASE)
+    stt.max_instret = 10
+    stt.charge_copy(4)
+    with pytest.raises(BudgetExhausted):
+        stt.charge_copy(6)  # with its instruction, 1 + 4 + 6 words overrun 10
+    assert stt.copy_words == 4
+    stt.charge_copy(5)  # 1 + 4 + 5 spends the budget exactly
+    assert stt.copy_words == 9
 
 
 def test_run_budget_stops_a_program_before_its_end():
@@ -422,9 +435,10 @@ def test_run_budget_stops_a_program_before_its_end():
 
 
 def test_histogram_counts():
-    stt, mem = make_machine([0x13, 0x13, isa.encode("jal", imm=-8)])
+    # three passes of addi, addi and a jal to the next pass, then a trap
+    stt, mem = make_machine([0x13, 0x13, isa.encode("jal", imm=4)] * 3 + [isa.encode("ebreak")])
     stt.max_instret = 9
-    run(stt, mem)
+    assert run(stt, mem) == "budget"
     assert stt.histogram["addi"] == 6
     assert stt.histogram["jal"] == 3
 
@@ -527,9 +541,9 @@ def test_load_store_tag_flow():
     step(stt, mem)
     assert stt.regs[6] == 0xABCD
     assert stt.reg_tags[6] == 1
-    before = _mem_counters(mem)
+    before = mem_counters(mem)
     assert mem.ctag_read(DRAM_BASE + 0x1000) == 1
-    assert _mem_counters(mem) == before  # resident: the lookup counts nothing
+    assert mem_counters(mem) == before  # resident: the lookup counts nothing
     mem.flush_and_sync(KEY)
     assert mem.word_tag(DRAM_BASE + 0x1000) == 1  # and now at rest too
 
@@ -758,18 +772,10 @@ class LoggingOracle(ByteOracle):
         return super().store_taints(rs, width)
 
 
-def _mem_counters(mem):
-    return (
-        mem.dcache.hits, mem.dcache.misses, mem.icache.hits, mem.icache.misses,
-        mem.tagcache_hits, mem.tagcache_misses, mem.tag_store_touches, mem.tag_writebacks, mem.dram_data_accesses,
-        mem.cipher_blocks, mem.overtag_cipher_blocks, mem.loads, mem.stores,
-    )
-
-
 def _state(stt, mem, oracle):
     return (
         stt.pc, list(stt.regs), list(stt.reg_tags), stt.instret, stt.mispredicts, dict(stt.histogram),
-        stt.halted, stt.exit_code, list(oracle.reg), len(oracle.log), _mem_counters(mem),
+        stt.halted, stt.exit_code, list(oracle.reg), len(oracle.log), mem_counters(mem),
     )
 
 
@@ -806,7 +812,7 @@ def corpus_lockstep(corpus):
     counts the union of every model's events, so one run serves all three
     models. Maps name to (new, ref)."""
     runs = {}
-    for name, source, fs, _ in corpus:
+    for name, source, fs in corpus:
         program = asm.assemble(source)
 
         def make():
@@ -918,19 +924,23 @@ def test_dispatch_memo_is_bounded_and_rebuilds_an_evicted_word():
 
 # Each pass adds 0x1000 to the lui word at slot, stores it into text and
 # switches threads, whose flush makes the icache fetch the new word: one
-# new dispatch memo entry per 8 instructions.
+# new dispatch memo entry per 8 instructions. Pass k loads k << 12 into t0,
+# and the guest exits after pass 12,800, past a budget of 100,000.
 SELF_REWRITING = """
 .org 0x80000000
 la s0, slot
 lw s1, 0(s0)
 li s2, 0x1000
+li s3, 0x3200000
 loop: add s1, s1, s2
 sw s1, 0(s0)
 li a0, 0
 li a7, 5000
 ecall
 slot: lui t0, 0
-j loop
+bne t0, s3, loop
+li a7, 93
+ecall
 """
 
 

@@ -61,7 +61,7 @@ def all_goldens():
     """{file name: text} for every golden."""
     from test_acceptance import STREAM_PROG
 
-    texts = {f"report_{name}.json": report_text(source, fs) for name, source, fs, _ in build_corpus()}
+    texts = {f"report_{name}.json": report_text(source, fs) for name, source, fs in build_corpus()}
     texts["report_stream512k.json"] = report_text(STREAM_PROG, {})
     texts.update({f"dump_{name}.txt": dump_text(name) for name in DEMOS})
     return texts
@@ -71,12 +71,12 @@ def _golden(filename):
     return (GOLDENS / filename).read_bytes().decode("utf-8")
 
 
-@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f, _ in build_corpus()])
+@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f in build_corpus()])
 def test_report_matches_golden(name, source, fs):
     assert report_text(source, fs) == _golden(f"report_{name}.json")
 
 
-@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f, _ in build_corpus()])
+@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f in build_corpus()])
 def test_priced_cycles_match_golden(name, source, fs):
     golden = json.loads(PRICED.read_text())
     results = run_models(source, seed=SEED, fs=fs)

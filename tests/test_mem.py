@@ -205,6 +205,18 @@ def test_ctag_set_covers_straddled_words():
     assert mem.oracle_bits_for(base + 12, 4) == 0
 
 
+def test_ctag_walk_reports_its_lines_before_walking():
+    mem = MemorySystem()
+    calls = []
+
+    def charge(lines):
+        calls.append((lines, mem.dcache.hits + mem.dcache.misses))
+
+    mem.ctag_set_range(DRAM_BASE + 8, 130, KEY, charge=charge)  # overlaps lines 0, 1 and 2
+    assert calls == [(3, 0)]  # before the first line is accessed
+    assert mem.dcache.misses == 3
+
+
 def test_ctag_clear_only_full_words():
     mem = MemorySystem()
     base = DRAM_BASE + 0x480
@@ -705,7 +717,7 @@ def test_icache_lines_are_never_dirty(corpus, monkeypatch):
 
     monkeypatch.setattr(MemorySystem, "fetch", checked_fetch)
     monkeypatch.setattr(MemorySystem, "flush_and_sync", checked_flush)
-    for name, source, fs, _ in corpus:
+    for name, source, fs in corpus:
         assert simulate(source, fs=dict(fs)).stop == "exit", name
     res = simulate(SELF_PATCH)
     assert (res.stop, res.st.exit_code) == ("exit", 7)
@@ -719,6 +731,15 @@ def test_fetch_sees_a_store_into_text_only_after_a_refill():
     assert source.count("ecall") == 1
     res = simulate(source)
     assert (res.stop, res.st.exit_code) == ("exit", 1)
+
+
+def test_fetch_from_a_second_line_at_the_same_offset_misses_and_reads_that_line():
+    mem = MemorySystem()
+    words = [isa.encode("addi", rd=10, imm=1), isa.encode("addi", rd=10, imm=2)]
+    for addr, word in zip((DRAM_BASE, DRAM_BASE + LINE), words):
+        mem.write_raw_init(addr, word.to_bytes(4, "little"))
+    assert [mem.fetch(DRAM_BASE, KEY), mem.fetch(DRAM_BASE + LINE, KEY)] == words
+    assert (mem.icache.hits, mem.icache.misses) == (0, 2)
 
 
 def test_clean_once_eviction_wrote_back_every_dirty_line():

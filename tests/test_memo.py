@@ -16,7 +16,7 @@ from conftest import build_corpus, plane_diff
 from test_acceptance import SWITCHBACK_PROG
 from test_goldens import GOLDENS
 
-CORPUS = [pytest.param(name, source, fs, id=name) for name, source, fs, _ in build_corpus()]
+CORPUS = [pytest.param(name, source, fs, id=name) for name, source, fs in build_corpus()]
 
 
 def _pairs(memo):
@@ -73,7 +73,7 @@ def test_memo_changes_nothing(name, source, fs, monkeypatch):
 @pytest.mark.parametrize("name", ["stream64k", "sort", "demo_threads", "demo_heartbleed"])
 def test_memo_entries_match_the_circuit(name):
     # every entry, not a sample: a wrong pair may never be looked up
-    (source, fs), = [(s, f) for n, s, f, _ in build_corpus() if n == name]
+    (source, fs), = [(s, f) for n, s, f in build_corpus() if n == name]
     memo = run_models(source, seed=0, fs=fs)["b"].mem.memo
     enc, dec = _pairs(memo)
     assert enc and sorted(enc) == sorted(dec) and len(enc) == memo.size
@@ -87,7 +87,7 @@ def test_memo_entries_match_the_circuit(name):
 def test_small_cap_is_never_exceeded(name, cap, monkeypatch):
     # each of these programs enciphers more than two distinct blocks
     monkeypatch.setattr(crypt, "MEMO_MAX_PAIRS", cap)
-    (source, fs), = [(s, f) for n, s, f, _ in build_corpus() if n == name]
+    (source, fs), = [(s, f) for n, s, f in build_corpus() if n == name]
     results = run_models(source, seed=0, fs=fs)
     enc, dec = _pairs(results["b"].mem.memo)
     assert len(enc) == len(dec) == cap
@@ -96,7 +96,7 @@ def test_small_cap_is_never_exceeded(name, cap, monkeypatch):
 
 
 def test_models_of_one_call_share_one_memo(circuit_calls):
-    (source,) = [s for n, s, _, _ in build_corpus() if n == "sort"]
+    (source,) = [s for n, s, _ in build_corpus() if n == "sort"]
     program = asm.assemble(source)
     results = run_models(program=program, seed=0)
     memos = {id(r.mem.memo) for r in results.values()}
@@ -125,7 +125,7 @@ def test_models_of_one_call_derive_each_thread_key_once(circuit_calls):
 
 @pytest.mark.parametrize("run", [run_models, simulate], ids=["run_models", "simulate"])
 def test_each_call_starts_with_an_empty_memo(run, circuit_calls):
-    (source,) = [s for n, s, _, _ in build_corpus() if n == "sort"]
+    (source,) = [s for n, s, _ in build_corpus() if n == "sort"]
     program = asm.assemble(source)
     counts = []
     for _ in range(2):

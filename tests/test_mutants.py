@@ -1,7 +1,8 @@
 """The parts of tests/mutants.py that need no child process: the
 generated mutants of a made-up module, the choice of the tests each
-mutant runs, over a made-up reach map, and the runner's rules, with
-verdict or Popen stubbed out."""
+mutant runs, over a made-up reach map, the runner's rules, with verdict
+or Popen stubbed out, and that no named mutant plants what a swept site
+of src/conch plants."""
 
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -146,3 +147,20 @@ def test_a_pytest_exit_of_4_is_an_error(monkeypatch, tmp_path):
     outcome, detail = verdict(["tests/test_a.py::one"])
     assert outcome == "error"
     assert "pytest exited 4" in detail
+
+
+def test_no_named_mutant_plants_what_a_swept_site_plants(tmp_path):
+    # a named mutant is a defect no clause or operator rule plants: its
+    # patched file differs from that of every swept site of the file
+    twins = []
+    for file in sorted({m.file for m in MUTANTS}):
+        original = (mutants.ROOT / "src" / "conch" / file).read_text(encoding="utf-8")
+        planted = {}
+        for mutant in [*(m for m in MUTANTS if m.file == file), *sites(file)]:
+            (tmp_path / file).write_text(original, encoding="utf-8")
+            mutant.apply(tmp_path)
+            text = (tmp_path / file).read_text(encoding="utf-8")
+            if text in planted:
+                twins.append((planted[text], mutant.name))
+            planted.setdefault(text, mutant.name)
+    assert twins == []

@@ -326,8 +326,12 @@ def test_copied_words_and_instructions_share_the_budget():
     li   a2, 0
     li   a7, 278
     ecall
+    li   t0, 100
 spin:
-    j    spin
+    addi t0, t0, -1
+    bne  t0, zero, spin
+    li   a7, 93
+    ecall
     .data
 buf:
     .dword 0

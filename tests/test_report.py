@@ -258,7 +258,7 @@ def test_overtagging_matches_whole_plane_scan_on_sparse_regions(regions):
     assert {k: stats[k] for k in expected} == expected
 
 
-@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=f"{n}-cached") for n, s, f, _ in build_corpus()])
+@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=f"{n}-cached") for n, s, f in build_corpus()])
 def test_set_bits_lie_in_recorded_regions(name, source, fs):
     """Every nonzero byte of both planes lies in a region the access paths
     recorded, so the region-only statistics equal a scan of whole planes.
@@ -466,7 +466,7 @@ buf:
 
 @pytest.mark.parametrize(
     "name,source,fs",
-    [pytest.param(n, s, f, id=n) for n, s, f, _ in [*build_corpus(), ("retain_or", RETAIN_OR, {}, 0)]],
+    [pytest.param(n, s, f, id=n) for n, s, f in [*build_corpus(), ("retain_or", RETAIN_OR, {})]],
 )
 def test_cached_matches_uncached_on_corpus(name, source, fs, monkeypatch):
     _assert_cached_matches_uncached(monkeypatch, source, seed=0, fs=fs)
