@@ -82,7 +82,7 @@ def _w(x):
 
 def _div_trunc(a, b):
     q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
+    return -q if (a ^ b) < 0 else q
 
 
 def _div(a, b):

@@ -1,10 +1,10 @@
 """Shared test corpus: small programs exercising every subsystem, reused
 by the semantics-preservation and soundness suites. Each entry is
 (name, source, fs), and every program exits 0. Also the uncached
-reference memory that the cached hierarchy is checked against,
-plane_diff, which compares two memories' planes, and mem_counters, every
-event a memory counts. And Instr, the decoded form of a word the decoder
-tests compare."""
+reference memory that the cached hierarchy is checked against, boot,
+which loads a program into a fresh machine, plane_diff, which compares
+two memories' planes, and mem_counters, every event a memory counts.
+And Instr, the decoded form of a word the decoder tests compare."""
 
 import random
 from importlib import resources
@@ -13,11 +13,13 @@ from typing import NamedTuple
 import pytest
 from hypothesis import Phase, settings
 
-from conch import isa
+from conch import asm, isa
 from conch.cli import DEMOS, read_source
-from conch.crypt import qarma_decrypt, qarma_encrypt
+from conch.core import MachineState
+from conch.crypt import generate_master_key, qarma_decrypt, qarma_encrypt
 from conch.isa import MASK64
 from conch.mem import DRAM_BASE, DRAM_SIZE, REGION_SHIFT, MemorySystem
+from conch.os_shim import OsShim
 
 # The published QARMA-64 reference vector: one (w0, k0, tweak, plaintext)
 # tuple with the expected ciphertext under each S-box variant (Avanzi, The
@@ -72,6 +74,17 @@ def plane_diff(a, b):
             if pa[r * span : (r + 1) * span] != pb[r * span : (r + 1) * span]:
                 return plane, r
     return None
+
+
+def boot(program, fs=None):
+    """(st, mem, shim): a fresh machine with program loaded and thread 0's
+    key active, as simulate starts a run at seed 0, ready for core.run."""
+    mem = MemorySystem()
+    st = MachineState()
+    asm.load_image(program, mem, st)
+    shim = OsShim(generate_master_key(0), seed=0, fs=dict(fs or {}))
+    st.key = shim.key_for(0)
+    return st, mem, shim
 
 
 def mem_counters(mem):

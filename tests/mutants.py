@@ -33,11 +33,12 @@ it, so it survives. A mutant still running after HANG_S, or after the
 control's time if longer, has hung. A patched tree that does not import
 stops pytest at conftest.py, an error. A named mutant that survives,
 hangs or errs fails the gate; a swept one that hangs or errs is killed,
-and one that survives must be listed in EQUIVALENT with the reason no
-input can tell it from the original. A listed entry that no longer
-survives fails the sweep too. None of this is part of Tier-1. All ten
-modules took 9 to 16 minutes on 2 vCPU (CPython 3.11), the traced
-control included.
+and one that survives must be listed in EQUIVALENT (2 entries, both
+mem.py fast paths) with the reason no input can tell it from the
+original. A listed entry that no longer survives fails the sweep too.
+None of this is part of Tier-1 (768 passed, 1 skipped and 3 xfailed
+where the conch script is not installed). All ten modules took 9 to 16
+minutes on 2 vCPU (CPython 3.11), the traced control included.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ MUTANTS = (
         "report.py",
         '"a": mem.tag_store_touches,',
         '"a": 0,',
-        ("tests/test_report.py::test_run_models_order_and_agreement", "tests/test_goldens.py"),
+        ("tests/test_report.py::test_build_report_shape_and_stability", "tests/test_goldens.py"),
     ),
     Mutant(
         "OP-IMM drops its source tag",
@@ -200,7 +201,6 @@ MUTANTS = (
             "tests/test_report.py::test_overtagging_matches_whole_plane_scan_at_chunk_edges",
             "tests/test_report.py::test_overtagging_scans_the_tagged_span_exactly",
             "tests/test_report.py::test_overtagging_matches_whole_plane_scan_on_sparse_regions",
-            "tests/test_report.py::test_set_bits_lie_in_recorded_regions",
         ),
     ),
 )
@@ -216,12 +216,6 @@ class Equivalent(NamedTuple):
 
 
 EQUIVALENT = (
-    Equivalent(
-        "core.py",
-        "return q if (a < 0) == (b < 0) else -q",
-        "< -> <=",
-        "when a is 0, q is 0, and -0 is 0",
-    ),
     Equivalent(
         "mem.py",
         "if mru is not None and mru.base == line_base:",

@@ -13,13 +13,24 @@ import pytest
 
 from conch import asm
 from conch.cli import DEMOS, main
-from conch.core import MachineState, run
-from conch.crypt import Key128, generate_master_key, qarma_decrypt, qarma_encrypt
-from conch.mem import MODELS, REGION_SHIFT, MemorySystem
-from conch.os_shim import OsShim
-from conch.report import ByteOracle, build_report, compute_overtagging, emit_report, run_models, simulate
+from conch.core import run
+from conch.crypt import Key128, qarma_decrypt, qarma_encrypt
+from conch.mem import REGION_SHIFT
+from conch.report import MODELS, ByteOracle, build_report, compute_overtagging, emit_report, run_models, simulate
 
-from conftest import VEC_C, VEC_K0, VEC_P, VEC_T, VEC_W0, demo_path, demo_source, mem_counters, plane_diff
+from conftest import (
+    CLEAR_FLOW,
+    VEC_C,
+    VEC_K0,
+    VEC_P,
+    VEC_T,
+    VEC_W0,
+    boot,
+    demo_path,
+    demo_source,
+    mem_counters,
+    plane_diff,
+)
 
 MIB = 1024 * 1024
 GOLDENS = Path(__file__).parent / "data" / "goldens"
@@ -209,11 +220,7 @@ def test_criterion_04_soundness(corpus):
         program = asm.assemble(source)
         # every store asserts word-level soundness; SoundnessViolation is
         # an AssertionError and aborts.
-        mem = MemorySystem()
-        st = MachineState()
-        asm.load_image(program, mem, st)
-        shim = OsShim(generate_master_key(0), seed=0, fs=dict(fs))
-        st.key = shim.key_for(0)
+        st, mem, shim = boot(program, fs)
         oracle = CheckingOracle()
         oracle.st = st
         stop = run(st, mem, shim, oracle)
@@ -483,48 +490,6 @@ def _state(r):
 def _counters(r):
     """Every event a run counted."""
     return (*mem_counters(r.mem), r.st.mispredicts, r.st.histogram)
-
-
-CLEAR_FLOW = """
-    .org 0x80000000
-_start:
-    la   a0, buf
-    li   a1, 32
-    li   a2, 0
-    li   a7, 278
-    ecall
-
-    la   t0, buf
-    ld   t1, 0(t0)
-    ld   t2, 8(t0)
-    xor  t1, t1, t2
-    ld   t2, 16(t0)
-    xor  t1, t1, t2
-    ld   t2, 24(t0)
-    xor  t1, t1, t2
-    sd   t1, 32(t0)
-
-    la   a0, buf
-    addi a0, a0, 32
-    li   a1, 8
-    ctag.clr a0, a1
-
-    li   a0, 1
-    la   a1, buf
-    addi a1, a1, 32
-    li   a2, 8
-    li   a7, 64
-    ecall
-
-    li   a0, 0
-    li   a7, 93
-    ecall
-
-    .org 0x80000100
-buf:
-    .dword 0, 0, 0, 0
-    .dword 0
-"""
 
 
 @criterion(10, "determinism")

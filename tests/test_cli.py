@@ -895,12 +895,22 @@ def test_cli_import_leaves_numpy_unloaded():
 
 @pytest.mark.skipif(shutil.which("conch") is None, reason="conch console script not installed")
 def test_installed_console_script(tmp_path):
-    src = write(tmp_path, "p.s", EXIT_PROG)
-    proc = subprocess.run(
-        ["conch", "run", str(src), "--models", "baseline"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == EXIT_OK
-    assert json.loads(proc.stdout)["stop_reason"] == "exit"
+    # one installed-script process per command; the exit codes, messages
+    # and outputs of each command are tested above through main()
+    def script(*argv, **env_vars):
+        proc = subprocess.run(
+            ["conch", *argv], capture_output=True, text=True, timeout=120, env={**os.environ, **env_vars}
+        )
+        assert proc.returncode == EXIT_OK, (argv, proc.stderr)
+        return proc.stdout
+
+    src = tmp_path / "cafe.s"
+    src.write_bytes(("# café\n" + EXIT_PROG).encode("utf-8"))
+    img_c, img = tmp_path / "c.img.json", tmp_path / "img.json"
+    script("asm", str(src), "-o", str(img_c), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    script("asm", str(src), "-o", str(img))
+    assert img_c.read_bytes() == img.read_bytes()
+    assert json.loads(script("run", str(img)))["stop_reason"] == "exit"
+    assert "# line 0x80000000" in script("dump", str(src), "--range", "0x80000000:16").splitlines()
+    script("demo", "threads")
+    script("--help")

@@ -22,11 +22,22 @@ from conch.core import (
     step,
 )
 from conch.crypt import BlockMemo, derive_thread_key, generate_master_key
-from conch.mem import DRAM_BASE, DRAM_END, MODELS, MemAccessError, MemorySystem, MisalignedAccess
+from conch.mem import DRAM_BASE, DRAM_END, MemAccessError, MemorySystem, MisalignedAccess
 from conch.os_shim import SYS_GETRANDOM, SYS_OPENAT, SYS_READ, SYS_THREAD_SWITCH, SYS_WRITE, FileDesc, OsShim
-from conch.report import PRICE_FIELD, ByteOracle, CycleCosts, build_report, counts, emit_report, mem_stats, price, simulate
+from conch.report import (
+    MODELS,
+    PRICE_FIELD,
+    ByteOracle,
+    CycleCosts,
+    build_report,
+    counts,
+    emit_report,
+    mem_stats,
+    price,
+    simulate,
+)
 
-from conftest import Instr, decoded, grid_words, mem_counters, odd_access_program
+from conftest import Instr, boot, decoded, grid_words, mem_counters, odd_access_program
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 KEY = derive_thread_key(generate_master_key(0), 0)
@@ -307,6 +318,8 @@ def test_alu_matches_reference(a, b, mnem):
         ("remw", 0x80000000, 0xFFFFFFFF),
         ("divuw", 7, 0),
         ("remuw", 0xFFFFFFFF_00000005, 0),
+        ("div", 7, 7),  # operands of one value: a ^ b is 0, the quotient +1
+        ("rem", (1 << 64) - 7, (1 << 64) - 7),  # -7 % -7, a ^ b is 0 again
     ],
 )
 def test_division_edges(mnem, a, b):
@@ -816,11 +829,7 @@ def corpus_lockstep(corpus):
         program = asm.assemble(source)
 
         def make():
-            mem = MemorySystem()
-            stt = MachineState()
-            asm.load_image(program, mem, stt)
-            shim = OsShim(generate_master_key(0), seed=0, fs=dict(fs))
-            stt.key = shim.key_for(0)
+            stt, mem, shim = boot(program, fs)
             return stt, mem, shim, LoggingOracle(stt)
 
         new, ref, steps = _lockstep(make, 100_000)

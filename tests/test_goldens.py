@@ -18,6 +18,7 @@ summed a cost at every charge it made; priced counts must match it.
 """
 
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -34,11 +35,19 @@ from conftest import build_corpus, demo_path, demo_source
 GOLDENS = Path(__file__).parent / "data" / "goldens"
 PRICED = Path(__file__).parent / "data" / "priced_cycles.json"
 SEED = 0
+CORPUS = {name: (source, fs) for name, source, fs in build_corpus()}
 
 
-def report_text(source, fs):
-    results = run_models(source, seed=SEED, fs=fs)
+def report_text(results):
     return emit_report(build_report(results), fmt="json")
+
+
+@functools.cache
+def corpus_run(name):
+    """run_models of a corpus program at SEED, made once for both of its
+    goldens."""
+    source, fs = CORPUS[name]
+    return run_models(source, seed=SEED, fs=fs)
 
 
 def dump_text(name):
@@ -61,8 +70,8 @@ def all_goldens():
     """{file name: text} for every golden."""
     from test_acceptance import STREAM_PROG
 
-    texts = {f"report_{name}.json": report_text(source, fs) for name, source, fs in build_corpus()}
-    texts["report_stream512k.json"] = report_text(STREAM_PROG, {})
+    texts = {f"report_{name}.json": report_text(corpus_run(name)) for name in CORPUS}
+    texts["report_stream512k.json"] = report_text(run_models(STREAM_PROG, seed=SEED))
     texts.update({f"dump_{name}.txt": dump_text(name) for name in DEMOS})
     return texts
 
@@ -71,15 +80,15 @@ def _golden(filename):
     return (GOLDENS / filename).read_bytes().decode("utf-8")
 
 
-@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f in build_corpus()])
-def test_report_matches_golden(name, source, fs):
-    assert report_text(source, fs) == _golden(f"report_{name}.json")
+@pytest.mark.parametrize("name", CORPUS)
+def test_report_matches_golden(name):
+    assert report_text(corpus_run(name)) == _golden(f"report_{name}.json")
 
 
-@pytest.mark.parametrize("name,source,fs", [pytest.param(n, s, f, id=n) for n, s, f in build_corpus()])
-def test_priced_cycles_match_golden(name, source, fs):
+@pytest.mark.parametrize("name", CORPUS)
+def test_priced_cycles_match_golden(name):
     golden = json.loads(PRICED.read_text())
-    results = run_models(source, seed=SEED, fs=fs)
+    results = corpus_run(name)
     for fields, expected in zip(golden["costs"], golden["cycles"][name], strict=True):
         costs = CycleCosts(**fields)
         assert {m: price(counts(r.st, r.mem, r.model), costs) for m, r in results.items()} == expected, fields

@@ -24,10 +24,8 @@ from conch.mem import (
     DRAM_END,
     DRAM_SIZE,
     LINE,
-    MODELS,
     REGION_SHIFT,
     CacheModel,
-    MemAccessError,
     MemorySystem,
     MisalignedAccess,
     OutOfBoundsAccess,
@@ -35,7 +33,7 @@ from conch.mem import (
     _Line,
 )
 from conch.os_shim import EFAULT
-from conch.report import counts, mem_stats, simulate
+from conch.report import MODELS, counts, mem_stats, simulate
 
 from conftest import UncachedReference, plane_diff
 

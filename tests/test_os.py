@@ -292,8 +292,8 @@ def test_copy_charge_is_the_word_accesses_made(monkeypatch, offset, count):
         monkeypatch.setattr(mem, name, lambda *a, real=real: accesses.append(a) or real(*a))
     for call, args in [(shim.sys_read, (fd, buf, count)), (shim.sys_getrandom, (buf, count, 0)), (shim.sys_write, (1, buf, count))]:
         before, accesses[:] = st.copy_words, []
-        _, made = call(st, mem, *args)  # (result, guest accesses made)
-        assert st.copy_words - before == made == len(accesses)
+        call(st, mem, *args)
+        assert st.copy_words - before == len(accesses)
 
 
 def put_path(st, mem):
